@@ -9,7 +9,6 @@ or when a brute-force guard (DCX_ELEMENT_LIMIT) trips.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import serialize
@@ -199,6 +198,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    if args.output == "dot" and args.mode != "graph":
+        raise CliError("--output dot is only available for flow graph")
     mol = _load_molecule(args.file)
     k = args.k
     if args.mode == "graph":
@@ -247,7 +248,7 @@ def _cmd_flow(args) -> int:
     raise CliError(f"unknown flow mode {args.mode!r}")
 
 
-def _parse_levels(text, mol: Molecule):
+def _parse_levels(text):
     if text is None:
         return None
     text = text.strip()
@@ -261,7 +262,7 @@ def _parse_levels(text, mol: Molecule):
 
 def _cmd_sd(args) -> int:
     mol = _load_molecule(args.file)
-    levels = _parse_levels(args.levels, mol)
+    levels = _parse_levels(args.levels)
     if args.report:
         _emit(sd_report_json(mol, levels))
         return 0
@@ -349,7 +350,7 @@ def _cmd_export(args) -> int:
         return 0
     if args.what == "sd":
         mol = _load_molecule(args.file)
-        levels = _parse_levels(args.levels, mol)
+        levels = _parse_levels(args.levels)
         if levels is None:
             levels = set(range(max(mol.dim, 0)))
         sys.stdout.write(serialize.dot_sd(enumerate_sd(mol, levels)))
@@ -357,12 +358,30 @@ def _cmd_export(args) -> int:
     raise CliError(f"unknown export target {args.what!r}")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser that takes options before or after positionals."""
+
+    _mixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # parse_known_intermixed_args makes two plain passes through here
+        if self._mixing:
+            return super().parse_known_args(args, namespace)
+        self._mixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._mixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcx",
         description="combinatorics of directed complexes: molecules, layerings, subdivisions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p_make = sub.add_parser("make", help="construct a molecule, write ogposet/1 JSON")
     p_make.add_argument(
@@ -383,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("mode", choices=["graph", "layerings", "orderings", "theory"])
     p_flow.add_argument("file", nargs="?")
     p_flow.add_argument("--k", type=int, required=True)
-    p_flow.add_argument("--output", choices=["json", "dot", "text"], default="json")
+    p_flow.add_argument("--output", choices=["json", "dot"], default="json")
     p_flow.set_defaults(func=_cmd_flow)
 
     p_sd = sub.add_parser("sd", help="subdivision posets and contractibility evidence")
@@ -429,3 +448,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

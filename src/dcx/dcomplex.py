@@ -220,9 +220,6 @@ class PastingDiagram:
                     )
         return self
 
-    def is_locally_injectiveive(self):  # pragma: no cover - legacy alias
-        return self.is_locally_injective()
-
     def is_locally_injective(self) -> bool:
         """True iff the labelling is injective on the closure of each element."""
         P = self.shape.poset

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .molecule import Molecule, _memo, mol_cert, splits_masks, submolecules_masks
-from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, _bits
+from .ogposet import Closed, El, Masks, OgPoset, _bits
 from .posets import FinPoset
 
 Layering = tuple[Masks, ...]
@@ -110,15 +110,9 @@ class FlowGraph:
 
 def maxflow_masks(P: OgPoset, masks: Masks, k: int) -> FlowGraph:
     mx = [el for el in P.masks_els(P.maximal_masks(masks)) if el[0] > k]
-    plus = {}
-    minus = {}
-    for el in mx:
-        d, i = el
-        cl = P.cl_el[d][i]
-        plus[el] = P.delta_masks(cl, k, PLUS) if k >= 0 else 0
-        minus[el] = P.delta_masks(cl, k, MINUS) if k >= 0 else 0
+    succ = P.flow_masks(mx, k)
     edges = frozenset(
-        (a, b) for a in mx for b in mx if plus[a] & minus[b]
+        (mx[a], mx[b]) for a in range(len(mx)) for b in _bits(succ[a])
     )
     return FlowGraph(tuple(mx), edges)
 

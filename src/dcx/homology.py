@@ -6,7 +6,7 @@ integral boundary matrices, with torsion read off the Smith diagonal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .posets import FinPoset

@@ -623,13 +623,26 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     Yields pairs (A, B) of closed molecule subsets with A u B the input,
     A n B = the output k-boundary of A = the input k-boundary of B.
 
-    A split assigns each maximal element of dimension > k to one side, and
-    given that bipartition the shared membrane is forced: it grows from the
+    A split assigns each maximal element of dimension > k (a high element)
+    to one side.  Only assignments meeting two necessary conditions are
+    tried (see :func:`_split_candidates`):
+
+    - flow order: the left side is closed under predecessors in the maximal
+      k-flow graph, self-loops ignored.  If a -> b with a in B and b in A,
+      the shared k-element lies in the output k-frame of cl a, so it has a
+      (+)-coface in cl a, which lies in B.  It also lies in cl b, hence in
+      A n B = the input k-boundary of B, so it can have no (+)-coface in B;
+      a contradiction.
+    - same side: two high elements whose closures meet above dimension k
+      lie on the same side, since A n B has dimension at most k.
+
+    Given the assignment, the shared membrane is forced: it grows from the
     elements outside both closures (plus the closures' intersection) by
     adding the level-k output frame of A and input frame of B until stable.
     The parts of both sides above level k never change during the growth,
     so the frame tests are stable and the fixpoint reconstructs the unique
-    candidate split, which is then checked exactly.
+    candidate split, which is then checked exactly.  Candidates are tried
+    in increasing order of their left-side bitmask.
     """
     d = P.masks_dim(masks)
     if k < 0 or k >= d:
@@ -652,7 +665,7 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
         mx = P.maximal_masks(masks)
         high = [el for el in P.masks_els(mx) if el[0] > k]
         nd = len(P.counts)
-        for bits in range(1, (1 << len(high)) - 1):
+        for bits in _split_candidates(P, high, k):
             cla = [0] * nd
             clb = [0] * nd
             for pos, (hd, hi) in enumerate(high):
@@ -660,10 +673,7 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
                 cl = P.cl_el[hd][hi]
                 for e in range(len(cl)):
                     target[e] |= cl[e]
-            shared = tuple(a & b for a, b in zip(cla, clb))
-            if P.masks_dim(shared) > k:
-                continue
-            seed = [shared[e] for e in range(nd)]
+            seed = [a & b for a, b in zip(cla, clb)]
             for e in range(min(k + 1, nd)):
                 seed[e] |= masks[e] & ~(cla[e] | clb[e])
             membrane = P.closure_masks(tuple(seed))
@@ -694,6 +704,61 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
             out.append((left, right))
     memo[mkey] = out
     yield from out
+
+
+def _split_candidates(P: OgPoset, high: list[El], k: int) -> list[int]:
+    """Left sides worth trying for a k-split, as bitmasks over ``high``.
+
+    These are the nonempty proper subsets closed under flow predecessors and
+    under the same-side relation, in increasing order.
+    """
+    n = len(high)
+    nd = len(P.counts)
+    cl = [P.cl_el[d][i] for d, i in high]
+    # need[p]: positions that must be on the left whenever p is
+    need = [1 << p for p in range(n)]
+    for a, succ in enumerate(P.flow_masks(high, k)):
+        for b in _bits(succ & ~(1 << a)):
+            need[b] |= 1 << a
+    for a in range(n):
+        for b in range(a + 1, n):
+            if any(cl[a][e] & cl[b][e] for e in range(k + 1, nd)):
+                need[a] |= 1 << b
+                need[b] |= 1 << a
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            acc = need[p]
+            for q in _bits(need[p]):
+                acc |= need[q]
+            if acc != need[p]:
+                need[p] = acc
+                changed = True
+    # up[p]: positions that must be on the right whenever p is
+    up = [0] * n
+    for p in range(n):
+        for q in _bits(need[p]):
+            up[q] |= 1 << p
+
+    out: list[int] = []
+
+    def rec(pos: int, left: int, right: int) -> None:
+        # Positions above pos are decided; decide pos, right side first, so
+        # that the bitmasks come out in increasing order.  Both sides stay
+        # closed (left under need, right under up), so an undecided position
+        # can go either way and every branch ends in a candidate.
+        while pos >= 0 and (left | right) >> pos & 1:
+            pos -= 1
+        if pos < 0:
+            out.append(left)
+            return
+        rec(pos - 1, left, right | up[pos])
+        rec(pos - 1, left | need[pos], right)
+
+    rec(n - 1, 0, 0)
+    full = (1 << n) - 1
+    return [bits for bits in out if bits and bits != full]
 
 
 def _path_edge_order(P: OgPoset, masks: Masks) -> list[int]:
@@ -731,7 +796,7 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     operators (the factors of unital pastings).  Witnesses are lists of
     steps ("split", k, side) / ("boundary", k, alpha) leading from the root.
     """
-    memo = _memo(P, "submол")
+    memo = _memo(P, "submol")
     if masks in memo:
         return memo[masks]
     found: dict[Masks, list] = {masks: []}

@@ -235,6 +235,20 @@ class OgPoset:
             seed[d] |= mx[d]
         return self.closure_masks(tuple(seed))
 
+    def flow_masks(self, els: list[El], k: int) -> list[int]:
+        """The maximal k-flow rule on a list of elements.
+
+        Bit j of entry i is set iff the output k-frame of ``els[i]`` (the
+        dimension-k part of its output k-boundary) meets the input k-frame
+        of ``els[j]``.  Every entry is 0 for k < 0.
+        """
+        cl = [self.cl_el[d][i] for d, i in els]
+        plus = [self.delta_masks(c, k, PLUS) for c in cl]
+        minus = [self.delta_masks(c, k, MINUS) for c in cl]
+        return [
+            sum(1 << j for j, m in enumerate(minus) if p & m) for p in plus
+        ]
+
     def masks_dim(self, masks: Masks) -> int:
         for d in range(len(masks) - 1, -1, -1):
             if masks[d]:

@@ -7,12 +7,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .ogposet import _bits
 
 
 class FinPoset:

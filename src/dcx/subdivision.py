@@ -58,7 +58,8 @@ class Subdivision:
         "_flat",
         "_flat_by_bit",
         "_chunks",
-        "_leq_memo",
+        "_leq_true",
+        "_leq_false",
     )
 
     def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, img: dict):
@@ -81,7 +82,9 @@ class Subdivision:
         ]
         self._flat_by_bit = dict(self._flat)
         self._chunks: dict[int, int] = {}
-        self._leq_memo: dict = {}
+        # refinement memo: (id(tree), flat_sub) -> tree, split by answer
+        self._leq_true: dict = {}
+        self._leq_false: dict = {}
 
     def chunk_inside(self, flat_layer: int) -> int:
         """Theta elements whose image lies in the given ambient subset."""
@@ -256,11 +259,15 @@ def tree_leq(a: Subdivision, b: Subdivision) -> bool:
 def _leq_rec(P: OgPoset, tree: Tree, b: Subdivision, flat_sub: int) -> bool:
     if tree[0] == "leaf":
         return True
+    # The memo stores the tree itself, which keeps its id from being reused
+    # by another tree, and a hit must be that very tree.
     memo_key = (id(tree), flat_sub)
-    cached = b._leq_memo.get(memo_key)
-    if cached is not None:
-        return cached
-    b._leq_memo[memo_key] = result = _leq_rec_compute(P, tree, b, flat_sub)
+    if b._leq_true.get(memo_key) is tree:
+        return True
+    if b._leq_false.get(memo_key) is tree:
+        return False
+    result = _leq_rec_compute(P, tree, b, flat_sub)
+    (b._leq_true if result else b._leq_false)[memo_key] = tree
     return result
 
 

@@ -187,3 +187,28 @@ def test_sd_contractible_on_random_fixtures(corpus):
         assert all(not t for t in rep.torsion), mol.counts
         checked += 1
     assert checked >= 10
+
+
+def _copy_tree(t):
+    """A structurally equal tree made of new tuple objects."""
+    if t[0] == "leaf":
+        return ("leaf",) + t[1:]
+    return ("node", t[1], tuple(_copy_tree(c) for c in t[2])) + t[3:]
+
+
+def test_tree_leq_memo_survives_freed_trees():
+    # Compare persistent elements with fresh copies that are freed between
+    # calls: a memo keyed by object identity alone answers for a dead tree
+    # whose id has been reused by the next copy.
+    from dcx.subdivision import realize
+
+    sdp = enumerate_sd(path(5), {0})
+    P = sdp.molecule.poset
+    elements = sdp.elements
+    expected = [[tree_leq(a, b) for b in elements] for a in elements]
+    for rounds in range(2):
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                copy = realize(P, _copy_tree(a.tree))
+                assert tree_leq(copy, b) == expected[i][j], (rounds, i, j)
+                del copy
