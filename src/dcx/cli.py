@@ -18,16 +18,15 @@ from .dcomplex import (
     element_limit,
     enumerate_molecules,
     has_frame_acyclic_molecules,
+    import_ssset,
 )
-from .errors import DcxError, PreconditionError
+from .errors import DcxError
 from .flow import (
     check_layering_theory,
-    frame_dim,
     is_frame_acyclic,
     layerings,
     maxflow,
     orderings,
-    pre_layerings,
 )
 from .molecule import (
     Molecule,
@@ -118,29 +117,18 @@ def _cmd_make(args) -> int:
             _emit_poset(theta_from_tree(rest[0]))
         except ValueError as exc:
             raise CliError(f"bad tree: {exc}")
-    elif kind in ("paste", "atom", "join"):
-        if kind == "paste":
-            if len(rest) != 3:
-                raise CliError("make paste needs A B K")
-            U = _load_molecule(rest[0])
-            V = _load_molecule(rest[1])
-            try:
-                k = int(rest[2])
-            except ValueError:
-                raise CliError("make paste needs integer K")
-            try:
-                _emit_poset(paste(U, V, k))
-            except DcxError as exc:
-                raise CliError(str(exc))
-        else:
-            if len(rest) != 2:
-                raise CliError(f"make {kind} needs A B")
-            U = _load_molecule(rest[0])
-            V = _load_molecule(rest[1])
-            try:
-                _emit_poset(atom(U, V) if kind == "atom" else join(U, V))
-            except DcxError as exc:
-                raise CliError(str(exc))
+    elif kind == "paste":
+        if len(rest) != 3:
+            raise CliError("make paste needs A B K")
+        U = _load_molecule(rest[0])
+        V = _load_molecule(rest[1])
+        _emit_poset(paste(U, V, arg_int(2, "K")))
+    elif kind in ("atom", "join"):
+        if len(rest) != 2:
+            raise CliError(f"make {kind} needs A B")
+        U = _load_molecule(rest[0])
+        V = _load_molecule(rest[1])
+        _emit_poset(atom(U, V) if kind == "atom" else join(U, V))
     elif kind == "suspend":
         if len(rest) != 1:
             raise CliError("make suspend needs A")
@@ -239,10 +227,7 @@ def _cmd_flow(args) -> int:
         )
         return 0
     if args.mode == "theory":
-        try:
-            report = check_layering_theory(mol, k)
-        except PreconditionError as exc:
-            raise CliError(str(exc))
+        report = check_layering_theory(mol, k)
         _emit(report)
         return 0 if report["iso"] else 1
     raise CliError(f"unknown flow mode {args.mode!r}")
@@ -292,16 +277,13 @@ def _cmd_cx(args) -> int:
     if mode == "import-ssset":
         try:
             S = serialize.loads_ssset(_read_text(args.file))
-            X = __import__("dcx.dcomplex", fromlist=["import_ssset"]).import_ssset(S)
+            X = import_ssset(S)
         except (DcxError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"invalid ssset input: {exc}")
         sys.stdout.write(serialize.dumps_dcomplex(X))
         return 0
     if mode == "verify":
-        try:
-            X = _load_complex(args.file)
-        except CliError:
-            raise
+        X = _load_complex(args.file)
         _emit(
             {
                 "valid": True,

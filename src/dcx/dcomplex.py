@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 
 from .errors import (
     BoundaryMismatchError,
-    BudgetError,
     IncompatibleAttachmentError,
     IdentityViolationError,
     LabelMismatchError,
@@ -25,11 +24,13 @@ from .errors import (
 from .flow import is_frame_acyclic
 from .molecule import (
     Molecule,
+    boundary_glue,
     mol_cert,
     oriental_with_labels,
     paste_with_maps,
+    push_labels,
 )
-from .ogposet import MINUS, PLUS, El, OgPoset, find_iso, is_hasse_acyclic
+from .ogposet import MINUS, PLUS, El, OgPoset, find_iso, is_hasse_acyclic, labelled_key
 
 CellId = tuple[int, int]
 
@@ -92,42 +93,18 @@ class DirectedComplex:
         return self
 
     def _validate_cell(self, cid: CellId):
-        d, _ = cid
         cell = self.cell(cid)
-        shape = cell.shape
-        if shape.dim != d:
+        if cell.dim != cid[0]:
             raise IncompatibleAttachmentError(
-                f"cell {cid} has a shape of dimension {shape.dim}"
+                f"cell {cid} has a shape of dimension {cell.dim}"
             )
-        top = shape.greatest()
-        for el in shape.poset.elements():
-            target = cell.attach.get(el)
-            if target is None:
-                raise IncompatibleAttachmentError(f"cell {cid}: element {el} unattached")
-            if target[0] != el[0]:
-                raise IncompatibleAttachmentError(
-                    f"cell {cid}: element {el} attached across dimensions"
-                )
-            if not (0 <= target[0] < len(self.cells) and 0 <= target[1] < len(self.cells[target[0]])):
-                raise IncompatibleAttachmentError(f"cell {cid}: {target} does not exist")
-        if cell.attach[top] != cid:
+        if cell.attach.get(cell.shape.greatest()) != cid:
             raise IncompatibleAttachmentError(
                 f"cell {cid}: greatest element must attach to the cell itself"
             )
-        # face compatibility through the unique shape isomorphisms
-        for el in shape.poset.elements():
-            sub = self.cell(cell.attach[el])
-            clq, amb = shape.poset.extract(shape.poset.cl_el[el[0]][el[1]])
-            iso = find_iso(sub.shape.poset, clq)
-            if iso is None:
-                raise IncompatibleAttachmentError(
-                    f"cell {cid}: face at {el} is not shaped like its cell"
-                )
-            for e in sub.shape.poset.elements():
-                if cell.attach[amb[iso[e]]] != sub.attach[e]:
-                    raise IncompatibleAttachmentError(
-                        f"cell {cid}: attachment at {el} does not commute"
-                    )
+        problem = restriction_problem(self, cell.shape.poset, cell.attach)
+        if problem is not None:
+            raise IncompatibleAttachmentError(f"cell {cid}: {problem}")
 
     def is_regular(self) -> bool:
         """True iff every attachment map is injective."""
@@ -141,6 +118,37 @@ class DirectedComplex:
 def validate_complex(X: DirectedComplex) -> DirectedComplex:
     """Check all attachment compatibility conditions."""
     return X.validate()
+
+
+def restriction_problem(
+    X: DirectedComplex, P: OgPoset, labels: dict[El, CellId]
+) -> Optional[str]:
+    """Why a labelling of P by cells of X fails to restrict to the
+    attachments, or None when it does.
+
+    Every element must be labelled by an existing cell of its dimension,
+    and the labels on its closure must be the attachment of that cell,
+    read through the unique isomorphism of the closure with the cell's
+    shape.
+    """
+    for el in P.elements():
+        cid = labels.get(el)
+        if cid is None:
+            return f"element {el} has no cell"
+        if cid[0] != el[0]:
+            return f"element {el} maps to a cell of another dimension"
+        if not (0 <= cid[0] < len(X.cells) and 0 <= cid[1] < len(X.cells[cid[0]])):
+            return f"element {el} maps to {cid}, which does not exist"
+    for el in P.elements():
+        cell = X.cell(labels[el])
+        clq, amb = P.extract(P.cl_el[el[0]][el[1]])
+        iso = find_iso(cell.shape.poset, clq)
+        if iso is None:
+            return f"element {el} is not shaped like its cell"
+        for e in cell.shape.poset.elements():
+            if labels[amb[iso[e]]] != cell.attach[e]:
+                return f"labelling around {el} does not restrict to the attachment"
+    return None
 
 
 def skeleton(X: DirectedComplex, n: int) -> DirectedComplex:
@@ -193,31 +201,13 @@ class PastingDiagram:
     @property
     def key(self) -> bytes:
         if self._key is None:
-            relabel = self.shape.poset.canonical()[1]
-            order = sorted(self.labels, key=lambda el: (el[0], relabel[el]))
-            self._key = (
-                self.shape.key
-                + b"|"
-                + repr(tuple(self.labels[el] for el in order)).encode()
-            )
+            self._key = labelled_key(self.shape.poset, self.labels)
         return self._key
 
     def validate(self) -> "PastingDiagram":
-        P = self.shape.poset
-        for el in P.elements():
-            cid = self.labels.get(el)
-            if cid is None or cid[0] != el[0]:
-                raise LabelMismatchError(f"element {el} mislabelled")
-            cell = self.complex.cell(cid)
-            clq, amb = P.extract(P.cl_el[el[0]][el[1]])
-            iso = find_iso(cell.shape.poset, clq)
-            if iso is None:
-                raise LabelMismatchError(f"element {el} is not shaped like its cell")
-            for e in cell.shape.poset.elements():
-                if self.labels[amb[iso[e]]] != cell.attach[e]:
-                    raise LabelMismatchError(
-                        f"labelling around {el} does not restrict to the attachment"
-                    )
+        problem = restriction_problem(self.complex, self.shape.poset, self.labels)
+        if problem is not None:
+            raise LabelMismatchError(problem)
         return self
 
     def is_locally_injective(self) -> bool:
@@ -251,23 +241,15 @@ def paste_diagrams(f: PastingDiagram, g: PastingDiagram, k: int) -> PastingDiagr
     """Pasting of two diagrams whose k-boundaries agree as labelled molecules."""
     if f.complex is not g.complex:
         raise LabelMismatchError("diagrams live over different complexes")
-    bf = boundary_diagram(f, k, PLUS)
-    bg = boundary_diagram(g, k, MINUS)
-    iso = find_iso(bf.shape.poset, bg.shape.poset)
-    if iso is None:
+    glue = boundary_glue(f.shape.poset, g.shape.poset, k, PLUS, MINUS)
+    if glue is None:
         raise BoundaryMismatchError("boundary shapes do not match")
-    for el in bf.shape.poset.elements():
-        if bf.labels[el] != bg.labels[iso[el]]:
-            raise LabelMismatchError("boundary labels do not match")
+    if any(f.labels[p] != g.labels[q] for q, p in glue.items()):
+        raise LabelMismatchError("boundary labels do not match")
     shape, map_f, map_g = paste_with_maps(f.shape, g.shape, k)
-    labels: dict[El, CellId] = {}
-    for el, cid in f.labels.items():
-        labels[map_f[el]] = cid
-    for el, cid in g.labels.items():
-        tgt = map_g[el]
-        if tgt in labels and labels[tgt] != cid:
-            raise LabelMismatchError("glued labels disagree")
-        labels[tgt] = cid
+    labels = push_labels(map_f, f.labels, map_g, g.labels)
+    if labels is None:
+        raise LabelMismatchError("glued labels disagree")
     return PastingDiagram(f.complex, shape, labels)
 
 

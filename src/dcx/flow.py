@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .molecule import Molecule, _memo, mol_cert, splits_masks, submolecules_masks
-from .ogposet import Closed, El, Masks, OgPoset, _bits
+from .molecule import Molecule, _memo, splits_masks, submolecules_masks
+from .molecule import mol_cert as mol_cert  # perfbench's tests read dcx.flow.mol_cert
+from .ogposet import Closed, El, Masks, OgPoset, _bits, find_cycle
 from .posets import FinPoset
 
 Layering = tuple[Masks, ...]
@@ -52,41 +53,18 @@ class FlowGraph:
         return self.find_cycle() is None
 
     def find_cycle(self) -> Optional[list[El]]:
-        adj = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-        WHITE, GREY, BLACK = 0, 1, 2
-        state = {v: WHITE for v in self.vertices}
-        for root in self.vertices:
-            if state[root] != WHITE:
-                continue
-            path = [root]
-            stack = [(root, iter(adj[root]))]
-            state[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                moved = False
-                for nxt in it:
-                    if state[nxt] == GREY:
-                        return path[path.index(nxt):] + [nxt]
-                    if state[nxt] == WHITE:
-                        state[nxt] = GREY
-                        path.append(nxt)
-                        stack.append((nxt, iter(adj[nxt])))
-                        moved = True
-                        break
-                if not moved:
-                    state[node] = BLACK
-                    path.pop()
-                    stack.pop()
-        return None
+        return find_cycle(self.vertices, self.edges)
 
-    def topological_sorts(self, cap: Optional[int] = None) -> list[tuple[El, ...]]:
-        verts = list(self.vertices)
-        preds = {v: set() for v in verts}
+    def predecessors(self) -> dict[El, set]:
+        """The predecessors of each vertex, self-loops left out."""
+        preds: dict[El, set] = {v: set() for v in self.vertices}
         for a, b in self.edges:
             if a != b:
                 preds[b].add(a)
+        return preds
+
+    def topological_sorts(self, cap: Optional[int] = None) -> list[tuple[El, ...]]:
+        preds = self.predecessors()
         out: list[tuple[El, ...]] = []
 
         def rec(remaining: set, acc: list):
@@ -104,7 +82,7 @@ class FlowGraph:
                 acc.pop()
                 remaining.add(v)
 
-        rec(set(verts), [])
+        rec(set(self.vertices), [])
         return out
 
 
@@ -138,6 +116,12 @@ def _prelayerings_masks(P: OgPoset, masks: Masks, k: int) -> list[Layering]:
     return out
 
 
+def _sorted_prelayerings(P: OgPoset, k: int) -> list[Layering]:
+    """The k-pre-layerings of the whole poset, sorted.  For k < 0 only the
+    trivial pre-layering exists."""
+    return sorted(_prelayerings_masks(P, P.full_masks(), k))
+
+
 def pre_layerings(U: Molecule, k: int) -> FinPoset:
     """Poset of k-pre-layerings of U ordered by refinement.
 
@@ -145,34 +129,34 @@ def pre_layerings(U: Molecule, k: int) -> FinPoset:
     only the trivial pre-layering exists.
     """
     P = U.poset
-    if k <= -1:
-        items = [(P.full_masks(),)]
-    else:
-        items = sorted(_prelayerings_masks(P, P.full_masks(), k))
+    items = _sorted_prelayerings(P, k)
+    flat = [_flat_layers(P, lay) for lay in items]
     elements = [tuple(Closed(P, m) for m in lay) for lay in items]
     leq = [
-        [_refines(items[j], items[i]) for j in range(len(items))]
-        for i in range(len(items))
+        [_refines(flat[j], flat[i]) for j in range(len(flat))]
+        for i in range(len(flat))
     ]
     return FinPoset(elements, leq)
 
 
-def _refines(fine: Layering, coarse: Layering) -> bool:
-    """True iff `fine` refines `coarse` by consecutive grouping of layers."""
+def _flat_layers(P: OgPoset, lay: Layering) -> tuple[int, ...]:
+    return tuple(P.flatten_masks(m) for m in lay)
+
+
+def _refines(fine: tuple, coarse: tuple) -> bool:
+    """True iff ``fine`` refines ``coarse`` by grouping consecutive blocks.
+
+    Blocks are anything with ``|`` as union and ``==``: flattened layers
+    or blocks of vertices.
+    """
     j = 0
     for block in coarse:
         acc = None
-        matched = False
-        while j < len(fine):
-            acc = fine[j] if acc is None else tuple(a | b for a, b in zip(acc, fine[j]))
-            j += 1
-            if acc == block:
-                matched = True
-                break
-            if any(a & ~b for a, b in zip(acc, block)):
+        while acc != block:
+            if j == len(fine) or (acc is not None and acc | block != block):
                 return False
-        if not matched:
-            return False
+            acc = fine[j] if acc is None else acc | fine[j]
+            j += 1
     return j == len(fine)
 
 
@@ -188,31 +172,23 @@ def layerings(U: Molecule, k: int) -> list[tuple[Closed, ...]]:
     dimension above k."""
     P = U.poset
     want = _high_max_count(P, P.full_masks(), k)
-    if k <= -1:
-        items = [(P.full_masks(),)]
-    else:
-        items = sorted(_prelayerings_masks(P, P.full_masks(), k))
     return [
-        tuple(Closed(P, m) for m in lay) for lay in items if len(lay) == want
+        tuple(Closed(P, m) for m in lay)
+        for lay in _sorted_prelayerings(P, k)
+        if len(lay) == want
     ]
 
 
 # -- pre-orderings -----------------------------------------------------------
 
 
-def _ordered_partitions(
-    vertices: list[El], edges: frozenset, cap: Optional[int] = None
-) -> list[Partition]:
+def _ordered_partitions(fg: FlowGraph, cap: Optional[int] = None) -> list[Partition]:
     """Linearly ordered partitions whose blocks respect the edge order.
 
     The first block must be closed under predecessors; recurse on the rest.
     Stops early once ``cap`` partitions have been produced.
     """
-    preds: dict[El, set] = {v: set() for v in vertices}
-    for a, b in edges:
-        if a != b:
-            preds[b].add(a)
-
+    preds = fg.predecessors()
     out: list[Partition] = []
 
     def rec(remaining: frozenset, acc: list):
@@ -232,7 +208,7 @@ def _ordered_partitions(
                     rec(remaining - block, acc)
                     acc.pop()
 
-    rec(frozenset(vertices), [])
+    rec(frozenset(fg.vertices), [])
     return out
 
 
@@ -240,33 +216,8 @@ def pre_orderings(U: Molecule, k: int) -> FinPoset:
     """Poset of k-pre-orderings of U (edge-compatible ordered partitions of
     the flow-graph vertices), ordered by refinement."""
     fg = maxflow(U, k)
-    items = sorted(
-        _ordered_partitions(list(fg.vertices), fg.edges),
-        key=lambda p: [sorted(b) for b in p],
-    )
-    leq = [
-        [_partition_refines(items[j], items[i]) for j in range(len(items))]
-        for i in range(len(items))
-    ]
-    return FinPoset(items, leq)
-
-
-def _partition_refines(fine: Partition, coarse: Partition) -> bool:
-    j = 0
-    for block in coarse:
-        acc: frozenset = frozenset()
-        matched = False
-        while j < len(fine):
-            acc = acc | fine[j]
-            j += 1
-            if acc == block:
-                matched = True
-                break
-            if not acc <= block:
-                return False
-        if not matched:
-            return False
-    return j == len(fine)
+    items = sorted(_ordered_partitions(fg), key=lambda p: [sorted(b) for b in p])
+    return FinPoset.from_leq(items, lambda coarse, fine: _refines(fine, coarse))
 
 
 def orderings(U: Molecule, k: int) -> list[Partition]:
@@ -281,11 +232,8 @@ def orderings(U: Molecule, k: int) -> list[Partition]:
 def layering_to_ordering(U: Molecule, layering: tuple[Closed, ...], k: int) -> Partition:
     """Block i of the induced partition holds the flow-graph vertices lying
     in layer i."""
-    fg = maxflow(U, k)
-    blocks = []
-    for layer in layering:
-        blocks.append(frozenset(v for v in fg.vertices if v in layer))
-    return tuple(blocks)
+    layers = tuple(layer.masks for layer in layering)
+    return _vertex_partition(maxflow(U, k).vertices, layers)
 
 
 # -- frame-acyclicity ----------------------------------------------------------
@@ -324,17 +272,16 @@ def _prelayering_covers(P: OgPoset, lay: Layering, k: int) -> set[Layering]:
     return out
 
 
-def _partition_covers(partition: Partition, edges: frozenset) -> set[Partition]:
+def _partition_covers(partition: Partition, preds: dict[El, set]) -> set[Partition]:
     """Pre-orderings obtained by splitting exactly one block in two."""
     out = set()
-    inner = [(a, b) for a, b in edges if a != b]
     for i, block in enumerate(partition):
         members = sorted(block)
         n = len(members)
         for assign in range(1, (1 << n) - 1):
             first = frozenset(members[t] for t in range(n) if assign >> t & 1)
             second = block - first
-            if any(a in second and b in first for a, b in inner):
+            if any(preds[v] & second for v in first):
                 continue
             out.add(partition[:i] + (first, second) + partition[i + 1:])
     return out
@@ -373,7 +320,7 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
         report["counterexample"] = reason
         return report
 
-    prelays = sorted(_prelayerings_masks(P, P.full_masks(), k))
+    prelays = _sorted_prelayerings(P, k)
     want = _high_max_count(P, P.full_masks(), k)
     lays = [lay for lay in prelays if len(lay) == want]
     sorts = fg.topological_sorts(cap=len(lays) + 1)
@@ -386,16 +333,17 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
     if len(set(mapped)) != len(mapped) or set(mapped) != set(ords):
         return fail("layerings do not biject with orderings")
 
-    preords = _ordered_partitions(list(fg.vertices), fg.edges, cap=len(prelays) + 1)
+    preords = _ordered_partitions(fg, cap=len(prelays) + 1)
     report["pre_layerings"] = len(prelays)
     report["pre_orderings"] = len(preords)
     images = [_vertex_partition(fg.vertices, lay) for lay in prelays]
     if len(set(images)) != len(prelays) or set(images) != set(preords):
         return fail("pre-layerings do not biject with pre-orderings")
     image_of = dict(zip(prelays, images))
+    preds = fg.predecessors()
     for lay in prelays:
         lhs = {image_of[c] for c in _prelayering_covers(P, lay, k)}
-        rhs = _partition_covers(image_of[lay], fg.edges)
+        rhs = _partition_covers(image_of[lay], preds)
         if lhs != rhs:
             return fail(
                 {
@@ -407,20 +355,14 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
             )
     if len(prelays) <= 400:
         # small enough: double-check the full relation matrices agree
-        index = {partition: pos for pos, partition in enumerate(preords)}
+        flat = [_flat_layers(P, lay) for lay in prelays]
         for i, li in enumerate(prelays):
             for j, lj in enumerate(prelays):
-                lhs = _refines(lj, li)
-                rhs = _partition_refines(
-                    preords[index[image_of[lj]]], preords[index[image_of[li]]]
-                )
+                lhs = _refines(flat[j], flat[i])
+                rhs = _refines(image_of[lj], image_of[li])
                 if lhs != rhs:
                     return fail({"pair": [i, j], "reason": "order mismatch"})
 
-    preds: dict[El, set] = {v: set() for v in fg.vertices}
-    for a, b in fg.edges:
-        if a != b:
-            preds[b].add(a)
     for partition in preords:
         refining: list[El] = []
         for block in partition:
@@ -432,7 +374,7 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
                 refining.append(free[0])
                 remaining.discard(free[0])
         candidate = tuple(frozenset([v]) for v in refining)
-        if candidate not in set(ords) or not _partition_refines(candidate, partition):
+        if candidate not in set(ords) or not _refines(candidate, partition):
             return fail(
                 {
                     "pre_ordering": [sorted(b) for b in partition],

@@ -30,6 +30,7 @@ from .ogposet import (
     OgIso,
     OgPoset,
     _bits,
+    _popcount,
     find_iso,
     unique_iso,
 )
@@ -111,46 +112,40 @@ def arrow() -> Molecule:
     return atom(point(), point())
 
 
-def paste_posets(P: OgPoset, Q: OgPoset, k: int):
-    """Pushout of two posets along the unique iso of their k-boundaries.
+def boundary_glue(
+    P: OgPoset, Q: OgPoset, k: int, p_side: str, q_side: str
+) -> Optional[dict[El, El]]:
+    """Match the ``q_side`` k-boundary of Q with the ``p_side`` k-boundary of P.
 
-    Returns ``(W, map_p, map_q)``; raises BoundaryMismatchError when the
-    output k-boundary of P is not isomorphic to the input k-boundary of Q.
+    Returns the isomorphism as a map from elements of Q to elements of P,
+    or None when the two boundaries are not isomorphic.
     """
-    if k < 0:
-        raise BoundaryMismatchError("pasting level must be >= 0")
-    bp = P.boundary_masks(P.full_masks(), k, PLUS)
-    bq = Q.boundary_masks(Q.full_masks(), k, MINUS)
-    BP, bp_amb = P.extract(bp)
-    BQ, bq_amb = Q.extract(bq)
+    BP, p_amb = P.extract(P.boundary_masks(P.full_masks(), k, p_side))
+    BQ, q_amb = Q.extract(Q.boundary_masks(Q.full_masks(), k, q_side))
     iso = find_iso(BP, BQ)
     if iso is None:
-        raise BoundaryMismatchError(
-            f"output {k}-boundary of the left factor does not match the "
-            f"input {k}-boundary of the right factor"
-        )
-    glue = {bq_amb[iso[el]]: bp_amb[el] for el in BP.elements()}
+        return None
+    return {q_amb[iso[el]]: p_amb[el] for el in BP.elements()}
 
+
+def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
+    """Glue Q onto P, identifying each key of ``glue`` with its value.
+
+    Elements of P keep their indices; the unglued elements of Q follow them
+    in each dimension, in order.  Returns ``(counts, faces, map_p, map_q)``
+    with the face data as lists, so that callers can add elements on top.
+    """
     nd = max(len(P.counts), len(Q.counts))
-    counts = [0] * nd
-    map_p: dict[El, El] = {}
+    counts = list(P.counts) + [0] * (nd - len(P.counts))
+    map_p = {el: el for el in P.elements()}
     map_q: dict[El, El] = {}
-    for d in range(len(P.counts)):
-        for i in range(P.counts[d]):
-            map_p[(d, i)] = (d, i)
-        counts[d] = P.counts[d]
-    for d in range(len(Q.counts)):
-        for i in range(Q.counts[d]):
-            el = (d, i)
-            if el in glue:
-                map_q[el] = map_p[glue[el]]
-            else:
-                map_q[el] = (d, counts[d])
-                counts[d] += 1
-    faces = [[] for _ in range(nd)]
-    for d in range(1, len(P.counts)):
-        for mn, pl in P.faces[d]:
-            faces[d].append((mn, pl))
+    for el in Q.elements():
+        if el in glue:
+            map_q[el] = glue[el]
+        else:
+            map_q[el] = (el[0], counts[el[0]])
+            counts[el[0]] += 1
+    faces = [list(P.faces[d]) if d < len(P.counts) else [] for d in range(nd)]
     for d in range(1, len(Q.counts)):
         for i, (mn, pl) in enumerate(Q.faces[d]):
             if (d, i) in glue:
@@ -161,8 +156,38 @@ def paste_posets(P: OgPoset, Q: OgPoset, k: int):
                     tuple(sorted(map_q[(d - 1, j)][1] for j in pl)),
                 )
             )
-    W = OgPoset(counts, faces, regular=True)
-    return W, map_p, map_q
+    return counts, faces, map_p, map_q
+
+
+def paste_posets(P: OgPoset, Q: OgPoset, k: int):
+    """Pushout of two posets along the unique iso of their k-boundaries.
+
+    Returns ``(W, map_p, map_q)``; raises BoundaryMismatchError when the
+    output k-boundary of P is not isomorphic to the input k-boundary of Q.
+    """
+    if k < 0:
+        raise BoundaryMismatchError("pasting level must be >= 0")
+    glue = boundary_glue(P, Q, k, PLUS, MINUS)
+    if glue is None:
+        raise BoundaryMismatchError(
+            f"output {k}-boundary of the left factor does not match the "
+            f"input {k}-boundary of the right factor"
+        )
+    counts, faces, map_p, map_q = pushout(P, Q, glue)
+    return OgPoset(counts, faces, regular=True), map_p, map_q
+
+
+def push_labels(map_l: dict, left: dict, map_r: dict, right: dict) -> Optional[dict]:
+    """Carry two labellings along the maps of a pushout.
+
+    Returns the labelling of the pushout, or None when two glued elements
+    carry different labels.
+    """
+    out = {map_l[el]: label for el, label in left.items()}
+    for el, label in right.items():
+        if out.setdefault(map_r[el], label) != label:
+            return None
+    return out
 
 
 def paste_with_maps(U: Molecule, V: Molecule, k: int):
@@ -190,56 +215,18 @@ def atom_with_maps(U: Molecule, V: Molecule):
     if V.dim != k:
         raise NotParallelError("input and output molecules differ in dimension")
     glue: dict[El, El] = {}
-    joint: dict[El, El] = {}
     for alpha in (MINUS, PLUS):
-        bu = U.poset.boundary_masks(U.poset.full_masks(), k - 1, alpha)
-        bv = V.poset.boundary_masks(V.poset.full_masks(), k - 1, alpha)
-        BU, bu_amb = U.poset.extract(bu)
-        BV, bv_amb = V.poset.extract(bv)
-        iso = find_iso(BU, BV)
-        if iso is None:
+        part = boundary_glue(U.poset, V.poset, k - 1, alpha, alpha)
+        if part is None:
             raise NotParallelError(f"{alpha}-boundaries do not match")
-        for el in BU.elements():
-            src = bv_amb[iso[el]]
-            dst = bu_amb[el]
-            if src in glue and glue[src] != dst:
+        for src, dst in part.items():
+            if glue.setdefault(src, dst) != dst:
                 raise NotParallelError("boundary isomorphisms disagree on the sphere")
-            glue[src] = dst
-
-    nd = k + 2
-    counts = [0] * nd
-    map_u: dict[El, El] = {}
-    map_v: dict[El, El] = {}
-    for d in range(len(U.poset.counts)):
-        counts[d] = U.poset.counts[d]
-        for i in range(U.poset.counts[d]):
-            map_u[(d, i)] = (d, i)
-    for d in range(len(V.poset.counts)):
-        for i in range(V.poset.counts[d]):
-            el = (d, i)
-            if el in glue:
-                map_v[el] = map_u[glue[el]]
-            else:
-                map_v[el] = (d, counts[d])
-                counts[d] += 1
-    faces = [[] for _ in range(nd)]
-    for d in range(1, len(U.poset.counts)):
-        for mn, pl in U.poset.faces[d]:
-            faces[d].append((mn, pl))
-    for d in range(1, len(V.poset.counts)):
-        for i, (mn, pl) in enumerate(V.poset.faces[d]):
-            if (d, i) in glue:
-                continue
-            faces[d].append(
-                (
-                    tuple(sorted(map_v[(d - 1, j)][1] for j in mn)),
-                    tuple(sorted(map_v[(d - 1, j)][1] for j in pl)),
-                )
-            )
-    top_minus = tuple(sorted(map_u[(k, i)][1] for i in range(U.poset.counts[k])))
+    counts, faces, map_u, map_v = pushout(U.poset, V.poset, glue)
+    top_minus = tuple(range(U.poset.counts[k]))
     top_plus = tuple(sorted(map_v[(k, i)][1] for i in range(V.poset.counts[k])))
-    counts[k + 1] = 1
-    faces[k + 1] = [(top_minus, top_plus)]
+    counts.append(1)
+    faces.append([(top_minus, top_plus)])
     W = OgPoset(counts, faces, regular=True)
     return Molecule(W, ("atom", U.cert, V.cert)), map_u, map_v
 
@@ -314,35 +301,27 @@ def join_with_maps(U: Molecule, V: Molecule):
     """
     nd = U.poset.dim + V.poset.dim + 2
     counts = [0] * nd
+    faces: list[list] = [[] for _ in range(nd)]
     map_u: dict[El, El] = {}
     map_v: dict[El, El] = {}
     map_pair: dict[tuple[El, El], El] = {}
-    for d in range(len(U.poset.counts)):
-        for i in range(U.poset.counts[d]):
-            map_u[(d, i)] = (d, counts[d])
-            counts[d] += 1
-    for d in range(len(V.poset.counts)):
-        for i in range(V.poset.counts[d]):
-            map_v[(d, i)] = (d, counts[d])
-            counts[d] += 1
-    for a in range(len(U.poset.counts)):
-        for b in range(len(V.poset.counts)):
-            d = a + b + 1
-            for i in range(U.poset.counts[a]):
-                for j in range(V.poset.counts[b]):
-                    map_pair[((a, i), (b, j))] = (d, counts[d])
-                    counts[d] += 1
 
-    faces = [[] for _ in range(nd)]
-    levels: list[list[tuple]] = [[] for _ in range(nd)]
-    for d, i in U.poset.elements():
-        levels[d].append(("u", (d, i)))
-    for d, i in V.poset.elements():
-        levels[d].append(("v", (d, i)))
-    for (xu, yv), (d, _) in sorted(map_pair.items(), key=lambda kv: kv[1]):
-        levels[d].append(("p", (xu, yv)))
-    for d in range(nd):
-        levels[d].sort(key=lambda tag: _join_index(tag, map_u, map_v, map_pair))
+    def add(d: int, minus: list[El], plus: list[El]) -> El:
+        """Number a new d-element with the given faces."""
+        if d:
+            faces[d].append(
+                (tuple(sorted(e[1] for e in minus)), tuple(sorted(e[1] for e in plus)))
+            )
+        counts[d] += 1
+        return (d, counts[d] - 1)
+
+    # each dimension numbers the elements of U, then those of V, then pairs
+    for X, el_map in ((U.poset, map_u), (V.poset, map_v)):
+        for d, i in X.elements():
+            mn, pl = X.face_sets((d, i))
+            el_map[(d, i)] = add(
+                d, [el_map[(d - 1, j)] for j in mn], [el_map[(d - 1, j)] for j in pl]
+            )
 
     def pair_faces(x: El, y: El, alpha: str) -> list[El]:
         out = []
@@ -363,45 +342,18 @@ def join_with_maps(U: Molecule, V: Molecule):
             out.append(map_u[x])
         return out
 
-    for d in range(1, nd):
-        for tag, payload in levels[d]:
-            if tag == "u":
-                du, iu = payload
-                mn, pl = U.poset.faces[du][iu]
-                faces[d].append(
-                    (
-                        tuple(sorted(map_u[(du - 1, j)][1] for j in mn)),
-                        tuple(sorted(map_u[(du - 1, j)][1] for j in pl)),
+    # the faces of a pair of dimensions (a, b) are elements of U and V and
+    # pairs of dimensions (a - 1, b) and (a, b - 1), all numbered before it
+    for a in range(len(U.poset.counts)):
+        for b in range(len(V.poset.counts)):
+            for i in range(U.poset.counts[a]):
+                for j in range(V.poset.counts[b]):
+                    x, y = (a, i), (b, j)
+                    map_pair[(x, y)] = add(
+                        a + b + 1, pair_faces(x, y, MINUS), pair_faces(x, y, PLUS)
                     )
-                )
-            elif tag == "v":
-                dv, iv = payload
-                mn, pl = V.poset.faces[dv][iv]
-                faces[d].append(
-                    (
-                        tuple(sorted(map_v[(dv - 1, j)][1] for j in mn)),
-                        tuple(sorted(map_v[(dv - 1, j)][1] for j in pl)),
-                    )
-                )
-            else:
-                x, y = payload
-                faces[d].append(
-                    (
-                        tuple(sorted(e[1] for e in pair_faces(x, y, MINUS))),
-                        tuple(sorted(e[1] for e in pair_faces(x, y, PLUS))),
-                    )
-                )
     W = OgPoset(counts, faces, regular=True)
     return Molecule(W), map_u, map_v, map_pair
-
-
-def _join_index(tag, map_u, map_v, map_pair):
-    kind, payload = tag
-    if kind == "u":
-        return map_u[payload][1]
-    if kind == "v":
-        return map_v[payload][1]
-    return map_pair[payload][1]
 
 
 def join(U: Molecule, V: Molecule) -> Molecule:
@@ -516,27 +468,28 @@ def _path_cert(length: int) -> Cert:
     return ("paste", 0, ARROW_CERT, _path_cert(length - 1))
 
 
-def _directed_path_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
-    """Certificate for a 1-dimensional subset iff it is a directed path."""
-    edges = list(_bits(masks[1]))
-    verts = list(_bits(masks[0]))
-    if len(verts) != len(edges) + 1:
-        return None
-    indeg = {v: 0 for v in verts}
-    outdeg = {v: 0 for v in verts}
-    for e in edges:
+def _path_edge_order(P: OgPoset, masks: Masks) -> Optional[list[int]]:
+    """Edge indices of a 1-dimensional subset in source-to-target order, or
+    None unless the subset is a directed path."""
+    succ: dict[int, int] = {}
+    has_pred: set[int] = set()
+    for e in _bits(masks[1]):
         mn, pl = P.faces[1][e]
-        if len(mn) != 1 or len(pl) != 1:
+        if len(mn) != 1 or len(pl) != 1 or mn[0] in succ or pl[0] in has_pred:
             return None
-        if mn[0] not in indeg or pl[0] not in indeg:
-            return None
-        outdeg[mn[0]] += 1
-        indeg[pl[0]] += 1
-    if any(v > 1 for v in indeg.values()) or any(v > 1 for v in outdeg.values()):
+        succ[mn[0]] = e
+        has_pred.add(pl[0])
+    starts = [v for v in _bits(masks[0]) if v not in has_pred]
+    if len(starts) != 1 or len(starts) + len(has_pred) != _popcount(masks[0]):
         return None
-    if not P.connected_masks(masks):
-        return None
-    return _path_cert(len(edges))
+    order = []
+    v = starts[0]
+    while v in succ:
+        e = succ[v]
+        order.append(e)
+        v = P.faces[1][e][1][0]
+    # with one source and every target inside, a full walk is the whole subset
+    return order if len(order) == len(succ) else None
 
 
 def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
@@ -557,7 +510,8 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if not P.connected_masks(masks):
         return None
     if d == 1:
-        return _directed_path_cert(P, masks)
+        order = _path_edge_order(P, masks)
+        return None if order is None else _path_cert(len(order))
     top = P.maximal_masks(masks)
     if P.masks_size(top) == 1:
         return _atom_cert(P, masks)
@@ -688,8 +642,7 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
                 if all(g & ~m == 0 for g, m in zip(grow_cl, membrane)):
                     break
                 membrane = tuple(m | g for m, g in zip(membrane, grow_cl))
-            left = tuple(a | m for a, m in zip(cla, membrane))
-            right = tuple(b | m for b, m in zip(clb, membrane))
+            left, right = side_a, side_b
             if left == masks or right == masks:
                 continue
             if tuple(l | r for l, r in zip(left, right)) != masks:
@@ -759,25 +712,6 @@ def _split_candidates(P: OgPoset, high: list[El], k: int) -> list[int]:
     rec(n - 1, 0, 0)
     full = (1 << n) - 1
     return [bits for bits in out if bits and bits != full]
-
-
-def _path_edge_order(P: OgPoset, masks: Masks) -> list[int]:
-    """Edge indices of a 1-dimensional path subset in source-to-target order."""
-    edges = list(_bits(masks[1]))
-    succ = {}
-    has_pred = set()
-    for e in edges:
-        mn, pl = P.faces[1][e]
-        succ[mn[0]] = e
-        has_pred.add(pl[0])
-    starts = [v for v in _bits(masks[0]) if v not in has_pred]
-    order = []
-    v = starts[0]
-    while v in succ:
-        e = succ[v]
-        order.append(e)
-        v = P.faces[1][e][1][0]
-    return order
 
 
 def splits(U: Molecule, k: int) -> list[tuple[Closed, Closed]]:

@@ -483,11 +483,20 @@ def is_hasse_acyclic(P: OgPoset) -> bool:
 
 def hasse_cycle(P: OgPoset) -> Optional[list[El]]:
     """A directed cycle of the oriented Hasse diagram, or None."""
-    adj: dict[El, list[El]] = {el: [] for el in P.elements()}
-    for a, b in P.hasse_edges():
+    return find_cycle(P.elements(), P.hasse_edges())
+
+
+def find_cycle(vertices: Iterable, edges: Iterable[tuple]) -> Optional[list]:
+    """A directed cycle of a graph, as a vertex path ending where it began.
+
+    Depth-first search from each unvisited vertex in the order given,
+    following edges in the order given; None when the graph is acyclic.
+    """
+    adj: dict = {v: [] for v in vertices}
+    for a, b in edges:
         adj[a].append(b)
     WHITE, GREY, BLACK = 0, 1, 2
-    state = {el: WHITE for el in adj}
+    state = {v: WHITE for v in adj}
     for root in adj:
         if state[root] != WHITE:
             continue
@@ -668,6 +677,18 @@ def unique_iso(P: OgPoset, Q: OgPoset) -> Optional[OgIso]:
     if len(isos) > 1:
         raise AmbiguityError("two distinct isomorphisms found")
     return isos[0]
+
+
+def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
+    """Canonical key of a poset with one label per element.
+
+    The canonical key of P, then the labels listed in canonical element
+    order; equal for two labelled posets related by a label-preserving
+    isomorphism when P is rigid.
+    """
+    key, relabel = P.canonical()
+    order = sorted(labels, key=lambda el: (el[0], relabel[el]))
+    return key + b"|" + repr(tuple(labels[el] for el in order)).encode()
 
 
 def _canonical_form(P: OgPoset):

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 
-from .dcomplex import Cell, CellId, DirectedComplex, SemiSimplicialSet
+from .dcomplex import Cell, DirectedComplex, SemiSimplicialSet
 from .errors import DcxError
 from .flow import FlowGraph
-from .molecule import Molecule, globe, oriental, replay
+from .molecule import Molecule, globe, molecule_iso, oriental, replay
 from .ogposet import El, OgPoset, validate
 
 
@@ -94,15 +94,18 @@ def _shape_from_data(spec) -> Molecule:
 
 
 def dcomplex_to_data(X: DirectedComplex) -> dict:
+    """A shape is written as its certificate, so each attachment map is
+    written for the molecule that replaying the certificate builds."""
     cells = []
     for level in X.cells:
         row = []
         for cell in level:
+            iso = molecule_iso(cell.shape, replay(cell.shape.cert))
             row.append(
                 {
                     "shape": cert_to_data(cell.shape.cert),
                     "attach": {
-                        _el_name(el): _el_name(cid)
+                        _el_name(iso[el]): _el_name(cid)
                         for el, cid in sorted(cell.attach.items())
                     },
                 }
@@ -162,24 +165,22 @@ def loads_ssset(text: str) -> SemiSimplicialSet:
 # -- DOT export ----------------------------------------------------------------------
 
 
-def dot_hasse(P: OgPoset) -> str:
-    lines = ["digraph hasse {"]
-    for el in P.elements():
-        lines.append(f'  "{_el_name(el)}";')
-    for a, b in P.hasse_edges():
+def _dot_graph(name: str, vertices, edges) -> str:
+    lines = [f"digraph {name} {{"]
+    for v in vertices:
+        lines.append(f'  "{_el_name(v)}";')
+    for a, b in edges:
         lines.append(f'  "{_el_name(a)}" -> "{_el_name(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dot_hasse(P: OgPoset) -> str:
+    return _dot_graph("hasse", P.elements(), P.hasse_edges())
 
 
 def dot_flow(fg: FlowGraph) -> str:
-    lines = ["digraph flow {"]
-    for v in fg.vertices:
-        lines.append(f'  "{_el_name(v)}";')
-    for a, b in sorted(fg.edges):
-        lines.append(f'  "{_el_name(a)}" -> "{_el_name(b)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_graph("flow", fg.vertices, sorted(fg.edges))
 
 
 def dot_sd(sdp) -> str:

@@ -16,14 +16,11 @@ the comparison recurses into the chunks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import DcxError, PreconditionError
 from .flow import _prelayerings_masks
-from .homology import HomologyReport, homology, nerve, poset_homology
-from .molecule import Molecule, _memo, globe, mol_cert, paste_posets
-from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset
+from .homology import HomologyReport, poset_homology
+from .molecule import Molecule, _memo, globe, mol_cert, paste_posets, push_labels
+from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, labelled_key
 from .posets import FinPoset
 
 # trees: ("leaf", region, flat_region) | ("node", k, children, region, flat_region)
@@ -67,13 +64,7 @@ class Subdivision:
         self.tree = tree
         self.theta = theta
         self.img = img
-        relabel = theta.canonical()[1]
-        order = sorted(img, key=lambda el: (el[0], relabel[el]))
-        self.key = (
-            theta.canonical_key()
-            + b"|"
-            + repr(tuple(img[el] for el in order)).encode()
-        )
+        self.key = labelled_key(theta, img)
         # flattened images indexed by theta bit position, for the order search
         offs = theta.flat_offsets()
         self._flat = [
@@ -152,16 +143,10 @@ def _realize_rec(P: OgPoset, tree: Tree):
     theta, img = _realize_rec(P, children[0])
     for child in children[1:]:
         th2, img2 = _realize_rec(P, child)
-        glued, map_l, map_r = paste_posets(theta, th2, k)
-        out: dict[El, Masks] = {}
-        for el, masks in img.items():
-            out[map_l[el]] = masks
-        for el, masks in img2.items():
-            tgt = map_r[el]
-            if tgt in out and out[tgt] != masks:
-                raise DcxError("glued elements disagree on their images")
-            out[tgt] = masks
-        theta, img = glued, out
+        theta, map_l, map_r = paste_posets(theta, th2, k)
+        img = push_labels(map_l, img, map_r, img2)
+        if img is None:
+            raise DcxError("glued elements disagree on their images")
     return theta, img
 
 

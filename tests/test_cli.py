@@ -27,13 +27,7 @@ def files(tmp_path, horiz, sphere_boundary):
     put("garbage", "{not json")
     simplex = SemiSimplicialSet.standard_simplex(2)
     put("simplex", serialize.dumps_ssset(simplex))
-    # cells named by shape spec: a replayed certificate numbers the
-    # elements of the 2-simplex differently from its attachment map
-    data = serialize.dcomplex_to_data(import_ssset(simplex))
-    for d, level in enumerate(data["cells"]):
-        for entry in level:
-            entry["shape"] = f"oriental:{d}"
-    put("triangle", serialize.dumps_json(data))
+    put("triangle", serialize.dumps_dcomplex(import_ssset(simplex)))
     return out
 
 
