@@ -61,11 +61,16 @@ def _read_text(path_arg) -> str:
         raise CliError(f"cannot read {path_arg}: {exc}") from exc
 
 
-def _load_poset(path_arg) -> OgPoset:
+def _parse_input(kind: str, parse, path_arg):
+    """``parse`` applied to the text of a file; malformed input exits 2."""
     try:
-        return serialize.loads_ogposet(_read_text(path_arg))
+        return parse(_read_text(path_arg))
     except (DcxError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid ogposet input: {exc}") from exc
+        raise CliError(f"invalid {kind} input: {exc}") from exc
+
+
+def _load_poset(path_arg) -> OgPoset:
+    return _parse_input("ogposet", serialize.loads_ogposet, path_arg)
 
 
 def _guard(P: OgPoset):
@@ -251,12 +256,10 @@ def _cmd_sd(args) -> int:
     if args.report:
         _emit(sd_report_json(mol, levels))
         return 0
-    if levels is None:
-        levels = set(range(max(mol.dim, 0)))
     sdp = enumerate_sd(mol, levels)
     _emit(
         {
-            "levels": sorted(levels),
+            "levels": list(sdp.levels),
             "size": sdp.size,
             "sd_size": sdp.size - 1,
             "theta_counts": [list(s.theta.counts) for s in sdp.elements],
@@ -266,20 +269,15 @@ def _cmd_sd(args) -> int:
 
 
 def _load_complex(path_arg) -> DirectedComplex:
-    try:
-        return serialize.loads_dcomplex(_read_text(path_arg))
-    except (DcxError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid dcomplex input: {exc}") from exc
+    return _parse_input("dcomplex", serialize.loads_dcomplex, path_arg)
 
 
 def _cmd_cx(args) -> int:
     mode = args.mode
     if mode == "import-ssset":
-        try:
-            S = serialize.loads_ssset(_read_text(args.file))
-            X = import_ssset(S)
-        except (DcxError, ValueError, KeyError, TypeError) as exc:
-            raise CliError(f"invalid ssset input: {exc}")
+        X = _parse_input(
+            "ssset", lambda text: import_ssset(serialize.loads_ssset(text)), args.file
+        )
         sys.stdout.write(serialize.dumps_dcomplex(X))
         return 0
     if mode == "verify":
@@ -333,8 +331,6 @@ def _cmd_export(args) -> int:
     if args.what == "sd":
         mol = _load_molecule(args.file)
         levels = _parse_levels(args.levels)
-        if levels is None:
-            levels = set(range(max(mol.dim, 0)))
         sys.stdout.write(serialize.dot_sd(enumerate_sd(mol, levels)))
         return 0
     raise CliError(f"unknown export target {args.what!r}")

@@ -160,18 +160,11 @@ def _refines(fine: tuple, coarse: tuple) -> bool:
     return j == len(fine)
 
 
-def _high_max_count(P: OgPoset, masks: Masks, k: int) -> int:
-    mx = P.maximal_masks(masks)
-    return sum(
-        1 for d in range(k + 1, len(mx)) for _ in _bits(mx[d])
-    )
-
-
 def layerings(U: Molecule, k: int) -> list[tuple[Closed, ...]]:
     """The k-layerings: pre-layerings with one layer per maximal element of
     dimension above k."""
     P = U.poset
-    want = _high_max_count(P, P.full_masks(), k)
+    want = len(maxflow(U, k).vertices)
     return [
         tuple(Closed(P, m) for m in lay)
         for lay in _sorted_prelayerings(P, k)
@@ -321,8 +314,7 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
         return report
 
     prelays = _sorted_prelayerings(P, k)
-    want = _high_max_count(P, P.full_masks(), k)
-    lays = [lay for lay in prelays if len(lay) == want]
+    lays = [lay for lay in prelays if len(lay) == len(fg.vertices)]
     sorts = fg.topological_sorts(cap=len(lays) + 1)
     ords = [tuple(frozenset([v]) for v in s) for s in sorts]
     report["layerings"] = len(lays)

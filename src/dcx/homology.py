@@ -130,26 +130,6 @@ def _boundary_matrix(K: OrderComplex, j: int) -> list[list[int]]:
     return rows
 
 
-def complex_connected(K: OrderComplex) -> bool:
-    n = K.n_vertices()
-    if n == 0:
-        return True
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    index = {s[0]: i for i, s in enumerate(K.simplices[0])}
-    if len(K.simplices) > 1:
-        for a, b in K.simplices[1]:
-            ra, rb = find(index[a]), find(index[b])
-            parent[ra] = rb
-    return len({find(i) for i in range(n)}) == 1
-
-
 def homology(K: OrderComplex) -> HomologyReport:
     """Reduced integral homology of a finite simplicial complex.
 
@@ -177,7 +157,7 @@ def homology(K: OrderComplex) -> HomologyReport:
         torsion.append([d for d in smiths[j + 1] if d > 1])
     dismantlable = K.poset.is_dismantlable() if K.poset is not None else False
     return HomologyReport(
-        connected=complex_connected(K),
+        connected=betti[0] == 0,
         reduced_betti=betti,
         torsion=torsion,
         dismantlable=dismantlable,
@@ -196,7 +176,6 @@ def poset_homology(P: FinPoset) -> HomologyReport:
         return HomologyReport(False, [], [], False, empty=True, size=0)
     core = P.dismantle_core()
     report = homology(nerve(core))
-    report.connected = P.is_connected()
     report.dismantlable = core.n == 1
     report.size = P.n
     return report

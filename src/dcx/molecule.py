@@ -44,12 +44,11 @@ ARROW_CERT: Cert = ("atom", POINT_CERT, POINT_CERT)
 class Molecule:
     """An oriented graded poset plus a construction certificate."""
 
-    __slots__ = ("poset", "_cert", "_key")
+    __slots__ = ("poset", "_cert")
 
     def __init__(self, poset: OgPoset, cert: Optional[Cert] = None):
         self.poset = poset
         self._cert = cert
-        self._key = None
 
     @property
     def cert(self) -> Cert:
@@ -62,9 +61,7 @@ class Molecule:
 
     @property
     def key(self) -> bytes:
-        if self._key is None:
-            self._key = self.poset.canonical_key()
-        return self._key
+        return self.poset.canonical_key()
 
     @property
     def dim(self) -> int:
@@ -78,8 +75,7 @@ class Molecule:
         return self.poset.size()
 
     def is_atom(self) -> bool:
-        top = self.poset.maximal_masks(self.poset.full_masks())
-        return self.poset.masks_size(top) == 1
+        return self.greatest() is not None
 
     def greatest(self) -> Optional[El]:
         top = self.poset.masks_els(self.poset.maximal_masks(self.poset.full_masks()))

@@ -604,62 +604,59 @@ def _start_colors(posets: list[OgPoset]) -> dict:
     return {key: ranking[sig] for key, sig in raw.items()}
 
 
+def _search(posets: list[OgPoset], leaf) -> None:
+    """Individualisation-refinement over one poset or a pair.
+
+    Colours are refined jointly.  A branch is pruned when some colour class
+    holds different numbers of elements from each poset.  When every class
+    holds exactly one element of each poset, ``leaf(colors)`` is called, and
+    the search stops once it returns True.  Otherwise the search branches on
+    the lowest class with more than one element per poset: for one poset each
+    member is individualised in turn, for a pair the smallest member from
+    the first poset is matched with each member from the second.  A stable,
+    balanced, discrete colouring of a pair matches neighbour colours, so it
+    is an isomorphism, and each isomorphism survives exactly one branch.
+    """
+
+    def rec(colors) -> bool:
+        classes: dict[int, list[list[El]]] = {}
+        for (p, d, i), c in colors.items():
+            classes.setdefault(c, [[] for _ in posets])[p].append((d, i))
+        if any(len(m) != len(ms[0]) for ms in classes.values() for m in ms):
+            return False
+        target = next((c for c in sorted(classes) if len(classes[c][0]) > 1), None)
+        if target is None:
+            return leaf(colors)
+        first = sorted(classes[target][0])
+        if len(posets) == 1:
+            branches = [[(0,) + x] for x in first]
+        else:
+            branches = [[(0,) + first[0], (1,) + y] for y in sorted(classes[target][1])]
+        for picked in branches:
+            nxt = {key: 2 * c for key, c in colors.items()}
+            for key in picked:
+                nxt[key] -= 1
+            if rec(_refine(posets, nxt)):
+                return True
+        return False
+
+    rec(_refine(posets, _start_colors(posets)))
+
+
 def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[OgIso]:
     """All orientation-preserving isomorphisms P -> Q (up to ``limit``)."""
     if P.counts != Q.counts:
         return []
-    colors = _refine([P, Q], _start_colors([P, Q]))
-    classes_p: dict[int, list[El]] = {}
-    classes_q: dict[int, list[El]] = {}
-    for (p, d, i), c in colors.items():
-        (classes_p if p == 0 else classes_q).setdefault(c, []).append((d, i))
-    if {c: len(v) for c, v in classes_p.items()} != {c: len(v) for c, v in classes_q.items()}:
-        return []
-    order = sorted(P.elements(), key=lambda el: (len(classes_p[colors[(0,) + el]]), colors[(0,) + el], el))
     found: list[OgIso] = []
-    fwd: dict[El, El] = {}
-    used: set[El] = set()
 
-    def consistent(x: El, y: El) -> bool:
-        d, i = x
-        dy, iy = y
-        if d > 0:
-            for j in _bits(P.dn_minus[d][i]):
-                img = fwd.get((d - 1, j))
-                if img is not None and not (Q.dn_minus[d][iy] >> img[1]) & 1:
-                    return False
-            for j in _bits(P.dn_plus[d][i]):
-                img = fwd.get((d - 1, j))
-                if img is not None and not (Q.dn_plus[d][iy] >> img[1]) & 1:
-                    return False
-        if d + 1 < len(P.counts):
-            for j in _bits(P.up_minus[d][i]):
-                img = fwd.get((d + 1, j))
-                if img is not None and not (Q.up_minus[d][iy] >> img[1]) & 1:
-                    return False
-            for j in _bits(P.up_plus[d][i]):
-                img = fwd.get((d + 1, j))
-                if img is not None and not (Q.up_plus[d][iy] >> img[1]) & 1:
-                    return False
-        return True
+    def leaf(colors) -> bool:
+        image = {c: (d, i) for (p, d, i), c in colors.items() if p == 1}
+        found.append(
+            OgIso(P, Q, {(d, i): image[c] for (p, d, i), c in colors.items() if p == 0})
+        )
+        return limit is not None and len(found) >= limit
 
-    def rec(pos: int) -> bool:
-        if pos == len(order):
-            found.append(OgIso(P, Q, dict(fwd)))
-            return limit is not None and len(found) >= limit
-        x = order[pos]
-        for y in classes_q[colors[(0,) + x]]:
-            if y in used or not consistent(x, y):
-                continue
-            fwd[x] = y
-            used.add(y)
-            if rec(pos + 1):
-                return True
-            del fwd[x]
-            used.discard(y)
-        return False
-
-    rec(0)
+    _search([P, Q], leaf)
     return found
 
 
@@ -694,16 +691,9 @@ def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
 def _canonical_form(P: OgPoset):
     if not P.counts:
         return (b"()", {})
-    colors = _refine([P], _start_colors([P]))
     best: list = [None, None]
 
-    def classes_of(cols):
-        cls: dict[int, list[El]] = {}
-        for (_, d, i), c in cols.items():
-            cls.setdefault(c, []).append((d, i))
-        return cls
-
-    def leaf(cols):
+    def leaf(cols) -> bool:
         order: dict[El, int] = {}
         for d in range(len(P.counts)):
             row = sorted(range(P.counts[d]), key=lambda i: cols[(0, d, i)])
@@ -725,21 +715,7 @@ def _canonical_form(P: OgPoset):
         if best[0] is None or key < best[0]:
             best[0] = key
             best[1] = order
+        return False
 
-    def rec(cols):
-        cls = classes_of(cols)
-        target = None
-        for c in sorted(cls):
-            if len(cls[c]) > 1:
-                target = c
-                break
-        if target is None:
-            leaf(cols)
-            return
-        for el in sorted(cls[target]):
-            nxt = {k: v * 2 for k, v in cols.items()}
-            nxt[(0,) + el] -= 1
-            rec(_refine([P], nxt))
-
-    rec(colors)
+    _search([P], leaf)
     return (best[0], best[1])

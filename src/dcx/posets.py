@@ -107,19 +107,6 @@ class FinPoset:
             ups.append(row)
         return FinPoset([self.elements[i] for i in keep], up_masks=ups)
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            nbrs = (self._up[i] | self._dn[i]) & ~seen
-            for j in _bits(nbrs):
-                seen |= 1 << j
-                frontier.append(j)
-        return seen == (1 << self.n) - 1
-
     def chains(self) -> list[list[tuple[int, ...]]]:
         """All nonempty chains, grouped by length (index = length - 1)."""
         out: list[list[tuple[int, ...]]] = []

@@ -201,14 +201,16 @@ class SdPoset:
         return [s for i, s in enumerate(self.elements) if i != self.bottom]
 
 
-def enumerate_sd(U: Molecule, S) -> SdPoset:
+def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     """All subdivisions of U with levels in S, as a refinement poset.
 
-    The enumeration is generic: frame-acyclicity is not assumed.  Trees are
-    realised and deduplicated by canonical key, and the big cell is the
-    initial element.
+    ``S`` defaults to every level below the dimension of U.  The enumeration
+    is generic: frame-acyclicity is not assumed.  Trees are realised and
+    deduplicated by canonical key, and the big cell is the initial element.
     """
     P = U.poset
+    if S is None:
+        S = range(max(U.dim, 0))
     levels = tuple(sorted(set(int(s) for s in S)))
     if any(s < 0 for s in levels):
         raise PreconditionError("subdivision levels must be >= 0")
@@ -327,8 +329,6 @@ def contractibility_report(U: Molecule, S=None) -> HomologyReport:
     big cell, and reports connectivity, reduced integral homology and
     dismantlability.  Atoms yield an empty poset.
     """
-    if S is None:
-        S = range(max(U.dim, 0))
     sdp = enumerate_sd(U, S)
     return poset_homology(sdp.sd())
 

@@ -74,6 +74,7 @@ def test_sd_options_before_or_after_file(files, capsys):
     assert before[0] == after[0] == 0
     assert before[1] == after[1]
     assert json.loads(before[1])["levels"] == [0]
+    assert json.loads(call(capsys, "sd", files["horiz"])[1])["levels"] == [0, 1]
     code, out = call(capsys, "sd", "--report", files["path2"])
     assert code == 0 and "sd_size" in json.loads(out)
     assert call(capsys, "sd", files["horiz"], "--levels", "x")[0] == 2
@@ -116,3 +117,52 @@ def test_python_dash_m_runs_the_cli(files):
         timeout=60,
     )
     assert proc.returncode == 1
+
+
+def test_make_exit_codes(files, capsys):
+    code, out = call(capsys, "make", "oriental", "3")
+    assert code == 0
+    made = serialize.loads_ogposet(out)
+    assert made.canonical_key() == dcx.oriental(3).poset.canonical_key()
+    for what in (["globe", "2"], ["path", "3"], ["theta", "((),())"]):
+        assert call(capsys, "make", *what)[0] == 0
+    horiz, path2 = files["horiz"], files["path2"]
+    code, out = call(capsys, "make", "paste", horiz, horiz, "1")
+    assert code == 0 and dcx.is_molecule(serialize.loads_ogposet(out)) is not None
+    assert call(capsys, "make", "atom", path2, path2)[0] == 0
+    assert call(capsys, "make", "join", path2, path2)[0] == 0
+    assert call(capsys, "make", "suspend", horiz)[0] == 0
+    for bad in (
+        ["oriental"],
+        ["oriental", "x"],
+        ["theta"],
+        ["theta", "(("],
+        ["paste", horiz, horiz],
+        ["paste", horiz, files["garbage"], "0"],
+        ["paste", files["sphere"], horiz, "0"],
+        ["atom", path2],
+        ["suspend"],
+        ["cube", "2"],
+    ):
+        code, out = call(capsys, "make", *bad)
+        assert code == 2, bad
+        assert "error" in json.loads(out)
+
+
+def test_export_options_before_or_after_file(files, capsys):
+    for opts in (["--dot", "hasse"], ["--dot", "flow", "--k", "0"], ["--dot", "sd", "--levels", "0"]):
+        before = call(capsys, "export", *opts, files["horiz"])
+        after = call(capsys, "export", files["horiz"], *opts)
+        assert before[0] == after[0] == 0
+        assert before[1] == after[1]
+        assert before[1].startswith("digraph")
+    # the default level set is every level below the dimension
+    assert call(capsys, "export", "--dot", "sd", files["horiz"]) == call(
+        capsys, "export", "--dot", "sd", files["horiz"], "--levels", "0,1"
+    )
+    assert call(capsys, "export", "--dot", "hasse", files["sphere"])[0] == 0
+    assert call(capsys, "export", files["horiz"])[0] == 2
+    assert call(capsys, "export", "--dot", "png", files["horiz"])[0] == 2
+    assert call(capsys, "export", "--dot", "hasse", files["garbage"])[0] == 2
+    assert call(capsys, "export", files["sphere"], "--dot", "flow")[0] == 2
+    assert call(capsys, "export", "--dot", "sd", files["horiz"], "--levels", "x")[0] == 2

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 from dcx import FinPoset, homology, nerve, poset_homology, smith_diagonal
 
 
@@ -128,3 +131,27 @@ def test_finposet_isomorphic():
         FinPoset(list("wxyz"), [[1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
     )
     assert not four_cycle().isomorphic(chain_poset(4))
+
+
+def test_connected_matches_comparability_graph():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        less = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+        leq = [[i == j or (i, j) in less for j in range(n)] for i in range(n)]
+        for k, i, j in itertools.product(range(n), repeat=3):
+            leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+        reach, frontier = {0}, [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if (leq[i][j] or leq[j][i]) and j not in reach:
+                    reach.add(j)
+                    frontier.append(j)
+        P = FinPoset(list(range(n)), leq)
+        connected = len(reach) == n
+        seen.add(connected)
+        assert homology(nerve(P)).connected == connected
+        assert poset_homology(P).connected == connected
+    assert seen == {True, False}

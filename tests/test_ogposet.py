@@ -1,10 +1,16 @@
+import itertools
+import random
+
 import networkx as nx
 import pytest
 
 from dcx import (
+    AmbiguityError,
     Closed,
     DanglingIndexError,
     EmptyFaceSetError,
+    OgIso,
+    OgPoset,
     OverlapError,
     closure,
     find_iso,
@@ -16,6 +22,7 @@ from dcx import (
     paste,
     path,
     point,
+    unique_iso,
     validate,
 )
 
@@ -197,3 +204,123 @@ def test_canonical_key_iso_invariant():
     b = paste(globe(2), globe(2), 1)
     assert a.poset.canonical_key() == b.poset.canonical_key()
     assert a.poset.canonical_key() != paste(globe(2), globe(2), 0).poset.canonical_key()
+
+
+# -- isomorphisms and canonical forms against brute force -------------------------
+
+
+def random_poset(rng):
+    """A small oriented graded poset, often with nontrivial automorphisms."""
+    counts = [rng.randint(1, 4)]
+    faces = [[]]
+    for _ in range(rng.randint(0, 2)):
+        level = []
+        for _ in range(rng.randint(1, 3)):
+            below = list(range(counts[-1]))
+            rng.shuffle(below)
+            a = rng.randint(0, min(2, len(below)))
+            b = rng.randint(a, min(a + 2, len(below)))
+            level.append((below[:a], below[a:b]))
+        counts.append(len(level))
+        faces.append(level)
+    return OgPoset(counts, faces)
+
+
+def relabelled(P, rng):
+    """P with the elements of each dimension renumbered at random."""
+    perms = [rng.sample(range(c), c) for c in P.counts]
+    faces = [[]]
+    for d in range(1, len(P.counts)):
+        level = [None] * P.counts[d]
+        for i, (mn, pl) in enumerate(P.faces[d]):
+            level[perms[d][i]] = (
+                [perms[d - 1][j] for j in mn],
+                [perms[d - 1][j] for j in pl],
+            )
+        faces.append(level)
+    return OgPoset(P.counts, faces)
+
+
+def brute_isos(P, Q):
+    """Every dimension-wise bijection that OgIso.verify accepts."""
+    if P.counts != Q.counts:
+        return set()
+    found = set()
+    for perms in itertools.product(*(itertools.permutations(range(c)) for c in P.counts)):
+        mapping = {(d, i): (d, perm[i]) for d, perm in enumerate(perms) for i in range(len(perm))}
+        if OgIso(P, Q, mapping).verify():
+            found.add(frozenset(mapping.items()))
+    return found
+
+
+@pytest.fixture(scope="module")
+def random_pairs():
+    """Pairs (P, Q, brute-force isomorphisms): Q a relabelled copy of P or
+    another random poset with the same counts."""
+    rng = random.Random(20261018)
+    posets = [random_poset(rng) for _ in range(300)]
+    by_counts = {}
+    for P in posets:
+        by_counts.setdefault(P.counts, []).append(P)
+    pairs = []
+    for P in posets:
+        Q = relabelled(P, rng)
+        pairs.append((P, Q, brute_isos(P, Q)))
+        R = rng.choice(by_counts[P.counts])
+        pairs.append((P, R, brute_isos(P, R)))
+    # parallel arrows and isolated points: many automorphisms
+    arrows = validate([2, [([0], [1])] * 4])
+    points = validate([5])
+    for P in (arrows, points):
+        pairs.append((P, relabelled(P, rng), brute_isos(P, P)))
+    return pairs
+
+
+def test_random_pairs_include_non_rigid_and_non_isomorphic(random_pairs):
+    sizes = [len(isos) for _, _, isos in random_pairs]
+    assert sum(n > 1 for n in sizes) >= 50
+    assert sum(n == 0 for n in sizes) >= 50
+    assert max(sizes) == 120
+
+
+def test_isomorphisms_match_brute_force(random_pairs):
+    for P, Q, expected in random_pairs:
+        isos = isomorphisms(P, Q)
+        got = [frozenset(iso.mapping.items()) for iso in isos]
+        assert len(set(got)) == len(got)
+        assert set(got) == expected
+        assert all(iso.source is P and iso.target is Q for iso in isos)
+        for limit in (1, 2, 3):
+            some = isomorphisms(P, Q, limit=limit)
+            assert len(some) == min(limit, len(expected))
+            assert {frozenset(iso.mapping.items()) for iso in some} <= expected
+
+
+def test_unique_iso_raises_exactly_when_ambiguous(random_pairs):
+    for P, Q, expected in random_pairs:
+        if len(expected) > 1:
+            with pytest.raises(AmbiguityError):
+                unique_iso(P, Q)
+        else:
+            iso = unique_iso(P, Q)
+            assert (iso is None) == (not expected)
+            assert iso is None or frozenset(iso.mapping.items()) in expected
+
+
+def test_canonical_keys_equal_exactly_when_isomorphic(random_pairs):
+    for P, Q, expected in random_pairs:
+        assert (P.canonical_key() == Q.canonical_key()) == bool(expected)
+        key, relabel = P.canonical()
+        assert sorted(relabel) == sorted(P.elements())
+        for d, c in enumerate(P.counts):
+            assert sorted(relabel[(d, i)] for i in range(c)) == list(range(c))
+
+
+def test_canonical_key_invariant_under_relabelling(corpus):
+    rng = random.Random(5)
+    for mol in corpus:
+        for _ in range(3):
+            Q = relabelled(mol.poset, rng)
+            assert Q.canonical_key() == mol.key
+            iso = find_iso(mol.poset, Q)
+            assert iso is not None and iso.verify()
