@@ -12,7 +12,12 @@ realising the same subdivision collapse.
 
 The refinement order is decided on realisations: a node of the coarser
 side must cut the finer side into consecutive chunks over its layers, and
-the comparison recurses into the chunks.
+the comparison recurses into the chunks.  Each layer it visits must be
+exactly the union of the finer side's images inside it, and it visits
+every layer down to the leaves.  ``enumerate_sd`` turns that necessary
+condition into bitsets to pick the candidates above each element, then
+closes the order finest element first, so that an answer already implied
+by transitivity is never asked of ``tree_leq`` again.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from .errors import DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule, _memo, globe, mol_cert, paste_posets, push_labels
-from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, labelled_key
+from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, _bits, labelled_key
 from .posets import FinPoset
 
 # trees: ("leaf", region, flat_region) | ("node", k, children, region, flat_region)
@@ -55,8 +60,6 @@ class Subdivision:
         "_flat",
         "_flat_by_bit",
         "_chunks",
-        "_leq_true",
-        "_leq_false",
     )
 
     def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, img: dict):
@@ -73,9 +76,6 @@ class Subdivision:
         ]
         self._flat_by_bit = dict(self._flat)
         self._chunks: dict[int, int] = {}
-        # refinement memo: (id(tree), flat_sub) -> tree, split by answer
-        self._leq_true: dict = {}
-        self._leq_false: dict = {}
 
     def chunk_inside(self, flat_layer: int) -> int:
         """Theta elements whose image lies in the given ambient subset."""
@@ -113,10 +113,6 @@ class Subdivision:
         return f"Subdivision(theta_counts={list(self.theta.counts)})"
 
 
-def _globe_poset(d: int) -> OgPoset:
-    return globe(d).poset
-
-
 def realize(P: OgPoset, tree: Tree) -> Subdivision:
     """Realise a subdivision tree over the ambient poset P."""
     theta, img = _realize_rec(P, tree)
@@ -133,7 +129,7 @@ def _realize_rec(P: OgPoset, tree: Tree):
     if tree[0] == "leaf":
         region = tree[1]
         d = P.masks_dim(region)
-        g = _globe_poset(d)
+        g = globe(d).poset
         img: dict[El, Masks] = {(d, 0): region}
         for j in range(d):
             img[(j, 0)] = P.boundary_masks(region, j, MINUS)
@@ -207,6 +203,20 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     ``S`` defaults to every level below the dimension of U.  The enumeration
     is generic: frame-acyclicity is not assumed.  Trees are realised and
     deduplicated by canonical key, and the big cell is the initial element.
+
+    The order is built row by row, not by comparing all n² pairs.  When
+    ``tree_leq(a, b)`` holds, every subtree region r of a has been checked to
+    be exactly the union of b's images inside r: the root region is all of
+    U, and every other region is a layer of its parent's node, which the
+    comparison visits.  So the candidates above a are the elements that
+    cover all of a's regions in that sense: an AND of one bitset per leaf
+    region, since a node's region is the union of its leaves' regions.
+    Rows are finished finest element first (most theta elements), and a's
+    candidates are tried coarsest first.  A candidate already in a's row is
+    skipped; otherwise ``tree_leq`` judges it, and a true answer brings in
+    the candidate's row if that row is finished, by transitivity, or else
+    only the candidate.  The visiting order changes the number of calls,
+    never the rows.
     """
     P = U.poset
     if S is None:
@@ -219,10 +229,7 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
         s = realize(P, tree)
         seen.setdefault(s.key, s)
     elements = [seen[k] for k in sorted(seen)]
-    fin = FinPoset.from_leq(
-        list(range(len(elements))),
-        lambda i, j: tree_leq(elements[i], elements[j]),
-    )
+    fin = FinPoset(list(range(len(elements))), up_masks=_refinement_rows(elements))
     bottom_key = realize(P, leaf(P, P.full_masks())).key
     bottom = next(i for i, s in enumerate(elements) if s.key == bottom_key)
     sd = SdPoset(U, levels, elements, fin, bottom)
@@ -240,25 +247,12 @@ def tree_leq(a: Subdivision, b: Subdivision) -> bool:
         raise PreconditionError("subdivisions of different molecules")
     if a.key == b.key:
         return True
-    return _leq_rec(a.ambient, a.tree, b, b.theta.flatten_masks(b.theta.full_masks()))
+    return _leq_rec(a.tree, b, b.theta.flatten_masks(b.theta.full_masks()))
 
 
-def _leq_rec(P: OgPoset, tree: Tree, b: Subdivision, flat_sub: int) -> bool:
+def _leq_rec(tree: Tree, b: Subdivision, flat_sub: int) -> bool:
     if tree[0] == "leaf":
         return True
-    # The memo stores the tree itself, which keeps its id from being reused
-    # by another tree, and a hit must be that very tree.
-    memo_key = (id(tree), flat_sub)
-    if b._leq_true.get(memo_key) is tree:
-        return True
-    if b._leq_false.get(memo_key) is tree:
-        return False
-    result = _leq_rec_compute(P, tree, b, flat_sub)
-    (b._leq_true if result else b._leq_false)[memo_key] = tree
-    return result
-
-
-def _leq_rec_compute(P: OgPoset, tree: Tree, b: Subdivision, flat_sub: int) -> bool:
     _, k, children, _region, _flat = tree
     T = b.theta
     img_of = b._flat_by_bit
@@ -292,9 +286,63 @@ def _leq_rec_compute(P: OgPoset, tree: Tree, b: Subdivision, flat_sub: int) -> b
             return False
         rest = tuple(l | r for l, r in zip(left, rest))
     for child, chunk in zip(children, chunks):
-        if not _leq_rec(P, child, b, chunk):
+        if not _leq_rec(child, b, chunk):
             return False
     return True
+
+
+def _region_candidates(elements: list[Subdivision]) -> list[int]:
+    """Per element a, the bitset of elements that may refine a.
+
+    b is kept when, for every leaf region r of a, the images of b lying
+    inside r have union exactly r.  Every b with ``tree_leq(a, b)`` is kept.
+    A node's region is the union of its leaves' regions, so b then covers
+    every subtree region of a in the same sense, and checking those too
+    would reject nothing more.
+    """
+    needs = []
+    for a in elements:
+        need = set()
+        stack = [a.tree]
+        while stack:
+            t = stack.pop()
+            if t[0] == "leaf":
+                need.add(tree_flat_region(t))
+            else:
+                stack.extend(t[2])
+        needs.append(need)
+    covered = {}
+    for r in set().union(*needs):
+        row = 0
+        for j, b in enumerate(elements):
+            union = 0
+            for _bit, img in b._flat:
+                if img & ~r == 0:
+                    union |= img
+            if union == r:
+                row |= 1 << j
+        covered[r] = row
+    out = []
+    for need in needs:
+        row = (1 << len(elements)) - 1
+        for r in need:
+            row &= covered[r]
+        out.append(row)
+    return out
+
+
+def _refinement_rows(elements: list[Subdivision]) -> list[int]:
+    """Up-set bitset rows of the refinement order, see ``enumerate_sd``."""
+    size = [s.theta.size() for s in elements]
+    candidates = _region_candidates(elements)
+    rows = [0] * len(elements)  # 0 until the row is finished
+    for i in sorted(range(len(elements)), key=lambda i: -size[i]):
+        row = 1 << i
+        for j in sorted(_bits(candidates[i]), key=size.__getitem__):
+            if not row >> j & 1 and tree_leq(elements[i], elements[j]):
+                row |= rows[j] | 1 << j
+        rows[i] = row
+    return rows
 
 
 def restrict_levels(x: Subdivision, keep) -> Subdivision:

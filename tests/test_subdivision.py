@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dcx import (
@@ -12,8 +14,10 @@ from dcx import (
     pre_layerings,
     restrict_levels,
     sd_report_json,
+    theta_from_tree,
     tree_leq,
 )
+from dcx.ogposet import _bits
 from conftest import composition_refines, compositions
 
 
@@ -27,9 +31,13 @@ def composition_of(sub):
 
 
 def test_sd_sizes_are_composition_counts():
-    for k in range(1, 7):
+    # Sd of path(k) at {0} is the Boolean lattice on the k - 1 inner vertices.
+    for k in range(1, 10):
         sdp = enumerate_sd(path(k), {0})
         assert sdp.size == 2 ** (k - 1)
+        assert len(sdp.poset.covers()) == (k - 1) * 2 ** (k - 1) // 2
+        assert sdp.poset.bottom() == sdp.bottom
+        assert sdp.poset.top() is not None
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -47,6 +55,64 @@ def test_sd_of_path_matches_compositions(k):
             assert sdp.poset.leq(i, j) == comp_poset.leq(
                 index[images[i]], index[images[j]]
             )
+
+
+def _level_sets(mol):
+    levels = range(max(mol.dim, 0))
+    return [set(c) for r in range(len(levels) + 1) for c in itertools.combinations(levels, r)]
+
+
+def _differential_inputs(corpus, horiz, vert):
+    for k in range(1, 8):
+        yield path(k), {0}
+    for mol in (horiz, vert):
+        for S in ({0}, {1}, {0, 1}):
+            yield mol, S
+    fixed = [theta_from_tree("(((),()),())")]
+    fixed += [globe(k) for k in range(4)] + [oriental(k) for k in range(4)]
+    for mol in fixed + [m for m in corpus if m.size() <= 14]:
+        for S in _level_sets(mol):
+            yield mol, S
+
+
+def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert, monkeypatch):
+    import dcx.subdivision as sdm
+
+    calls = []
+
+    def counted_leq(a, b):
+        calls.append((a, b))
+        return tree_leq(a, b)
+
+    def unfiltered(els):
+        return [(1 << len(els)) - 1] * len(els)
+
+    for mol, S in _differential_inputs(corpus, horiz, vert):
+        with monkeypatch.context() as m:
+            m.setattr(sdm, "tree_leq", counted_leq)
+            calls.clear()
+            sdp = enumerate_sd(mol, S)
+        els = sdp.elements
+        oracle = FinPoset.from_leq(range(sdp.size), lambda i, j: tree_leq(els[i], els[j]))
+        candidates = sdm._region_candidates(els)
+        for i in range(sdp.size):
+            up = oracle.up_mask(i)
+            assert sdp.poset.up_mask(i) == up, (mol.counts, S, i)
+            assert up & ~candidates[i] == 0, (mol.counts, S, i)
+            for j in _bits(up):
+                assert oracle.up_mask(j) & ~up == 0, (mol.counts, S, i, j)
+                assert els[i].theta.size() < els[j].theta.size(), (mol.counts, S, i, j)
+        # The filter keeps only true pairs on these inputs, and a strict
+        # refinement has more theta elements, so the closure meets finished
+        # rows only and judges each cover once and nothing else.
+        assert len(calls) == len(sdp.poset.covers()), (mol.counts, S)
+        # The closure alone, trying every pair, gives the same rows.
+        with monkeypatch.context() as m:
+            m.setattr(sdm, "_region_candidates", unfiltered)
+            rows = sdm._refinement_rows(els)
+        assert [r & ~(1 << i) for i, r in enumerate(rows)] == [
+            oracle.up_mask(i) for i in range(sdp.size)
+        ], (mol.counts, S)
 
 
 def test_sd_of_atom_is_empty():
@@ -92,8 +158,6 @@ def test_single_level_matches_pre_layerings(corpus, horiz, vert):
 
 
 def test_identity_subdivision_is_maximum_for_thetas():
-    from dcx import theta_from_tree
-
     for tree in ["((),())", "((()),())", "(((),()))", "((()),(()))"]:
         th = theta_from_tree(tree)
         sdp = enumerate_sd(th, range(th.dim))
