@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     BoundaryMismatchError,
+    DcxError,
     IncompatibleAttachmentError,
     IdentityViolationError,
     LabelMismatchError,
@@ -38,10 +39,18 @@ DEFAULT_ELEMENT_LIMIT = 2000
 
 
 def element_limit() -> int:
-    try:
-        return int(os.environ.get("DCX_ELEMENT_LIMIT", DEFAULT_ELEMENT_LIMIT))
-    except ValueError:
+    """The DCX_ELEMENT_LIMIT guard, or the default when it is unset.
+
+    A value that is not an integer raises ``DcxError``: falling back to the
+    default would silently replace the limit the user meant to set.
+    """
+    raw = os.environ.get("DCX_ELEMENT_LIMIT")
+    if raw is None:
         return DEFAULT_ELEMENT_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise DcxError(f"DCX_ELEMENT_LIMIT={raw!r} is not an integer") from None
 
 
 class Cell:
@@ -178,13 +187,14 @@ def atoms_acyclic(X: DirectedComplex) -> bool:
 class PastingDiagram:
     """A molecule-shaped, attachment-compatible labelling of cells."""
 
-    __slots__ = ("complex", "shape", "labels", "_key")
+    __slots__ = ("complex", "shape", "labels", "_key", "_boundary_keys")
 
     def __init__(self, X: DirectedComplex, shape: Molecule, labels: dict[El, CellId]):
         self.complex = X
         self.shape = shape
         self.labels = dict(labels)
         self._key = None
+        self._boundary_keys: dict[tuple[int, str], bytes] = {}
 
     @classmethod
     def single(cls, X: DirectedComplex, cid: CellId) -> "PastingDiagram":
@@ -203,6 +213,15 @@ class PastingDiagram:
         if self._key is None:
             self._key = labelled_key(self.shape.poset, self.labels)
         return self._key
+
+    def _boundary_key(self, k: int, alpha: str) -> bytes:
+        """``boundary_diagram(self, k, alpha).key``, without certifying the
+        boundary as a molecule."""
+        key = self._boundary_keys.get((k, alpha))
+        if key is None:
+            _, Q, labels = _boundary_part(self, k, alpha)
+            key = self._boundary_keys[(k, alpha)] = labelled_key(Q, labels)
+        return key
 
     def validate(self) -> "PastingDiagram":
         problem = restriction_problem(self.complex, self.shape.poset, self.labels)
@@ -227,13 +246,19 @@ class PastingDiagram:
         return f"PastingDiagram(shape_counts={list(self.shape.counts)})"
 
 
-def boundary_diagram(f: PastingDiagram, k: int, alpha: str) -> PastingDiagram:
-    """Restriction of the diagram along the k-boundary of its shape."""
+def _boundary_part(f: PastingDiagram, k: int, alpha: str):
+    """The alpha-side k-boundary of f's shape: its masks in the shape, the
+    extracted poset, and f's labels pulled back onto that poset."""
     P = f.shape.poset
     masks = P.boundary_masks(P.full_masks(), k, alpha)
-    cert = mol_cert(P, masks)
     Q, amb = P.extract(masks)
-    labels = {el: f.labels[amb[el]] for el in Q.elements()}
+    return masks, Q, {el: f.labels[amb[el]] for el in Q.elements()}
+
+
+def boundary_diagram(f: PastingDiagram, k: int, alpha: str) -> PastingDiagram:
+    """Restriction of the diagram along the k-boundary of its shape."""
+    masks, Q, labels = _boundary_part(f, k, alpha)
+    cert = mol_cert(f.shape.poset, masks)
     return PastingDiagram(f.complex, Molecule(Q, cert), labels)
 
 
@@ -258,44 +283,59 @@ def enumerate_molecules(
 ) -> list[PastingDiagram]:
     """All pasting diagrams with at most ``max_cells`` top-dimensional labels.
 
-    Generated by seeding with single cells and closing under pasting at
-    every level, deduplicating by the canonical key of (shape, labels).
-    ``max_elements`` (default: the DCX_ELEMENT_LIMIT guard) bounds diagram
-    size so the closure terminates on complexes with cycles.
+    The pool is seeded with the single cells and closed under pasting,
+    deduplicated by the canonical key of (shape, labels).  ``max_elements``
+    (default: the DCX_ELEMENT_LIMIT guard) bounds diagram size so that the
+    closure terminates on complexes with cycles.  The result is sorted by key.
+
+    The closure is semi-naive: pool diagrams are processed once each, in the
+    order they entered the pool, and each is pasted only with diagrams
+    processed before it or with itself.  So each pair meets once per level,
+    when the later of the two is processed, and each of its two orders is
+    tried at most once.  The partners come from an index of processed
+    diagrams by ``(k, side, key)``, where ``key`` is the labelled key of the
+    diagram's k-boundary on that side: ``f #_k g`` is tried only when the
+    output key of f equals the input key of g.
+
+    Boundaries of molecules are molecules, hence rigid, so their labelled
+    keys are equal exactly when the labelled boundaries are isomorphic, which
+    is when ``paste_diagrams`` succeeds: a key mismatch never drops a valid
+    pasting.  ``paste_diagrams`` still checks the glue and the labels, so a
+    key match can never add a wrong diagram either.  Levels k at or above the
+    smaller dimension are skipped: there the k-boundary of the lower operand
+    is all of it, so the pasting is the other operand again, already pooled.
     """
     if max_elements is None:
         max_elements = element_limit()
     pool: dict[bytes, PastingDiagram] = {}
     order: list[PastingDiagram] = []
+
+    def admit(diag: PastingDiagram) -> None:
+        if diag.top_cell_count() > max_cells or diag.shape.size() > max_elements:
+            return
+        if diag.key not in pool:
+            pool[diag.key] = diag
+            order.append(diag)
+
     for cid in X.cell_ids():
-        diag = PastingDiagram.single(X, cid)
-        if diag.top_cell_count() <= max_cells and diag.shape.size() <= max_elements:
-            if diag.key not in pool:
-                pool[diag.key] = diag
-                order.append(diag)
-    frontier = list(order)
-    while frontier:
-        fresh: list[PastingDiagram] = []
-        for new in frontier:
-            partners = list(order)
-            for other in partners:
-                for left, right in ((new, other), (other, new)):
-                    top_dim = max(left.dim, right.dim)
-                    for k in range(top_dim):
-                        try:
-                            h = paste_diagrams(left, right, k)
-                        except (BoundaryMismatchError, LabelMismatchError):
-                            continue
-                        if h.top_cell_count() > max_cells:
-                            continue
-                        if h.shape.size() > max_elements:
-                            continue
-                        if h.key in pool:
-                            continue
-                        pool[h.key] = h
-                        order.append(h)
-                        fresh.append(h)
-        frontier = fresh
+        admit(PastingDiagram.single(X, cid))
+    index: dict[tuple[int, str, bytes], list[PastingDiagram]] = {}
+    for new in order:  # grows as pastings are admitted
+        for k in range(new.dim):
+            source = new._boundary_key(k, MINUS)
+            target = new._boundary_key(k, PLUS)
+            # copied before new joins the buckets, so a self-pasting is tried once
+            before = list(index.get((k, PLUS, source), ()))
+            index.setdefault((k, MINUS, source), []).append(new)
+            index.setdefault((k, PLUS, target), []).append(new)
+            pairs = [(new, other) for other in index.get((k, MINUS, target), ())]
+            pairs += [(other, new) for other in before]
+            for left, right in pairs:
+                try:
+                    pasted = paste_diagrams(left, right, k)
+                except (BoundaryMismatchError, LabelMismatchError):
+                    continue
+                admit(pasted)
     return sorted(order, key=lambda d: d.key)
 
 

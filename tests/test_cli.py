@@ -96,6 +96,18 @@ def test_cx_options_before_or_after_file(files, capsys):
     assert call(capsys, "cx", "molecules", files["horiz"], "--max-cells", "2")[0] == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "", "2.5"])
+def test_malformed_element_limit_exits_2(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", value)
+    for argv in (["check", "molecule", files["horiz"]], ["cx", "molecules", files["triangle"]]):
+        code, out = call(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == f"DCX_ELEMENT_LIMIT={value!r} is not an integer"
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "3")
+    code, out = call(capsys, "check", "molecule", files["horiz"])
+    assert code == 2 and "over DCX_ELEMENT_LIMIT=3" in json.loads(out)["error"]
+
+
 def test_python_dash_m_runs_the_cli(files):
     env = dict(os.environ)
     src = str(Path(dcx.__file__).resolve().parents[1])

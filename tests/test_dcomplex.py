@@ -12,10 +12,14 @@ from dcx.dcomplex import (
     DirectedComplex,
     PastingDiagram,
     SemiSimplicialSet,
+    Verdict,
+    atoms_acyclic,
     boundary_diagram,
     enumerate_molecules,
+    has_frame_acyclic_molecules,
     import_ssset,
     paste_diagrams,
+    skeleton,
 )
 from dcx.errors import (
     BoundaryMismatchError,
@@ -28,6 +32,16 @@ from dcx.ogposet import find_iso
 
 def simplex_complex(n):
     return import_ssset(SemiSimplicialSet.standard_simplex(n))
+
+
+def one_loop():
+    """One vertex and one edge from it to itself: not regular."""
+    return import_ssset(SemiSimplicialSet([1, [[0, 0]]]))
+
+
+def two_loops():
+    """Two vertices, an edge each way between them and a loop on one."""
+    return import_ssset(SemiSimplicialSet([2, [[0, 1], [1, 0], [0, 0]]]))
 
 
 # -- dcomplex/1 ------------------------------------------------------------------
@@ -226,3 +240,162 @@ def test_paste_diagrams_matches_labelled_boundaries():
                 assert got == expected, (f, g, k)
                 outcomes[got] += 1
     assert all(outcomes.values()), outcomes
+
+
+# -- the pool closure ------------------------------------------------------------------
+
+
+def all_pairs_closure(X, max_cells, max_elements):
+    """The closure by brute force: every ordered pair of pool diagrams,
+    pasted at every level below the larger dimension, until nothing new."""
+    pool = {}
+    order = []
+    for cid in X.cell_ids():
+        diag = PastingDiagram.single(X, cid)
+        if diag.top_cell_count() <= max_cells and diag.shape.size() <= max_elements:
+            if diag.key not in pool:
+                pool[diag.key] = diag
+                order.append(diag)
+    frontier = list(order)
+    while frontier:
+        fresh = []
+        for new in frontier:
+            for other in list(order):
+                for left, right in ((new, other), (other, new)):
+                    for k in range(max(left.dim, right.dim)):
+                        try:
+                            h = paste_diagrams(left, right, k)
+                        except (BoundaryMismatchError, LabelMismatchError):
+                            continue
+                        if h.top_cell_count() > max_cells:
+                            continue
+                        if h.shape.size() > max_elements:
+                            continue
+                        if h.key in pool:
+                            continue
+                        pool[h.key] = h
+                        order.append(h)
+                        fresh.append(h)
+        frontier = fresh
+    return sorted(order, key=lambda d: d.key)
+
+
+def representation(diag):
+    return (diag.key, diag.shape.poset.faces, sorted(diag.labels.items()))
+
+
+CLOSURE_INPUTS = {
+    **{
+        f"simplex{n}-{mc}": (lambda n=n: simplex_complex(n), mc, 2000)
+        for n in (1, 2, 3)
+        for mc in (1, 2, 3)
+    },
+    "one_loop-4": (one_loop, 4, 14),
+    "two_loops-3": (two_loops, 3, 20),
+}
+
+
+@pytest.mark.parametrize("case", CLOSURE_INPUTS)
+def test_enumerate_molecules_matches_all_pairs_oracle(case):
+    make, max_cells, max_elements = CLOSURE_INPUTS[case]
+    X = make()
+    got = enumerate_molecules(X, max_cells, max_elements)
+    expected = all_pairs_closure(X, max_cells, max_elements)
+    assert [representation(d) for d in got] == [representation(d) for d in expected]
+
+
+@pytest.mark.parametrize("case", ["simplex1-3", "simplex2-3", "simplex3-3", "one_loop-4"])
+def test_boundary_keys_decide_pasting(case):
+    """Below the smaller dimension, boundary keys agree exactly when the
+    pasting succeeds; at or above it, a pasting gives back an operand."""
+    make, max_cells, max_elements = CLOSURE_INPUTS[case]
+    pool = enumerate_molecules(make(), max_cells, max_elements)
+    for f in pool:
+        for k in range(f.dim):
+            for side in "-+":
+                assert f._boundary_key(k, side) == boundary_diagram(f, k, side).key
+    checked = 0
+    for f in pool:
+        for g in pool:
+            for k in range(max(f.dim, g.dim)):
+                try:
+                    pasted = paste_diagrams(f, g, k)
+                except (BoundaryMismatchError, LabelMismatchError):
+                    pasted = None
+                if k < min(f.dim, g.dim):
+                    keys_agree = f._boundary_key(k, "+") == g._boundary_key(k, "-")
+                    assert keys_agree == (pasted is not None), (f, g, k)
+                    checked += 1
+                elif pasted is not None:
+                    assert pasted.key in (f.key, g.key), (f, g, k)
+    assert checked
+
+
+def recorded_pastes(monkeypatch, *args):
+    """The (left key, right key, k) of every pasting that enumerate_molecules
+    attempts on these arguments, checking that each attempt is below both
+    dimensions and succeeds."""
+    real = dcomplex.paste_diagrams
+    attempts = []
+
+    def recording(f, g, k):
+        assert k < min(f.dim, g.dim), (f, g, k)
+        attempts.append((f.key, g.key, k))
+        try:
+            return real(f, g, k)
+        except (BoundaryMismatchError, LabelMismatchError) as exc:
+            pytest.fail(f"pasting at level {k} failed: {exc}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dcomplex, "paste_diagrams", recording)
+        enumerate_molecules(*args)
+    return attempts
+
+
+def test_index_pastes_only_matching_pairs_once_per_level(monkeypatch):
+    attempts = recorded_pastes(monkeypatch, simplex_complex(3), 3)
+    assert attempts
+    tried = [(frozenset((f, g)), k) for f, g, k in attempts]
+    assert len(set(tried)) == len(tried)
+    # with cycles both orders of a pair can paste, each once
+    attempts = recorded_pastes(monkeypatch, two_loops(), 3, 20)
+    assert len(set(attempts)) == len(attempts)
+    assert len({(frozenset((f, g)), k) for f, g, k in attempts}) < len(attempts)
+
+
+# -- helpers and the frame-acyclicity verdict ----------------------------------------------
+
+
+def test_loops_are_not_regular_nor_locally_injective():
+    assert simplex_complex(3).is_regular()
+    X = one_loop()
+    assert not X.is_regular()
+    pool = enumerate_molecules(X, 2, 10)
+    assert [d.is_locally_injective() for d in pool] == [True, False, False]
+
+
+def test_skeleton_keeps_the_low_cells():
+    X = simplex_complex(3)
+    assert [len(level) for level in skeleton(X, 1).validate().cells] == [4, 6]
+    assert skeleton(X, 5).n_cells() == X.n_cells() == 15
+    assert skeleton(X, -1).dim == -1
+
+
+def test_frame_acyclic_verdicts(monkeypatch):
+    verdict = has_frame_acyclic_molecules(simplex_complex(3))
+    assert atoms_acyclic(simplex_complex(3))
+    assert verdict.kind == Verdict.PROVEN_BY_ACYCLIC_ATOMS and verdict.is_proof()
+    assert verdict.to_json() == {"verdict": "proven_by_acyclic_atoms"}
+    monkeypatch.setattr(dcomplex, "atoms_acyclic", lambda X: False)
+    verdict = has_frame_acyclic_molecules(simplex_complex(3))
+    assert verdict.kind == Verdict.PROVEN_BY_DIMENSION and verdict.is_proof()
+    verdict = has_frame_acyclic_molecules(simplex_complex(4), 2)
+    assert not verdict.is_proof()
+    assert verdict.to_json() == {"verdict": "checked_up_to_budget", "budget": 2}
+    monkeypatch.setattr(dcomplex, "is_frame_acyclic", lambda shape: shape.dim < 2)
+    verdict = has_frame_acyclic_molecules(simplex_complex(4), 2)
+    assert verdict.kind == Verdict.COUNTEREXAMPLE and verdict.diagram.dim == 2
+    assert verdict.to_json() == {
+        "verdict": "counterexample",
+        "counterexample_shape": list(verdict.diagram.shape.counts),
+    }
