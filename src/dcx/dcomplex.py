@@ -41,16 +41,20 @@ DEFAULT_ELEMENT_LIMIT = 2000
 def element_limit() -> int:
     """The DCX_ELEMENT_LIMIT guard, or the default when it is unset.
 
-    A value that is not an integer raises ``DcxError``: falling back to the
-    default would silently replace the limit the user meant to set.
+    A value that is not a positive integer raises ``DcxError``: falling back
+    to the default, or admitting nothing, would silently replace the limit
+    the user meant to set.
     """
     raw = os.environ.get("DCX_ELEMENT_LIMIT")
     if raw is None:
         return DEFAULT_ELEMENT_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise DcxError(f"DCX_ELEMENT_LIMIT={raw!r} is not an integer") from None
+    if limit < 1:
+        raise DcxError(f"DCX_ELEMENT_LIMIT={raw!r} is not positive")
+    return limit
 
 
 class Cell:

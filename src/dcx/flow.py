@@ -4,20 +4,21 @@ A k-pre-layering decomposes a molecule as an ordered k-pasting of
 submolecules; a k-layering has one layer per maximal element of dimension
 above k.  The maximal k-flow graph links maximal elements whose output and
 input k-frames meet, and pre-orderings are the linearly ordered partitions
-of its vertices compatible with the edges.  Frame-acyclicity asks every
+of its vertices compatible with the edges: each block is a down-set of what
+the earlier blocks leave, drawn from :func:`~dcx.ogposet.down_sets`, and
+orderings are the case with one vertex per block.  Frame-acyclicity asks every
 submolecule's flow graph, taken at that submolecule's own frame dimension,
 to be acyclic.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
 from .molecule import Molecule, _memo, splits_masks, submolecules_masks
 from .molecule import mol_cert as mol_cert  # perfbench's tests read dcx.flow.mol_cert
-from .ogposet import Closed, El, Masks, OgPoset, _bits, find_cycle
+from .ogposet import Closed, El, Masks, OgPoset, _bits, closed_rows, down_sets, find_cycle
 from .posets import FinPoset
 
 Layering = tuple[Masks, ...]
@@ -55,35 +56,21 @@ class FlowGraph:
     def find_cycle(self) -> Optional[list[El]]:
         return find_cycle(self.vertices, self.edges)
 
-    def predecessors(self) -> dict[El, set]:
-        """The predecessors of each vertex, self-loops left out."""
-        preds: dict[El, set] = {v: set() for v in self.vertices}
+    def _need(self) -> tuple[tuple[El, ...], list[int]]:
+        """The vertices in sorted order, and for each position the positions
+        of its ancestors, itself included (self-loops change nothing)."""
+        order = tuple(sorted(self.vertices))
+        pos = {v: p for p, v in enumerate(order)}
+        rows = [0] * len(order)
         for a, b in self.edges:
-            if a != b:
-                preds[b].add(a)
-        return preds
+            rows[pos[b]] |= 1 << pos[a]
+        return order, closed_rows(rows)
 
     def topological_sorts(self, cap: Optional[int] = None) -> list[tuple[El, ...]]:
-        preds = self.predecessors()
-        out: list[tuple[El, ...]] = []
-
-        def rec(remaining: set, acc: list):
-            if cap is not None and len(out) >= cap:
-                return
-            if not remaining:
-                out.append(tuple(acc))
-                return
-            for v in sorted(remaining):
-                if preds[v] & remaining:
-                    continue
-                remaining.discard(v)
-                acc.append(v)
-                rec(remaining, acc)
-                acc.pop()
-                remaining.add(v)
-
-        rec(set(self.vertices), [])
-        return out
+        """The topological sorts in lexicographic order, at most ``cap``."""
+        order, need = self._need()
+        chains = _chains(need, (1 << len(order)) - 1, _minimal_blocks, cap)
+        return [tuple(order[b.bit_length() - 1] for b in chain) for chain in chains]
 
 
 def maxflow_masks(P: OgPoset, masks: Masks, k: int) -> FlowGraph:
@@ -132,10 +119,7 @@ def pre_layerings(U: Molecule, k: int) -> FinPoset:
     items = _sorted_prelayerings(P, k)
     flat = [_flat_layers(P, lay) for lay in items]
     elements = [tuple(Closed(P, m) for m in lay) for lay in items]
-    leq = [
-        [_refines(flat[j], flat[i]) for j in range(len(flat))]
-        for i in range(len(flat))
-    ]
+    leq = [[_refines(fine, coarse) for fine in flat] for coarse in flat]
     return FinPoset(elements, leq)
 
 
@@ -175,58 +159,72 @@ def layerings(U: Molecule, k: int) -> list[tuple[Closed, ...]]:
 # -- pre-orderings -----------------------------------------------------------
 
 
-def _ordered_partitions(fg: FlowGraph, cap: Optional[int] = None) -> list[Partition]:
-    """Linearly ordered partitions whose blocks respect the edge order.
+def _chains(need: list[int], within: int, first, cap: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Ordered partitions of ``within`` into blocks, as bitmasks.
 
-    The first block must be closed under predecessors; recurse on the rest.
-    Stops early once ``cap`` partitions have been produced.
+    Each block is a nonempty set drawn by ``first(need, rest)`` from what
+    the earlier blocks leave; that rest is convex whenever ``within`` is.
+    ``first`` is :func:`down_sets` for pre-orderings and
+    :func:`_minimal_blocks` for orderings.  Partitions come in increasing
+    order of their blocks, at most ``cap`` of them.
     """
-    preds = fg.predecessors()
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
-    def rec(remaining: frozenset, acc: list):
-        if cap is not None and len(out) > cap:
+    def rec(rest: int, acc: tuple):
+        if cap is not None and len(out) >= cap:
             return
-        if not remaining:
-            out.append(tuple(acc))
+        if not rest:
+            out.append(acc)
             return
-        rem = sorted(remaining)
-        # enumerate nonempty predecessor-closed subsets of `remaining`
-        for r in range(1, len(rem) + 1):
-            for combo in itertools.combinations(rem, r):
-                block = frozenset(combo)
-                ok = all(preds[v] & remaining <= block for v in block)
-                if ok:
-                    acc.append(block)
-                    rec(remaining - block, acc)
-                    acc.pop()
+        for block in first(need, rest):
+            if block:
+                rec(rest & ~block, acc + (block,))
 
-    rec(frozenset(fg.vertices), [])
+    rec(within, ())
     return out
+
+
+def _minimal_blocks(need: list[int], rest: int) -> list[int]:
+    """The one-element down-sets of ``rest``: the blocks of an ordering."""
+    return [1 << p for p in _bits(rest) if need[p] & rest == 1 << p]
+
+
+def _els(order: tuple[El, ...], block: int) -> list[El]:
+    return [order[p] for p in _bits(block)]
+
+
+def _frozen(order: tuple[El, ...], partition: tuple[int, ...]) -> Partition:
+    return tuple(frozenset(_els(order, block)) for block in partition)
+
+
+def _layer_blocks(order: tuple[El, ...], lay: Layering) -> tuple[int, ...]:
+    """Block i holds the positions of the flow vertices lying in layer i."""
+    return tuple(
+        sum(1 << p for p, (d, i) in enumerate(order) if layer[d] >> i & 1)
+        for layer in lay
+    )
 
 
 def pre_orderings(U: Molecule, k: int) -> FinPoset:
     """Poset of k-pre-orderings of U (edge-compatible ordered partitions of
     the flow-graph vertices), ordered by refinement."""
-    fg = maxflow(U, k)
-    items = sorted(_ordered_partitions(fg), key=lambda p: [sorted(b) for b in p])
+    order, need = maxflow(U, k)._need()
+    chains = _chains(need, (1 << len(order)) - 1, down_sets)
+    items = sorted((_frozen(order, c) for c in chains), key=lambda p: [sorted(b) for b in p])
     return FinPoset.from_leq(items, lambda coarse, fine: _refines(fine, coarse))
 
 
 def orderings(U: Molecule, k: int) -> list[Partition]:
     """The k-orderings: singleton-block pre-orderings, i.e. topological
     sorts of the flow graph."""
-    fg = maxflow(U, k)
-    return [
-        tuple(frozenset([v]) for v in sort) for sort in fg.topological_sorts()
-    ]
+    return [tuple(frozenset([v]) for v in s) for s in maxflow(U, k).topological_sorts()]
 
 
 def layering_to_ordering(U: Molecule, layering: tuple[Closed, ...], k: int) -> Partition:
     """Block i of the induced partition holds the flow-graph vertices lying
     in layer i."""
-    layers = tuple(layer.masks for layer in layering)
-    return _vertex_partition(maxflow(U, k).vertices, layers)
+    order = tuple(sorted(maxflow(U, k).vertices))
+    return _frozen(order, _layer_blocks(order, tuple(layer.masks for layer in layering)))
 
 
 # -- frame-acyclicity ----------------------------------------------------------
@@ -265,25 +263,18 @@ def _prelayering_covers(P: OgPoset, lay: Layering, k: int) -> set[Layering]:
     return out
 
 
-def _partition_covers(partition: Partition, preds: dict[El, set]) -> set[Partition]:
-    """Pre-orderings obtained by splitting exactly one block in two."""
+def _partition_covers(partition: tuple[int, ...], need: list[int]) -> set[tuple[int, ...]]:
+    """Pre-orderings obtained by splitting exactly one block in two.
+
+    The first part must be a proper down-set of the block.  A pre-ordering
+    block is convex, so these are the down-sets of the induced graph.
+    """
     out = set()
     for i, block in enumerate(partition):
-        members = sorted(block)
-        n = len(members)
-        for assign in range(1, (1 << n) - 1):
-            first = frozenset(members[t] for t in range(n) if assign >> t & 1)
-            second = block - first
-            if any(preds[v] & second for v in first):
-                continue
-            out.add(partition[:i] + (first, second) + partition[i + 1:])
+        for first in down_sets(need, block):
+            if first and first != block:
+                out.add(partition[:i] + (first, block & ~first) + partition[i + 1:])
     return out
-
-
-def _vertex_partition(vertices, lay: Layering) -> Partition:
-    return tuple(
-        frozenset(v for v in vertices if layer[v[0]] >> v[1] & 1) for layer in lay
-    )
 
 
 def check_layering_theory(U: Molecule, k: int) -> dict:
@@ -297,15 +288,13 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
     """
     r = frame_dim(U)
     if not (r <= k <= U.dim - 1):
-        raise PreconditionError(
-            f"need frame_dim {r} <= k <= {U.dim - 1}, got k = {k}"
-        )
-    fa = is_frame_acyclic(U)
-    if not fa:
+        raise PreconditionError(f"need frame_dim {r} <= k <= {U.dim - 1}, got k = {k}")
+    if not is_frame_acyclic(U):
         raise PreconditionError("molecule is not frame-acyclic")
 
     P = U.poset
-    fg = maxflow(U, k)
+    order, need = maxflow(U, k)._need()
+    full = (1 << len(order)) - 1
     report: dict = {"k": k, "iso": True, "counterexample": None}
 
     def fail(reason):
@@ -314,62 +303,54 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
         return report
 
     prelays = _sorted_prelayerings(P, k)
-    lays = [lay for lay in prelays if len(lay) == len(fg.vertices)]
-    sorts = fg.topological_sorts(cap=len(lays) + 1)
-    ords = [tuple(frozenset([v]) for v in s) for s in sorts]
+    lays = [lay for lay in prelays if len(lay) == len(order)]
+    ords = _chains(need, full, _minimal_blocks, cap=len(lays) + 1)
     report["layerings"] = len(lays)
     report["orderings"] = len(ords)
     if not lays:
         return fail("no layering exists")
-    mapped = [_vertex_partition(fg.vertices, lay) for lay in lays]
+    mapped = [_layer_blocks(order, lay) for lay in lays]
     if len(set(mapped)) != len(mapped) or set(mapped) != set(ords):
         return fail("layerings do not biject with orderings")
 
-    preords = _ordered_partitions(fg, cap=len(prelays) + 1)
+    preords = _chains(need, full, down_sets, cap=len(prelays) + 1)
     report["pre_layerings"] = len(prelays)
     report["pre_orderings"] = len(preords)
-    images = [_vertex_partition(fg.vertices, lay) for lay in prelays]
+    images = [_layer_blocks(order, lay) for lay in prelays]
     if len(set(images)) != len(prelays) or set(images) != set(preords):
         return fail("pre-layerings do not biject with pre-orderings")
     image_of = dict(zip(prelays, images))
-    preds = fg.predecessors()
     for lay in prelays:
         lhs = {image_of[c] for c in _prelayering_covers(P, lay, k)}
-        rhs = _partition_covers(image_of[lay], preds)
+        rhs = _partition_covers(image_of[lay], need)
         if lhs != rhs:
             return fail(
                 {
-                    "pre_layering": [
-                        sorted(P.masks_els(m)) for m in lay
-                    ],
+                    "pre_layering": [sorted(P.masks_els(m)) for m in lay],
                     "reason": "covers not preserved and reflected",
                 }
             )
     if len(prelays) <= 400:
         # small enough: double-check the full relation matrices agree
         flat = [_flat_layers(P, lay) for lay in prelays]
-        for i, li in enumerate(prelays):
-            for j, lj in enumerate(prelays):
-                lhs = _refines(flat[j], flat[i])
-                rhs = _refines(image_of[lj], image_of[li])
-                if lhs != rhs:
+        for i in range(len(prelays)):
+            for j in range(len(prelays)):
+                if _refines(flat[j], flat[i]) != _refines(images[j], images[i]):
                     return fail({"pair": [i, j], "reason": "order mismatch"})
 
+    ord_set = set(ords)
     for partition in preords:
-        refining: list[El] = []
+        refining: list[int] = []
         for block in partition:
-            remaining = set(block)
-            while remaining:
-                free = sorted(v for v in remaining if not (preds[v] & remaining))
-                if not free:
-                    return fail({"reason": "block not sortable", "block": sorted(block)})
-                refining.append(free[0])
-                remaining.discard(free[0])
-        candidate = tuple(frozenset([v]) for v in refining)
-        if candidate not in set(ords) or not _refines(candidate, partition):
+            sorts = _chains(need, block, _minimal_blocks, cap=1)
+            if not sorts:
+                return fail({"reason": "block not sortable", "block": _els(order, block)})
+            refining.extend(sorts[0])
+        candidate = tuple(refining)
+        if candidate not in ord_set or not _refines(candidate, partition):
             return fail(
                 {
-                    "pre_ordering": [sorted(b) for b in partition],
+                    "pre_ordering": [_els(order, b) for b in partition],
                     "reason": "not refined by any ordering",
                 }
             )

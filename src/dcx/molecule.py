@@ -31,6 +31,8 @@ from .ogposet import (
     OgPoset,
     _bits,
     _popcount,
+    closed_rows,
+    down_sets,
     find_iso,
     unique_iso,
 )
@@ -575,7 +577,8 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
 
     A split assigns each maximal element of dimension > k (a high element)
     to one side.  Only assignments meeting two necessary conditions are
-    tried (see :func:`_split_candidates`):
+    tried; :func:`_split_candidates` lists them as the down-sets (see
+    :func:`down_sets`) of the relation that these conditions define:
 
     - flow order: the left side is closed under predecessors in the maximal
       k-flow graph, self-loops ignored.  If a -> b with a in B and b in A,
@@ -658,56 +661,24 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
 def _split_candidates(P: OgPoset, high: list[El], k: int) -> list[int]:
     """Left sides worth trying for a k-split, as bitmasks over ``high``.
 
-    These are the nonempty proper subsets closed under flow predecessors and
-    under the same-side relation, in increasing order.
+    These are the nonempty proper down-sets of the flow-predecessor and
+    same-side relations, in increasing order (see :func:`down_sets`).
     """
     n = len(high)
     nd = len(P.counts)
     cl = [P.cl_el[d][i] for d, i in high]
     # need[p]: positions that must be on the left whenever p is
-    need = [1 << p for p in range(n)]
+    need = [0] * n
     for a, succ in enumerate(P.flow_masks(high, k)):
-        for b in _bits(succ & ~(1 << a)):
+        for b in _bits(succ):
             need[b] |= 1 << a
     for a in range(n):
         for b in range(a + 1, n):
             if any(cl[a][e] & cl[b][e] for e in range(k + 1, nd)):
                 need[a] |= 1 << b
                 need[b] |= 1 << a
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            acc = need[p]
-            for q in _bits(need[p]):
-                acc |= need[q]
-            if acc != need[p]:
-                need[p] = acc
-                changed = True
-    # up[p]: positions that must be on the right whenever p is
-    up = [0] * n
-    for p in range(n):
-        for q in _bits(need[p]):
-            up[q] |= 1 << p
-
-    out: list[int] = []
-
-    def rec(pos: int, left: int, right: int) -> None:
-        # Positions above pos are decided; decide pos, right side first, so
-        # that the bitmasks come out in increasing order.  Both sides stay
-        # closed (left under need, right under up), so an undecided position
-        # can go either way and every branch ends in a candidate.
-        while pos >= 0 and (left | right) >> pos & 1:
-            pos -= 1
-        if pos < 0:
-            out.append(left)
-            return
-        rec(pos - 1, left, right | up[pos])
-        rec(pos - 1, left | need[pos], right)
-
-    rec(n - 1, 0, 0)
     full = (1 << n) - 1
-    return [bits for bits in out if bits and bits != full]
+    return [bits for bits in down_sets(closed_rows(need), full) if bits and bits != full]
 
 
 def splits(U: Molecule, k: int) -> list[tuple[Closed, Closed]]:

@@ -153,10 +153,6 @@ class OgPoset:
             for i in range(c):
                 yield (d, i)
 
-    def has_element(self, el: El) -> bool:
-        d, i = el
-        return 0 <= d < len(self.counts) and 0 <= i < self.counts[d]
-
     def face_sets(self, el: El) -> tuple[tuple[int, ...], tuple[int, ...]]:
         d, i = el
         if d == 0:
@@ -188,13 +184,6 @@ class OgPoset:
                 acc |= self.dn_all[d][i]
             out[d - 1] |= acc
         return tuple(out)
-
-    def is_closed_masks(self, masks: Masks) -> bool:
-        for d in range(1, len(self.counts)):
-            for i in _bits(masks[d]):
-                if self.dn_all[d][i] & ~masks[d - 1]:
-                    return False
-        return True
 
     def maximal_masks(self, masks: Masks) -> Masks:
         """Elements of the subset with no coface inside the subset."""
@@ -520,6 +509,47 @@ def find_cycle(vertices: Iterable, edges: Iterable[tuple]) -> Optional[list]:
                 path.pop()
                 stack.pop()
     return None
+
+
+def closed_rows(rows: list[int]) -> list[int]:
+    """The reflexive-transitive closure of a relation given as bitmask rows."""
+    out = [row | 1 << p for p, row in enumerate(rows)]
+    for q in range(len(out)):
+        for p in range(len(out)):
+            if out[p] >> q & 1:
+                out[p] |= out[q]
+    return out
+
+
+def down_sets(need: list[int], within: int) -> Iterator[int]:
+    """The down-sets of ``within``, in increasing bitmask order.
+
+    ``need[p]`` holds the positions that must be in a set whenever p is, as
+    rows of a reflexive-transitive closure (:func:`closed_rows`).  Yields
+    each subset S of ``within`` that holds ``need[p] & within`` for every p
+    in S, the empty set first.  When ``within`` is convex (it holds whatever
+    lies between two of its members), paths between members stay inside
+    it, so these are exactly the down-sets of the induced relation.
+
+    Positions are decided from the highest down, "out" first.  Deciding one
+    adds its row (in) or column (out), so both sides stay closed and each
+    undecided position can still go either way: every branch ends in a
+    down-set, and the search is output-sensitive.
+    """
+    up = [0] * len(need)
+    for p in _bits(within):
+        for q in _bits(need[p] & within):
+            up[q] |= 1 << p
+    stack = [(0, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        todo = within & ~(inside | outside)
+        if not todo:
+            yield inside
+            continue
+        p = todo.bit_length() - 1
+        stack.append((inside | need[p] & within, outside))
+        stack.append((inside, outside | up[p]))
 
 
 # -- isomorphism search -------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .ogposet import _bits
+from .ogposet import _bits, _popcount
 
 
 class FinPoset:
@@ -48,23 +48,11 @@ class FinPoset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.leq(i, j) or self.leq(j, i)
-
     def up_mask(self, i: int) -> int:
         return self._up[i] & ~(1 << i)
 
     def down_mask(self, i: int) -> int:
         return self._dn[i] & ~(1 << i)
-
-    def up_set(self, i: int) -> list[int]:
-        return list(_bits(self.up_mask(i)))
-
-    def down_set(self, i: int) -> list[int]:
-        return list(_bits(self.down_mask(i)))
 
     def maximal(self) -> list[int]:
         return [i for i in range(self.n) if not self.up_mask(i)]
@@ -162,11 +150,8 @@ class FinPoset:
         if self.n != other.n:
             return False
 
-        def popcount(x):
-            return bin(x).count("1")
-
-        inv_s = [(popcount(self.down_mask(i)), popcount(self.up_mask(i))) for i in range(self.n)]
-        inv_o = [(popcount(other.down_mask(i)), popcount(other.up_mask(i))) for i in range(other.n)]
+        inv_s = [(_popcount(self.down_mask(i)), _popcount(self.up_mask(i))) for i in range(self.n)]
+        inv_o = [(_popcount(other.down_mask(i)), _popcount(other.up_mask(i))) for i in range(other.n)]
         if sorted(inv_s) != sorted(inv_o):
             return False
         cand = {

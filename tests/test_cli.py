@@ -108,6 +108,15 @@ def test_malformed_element_limit_exits_2(files, capsys, monkeypatch, value):
     assert code == 2 and "over DCX_ELEMENT_LIMIT=3" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_element_limit_exits_2(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", value)
+    for argv in (["check", "molecule", files["horiz"]], ["cx", "molecules", files["triangle"]]):
+        code, out = call(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == f"DCX_ELEMENT_LIMIT={value!r} is not positive"
+
+
 def test_python_dash_m_runs_the_cli(files):
     env = dict(os.environ)
     src = str(Path(dcx.__file__).resolve().parents[1])

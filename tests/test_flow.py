@@ -1,7 +1,12 @@
+import itertools
+
 import networkx as nx
 import pytest
 
+import dcx.flow as flow
 from dcx import (
+    FinPoset,
+    FlowGraph,
     PreconditionError,
     check_layering_theory,
     frame_dim,
@@ -18,6 +23,8 @@ from dcx import (
     pre_layerings,
     pre_orderings,
 )
+from dcx.flow import _chains, _minimal_blocks
+from dcx.ogposet import down_sets
 
 
 def test_frame_dim_examples(horiz, vert):
@@ -175,3 +182,137 @@ def test_flow_graph_acyclic_at_top_for_frame_acyclic(corpus):
 
             m = Molecule(Q)
             assert maxflow(m, m.dim - 1).is_acyclic()
+
+
+# -- the enumerations that down_sets replaced, kept as oracles ----------------
+
+
+def predecessors(fg):
+    """The predecessors of each vertex, self-loops left out."""
+    preds = {v: set() for v in fg.vertices}
+    for a, b in fg.edges:
+        if a != b:
+            preds[b].add(a)
+    return preds
+
+
+def oracle_ordered_partitions(fg):
+    """Every ordered partition whose blocks are predecessor-closed in what
+    is left, each block drawn from all subsets by ``itertools``."""
+    preds = predecessors(fg)
+    out = []
+
+    def rec(remaining, acc):
+        if not remaining:
+            out.append(tuple(acc))
+            return
+        rem = sorted(remaining)
+        for r in range(1, len(rem) + 1):
+            for combo in itertools.combinations(rem, r):
+                block = frozenset(combo)
+                if all(preds[v] & remaining <= block for v in block):
+                    rec(remaining - block, acc + [block])
+
+    rec(frozenset(fg.vertices), [])
+    return out
+
+
+def oracle_topological_sorts(fg):
+    """Topological sorts, the smallest free vertex tried first."""
+    preds = predecessors(fg)
+    out = []
+
+    def rec(remaining, acc):
+        if not remaining:
+            out.append(tuple(acc))
+            return
+        for v in sorted(remaining):
+            if not preds[v] & remaining:
+                rec(remaining - {v}, acc + [v])
+
+    rec(frozenset(fg.vertices), [])
+    return out
+
+
+def oracle_partition_covers(partition, preds):
+    """Every split of one block in two, by all 2^n - 2 assignments."""
+    out = set()
+    for i, block in enumerate(partition):
+        members = sorted(block)
+        n = len(members)
+        for assign in range(1, (1 << n) - 1):
+            first = frozenset(members[t] for t in range(n) if assign >> t & 1)
+            second = block - first
+            if not any(preds[v] & second for v in first):
+                out.add(partition[:i] + (first, second) + partition[i + 1:])
+    return out
+
+
+def pre_ordering_key(partition):
+    return [sorted(b) for b in partition]
+
+
+def assert_flow_matches_oracles(fg):
+    order, need = fg._need()
+    full = (1 << len(order)) - 1
+    parts = _chains(need, full, down_sets)
+    frozen = [flow._frozen(order, c) for c in parts]
+    oracle = oracle_ordered_partitions(fg)
+    assert sorted(frozen, key=pre_ordering_key) == sorted(oracle, key=pre_ordering_key)
+    assert len(set(frozen)) == len(frozen)
+    assert fg.topological_sorts() == oracle_topological_sorts(fg)
+    preds = predecessors(fg)
+    for part, ints in zip(frozen, parts):
+        covers = {flow._frozen(order, c) for c in flow._partition_covers(ints, need)}
+        assert covers == oracle_partition_covers(part, preds)
+    return oracle
+
+
+def test_flow_enumerations_match_oracles(corpus):
+    cases = 0
+    for mol in corpus[:60]:
+        for k in range(-1, mol.dim + 1):
+            fg = maxflow(mol, k)
+            if len(fg.vertices) > 5:
+                continue
+            cases += 1
+            oracle = assert_flow_matches_oracles(fg)
+            items = sorted(oracle, key=pre_ordering_key)
+            expect = FinPoset.from_leq(items, lambda coarse, fine: flow._refines(fine, coarse))
+            po = pre_orderings(mol, k)
+            assert po.elements == items
+            pairs = [(i, j) for i in range(po.n) for j in range(po.n)]
+            assert [po.leq(i, j) for i, j in pairs] == [expect.leq(i, j) for i, j in pairs]
+            assert orderings(mol, k) == [
+                tuple(frozenset([v]) for v in s) for s in oracle_topological_sorts(fg)
+            ]
+    assert cases >= 150
+
+
+def test_cyclic_flow_graph_keeps_the_cycle_in_one_block():
+    a, b, c, d = (1, 0), (1, 1), (1, 2), (1, 3)
+    fg = FlowGraph((c, a, d, b), frozenset({(a, b), (b, a), (b, c), (c, d), (d, d)}))
+    assert not fg.is_acyclic()
+    assert fg.topological_sorts() == []
+    oracle = assert_flow_matches_oracles(fg)
+    assert sorted(oracle, key=pre_ordering_key) == [
+        (frozenset({a, b}), frozenset({c}), frozenset({d})),
+        (frozenset({a, b}), frozenset({c, d})),
+        (frozenset({a, b, c}), frozenset({d})),
+        (frozenset({a, b, c, d}),),
+    ]
+
+
+def test_cap_is_an_upper_bound():
+    # four unrelated vertices: 24 orderings and 75 pre-orderings
+    fg = FlowGraph(tuple((1, i) for i in range(4)), frozenset())
+    order, need = fg._need()
+    full = (1 << len(order)) - 1
+    sorts = fg.topological_sorts()
+    chains = _chains(need, full, _minimal_blocks)
+    parts = _chains(need, full, down_sets)
+    assert (len(sorts), len(chains), len(parts)) == (24, 24, 75)
+    for cap in (0, 1, 2, 23, 24, 25, 100):
+        assert fg.topological_sorts(cap=cap) == sorts[:cap]
+        assert _chains(need, full, _minimal_blocks, cap) == chains[:cap]
+        assert _chains(need, full, down_sets, cap) == parts[:cap]

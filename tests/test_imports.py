@@ -1,9 +1,13 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+function, method and class it defines is read somewhere.
 
-A stdlib ``ast`` scan: a name bound by an import must be read somewhere in
+Stdlib ``ast`` scans.  A name bound by an import must be read somewhere in
 the module, in code or in a quoted annotation.  ``__init__.py`` is left
 out, since its imports are the package's public names, and so is an
-explicit re-export written ``from m import x as x``.
+explicit re-export written ``from m import x as x``.  A definition (dunders
+excepted) must be read as a name, an attribute or an imported name
+somewhere in the package, its tests or perfbench; a mention in a docstring
+does not count.
 """
 import ast
 from pathlib import Path
@@ -11,6 +15,7 @@ from pathlib import Path
 import dcx
 
 PACKAGE = Path(dcx.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -76,3 +81,75 @@ def test_no_unused_imports():
         if path.name != "__init__.py":
             found.extend(unused_imports(path))
     assert found == []
+
+
+def definitions(path: Path) -> list[tuple[int, str]]:
+    """Functions, methods and classes defined in a module, dunders excepted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def reads(path: Path) -> set[str]:
+    """Names a module reads: loaded names and attributes, imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unused_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
+    used = set().union(*(reads(path) for path in reading))
+    return [
+        f"{path.name}:{line}: {name}"
+        for path in defining
+        for line, name in definitions(path)
+        if name not in used
+    ]
+
+
+def test_scan_finds_an_unused_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Shape:\n"
+        "    def __init__(self):\n"
+        "        self.stored = 1\n"
+        "    def area(self):\n"
+        "        '''Unlike helper, this is called.'''\n"
+        "        return self.side()\n"
+        "    def side(self):\n"
+        "        return 2\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "Shape().area()\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from mod import exported\n", encoding="utf-8")
+    assert unused_definitions([mod], [mod, user]) == ["mod.py:9: stored", "mod.py:11: helper"]
+    assert unused_definitions([mod], [mod]) == [
+        "mod.py:9: stored",
+        "mod.py:11: helper",
+        "mod.py:13: exported",
+    ]
+
+
+def test_every_definition_is_read():
+    defining = sorted(PACKAGE.glob("*.py"))
+    reading = defining + sorted((ROOT / "tests").rglob("*.py"))
+    reading += sorted((ROOT / "perfbench").rglob("*.py"))
+    assert unused_definitions(defining, reading) == []

@@ -142,6 +142,14 @@ def test_oriental_is_atom():
         assert oriental(n).greatest() is not None
 
 
+def test_is_atom():
+    for mol in (point(), path(1), globe(2), oriental(3), atom(path(2), path(1))):
+        assert mol.is_atom()
+    horiz = paste(globe(2), globe(2), 0)
+    for mol in (path(2), horiz, paste(globe(2), globe(2), 1)):
+        assert not mol.is_atom()
+
+
 def test_oriental_labels_are_subsets():
     mol, labels = oriental_with_labels(3)
     assert len(labels) == 15

@@ -25,6 +25,7 @@ from dcx import (
     unique_iso,
     validate,
 )
+from dcx.ogposet import _bits, closed_rows, down_sets
 
 
 def test_validate_point():
@@ -324,3 +325,75 @@ def test_canonical_key_invariant_under_relabelling(corpus):
             assert Q.canonical_key() == mol.key
             iso = find_iso(mol.poset, Q)
             assert iso is not None and iso.verify()
+
+
+# -- down-sets of a closed relation ---------------------------------------
+
+
+def warshall(rows):
+    """Reflexive-transitive closure on a boolean matrix, as bitmask rows."""
+    n = len(rows)
+    reach = [[p == q or bool(rows[p] >> q & 1) for q in range(n)] for p in range(n)]
+    for m in range(n):
+        for p in range(n):
+            for q in range(n):
+                reach[p][q] = reach[p][q] or (reach[p][m] and reach[m][q])
+    return [sum(1 << q for q in range(n) if reach[p][q]) for p in range(n)]
+
+
+def brute_down_sets(need, within):
+    """Every subset of ``within`` holding ``need[p] & within`` for each
+    member p, by a scan of all bitmasks in increasing order."""
+    return [
+        s
+        for s in range(within + 1)
+        if s & ~within == 0 and all(need[p] & within & ~s == 0 for p in _bits(s))
+    ]
+
+
+def random_relations(seed, count=300):
+    """Random relations on up to 8 points, cycles included, each with a full
+    and a convex ``within``: the difference of two down-sets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        density = rng.choice([0.1, 0.25, 0.5])
+        rows = [
+            sum(1 << q for q in range(n) if q != p and rng.random() < density)
+            for p in range(n)
+        ]
+        need = warshall(rows)
+
+        def down_set(chance):
+            acc = 0
+            for p in range(n):
+                if rng.random() < chance:
+                    acc |= need[p]
+            return acc
+
+        yield rows, need, (1 << n) - 1
+        yield rows, need, down_set(0.5) & ~down_set(0.15)
+
+
+def test_closed_rows_is_warshall():
+    for rows, need, _within in random_relations(1):
+        assert closed_rows(rows) == need
+    assert closed_rows([]) == []
+
+
+def test_down_sets_match_brute_force():
+    cyclic = 0
+    for rows, need, within in random_relations(2):
+        got = list(down_sets(need, within))
+        assert got == brute_down_sets(need, within)
+        assert got[0] == 0 and got == sorted(set(got))
+        n = len(need)
+        cyclic += any(need[q] >> p & 1 for p in range(n) for q in _bits(need[p]) if q != p)
+    assert cyclic > 50
+    assert list(down_sets([], 0)) == [0]
+
+
+def test_down_sets_of_a_convex_set_are_those_of_the_induced_relation():
+    for rows, need, within in random_relations(3):
+        induced = warshall([row & within if within >> p & 1 else 0 for p, row in enumerate(rows)])
+        assert list(down_sets(need, within)) == brute_down_sets(induced, within)
