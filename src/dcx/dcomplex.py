@@ -154,7 +154,7 @@ def restriction_problem(
             return f"element {el} maps to {cid}, which does not exist"
     for el in P.elements():
         cell = X.cell(labels[el])
-        clq, amb = P.extract(P.cl_el[el[0]][el[1]])
+        clq, amb = P.extract(P.cl_el[P.pos(el)])
         iso = find_iso(cell.shape.poset, clq)
         if iso is None:
             return f"element {el} is not shaped like its cell"
@@ -237,7 +237,7 @@ class PastingDiagram:
         """True iff the labelling is injective on the closure of each element."""
         P = self.shape.poset
         for el in P.elements():
-            cl = P.cl_el[el[0]][el[1]]
+            cl = P.cl_el[P.pos(el)]
             seen = set()
             for sub in P.masks_els(cl):
                 cid = self.labels[sub]

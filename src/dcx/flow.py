@@ -26,17 +26,12 @@ Partition = tuple[frozenset, ...]
 
 
 def frame_dim_masks(P: OgPoset, masks: Masks) -> int:
-    mx = P.masks_els(P.maximal_masks(masks))
-    acc = [0] * len(P.counts)
-    for a in range(len(mx)):
-        da, ia = mx[a]
-        cla = P.cl_el[da][ia]
-        for b in range(a + 1, len(mx)):
-            db, ib = mx[b]
-            clb = P.cl_el[db][ib]
-            for d in range(min(len(cla), len(clb))):
-                acc[d] |= cla[d] & clb[d]
-    return P.masks_dim(tuple(acc))
+    cl = [P.cl_el[p] for p in _bits(P.maximal_masks(masks))]
+    acc = 0
+    for a in range(len(cl)):
+        for b in range(a + 1, len(cl)):
+            acc |= cl[a] & cl[b]
+    return P.masks_dim(acc)
 
 
 def frame_dim(U: Molecule) -> int:
@@ -74,8 +69,9 @@ class FlowGraph:
 
 
 def maxflow_masks(P: OgPoset, masks: Masks, k: int) -> FlowGraph:
-    mx = [el for el in P.masks_els(P.maximal_masks(masks)) if el[0] > k]
-    succ = P.flow_masks(mx, k)
+    high = P.maximal_masks(masks) & ~P.upto(k)
+    mx = P.masks_els(high)
+    succ = P.flow_masks(high, k)
     edges = frozenset(
         (mx[a], mx[b]) for a in range(len(mx)) for b in _bits(succ[a])
     )
@@ -105,8 +101,10 @@ def _prelayerings_masks(P: OgPoset, masks: Masks, k: int) -> list[Layering]:
 
 def _sorted_prelayerings(P: OgPoset, k: int) -> list[Layering]:
     """The k-pre-layerings of the whole poset, sorted.  For k < 0 only the
-    trivial pre-layering exists."""
-    return sorted(_prelayerings_masks(P, P.full_masks(), k))
+    trivial pre-layering exists.  Layers compare by their per-dimension
+    view."""
+    items = _prelayerings_masks(P, P.full_masks(), k)
+    return sorted(items, key=lambda lay: tuple(map(P.masks_by_dim, lay)))
 
 
 def pre_layerings(U: Molecule, k: int) -> FinPoset:
@@ -117,21 +115,16 @@ def pre_layerings(U: Molecule, k: int) -> FinPoset:
     """
     P = U.poset
     items = _sorted_prelayerings(P, k)
-    flat = [_flat_layers(P, lay) for lay in items]
     elements = [tuple(Closed(P, m) for m in lay) for lay in items]
-    leq = [[_refines(fine, coarse) for fine in flat] for coarse in flat]
+    leq = [[_refines(fine, coarse) for fine in items] for coarse in items]
     return FinPoset(elements, leq)
-
-
-def _flat_layers(P: OgPoset, lay: Layering) -> tuple[int, ...]:
-    return tuple(P.flatten_masks(m) for m in lay)
 
 
 def _refines(fine: tuple, coarse: tuple) -> bool:
     """True iff ``fine`` refines ``coarse`` by grouping consecutive blocks.
 
-    Blocks are anything with ``|`` as union and ``==``: flattened layers
-    or blocks of vertices.
+    Blocks are anything with ``|`` as union and ``==``: layers or blocks of
+    vertices.
     """
     j = 0
     for block in coarse:
@@ -197,11 +190,11 @@ def _frozen(order: tuple[El, ...], partition: tuple[int, ...]) -> Partition:
     return tuple(frozenset(_els(order, block)) for block in partition)
 
 
-def _layer_blocks(order: tuple[El, ...], lay: Layering) -> tuple[int, ...]:
-    """Block i holds the positions of the flow vertices lying in layer i."""
+def _layer_blocks(P: OgPoset, order: tuple[El, ...], lay: Layering) -> tuple[int, ...]:
+    """Block i holds the positions in ``order`` of the flow vertices lying in
+    layer i."""
     return tuple(
-        sum(1 << p for p, (d, i) in enumerate(order) if layer[d] >> i & 1)
-        for layer in lay
+        sum(1 << p for p, v in enumerate(order) if layer >> P.pos(v) & 1) for layer in lay
     )
 
 
@@ -224,7 +217,8 @@ def layering_to_ordering(U: Molecule, layering: tuple[Closed, ...], k: int) -> P
     """Block i of the induced partition holds the flow-graph vertices lying
     in layer i."""
     order = tuple(sorted(maxflow(U, k).vertices))
-    return _frozen(order, _layer_blocks(order, tuple(layer.masks for layer in layering)))
+    lay = tuple(layer.masks for layer in layering)
+    return _frozen(order, _layer_blocks(U.poset, order, lay))
 
 
 # -- frame-acyclicity ----------------------------------------------------------
@@ -309,14 +303,14 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
     report["orderings"] = len(ords)
     if not lays:
         return fail("no layering exists")
-    mapped = [_layer_blocks(order, lay) for lay in lays]
+    mapped = [_layer_blocks(P, order, lay) for lay in lays]
     if len(set(mapped)) != len(mapped) or set(mapped) != set(ords):
         return fail("layerings do not biject with orderings")
 
     preords = _chains(need, full, down_sets, cap=len(prelays) + 1)
     report["pre_layerings"] = len(prelays)
     report["pre_orderings"] = len(preords)
-    images = [_layer_blocks(order, lay) for lay in prelays]
+    images = [_layer_blocks(P, order, lay) for lay in prelays]
     if len(set(images)) != len(prelays) or set(images) != set(preords):
         return fail("pre-layerings do not biject with pre-orderings")
     image_of = dict(zip(prelays, images))
@@ -332,10 +326,9 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
             )
     if len(prelays) <= 400:
         # small enough: double-check the full relation matrices agree
-        flat = [_flat_layers(P, lay) for lay in prelays]
         for i in range(len(prelays)):
             for j in range(len(prelays)):
-                if _refines(flat[j], flat[i]) != _refines(images[j], images[i]):
+                if _refines(prelays[j], prelays[i]) != _refines(images[j], images[i]):
                     return fail({"pair": [i, j], "reason": "order mismatch"})
 
     ord_set = set(ords)

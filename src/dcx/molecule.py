@@ -20,6 +20,7 @@ from .errors import (
     BoundaryMismatchError,
     NotParallelError,
     NotRoundError,
+    PreconditionError,
 )
 from .ogposet import (
     MINUS,
@@ -30,7 +31,6 @@ from .ogposet import (
     OgIso,
     OgPoset,
     _bits,
-    _popcount,
     closed_rows,
     down_sets,
     find_iso,
@@ -237,8 +237,14 @@ def atom(U: Molecule, V: Molecule) -> Molecule:
 _globes: dict[int, Molecule] = {}
 
 
+def _check_size(what: str, n: int) -> None:
+    if n < 0:
+        raise PreconditionError(f"{what} needs a size >= 0, got {n}")
+
+
 def globe(k: int) -> Molecule:
     """The k-globe: the point for k = 0, otherwise an atom on two (k-1)-globes."""
+    _check_size("globe", k)
     if k not in _globes:
         _globes[k] = point() if k == 0 else atom(globe(k - 1), globe(k - 1))
     return _globes[k]
@@ -246,6 +252,7 @@ def globe(k: int) -> Molecule:
 
 def path(k: int) -> Molecule:
     """The 0-composite of k arrows (the point when k = 0)."""
+    _check_size("path", k)
     out = point() if k == 0 else arrow()
     for _ in range(k - 1):
         out = paste(out, arrow(), 0)
@@ -364,6 +371,7 @@ def oriental_with_labels(n: int):
     Returns ``(Molecule, labels)`` with ``labels`` a dict from frozensets of
     vertices to elements.
     """
+    _check_size("oriental", n)
     mol = point()
     labels: dict[frozenset, El] = {frozenset([0]): (0, 0)}
     for v in range(1, n + 1):
@@ -431,18 +439,8 @@ def theta_from_tree(tree) -> Molecule:
 def is_round_masks(P: OgPoset, masks: Masks) -> bool:
     d = P.masks_dim(masks)
     for k in range(d):
-        lower = [
-            P.boundary_masks(masks, k - 1, MINUS),
-            P.boundary_masks(masks, k - 1, PLUS),
-        ]
-        union = tuple(a | b for a, b in zip(*lower))
-        inter = tuple(
-            a & b
-            for a, b in zip(
-                P.boundary_masks(masks, k, MINUS),
-                P.boundary_masks(masks, k, PLUS),
-            )
-        )
+        union = P.boundary_masks(masks, k - 1, MINUS) | P.boundary_masks(masks, k - 1, PLUS)
+        inter = P.boundary_masks(masks, k, MINUS) & P.boundary_masks(masks, k, PLUS)
         if union != inter:
             return False
     return True
@@ -471,14 +469,16 @@ def _path_edge_order(P: OgPoset, masks: Masks) -> Optional[list[int]]:
     None unless the subset is a directed path."""
     succ: dict[int, int] = {}
     has_pred: set[int] = set()
-    for e in _bits(masks[1]):
+    els = P.masks_els(masks)
+    vertices = [i for d, i in els if d == 0]
+    for _, e in els[len(vertices):]:
         mn, pl = P.faces[1][e]
         if len(mn) != 1 or len(pl) != 1 or mn[0] in succ or pl[0] in has_pred:
             return None
         succ[mn[0]] = e
         has_pred.add(pl[0])
-    starts = [v for v in _bits(masks[0]) if v not in has_pred]
-    if len(starts) != 1 or len(starts) + len(has_pred) != _popcount(masks[0]):
+    starts = [v for v in vertices if v not in has_pred]
+    if len(starts) != 1 or len(starts) + len(has_pred) != len(vertices):
         return None
     order = []
     v = starts[0]
@@ -504,14 +504,13 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if d < 0:
         return None
     if d == 0:
-        return POINT_CERT if P.masks_size(masks) == 1 else None
+        return POINT_CERT if masks.bit_count() == 1 else None
     if not P.connected_masks(masks):
         return None
     if d == 1:
         order = _path_edge_order(P, masks)
         return None if order is None else _path_cert(len(order))
-    top = P.maximal_masks(masks)
-    if P.masks_size(top) == 1:
+    if P.maximal_masks(masks).bit_count() == 1:
         return _atom_cert(P, masks)
     for k in range(d - 1, -1, -1):
         for left, right in splits_masks(P, masks, k):
@@ -529,10 +528,7 @@ def _atom_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
     d = P.masks_dim(masks)
     um = P.boundary_masks(masks, d - 1, MINUS)
     up = P.boundary_masks(masks, d - 1, PLUS)
-    top = P.maximal_masks(masks)
-    body = tuple(a | b for a, b in zip(um, up))
-    rest = tuple(m & ~t for m, t in zip(masks, top))
-    if body != rest:
+    if um | up != masks & ~P.maximal_masks(masks):
         return None
     if P.masks_dim(um) != d - 1 or P.masks_dim(up) != d - 1:
         return None
@@ -615,38 +611,30 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
                 right = P.closure_masks(P.el_masks((1, e) for e in order[cut:]))
                 out.append((left, right))
     else:
-        mx = P.maximal_masks(masks)
-        high = [el for el in P.masks_els(mx) if el[0] > k]
-        nd = len(P.counts)
+        high = P.maximal_masks(masks) & ~P.upto(k)
+        closures = [P.cl_el[p] for p in _bits(high)]
+        low = masks & P.upto(k)
         for bits in _split_candidates(P, high, k):
-            cla = [0] * nd
-            clb = [0] * nd
-            for pos, (hd, hi) in enumerate(high):
-                target = cla if bits >> pos & 1 else clb
-                cl = P.cl_el[hd][hi]
-                for e in range(len(cl)):
-                    target[e] |= cl[e]
-            seed = [a & b for a, b in zip(cla, clb)]
-            for e in range(min(k + 1, nd)):
-                seed[e] |= masks[e] & ~(cla[e] | clb[e])
-            membrane = P.closure_masks(tuple(seed))
+            cla = clb = 0
+            for n, cl in enumerate(closures):
+                if bits >> n & 1:
+                    cla |= cl
+                else:
+                    clb |= cl
+            membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
             while True:
-                side_a = tuple(a | m for a, m in zip(cla, membrane))
-                side_b = tuple(b | m for b, m in zip(clb, membrane))
-                grow = [0] * nd
-                grow[k] = P.delta_masks(side_a, k, PLUS) | P.delta_masks(
-                    side_b, k, MINUS
+                left, right = cla | membrane, clb | membrane
+                grow = P.closure_masks(
+                    P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
                 )
-                grow_cl = P.closure_masks(tuple(grow))
-                if all(g & ~m == 0 for g, m in zip(grow_cl, membrane)):
+                if grow & ~membrane == 0:
                     break
-                membrane = tuple(m | g for m, g in zip(membrane, grow_cl))
-            left, right = side_a, side_b
+                membrane |= grow
             if left == masks or right == masks:
                 continue
-            if tuple(l | r for l, r in zip(left, right)) != masks:
+            if left | right != masks:
                 continue
-            inter = tuple(l & r for l, r in zip(left, right))
+            inter = left & right
             if P.boundary_masks(left, k, PLUS) != inter:
                 continue
             if P.boundary_masks(right, k, MINUS) != inter:
@@ -658,23 +646,24 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     yield from out
 
 
-def _split_candidates(P: OgPoset, high: list[El], k: int) -> list[int]:
-    """Left sides worth trying for a k-split, as bitmasks over ``high``.
+def _split_candidates(P: OgPoset, high: Masks, k: int) -> list[int]:
+    """Left sides worth trying for a k-split, as bitmasks over the members
+    of ``high`` listed in position order.
 
     These are the nonempty proper down-sets of the flow-predecessor and
     same-side relations, in increasing order (see :func:`down_sets`).
     """
-    n = len(high)
-    nd = len(P.counts)
-    cl = [P.cl_el[d][i] for d, i in high]
-    # need[p]: positions that must be on the left whenever p is
+    above = ~P.upto(k)
+    cl = [P.cl_el[p] & above for p in _bits(high)]
+    n = len(cl)
+    # need[a]: the members of high that must be on the left whenever a is
     need = [0] * n
     for a, succ in enumerate(P.flow_masks(high, k)):
         for b in _bits(succ):
             need[b] |= 1 << a
     for a in range(n):
         for b in range(a + 1, n):
-            if any(cl[a][e] & cl[b][e] for e in range(k + 1, nd)):
+            if cl[a] & cl[b]:
                 need[a] |= 1 << b
                 need[b] |= 1 << a
     full = (1 << n) - 1
@@ -739,19 +728,15 @@ class Submolecule:
 def submolecules(U: Molecule) -> list[Submolecule]:
     P = U.poset
     table = submolecules_masks(P, P.full_masks())
-    return [Submolecule(Closed(P, m), w) for m, w in sorted(table.items())]
+    order = sorted(table, key=P.masks_by_dim)
+    return [Submolecule(Closed(P, m), table[m]) for m in order]
 
 
 def factors_through_atom(U: Molecule, V: Closed) -> bool:
     """True iff V is contained in the closure of a single element of U."""
     P = U.poset
     top = P.maximal_masks(P.full_masks())
-    for d in range(len(P.counts) - 1, -1, -1):
-        for i in _bits(top[d]):
-            cl = P.cl_el[d][i]
-            if all(v & ~c == 0 for v, c in zip(V.masks, cl)):
-                return True
-    return False
+    return any(V.masks & ~P.cl_el[p] == 0 for p in _bits(top))
 
 
 def molecule_iso(U: Molecule, V: Molecule) -> Optional[OgIso]:

@@ -2,9 +2,17 @@
 
 An oriented graded poset is a finite graded poset in which the faces of
 every element are partitioned into an input side and an output side.
-Elements are addressed as ``(dim, index)`` pairs.  Closed subsets are
-represented as one bitmask per dimension, which keeps the closure and
-boundary calculus cheap enough for exhaustive searches.
+Elements are addressed as ``(dim, index)`` pairs.  Each element also has a
+position, its rank in ``(dim, index)`` order, and a subset of the poset is
+one int: bit p is set when the element at position p belongs to it.  The
+closure and boundary calculus is then a few whole-int operations over
+per-position tables of faces, cofaces and single-element closures, cheap
+enough for exhaustive searches.
+
+Only this module knows the layout.  Other modules build subsets from
+elements (:meth:`OgPoset.el_masks`), read them back
+(:meth:`OgPoset.masks_els`) and cut them by dimension
+(:meth:`OgPoset.upto`); they never compute a position themselves.
 """
 from __future__ import annotations
 
@@ -18,11 +26,10 @@ from .errors import (
 )
 
 El = tuple[int, int]
-Masks = tuple[int, ...]
+Masks = int
 
 MINUS = "-"
 PLUS = "+"
-SIDES = (MINUS, PLUS)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -32,23 +39,33 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _union(table: list[int], mask: int) -> int:
+    """The union of ``table[p]`` over the positions p in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class OgPoset:
     """A validated oriented graded poset.
 
     ``faces[d][i]`` holds the pair ``(minus, plus)`` of sorted index tuples
-    into dimension ``d - 1``; dimension 0 carries no face data.  Instances
-    are immutable after construction and cache derived tables (cofaces,
-    single-element closures, canonical form, memoised searches).
+    into dimension ``d - 1``; dimension 0 carries no face data.  Indexed by
+    position, ``dn_minus``/``dn_plus``/``dn_all`` hold an element's input,
+    output and all faces, ``up_minus``/``up_plus``/``up_all`` its cofaces
+    by side, and ``cl_el`` its closure, each as a subset.  Instances are
+    immutable and cache their canonical form and memoised searches.
     """
 
     __slots__ = (
         "counts",
         "faces",
         "regular",
+        "_offsets",
+        "_els",
         "dn_minus",
         "dn_plus",
         "dn_all",
@@ -103,41 +120,32 @@ class OgPoset:
                     )
 
     def _build_tables(self):
-        nd = len(self.counts)
-        self.dn_minus = [[0] * c for c in self.counts]
-        self.dn_plus = [[0] * c for c in self.counts]
-        self.dn_all = [[0] * c for c in self.counts]
-        self.up_minus = [[0] * c for c in self.counts]
-        self.up_plus = [[0] * c for c in self.counts]
-        self.up_all = [[0] * c for c in self.counts]
-        for d in range(1, nd):
+        offsets = [0]
+        for c in self.counts:
+            offsets.append(offsets[-1] + c)
+        self._offsets = tuple(offsets)
+        self._els = [(d, i) for d, c in enumerate(self.counts) for i in range(c)]
+        n = offsets[-1]
+        self.dn_minus = [0] * n
+        self.dn_plus = [0] * n
+        self.up_minus = [0] * n
+        self.up_plus = [0] * n
+        for d in range(1, len(self.counts)):
+            base = offsets[d - 1]
             for i, (mn, pl) in enumerate(self.faces[d]):
-                m = 0
+                p = offsets[d] + i
                 for j in mn:
-                    m |= 1 << j
-                    self.up_minus[d - 1][j] |= 1 << i
-                p = 0
+                    self.dn_minus[p] |= 1 << base + j
+                    self.up_minus[base + j] |= 1 << p
                 for j in pl:
-                    p |= 1 << j
-                    self.up_plus[d - 1][j] |= 1 << i
-                self.dn_minus[d][i] = m
-                self.dn_plus[d][i] = p
-                self.dn_all[d][i] = m | p
-        for d in range(nd - 1):
-            for i in range(self.counts[d]):
-                self.up_all[d][i] = self.up_minus[d][i] | self.up_plus[d][i]
-        # downward closure of each single element
-        self.cl_el = [[None] * c for c in self.counts]
-        for d in range(nd):
-            for i in range(self.counts[d]):
-                masks = [0] * nd
-                masks[d] = 1 << i
-                for e in range(d, 0, -1):
-                    acc = 0
-                    for j in _bits(masks[e]):
-                        acc |= self.dn_all[e][j]
-                    masks[e - 1] = acc
-                self.cl_el[d][i] = tuple(masks)
+                    self.dn_plus[p] |= 1 << base + j
+                    self.up_plus[base + j] |= 1 << p
+        self.dn_all = [self.dn_minus[p] | self.dn_plus[p] for p in range(n)]
+        self.up_all = [self.up_minus[p] | self.up_plus[p] for p in range(n)]
+        # faces precede their cofaces, so each closure is built from finished ones
+        self.cl_el = []
+        for p in range(n):
+            self.cl_el.append((1 << p) | _union(self.cl_el, self.dn_all[p]))
 
     # -- basic queries ---------------------------------------------------
 
@@ -146,12 +154,10 @@ class OgPoset:
         return len(self.counts) - 1
 
     def size(self) -> int:
-        return sum(self.counts)
+        return len(self._els)
 
     def elements(self) -> Iterator[El]:
-        for d, c in enumerate(self.counts):
-            for i in range(c):
-                yield (d, i)
+        return iter(self._els)
 
     def face_sets(self, el: El) -> tuple[tuple[int, ...], tuple[int, ...]]:
         d, i = el
@@ -159,79 +165,82 @@ class OgPoset:
             return ((), ())
         return self.faces[d][i]
 
-    def empty_masks(self) -> Masks:
-        return (0,) * len(self.counts)
+    def pos(self, el: El) -> int:
+        """The position of an element; DanglingIndexError for a non-element."""
+        d, i = el
+        if not (0 <= d < len(self.counts) and 0 <= i < self.counts[d]):
+            raise DanglingIndexError(f"{tuple(el)} is not an element")
+        return self._offsets[d] + i
+
+    def upto(self, k: int) -> Masks:
+        """The elements of dimension at most k."""
+        return (1 << self._offsets[max(0, min(k + 1, len(self.counts)))]) - 1
 
     def full_masks(self) -> Masks:
-        return tuple((1 << c) - 1 for c in self.counts)
+        return (1 << len(self._els)) - 1
 
     def el_masks(self, els: Iterable[El]) -> Masks:
-        out = [0] * len(self.counts)
-        for d, i in els:
-            out[d] |= 1 << i
-        return tuple(out)
+        out = 0
+        for el in els:
+            out |= 1 << self.pos(el)
+        return out
 
     def masks_els(self, masks: Masks) -> list[El]:
-        return [(d, i) for d in range(len(masks)) for i in _bits(masks[d])]
+        return [self._els[p] for p in _bits(masks)]
+
+    def masks_by_dim(self, masks: Masks) -> tuple[int, ...]:
+        """The subset as one int per dimension, bit i standing for (d, i).
+
+        Submolecule lists and pre-layerings are sorted by this view, lowest
+        dimension most significant, and subdivision keys print it.
+        """
+        offs = self._offsets
+        return tuple(masks >> offs[d] & (1 << c) - 1 for d, c in enumerate(self.counts))
 
     # -- closure / boundary calculus --------------------------------------
 
     def closure_masks(self, masks: Masks) -> Masks:
-        out = list(masks) + [0] * (len(self.counts) - len(masks))
-        for d in range(len(self.counts) - 1, 0, -1):
-            acc = 0
-            for i in _bits(out[d]):
-                acc |= self.dn_all[d][i]
-            out[d - 1] |= acc
-        return tuple(out)
+        """The smallest closed subset holding ``masks``, by one sweep from the
+        highest position down: each element not yet covered adds its closure."""
+        out = 0
+        while masks:
+            out |= self.cl_el[masks.bit_length() - 1]
+            masks &= ~out
+        return out
 
     def maximal_masks(self, masks: Masks) -> Masks:
         """Elements of the subset with no coface inside the subset."""
-        out = []
-        for d in range(len(self.counts)):
-            above = masks[d + 1] if d + 1 < len(masks) else 0
-            m = 0
-            for i in _bits(masks[d]):
-                if not (self.up_all[d][i] & above):
-                    m |= 1 << i
-            out.append(m)
-        return tuple(out)
+        return masks & ~_union(self.dn_all, masks)
 
-    def delta_masks(self, masks: Masks, k: int, alpha: str) -> int:
-        """Dimension-k elements of the subset with no (-alpha)-coface inside it.
-
-        Returns a bitmask over dimension k.
-        """
-        if k < 0 or k >= len(self.counts) or not masks[k]:
+    def delta_masks(self, masks: Masks, k: int, alpha: str) -> Masks:
+        """Dimension-k elements of the subset with no (-alpha)-coface inside it."""
+        if k < 0:
             return 0
-        up = self.up_plus if alpha == MINUS else self.up_minus
-        above = masks[k + 1] if k + 1 < len(masks) else 0
-        out = 0
-        for i in _bits(masks[k]):
-            if not (up[k][i] & above):
-                out |= 1 << i
-        return out
+        below, at = self.upto(k - 1), self.upto(k)
+        above = masks & self.upto(k + 1) & ~at
+        side = self.dn_plus if alpha == MINUS else self.dn_minus
+        return masks & at & ~below & ~_union(side, above)
 
     def boundary_masks(self, masks: Masks, k: int, alpha: str) -> Masks:
-        """The alpha-side k-boundary of a closed subset, as a closed subset."""
-        if k < 0:
-            return self.empty_masks()
-        seed = [0] * len(self.counts)
-        if k < len(self.counts):
-            seed[k] = self.delta_masks(masks, k, alpha)
-        mx = self.maximal_masks(masks)
-        for d in range(min(k, len(self.counts))):
-            seed[d] |= mx[d]
-        return self.closure_masks(tuple(seed))
+        """The alpha-side k-boundary of a closed subset, as a closed subset.
 
-    def flow_masks(self, els: list[El], k: int) -> list[int]:
-        """The maximal k-flow rule on a list of elements.
-
-        Bit j of entry i is set iff the output k-frame of ``els[i]`` (the
-        dimension-k part of its output k-boundary) meets the input k-frame
-        of ``els[j]``.  Every entry is 0 for k < 0.
+        It is generated by the alpha-side δ at k and by the maximal elements
+        of dimension below k, which are those of the part of dimension at
+        most k; nothing above k + 1 is read.
         """
-        cl = [self.cl_el[d][i] for d, i in els]
+        if k < 0:
+            return 0
+        low = self.maximal_masks(masks & self.upto(k)) & self.upto(k - 1)
+        return self.closure_masks(low | self.delta_masks(masks, k, alpha))
+
+    def flow_masks(self, vertices: Masks, k: int) -> list[int]:
+        """The maximal k-flow rule on a set of elements, listed in position order.
+
+        Bit j of entry i is set iff the output k-frame of vertex i (the
+        dimension-k part of its output k-boundary) meets the input k-frame
+        of vertex j.  Every entry is 0 for k < 0.
+        """
+        cl = [self.cl_el[p] for p in _bits(vertices)]
         plus = [self.delta_masks(c, k, PLUS) for c in cl]
         minus = [self.delta_masks(c, k, MINUS) for c in cl]
         return [
@@ -239,57 +248,17 @@ class OgPoset:
         ]
 
     def masks_dim(self, masks: Masks) -> int:
-        for d in range(len(masks) - 1, -1, -1):
-            if masks[d]:
-                return d
-        return -1
-
-    def flat_offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for c in self.counts:
-            offs.append(offs[-1] + c)
-        return tuple(offs)
-
-    def flatten_masks(self, masks: Masks) -> int:
-        out = 0
-        shift = 0
-        for d, c in enumerate(self.counts):
-            if d < len(masks) and masks[d]:
-                out |= masks[d] << shift
-            shift += c
-        return out
-
-    def unflatten_masks(self, flat: int) -> Masks:
-        out = []
-        shift = 0
-        for c in self.counts:
-            out.append((flat >> shift) & ((1 << c) - 1))
-            shift += c
-        return tuple(out)
-
-    def masks_size(self, masks: Masks) -> int:
-        return sum(_popcount(m) for m in masks)
+        return self._els[masks.bit_length() - 1][0] if masks else -1
 
     def connected_masks(self, masks: Masks) -> bool:
-        """Connectivity of the subset in the undirected Hasse graph."""
-        els = self.masks_els(masks)
-        if not els:
-            return True
-        seen = {els[0]}
-        stack = [els[0]]
-        inset = set(els)
-        while stack:
-            d, i = stack.pop()
-            nbrs = []
-            if d > 0:
-                nbrs.extend((d - 1, j) for j in _bits(self.dn_all[d][i]))
-            if d + 1 < len(self.counts):
-                nbrs.extend((d + 1, j) for j in _bits(self.up_all[d][i]))
-            for nb in nbrs:
-                if nb in inset and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(inset)
+        """Connectivity of the subset in the undirected Hasse graph, by a
+        breadth-first search that grows one layer of neighbours at a time."""
+        seen = frontier = masks & -masks
+        while frontier:
+            nbrs = _union(self.dn_all, frontier) | _union(self.up_all, frontier)
+            frontier = nbrs & masks & ~seen
+            seen |= frontier
+        return seen == masks
 
     # -- extraction --------------------------------------------------------
 
@@ -303,23 +272,22 @@ class OgPoset:
         if regular is None:
             regular = self.regular
         nd = self.masks_dim(masks) + 1
-        newidx = [dict() for _ in range(nd)]
-        counts = []
+        counts = [0] * nd
+        faces: list[list] = [[] for _ in range(nd)]
+        newidx: dict[El, int] = {}
         to_ambient = {}
-        for d in range(nd):
-            ids = list(_bits(masks[d]))
-            counts.append(len(ids))
-            for new, old in enumerate(ids):
-                newidx[d][old] = new
-                to_ambient[(d, new)] = (d, old)
-        faces = [[] for _ in range(nd)]
-        for d in range(1, nd):
-            for old in _bits(masks[d]):
+        # positions run in (dim, index) order, so faces are renumbered first
+        for el in self.masks_els(masks):
+            d, old = el
+            newidx[el] = counts[d]
+            to_ambient[(d, counts[d])] = el
+            counts[d] += 1
+            if d:
                 mn, pl = self.faces[d][old]
                 faces[d].append(
                     (
-                        tuple(newidx[d - 1][j] for j in mn),
-                        tuple(newidx[d - 1][j] for j in pl),
+                        tuple(newidx[(d - 1, j)] for j in mn),
+                        tuple(newidx[(d - 1, j)] for j in pl),
                     )
                 )
         Q = OgPoset(counts, faces, regular=regular, _checked=True)
@@ -366,7 +334,7 @@ class Closed:
 
     def __init__(self, poset: OgPoset, masks: Masks):
         self.poset = poset
-        self.masks = tuple(masks)
+        self.masks = masks
 
     @classmethod
     def of(cls, poset: OgPoset, els: Iterable[El]) -> "Closed":
@@ -381,7 +349,7 @@ class Closed:
         return self.poset.masks_dim(self.masks)
 
     def size(self) -> int:
-        return self.poset.masks_size(self.masks)
+        return self.masks.bit_count()
 
     def elements(self) -> list[El]:
         return self.poset.masks_els(self.masks)
@@ -393,17 +361,19 @@ class Closed:
         return Closed(self.poset, self.poset.boundary_masks(self.masks, k, alpha))
 
     def delta(self, k: int, alpha: str) -> list[El]:
-        return [(k, i) for i in _bits(self.poset.delta_masks(self.masks, k, alpha))]
+        return self.poset.masks_els(self.poset.delta_masks(self.masks, k, alpha))
 
     def extract(self):
         return self.poset.extract(self.masks)
 
     def __contains__(self, el: El) -> bool:
-        d, i = el
-        return d < len(self.masks) and bool(self.masks[d] >> i & 1)
+        try:
+            return bool(self.masks >> self.poset.pos(el) & 1)
+        except DanglingIndexError:
+            return False
 
     def __le__(self, other: "Closed") -> bool:
-        return all(m & ~o == 0 for m, o in zip(self.masks, other.masks))
+        return self.masks & ~other.masks == 0
 
     def __eq__(self, other):
         return (
@@ -594,30 +564,26 @@ class OgIso:
         return f"OgIso({self.mapping})"
 
 
-def _initial_colors(P: OgPoset, el: El) -> tuple:
-    d, i = el
-    return (
-        d,
-        _popcount(P.dn_minus[d][i]),
-        _popcount(P.dn_plus[d][i]),
-        _popcount(P.up_minus[d][i]),
-        _popcount(P.up_plus[d][i]),
-    )
+def _tables(P: OgPoset) -> tuple:
+    return (P.dn_minus, P.dn_plus, P.up_minus, P.up_plus)
 
 
 def _refine(posets: list[OgPoset], colors: dict) -> dict:
-    """Stable colour refinement; colour ids are comparable across posets."""
+    """Stable colour refinement; colour ids are comparable across posets.
+
+    Colours are keyed by (poset, position).  An element's signature is its
+    colour and the sorted colours of its input faces, output faces, and the
+    cofaces having it as an input and as an output.
+    """
+    rows = [
+        ((p, q), [[(p, r) for r in _bits(table[q])] for table in _tables(P)])
+        for p, P in enumerate(posets)
+        for q in range(P.size())
+    ]
     while True:
         sigs = {}
-        for p, P in enumerate(posets):
-            for d in range(len(P.counts)):
-                for i in range(P.counts[d]):
-                    key = (p, d, i)
-                    mn = tuple(sorted(colors[(p, d - 1, j)] for j in _bits(P.dn_minus[d][i]))) if d else ()
-                    pl = tuple(sorted(colors[(p, d - 1, j)] for j in _bits(P.dn_plus[d][i]))) if d else ()
-                    um = tuple(sorted(colors[(p, d + 1, j)] for j in _bits(P.up_minus[d][i]))) if d + 1 < len(P.counts) else ()
-                    up = tuple(sorted(colors[(p, d + 1, j)] for j in _bits(P.up_plus[d][i]))) if d + 1 < len(P.counts) else ()
-                    sigs[key] = (colors[key], mn, pl, um, up)
+        for key, row in rows:
+            sigs[key] = (colors[key], *[tuple(sorted([colors[n] for n in ns])) for ns in row])
         ranking = {sig: n for n, sig in enumerate(sorted(set(sigs.values())))}
         new = {key: ranking[sig] for key, sig in sigs.items()}
         if len(set(new.values())) == len(set(colors.values())):
@@ -626,10 +592,12 @@ def _refine(posets: list[OgPoset], colors: dict) -> dict:
 
 
 def _start_colors(posets: list[OgPoset]) -> dict:
+    """Colour each element by its dimension and its numbers of faces and
+    cofaces on each side."""
     raw = {}
     for p, P in enumerate(posets):
-        for el in P.elements():
-            raw[(p,) + el] = _initial_colors(P, el)
+        for q, (d, _) in enumerate(P._els):
+            raw[(p, q)] = (d,) + tuple(table[q].bit_count() for table in _tables(P))
     ranking = {sig: n for n, sig in enumerate(sorted(set(raw.values())))}
     return {key: ranking[sig] for key, sig in raw.items()}
 
@@ -646,12 +614,13 @@ def _search(posets: list[OgPoset], leaf) -> None:
     the first poset is matched with each member from the second.  A stable,
     balanced, discrete colouring of a pair matches neighbour colours, so it
     is an isomorphism, and each isomorphism survives exactly one branch.
+    Members are ordered by position, which is ``(dim, index)`` order.
     """
 
     def rec(colors) -> bool:
-        classes: dict[int, list[list[El]]] = {}
-        for (p, d, i), c in colors.items():
-            classes.setdefault(c, [[] for _ in posets])[p].append((d, i))
+        classes: dict[int, list[list[int]]] = {}
+        for (p, q), c in colors.items():
+            classes.setdefault(c, [[] for _ in posets])[p].append(q)
         if any(len(m) != len(ms[0]) for ms in classes.values() for m in ms):
             return False
         target = next((c for c in sorted(classes) if len(classes[c][0]) > 1), None)
@@ -659,9 +628,9 @@ def _search(posets: list[OgPoset], leaf) -> None:
             return leaf(colors)
         first = sorted(classes[target][0])
         if len(posets) == 1:
-            branches = [[(0,) + x] for x in first]
+            branches = [[(0, x)] for x in first]
         else:
-            branches = [[(0,) + first[0], (1,) + y] for y in sorted(classes[target][1])]
+            branches = [[(0, first[0]), (1, y)] for y in sorted(classes[target][1])]
         for picked in branches:
             nxt = {key: 2 * c for key, c in colors.items()}
             for key in picked:
@@ -680,9 +649,9 @@ def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[Og
     found: list[OgIso] = []
 
     def leaf(colors) -> bool:
-        image = {c: (d, i) for (p, d, i), c in colors.items() if p == 1}
+        image = {c: Q._els[q] for (p, q), c in colors.items() if p == 1}
         found.append(
-            OgIso(P, Q, {(d, i): image[c] for (p, d, i), c in colors.items() if p == 0})
+            OgIso(P, Q, {P._els[q]: image[c] for (p, q), c in colors.items() if p == 0})
         )
         return limit is not None and len(found) >= limit
 
@@ -726,7 +695,8 @@ def _canonical_form(P: OgPoset):
     def leaf(cols) -> bool:
         order: dict[El, int] = {}
         for d in range(len(P.counts)):
-            row = sorted(range(P.counts[d]), key=lambda i: cols[(0, d, i)])
+            base = P._offsets[d]
+            row = sorted(range(P.counts[d]), key=lambda i: cols[(0, base + i)])
             for new, old in enumerate(row):
                 order[(d, old)] = new
         cert = [tuple(P.counts)]

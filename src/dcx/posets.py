@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .ogposet import _bits, _popcount
+from .ogposet import _bits
 
 
 class FinPoset:
@@ -150,8 +150,8 @@ class FinPoset:
         if self.n != other.n:
             return False
 
-        inv_s = [(_popcount(self.down_mask(i)), _popcount(self.up_mask(i))) for i in range(self.n)]
-        inv_o = [(_popcount(other.down_mask(i)), _popcount(other.up_mask(i))) for i in range(other.n)]
+        inv_s = [(self.down_mask(i).bit_count(), self.up_mask(i).bit_count()) for i in range(self.n)]
+        inv_o = [(other.down_mask(i).bit_count(), other.up_mask(i).bit_count()) for i in range(other.n)]
         if sorted(inv_s) != sorted(inv_o):
             return False
         cand = {

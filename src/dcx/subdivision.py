@@ -25,10 +25,11 @@ from .errors import DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule, _memo, globe, mol_cert, paste_posets, push_labels
-from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, _bits, labelled_key
+from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, _bits, _union, labelled_key
 from .posets import FinPoset
 
-# trees: ("leaf", region, flat_region) | ("node", k, children, region, flat_region)
+# trees: ("leaf", region) | ("node", k, children, region), where a region is
+# a subset of the ambient poset
 Tree = tuple
 
 
@@ -36,56 +37,28 @@ def tree_region(tree: Tree) -> Masks:
     return tree[1] if tree[0] == "leaf" else tree[3]
 
 
-def tree_flat_region(tree: Tree) -> int:
-    return tree[2] if tree[0] == "leaf" else tree[4]
-
-
-def leaf(P: OgPoset, region: Masks) -> Tree:
-    return ("leaf", region, P.flatten_masks(region))
-
-
-def node(P: OgPoset, k: int, children: tuple, region: Masks) -> Tree:
-    return ("node", k, children, region, P.flatten_masks(region))
-
-
 class Subdivision:
     """A realised subdivision: a theta poset with image subsets of U."""
 
-    __slots__ = (
-        "ambient",
-        "tree",
-        "theta",
-        "img",
-        "key",
-        "_flat",
-        "_flat_by_bit",
-        "_chunks",
-    )
+    __slots__ = ("ambient", "tree", "theta", "img", "key", "_images", "_chunks")
 
     def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, img: dict):
         self.ambient = ambient
         self.tree = tree
         self.theta = theta
         self.img = img
-        self.key = labelled_key(theta, img)
-        # flattened images indexed by theta bit position, for the order search
-        offs = theta.flat_offsets()
-        self._flat = [
-            (offs[el[0]] + el[1], ambient.flatten_masks(masks))
-            for el, masks in sorted(img.items())
-        ]
-        self._flat_by_bit = dict(self._flat)
+        # the key prints each image by dimension; elements are listed in key order
+        self.key = labelled_key(theta, {el: ambient.masks_by_dim(m) for el, m in img.items()})
+        # the image of each theta element, indexed by its theta position
+        self._images = [img[el] for el in theta.elements()]
         self._chunks: dict[int, int] = {}
 
-    def chunk_inside(self, flat_layer: int) -> int:
+    def chunk_inside(self, layer: Masks) -> Masks:
         """Theta elements whose image lies in the given ambient subset."""
-        cached = self._chunks.get(flat_layer)
+        cached = self._chunks.get(layer)
         if cached is None:
-            cached = 0
-            for bit, flat_img in self._flat:
-                if flat_img & ~flat_layer == 0:
-                    cached |= 1 << bit
-            self._chunks[flat_layer] = cached
+            images = enumerate(self._images)
+            cached = self._chunks[layer] = sum(1 << p for p, m in images if m & ~layer == 0)
         return cached
 
     @property
@@ -105,9 +78,7 @@ class Subdivision:
         return Closed(self.ambient, self.img[el])
 
     def is_big_cell(self) -> bool:
-        return self.theta.masks_size(
-            self.theta.maximal_masks(self.theta.full_masks())
-        ) == 1
+        return self.theta.maximal_masks(self.theta.full_masks()).bit_count() == 1
 
     def __repr__(self):
         return f"Subdivision(theta_counts={list(self.theta.counts)})"
@@ -155,7 +126,7 @@ def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
     key = (masks, levels, min_k)
     if key in memo:
         return memo[key]
-    out = [leaf(P, masks)]
+    out = [("leaf", masks)]
     d = P.masks_dim(masks)
     for k in levels:
         if k < min_k or k >= d:
@@ -169,7 +140,7 @@ def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
                         nxt.append(prefix + (sub,))
                 combos = nxt
             for children in combos:
-                out.append(node(P, k, children, masks))
+                out.append(("node", k, children, masks))
     memo[key] = out
     return out
 
@@ -230,7 +201,7 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
         seen.setdefault(s.key, s)
     elements = [seen[k] for k in sorted(seen)]
     fin = FinPoset(list(range(len(elements))), up_masks=_refinement_rows(elements))
-    bottom_key = realize(P, leaf(P, P.full_masks())).key
+    bottom_key = realize(P, ("leaf", P.full_masks())).key
     bottom = next(i for i, s in enumerate(elements) if s.key == bottom_key)
     sd = SdPoset(U, levels, elements, fin, bottom)
     if fin.bottom() != bottom:
@@ -247,44 +218,30 @@ def tree_leq(a: Subdivision, b: Subdivision) -> bool:
         raise PreconditionError("subdivisions of different molecules")
     if a.key == b.key:
         return True
-    return _leq_rec(a.tree, b, b.theta.flatten_masks(b.theta.full_masks()))
+    return _leq_rec(a.tree, b, b.theta.full_masks())
 
 
-def _leq_rec(tree: Tree, b: Subdivision, flat_sub: int) -> bool:
+def _leq_rec(tree: Tree, b: Subdivision, sub: Masks) -> bool:
     if tree[0] == "leaf":
         return True
-    _, k, children, _region, _flat = tree
+    _, k, children, _region = tree
     T = b.theta
-    img_of = b._flat_by_bit
-    flat_layers = [tree_flat_region(c) for c in children]
-    chunks = [b.chunk_inside(fl) & flat_sub for fl in flat_layers]
+    layers = [tree_region(c) for c in children]
+    chunks = [b.chunk_inside(layer) & sub for layer in layers]
     union = 0
     for c in chunks:
         union |= c
-    if union != flat_sub:
+    if union != sub:
         return False
-    tuples = []
-    for idx, chunk in enumerate(chunks):
-        cover = 0
-        rem = chunk
-        while rem:
-            low = rem & -rem
-            cover |= img_of[low.bit_length() - 1]
-            rem ^= low
-        if cover != flat_layers[idx]:
+    for layer, chunk in zip(layers, chunks):
+        if _union(b._images, chunk) != layer or mol_cert(T, chunk) is None:
             return False
-        masks = T.unflatten_masks(chunk)
-        if mol_cert(T, masks) is None:
-            return False
-        tuples.append(masks)
-    rest = tuples[-1]
-    for idx in range(len(tuples) - 2, -1, -1):
-        left = tuples[idx]
+    rest = chunks[-1]
+    for left in reversed(chunks[:-1]):
         bd = T.boundary_masks(left, k, PLUS)
-        inter = tuple(l & r for l, r in zip(left, rest))
-        if inter != bd or T.boundary_masks(rest, k, MINUS) != bd:
+        if left & rest != bd or T.boundary_masks(rest, k, MINUS) != bd:
             return False
-        rest = tuple(l | r for l, r in zip(left, rest))
+        rest |= left
     for child, chunk in zip(children, chunks):
         if not _leq_rec(child, b, chunk):
             return False
@@ -307,7 +264,7 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
         while stack:
             t = stack.pop()
             if t[0] == "leaf":
-                need.add(tree_flat_region(t))
+                need.add(t[1])
             else:
                 stack.extend(t[2])
         needs.append(need)
@@ -316,7 +273,7 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
         row = 0
         for j, b in enumerate(elements):
             union = 0
-            for _bit, img in b._flat:
+            for img in b._images:
                 if img & ~r == 0:
                     union |= img
             if union == r:
@@ -359,10 +316,10 @@ def restrict_levels(x: Subdivision, keep) -> Subdivision:
     def prune(t: Tree) -> Tree:
         if t[0] == "leaf":
             return t
-        _, k, children, region, _flat = t
+        _, k, children, region = t
         if k not in keep_set:
-            return leaf(x.ambient, region)
-        return node(x.ambient, k, tuple(prune(c) for c in children), region)
+            return ("leaf", region)
+        return ("node", k, tuple(prune(c) for c in children), region)
 
     return realize(x.ambient, prune(x.tree))
 

@@ -170,6 +170,13 @@ def test_make_exit_codes(files, capsys):
         assert "error" in json.loads(out)
 
 
+def test_make_negative_size_exits_2(capsys):
+    for kind in ("globe", "path", "oriental"):
+        code, out = call(capsys, "make", kind, "-1")
+        assert code == 2, kind
+        assert "size >= 0" in json.loads(out)["error"]
+
+
 def test_export_options_before_or_after_file(files, capsys):
     for opts in (["--dot", "hasse"], ["--dot", "flow", "--k", "0"], ["--dot", "sd", "--levels", "0"]):
         before = call(capsys, "export", *opts, files["horiz"])

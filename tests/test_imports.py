@@ -153,3 +153,42 @@ def test_every_definition_is_read():
     reading = defining + sorted((ROOT / "tests").rglob("*.py"))
     reading += sorted((ROOT / "perfbench").rglob("*.py"))
     assert unused_definitions(defining, reading) == []
+
+
+# -- the subset layout lives in one module ------------------------------------------
+
+LAYOUT_TABLES = {"_offsets", "_els"}
+
+
+def layout_reads(path: Path) -> list[str]:
+    """Reads of the position and offset tables of an OgPoset, as attributes
+    or as the strings ``getattr`` would take."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_TABLES:
+            out.append(f"{path.name}:{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in LAYOUT_TABLES:
+            out.append(f"{path.name}:{node.lineno}: {node.value}")
+    return out
+
+
+def test_scan_finds_a_layout_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def position(P, el):\n"
+        "    _offsets = P.counts\n"
+        "    return P._offsets[el[0]] + el[1]\n"
+        "def element(P, p):\n"
+        "    return getattr(P, '_els')[p], P.pos((0, 0))\n",
+        encoding="utf-8",
+    )
+    assert layout_reads(mod) == ["mod.py:3: _offsets", "mod.py:5: _els"]
+
+
+def test_only_ogposet_reads_the_layout():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "ogposet.py":
+            found.extend(layout_reads(path))
+    assert found == []
+    assert layout_reads(PACKAGE / "ogposet.py")

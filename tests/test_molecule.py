@@ -4,6 +4,7 @@ from dcx import (
     BoundaryMismatchError,
     NotParallelError,
     NotRoundError,
+    PreconditionError,
     atom,
     factors_through_atom,
     find_iso,
@@ -31,6 +32,13 @@ def test_point_and_globes():
     assert globe(0).counts == (1,)
     assert globe(2).counts == (2, 2, 1)
     assert globe(3).counts == (2, 2, 2, 1)
+
+
+def test_negative_sizes_rejected():
+    for make in (globe, path, oriental, oriental_with_labels):
+        with pytest.raises(PreconditionError):
+            make(-1)
+    assert globe(0).counts == path(0).counts == oriental(0).counts == (1,)
 
 
 def test_globe_boundaries_are_globes():
@@ -223,9 +231,9 @@ def test_splits_parts_cover_and_meet(corpus):
         P = mol.poset
         for k in range(mol.dim):
             for a, b in splits(mol, k):
-                union = tuple(x | y for x, y in zip(a.masks, b.masks))
+                union = a.masks | b.masks
                 assert union == P.full_masks()
-                inter = tuple(x & y for x, y in zip(a.masks, b.masks))
+                inter = a.masks & b.masks
                 assert inter == P.boundary_masks(a.masks, k, "+")
                 assert inter == P.boundary_masks(b.masks, k, "-")
 
@@ -236,12 +244,12 @@ def test_submolecules_path():
 
 
 def test_submolecules_of_two_path():
-    subs = {tuple(s.subset.masks) for s in submolecules(path(2))}
+    subs = {s.subset.masks for s in submolecules(path(2))}
     assert len(subs) == 6  # the whole, two edges, three vertices
 
 
 def test_submolecules_globe():
-    got = {tuple(s.subset.masks) for s in submolecules(globe(2))}
+    got = {s.subset.masks for s in submolecules(globe(2))}
     assert len(got) == 5  # whole, two boundary arrows, two poles
 
 

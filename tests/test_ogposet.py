@@ -397,3 +397,165 @@ def test_down_sets_of_a_convex_set_are_those_of_the_induced_relation():
     for rows, need, within in random_relations(3):
         induced = warshall([row & within if within >> p & 1 else 0 for p, row in enumerate(rows)])
         assert list(down_sets(need, within)) == brute_down_sets(induced, within)
+
+
+# -- subsets as ints against plain element sets ------------------------------------
+
+
+def test_non_elements_are_rejected_or_absent():
+    mol = globe(2)
+    P, A = mol.poset, mol.as_closed()
+    # (1, 2) is one past the last edge: as a raw position it would be (2, 0)
+    for el in [(-1, 0), (0, -1), (0, 7), (1, 2), (3, 0)]:
+        assert el not in A
+        with pytest.raises(DanglingIndexError):
+            closure(P, [el])
+        with pytest.raises(DanglingIndexError):
+            Closed.of(P, [(0, 0), el])
+    assert (2, 0) in A and (1, 1) in A
+
+
+def plain_faces(P, el, side=None):
+    """The faces of an element, one side ("-" or "+") or both."""
+    mn, pl = P.face_sets(el)
+    picked = {"-": mn, "+": pl, None: mn + pl}[side]
+    return {(el[0] - 1, j) for j in picked}
+
+
+def plain_closure(P, S):
+    out, stack = set(S), list(S)
+    while stack:
+        for f in plain_faces(P, stack.pop()):
+            if f not in out:
+                out.add(f)
+                stack.append(f)
+    return out
+
+
+def plain_maximal(P, S):
+    return {x for x in S if not any(x in plain_faces(P, y) for y in S)}
+
+
+def plain_delta(P, S, k, alpha):
+    """Dimension-k members with no coface in S having them on the other side."""
+    other = "+" if alpha == "-" else "-"
+    return {x for x in S if x[0] == k and not any(x in plain_faces(P, y, other) for y in S)}
+
+
+def plain_boundary(P, S, k, alpha):
+    if k < 0:
+        return set()
+    low = {x for x in plain_maximal(P, S) if x[0] < k}
+    return plain_closure(P, low | plain_delta(P, S, k, alpha))
+
+
+def plain_connected(P, S):
+    if not S:
+        return True
+    start = min(S)
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for y in S:
+            if y not in seen and (y in plain_faces(P, x) or x in plain_faces(P, y)):
+                seen.add(y)
+                stack.append(y)
+    return seen == set(S)
+
+
+def plain_dim(S):
+    return max((d for d, _ in S), default=-1)
+
+
+def check_extract(P, S):
+    Q, amb = P.extract(P.el_masks(S))
+    assert sorted(amb.values()) == sorted(S)
+    assert sorted(amb) == sorted(Q.elements())
+    assert Q.counts == tuple(sum(d == e for d, _ in S) for e in range(plain_dim(S) + 1))
+    for el in Q.elements():
+        d, i = el
+        assert amb[el][0] == d
+        if i:
+            assert amb[(d, i - 1)][1] < amb[el][1]
+        for side in "-+":
+            assert {amb[f] for f in plain_faces(Q, el, side)} == plain_faces(P, amb[el], side)
+
+
+def check_against_plain(P, S):
+    """Every calculus operation on S agrees with the plain set version."""
+    m = P.el_masks(S)
+    assert set(P.masks_els(m)) == S and P.masks_els(m) == sorted(S)
+    assert set(P.masks_els(P.closure_masks(m))) == plain_closure(P, S)
+    assert set(P.masks_els(P.maximal_masks(m))) == plain_maximal(P, S)
+    assert P.masks_dim(m) == plain_dim(S)
+    assert P.connected_masks(m) == plain_connected(P, S)
+    for k in range(-1, P.dim + 2):
+        for alpha in "-+":
+            assert set(P.masks_els(P.delta_masks(m, k, alpha))) == plain_delta(P, S, k, alpha)
+    if plain_closure(P, S) != S:
+        return
+    check_extract(P, S)
+    A = Closed(P, m)
+    for k in range(-1, P.dim + 2):
+        for alpha in "-+":
+            assert set(A.boundary(k, alpha).elements()) == plain_boundary(P, S, k, alpha)
+            assert set(A.delta(k, alpha)) == plain_delta(P, S, k, alpha)
+
+
+def test_calculus_matches_plain_sets(corpus):
+    rng = random.Random(8)
+    posets = [mol.poset for mol in corpus] + [oriental(n).poset for n in range(6)]
+    closed = 0
+    for P in posets:
+        els = list(P.elements())
+        subsets = [set(els), set()]
+        for _ in range(4):
+            S = {el for el in els if rng.random() < rng.choice([0.1, 0.3, 0.6])}
+            subsets += [S, plain_closure(P, S)]
+        for S in subsets:
+            closed += plain_closure(P, S) == S
+            check_against_plain(P, S)
+    assert closed >= len(posets) * 5
+
+
+# -- outputs keep the per-dimension order -----------------------------------------
+
+
+def test_outputs_keep_their_order_and_keys(corpus):
+    # captured before subsets became single ints: sorting or keying by the
+    # raw int instead of the per-dimension view changes each of these
+    from dcx import enumerate_sd, pre_layerings, submolecules
+
+    v = [(0, i) for i in range(4)]
+    e = [(1, i) for i in range(3)]
+    assert [s.subset.elements() for s in submolecules(path(3))] == [
+        [v[0]],
+        [v[1]],
+        [v[0], v[1], e[0]],
+        [v[2]],
+        [v[1], v[2], e[1]],
+        [v[0], v[1], v[2], e[0], e[1]],
+        [v[3]],
+        [v[2], v[3], e[2]],
+        [v[1], v[2], v[3], e[1], e[2]],
+        [v[0], v[1], v[2], v[3], e[0], e[1], e[2]],
+    ]
+    lays = pre_layerings(corpus[20], 1).elements
+    assert [[layer.elements() for layer in lay] for lay in lays] == [
+        [
+            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)],
+            [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 2)],
+        ],
+        [
+            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 2)],
+            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (3, 0)],
+        ],
+        [[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0)]],
+    ]
+    assert [s.key for s in enumerate_sd(path(3), {0}).elements] == [
+        b"((2, 1), (((1,), (0,)),))|((8, 0), (1, 0), (15, 7))",
+        b"((3, 2), (((1,), (2,)), ((2,), (0,))))|((8, 0), (1, 0), (2, 0), (3, 1), (14, 6))",
+        b"((3, 2), (((1,), (2,)), ((2,), (0,))))|((8, 0), (1, 0), (4, 0), (7, 3), (12, 4))",
+        b"((4, 3), (((1,), (3,)), ((2,), (0,)), ((3,), (2,))))"
+        b"|((8, 0), (1, 0), (4, 0), (2, 0), (3, 1), (12, 4), (6, 2))",
+    ]

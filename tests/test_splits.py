@@ -12,21 +12,21 @@ import dcx.molecule as molecule
 from dcx import globe, oriental, paste
 from dcx.flow import maxflow_masks
 from dcx.molecule import _split_candidates, splits_masks, submolecules_masks
-from dcx.ogposet import OgPoset
+from dcx.ogposet import OgPoset, _bits
 
 
 def bipartition_candidates(P, high, k):
     """Every proper bipartition, as a left-side bitmask, in increasing order."""
-    nd = len(P.counts)
+    closures = [P.cl_el[p] for p in _bits(high)]
     out = []
-    for bits in range(1, (1 << len(high)) - 1):
-        cla = [0] * nd
-        clb = [0] * nd
-        for pos, (hd, hi) in enumerate(high):
-            target = cla if bits >> pos & 1 else clb
-            for e, m in enumerate(P.cl_el[hd][hi]):
-                target[e] |= m
-        if P.masks_dim(tuple(a & b for a, b in zip(cla, clb))) > k:
+    for bits in range(1, (1 << len(closures)) - 1):
+        cla = clb = 0
+        for pos, cl in enumerate(closures):
+            if bits >> pos & 1:
+                cla |= cl
+            else:
+                clb |= cl
+        if P.masks_dim(cla & clb) > k:
             continue
         out.append(bits)
     return out
@@ -88,7 +88,7 @@ def test_non_down_set_never_tried():
     assert {first, middle, last} == set(high)
     pos = {el: p for p, el in enumerate(high)}
     want = sorted([1 << pos[first], 1 << pos[first] | 1 << pos[middle]])
-    assert _split_candidates(P, high, 0) == want
+    assert _split_candidates(P, P.el_masks(high), 0) == want
     assert len(list(splits_masks(P, full, 0))) == 2
 
 
@@ -108,10 +108,10 @@ def test_candidates_are_the_flow_down_sets_of_the_oracle(small_corpus):
                 ]
                 down_sets = [
                     bits
-                    for bits in bipartition_candidates(P, high, k)
+                    for bits in bipartition_candidates(P, P.el_masks(high), k)
                     if all(bits >> a & 1 for a, b in edges if bits >> b & 1)
                 ]
-                assert _split_candidates(P, high, k) == down_sets
+                assert _split_candidates(P, P.el_masks(high), k) == down_sets
                 for left, _right in splits_masks(P, masks, k):
-                    bits = sum(1 << pos[v] for v in high if left[v[0]] >> v[1] & 1)
+                    bits = sum(1 << pos[v] for v in high if left & P.el_masks([v]))
                     assert bits in down_sets
