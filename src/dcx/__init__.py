@@ -103,7 +103,6 @@ from .dcomplex import (
     import_ssset,
     paste_diagrams,
     skeleton,
-    validate_complex,
 )
 from .randgen import random_molecules
 

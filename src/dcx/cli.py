@@ -422,6 +422,10 @@ def run(argv) -> int:
     except DcxError as exc:
         _emit({"error": str(exc)})
         return 2
+    except RecursionError as exc:
+        # input too deep for the interpreter's recursion limit
+        _emit({"error": f"input too deep: {exc}"})
+        return 2
 
 
 def main() -> None:

@@ -23,14 +23,7 @@ from .errors import (
     ShapeNotAtomError,
 )
 from .flow import is_frame_acyclic
-from .molecule import (
-    Molecule,
-    boundary_glue,
-    mol_cert,
-    oriental_with_labels,
-    paste_with_maps,
-    push_labels,
-)
+from .molecule import Molecule, mol_cert, oriental_with_labels, paste_labelled
 from .ogposet import MINUS, PLUS, El, OgPoset, find_iso, is_hasse_acyclic, labelled_key
 
 CellId = tuple[int, int]
@@ -128,11 +121,6 @@ class DirectedComplex:
         return True
 
 
-def validate_complex(X: DirectedComplex) -> DirectedComplex:
-    """Check all attachment compatibility conditions."""
-    return X.validate()
-
-
 def restriction_problem(
     X: DirectedComplex, P: OgPoset, labels: dict[El, CellId]
 ) -> Optional[str]:
@@ -191,14 +179,13 @@ def atoms_acyclic(X: DirectedComplex) -> bool:
 class PastingDiagram:
     """A molecule-shaped, attachment-compatible labelling of cells."""
 
-    __slots__ = ("complex", "shape", "labels", "_key", "_boundary_keys")
+    __slots__ = ("complex", "shape", "labels", "_key")
 
     def __init__(self, X: DirectedComplex, shape: Molecule, labels: dict[El, CellId]):
         self.complex = X
         self.shape = shape
         self.labels = dict(labels)
         self._key = None
-        self._boundary_keys: dict[tuple[int, str], bytes] = {}
 
     @classmethod
     def single(cls, X: DirectedComplex, cid: CellId) -> "PastingDiagram":
@@ -221,11 +208,8 @@ class PastingDiagram:
     def _boundary_key(self, k: int, alpha: str) -> bytes:
         """``boundary_diagram(self, k, alpha).key``, without certifying the
         boundary as a molecule."""
-        key = self._boundary_keys.get((k, alpha))
-        if key is None:
-            _, Q, labels = _boundary_part(self, k, alpha)
-            key = self._boundary_keys[(k, alpha)] = labelled_key(Q, labels)
-        return key
+        _, Q, labels = _boundary_part(self, k, alpha)
+        return labelled_key(Q, labels)
 
     def validate(self) -> "PastingDiagram":
         problem = restriction_problem(self.complex, self.shape.poset, self.labels)
@@ -270,15 +254,8 @@ def paste_diagrams(f: PastingDiagram, g: PastingDiagram, k: int) -> PastingDiagr
     """Pasting of two diagrams whose k-boundaries agree as labelled molecules."""
     if f.complex is not g.complex:
         raise LabelMismatchError("diagrams live over different complexes")
-    glue = boundary_glue(f.shape.poset, g.shape.poset, k, PLUS, MINUS)
-    if glue is None:
-        raise BoundaryMismatchError("boundary shapes do not match")
-    if any(f.labels[p] != g.labels[q] for q, p in glue.items()):
-        raise LabelMismatchError("boundary labels do not match")
-    shape, map_f, map_g = paste_with_maps(f.shape, g.shape, k)
-    labels = push_labels(map_f, f.labels, map_g, g.labels)
-    if labels is None:
-        raise LabelMismatchError("glued labels disagree")
+    W, labels = paste_labelled(f.shape.poset, f.labels, g.shape.poset, g.labels, k)
+    shape = Molecule(W, ("paste", k, f.shape.cert, g.shape.cert))
     return PastingDiagram(f.complex, shape, labels)
 
 

@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     BoundaryMismatchError,
+    LabelMismatchError,
     NotParallelError,
     NotRoundError,
     PreconditionError,
@@ -175,36 +176,31 @@ def paste_posets(P: OgPoset, Q: OgPoset, k: int):
     return OgPoset(counts, faces, regular=True), map_p, map_q
 
 
-def push_labels(map_l: dict, left: dict, map_r: dict, right: dict) -> Optional[dict]:
-    """Carry two labellings along the maps of a pushout.
+def paste_labelled(P: OgPoset, left: dict, Q: OgPoset, right: dict, k: int):
+    """Pasting of two labelled posets along their k-boundaries.
 
-    Returns the labelling of the pushout, or None when two glued elements
-    carry different labels.
+    ``left`` and ``right`` label the elements of P and Q.  Returns
+    ``(W, labels)``: the pushout of :func:`paste_posets` and the two
+    labellings carried onto it.  Raises BoundaryMismatchError when the
+    output k-boundary of P does not match the input k-boundary of Q, and
+    LabelMismatchError when two glued elements carry different labels.
     """
-    out = {map_l[el]: label for el, label in left.items()}
+    W, map_p, map_q = paste_posets(P, Q, k)
+    labels = {map_p[el]: label for el, label in left.items()}
     for el, label in right.items():
-        if out.setdefault(map_r[el], label) != label:
-            return None
-    return out
-
-
-def paste_with_maps(U: Molecule, V: Molecule, k: int):
-    """Pushout of U and V along the unique iso of their k-boundaries.
-
-    Returns ``(W, map_u, map_v)`` where the maps send elements of U and V to
-    elements of W.
-    """
-    W, map_u, map_v = paste_posets(U.poset, V.poset, k)
-    return Molecule(W, ("paste", k, U.cert, V.cert)), map_u, map_v
+        if labels.setdefault(map_q[el], label) != label:
+            raise LabelMismatchError("boundary labels do not match")
+    return W, labels
 
 
 def paste(U: Molecule, V: Molecule, k: int) -> Molecule:
     """The pasting of U and V along their k-boundary."""
-    return paste_with_maps(U, V, k)[0]
+    W, _, _ = paste_posets(U.poset, V.poset, k)
+    return Molecule(W, ("paste", k, U.cert, V.cert))
 
 
-def atom_with_maps(U: Molecule, V: Molecule):
-    """The atom with input U and output V, with the inclusion maps of U and V."""
+def atom(U: Molecule, V: Molecule) -> Molecule:
+    """The unique (k+1)-atom with input boundary U and output boundary V."""
     if not is_round(U):
         raise NotRoundError("input molecule is not round")
     if not is_round(V):
@@ -220,18 +216,13 @@ def atom_with_maps(U: Molecule, V: Molecule):
         for src, dst in part.items():
             if glue.setdefault(src, dst) != dst:
                 raise NotParallelError("boundary isomorphisms disagree on the sphere")
-    counts, faces, map_u, map_v = pushout(U.poset, V.poset, glue)
+    counts, faces, _, map_v = pushout(U.poset, V.poset, glue)
     top_minus = tuple(range(U.poset.counts[k]))
     top_plus = tuple(sorted(map_v[(k, i)][1] for i in range(V.poset.counts[k])))
     counts.append(1)
     faces.append([(top_minus, top_plus)])
     W = OgPoset(counts, faces, regular=True)
-    return Molecule(W, ("atom", U.cert, V.cert)), map_u, map_v
-
-
-def atom(U: Molecule, V: Molecule) -> Molecule:
-    """The unique (k+1)-atom with input boundary U and output boundary V."""
-    return atom_with_maps(U, V)[0]
+    return Molecule(W, ("atom", U.cert, V.cert))
 
 
 _globes: dict[int, Molecule] = {}
@@ -259,16 +250,11 @@ def path(k: int) -> Molecule:
     return out
 
 
-def suspension_with_maps(U: Molecule):
-    """Suspension: two new poles, every element shifted one dimension up.
-
-    Returns ``(W, el_map, poles)`` where ``el_map`` sends an element of U to
-    its shifted copy and ``poles`` is the pair (north-input, north-output).
-    """
+def suspension(U: Molecule) -> Molecule:
+    """Suspension: two new poles, every element shifted one dimension up."""
     nd = len(U.poset.counts) + 1
     counts = [2] + list(U.poset.counts)
     faces = [[] for _ in range(nd)]
-    el_map = {(d, i): (d + 1, i) for d, i in U.poset.elements()}
     if nd > 1:
         faces[1] = [((0,), (1,)) for _ in range(U.poset.counts[0])]
     for d in range(1, len(U.poset.counts)):
@@ -282,11 +268,7 @@ def suspension_with_maps(U: Molecule):
             return ("atom", sus_cert(c[1]), sus_cert(c[2]))
         return ("paste", c[1] + 1, sus_cert(c[2]), sus_cert(c[3]))
 
-    return Molecule(W, sus_cert(U.cert)), el_map, ((0, 0), (0, 1))
-
-
-def suspension(U: Molecule) -> Molecule:
-    return suspension_with_maps(U)[0]
+    return Molecule(W, sus_cert(U.cert))
 
 
 def join_with_maps(U: Molecule, V: Molecule):
@@ -686,9 +668,6 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     operators (the factors of unital pastings).  Witnesses are lists of
     steps ("split", k, side) / ("boundary", k, alpha) leading from the root.
     """
-    memo = _memo(P, "submol")
-    if masks in memo:
-        return memo[masks]
     found: dict[Masks, list] = {masks: []}
     queue = [masks]
     while queue:
@@ -708,7 +687,6 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
                 if b not in found:
                     found[b] = wit + [("split", k, 1)]
                     queue.append(b)
-    memo[masks] = found
     return found
 
 

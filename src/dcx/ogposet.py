@@ -210,7 +210,9 @@ class OgPoset:
 
     def maximal_masks(self, masks: Masks) -> Masks:
         """Elements of the subset with no coface inside the subset."""
-        return masks & ~_union(self.dn_all, masks)
+        # vertices, the lowest positions, have no faces: only the rest count
+        n = self.counts[0] if self.counts else 0
+        return masks & ~_union(self.dn_all, masks >> n << n)
 
     def delta_masks(self, masks: Masks, k: int, alpha: str) -> Masks:
         """Dimension-k elements of the subset with no (-alpha)-coface inside it."""
@@ -537,9 +539,6 @@ class OgIso:
 
     def __getitem__(self, el: El) -> El:
         return self.mapping[el]
-
-    def inverse(self) -> "OgIso":
-        return OgIso(self.target, self.source, {v: k for k, v in self.mapping.items()})
 
     def verify(self) -> bool:
         P, Q = self.source, self.target

@@ -24,8 +24,8 @@ from __future__ import annotations
 from .errors import DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
-from .molecule import Molecule, _memo, globe, mol_cert, paste_posets, push_labels
-from .ogposet import MINUS, PLUS, Closed, El, Masks, OgPoset, _bits, _union, labelled_key
+from .molecule import Molecule, _memo, globe, mol_cert, paste_labelled
+from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _union, labelled_key
 from .posets import FinPoset
 
 # trees: ("leaf", region) | ("node", k, children, region), where a region is
@@ -74,9 +74,6 @@ class Subdivision:
         walk(self.tree)
         return out
 
-    def image_of(self, el: El) -> Closed:
-        return Closed(self.ambient, self.img[el])
-
     def is_big_cell(self) -> bool:
         return self.theta.maximal_masks(self.theta.full_masks()).bit_count() == 1
 
@@ -110,10 +107,7 @@ def _realize_rec(P: OgPoset, tree: Tree):
     theta, img = _realize_rec(P, children[0])
     for child in children[1:]:
         th2, img2 = _realize_rec(P, child)
-        theta, map_l, map_r = paste_posets(theta, th2, k)
-        img = push_labels(map_l, img, map_r, img2)
-        if img is None:
-            raise DcxError("glued elements disagree on their images")
+        theta, img = paste_labelled(theta, img, th2, img2, k)
     return theta, img
 
 

@@ -177,6 +177,24 @@ def test_make_negative_size_exits_2(capsys):
         assert "size >= 0" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "globe", "1100"],
+        ["make", "theta", "(" * 1200 + ")" * 1200],
+        ["check", "molecule", "deep.json"],
+    ],
+    ids=["globe", "theta", "json"],
+)
+def test_too_deep_input_exits_2(argv, tmp_path, monkeypatch, capsys):
+    """Input deeper than the recursion limit is invalid input, not a crash."""
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out = call(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith("input too deep: maximum recursion depth")
+
+
 def test_export_options_before_or_after_file(files, capsys):
     for opts in (["--dot", "hasse"], ["--dot", "flow", "--k", "0"], ["--dot", "sd", "--levels", "0"]):
         before = call(capsys, "export", *opts, files["horiz"])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import dcx
-from dcx import dcomplex, serialize
+from dcx import dcomplex, molecule, serialize
 from dcx.dcomplex import (
     Cell,
     DirectedComplex,
@@ -192,7 +192,7 @@ def test_diagram_labels_restrict_to_attachments():
     assert "does not restrict" in mislabelled(X, edge.shape, labels)
 
 
-def test_paste_diagrams_errors(monkeypatch):
+def test_paste_diagrams_errors():
     X = simplex_complex(2)
     e01 = PastingDiagram.single(X, (1, 0))
     e12 = PastingDiagram.single(X, (1, 2))
@@ -203,14 +203,37 @@ def test_paste_diagrams_errors(monkeypatch):
     with pytest.raises(LabelMismatchError, match="boundary labels"):
         paste_diagrams(e12, e01, 0)
     # the output 1-boundary of the triangle has two edges, the input of an edge one
-    with pytest.raises(BoundaryMismatchError, match="shapes"):
+    with pytest.raises(BoundaryMismatchError, match="does not match the input 1-boundary"):
         paste_diagrams(PastingDiagram.single(X, (2, 0)), e12, 1)
     with pytest.raises(BoundaryMismatchError, match=">= 0"):
         paste_diagrams(e01, e12, -1)
-    # a glue map that skips the boundary check leaves the merge to catch it
-    monkeypatch.setattr(dcomplex, "boundary_glue", lambda *args: {})
-    with pytest.raises(LabelMismatchError, match="glued labels disagree"):
-        paste_diagrams(e12, e01, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_paste_matches_boundaries_once(n, monkeypatch):
+    """paste_diagrams matches the two k-boundaries once per call, whether
+    the pasting succeeds or fails on shapes or labels."""
+    pool = enumerate_molecules(simplex_complex(n), 2)
+    real_glue = molecule.boundary_glue
+    glues = []
+
+    def recording(*args):
+        glues.append(args)
+        return real_glue(*args)
+
+    monkeypatch.setattr(molecule, "boundary_glue", recording)
+    outcomes = set()
+    for f in pool:
+        for g in pool:
+            for k in range(max(f.dim, g.dim)):
+                before = len(glues)
+                try:
+                    paste_diagrams(f, g, k)
+                    outcomes.add("pasted")
+                except (BoundaryMismatchError, LabelMismatchError) as exc:
+                    outcomes.add(type(exc).__name__)
+                assert len(glues) - before == 1, (f, g, k)
+    assert outcomes == {"pasted", "BoundaryMismatchError", "LabelMismatchError"}
 
 
 def test_paste_diagrams_matches_labelled_boundaries():

@@ -6,8 +6,9 @@ the module, in code or in a quoted annotation.  ``__init__.py`` is left
 out, since its imports are the package's public names, and so is an
 explicit re-export written ``from m import x as x``.  A definition (dunders
 excepted) must be read as a name, an attribute or an imported name
-somewhere in the package, its tests or perfbench; a mention in a docstring
-does not count.
+somewhere in the package, its tests or perfbench; a method counts only when
+it is read as an attribute, so a local variable of the same name does not
+hide it.  A mention in a docstring does not count.
 """
 import ast
 from pathlib import Path
@@ -83,38 +84,50 @@ def test_no_unused_imports():
     assert found == []
 
 
-def definitions(path: Path) -> list[tuple[int, str]]:
-    """Functions, methods and classes defined in a module, dunders excepted."""
+def definitions(path: Path) -> list[tuple[int, str, bool]]:
+    """Functions, methods and classes defined in a module, dunders excepted,
+    each with whether it is a method (defined in a class body)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    methods = {
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, kinds)
+    }
     return sorted(
-        (node.lineno, node.name)
+        (node.lineno, node.name, node in methods)
         for node in ast.walk(tree)
         if isinstance(node, kinds)
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
 
 
-def reads(path: Path) -> set[str]:
-    """Names a module reads: loaded names and attributes, imported names."""
-    out = set()
+def reads(path: Path) -> tuple[set[str], set[str]]:
+    """What a module reads: loaded and imported names, and attributes."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-    return out
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names, attributes
 
 
 def unused_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
-    used = set().union(*(reads(path) for path in reading))
+    names, attributes = set(), set()
+    for path in reading:
+        read_names, read_attributes = reads(path)
+        names |= read_names
+        attributes |= read_attributes
     return [
         f"{path.name}:{line}: {name}"
         for path in defining
-        for line, name in definitions(path)
-        if name not in used
+        for line, name, method in definitions(path)
+        if name not in attributes and (method or name not in names)
     ]
 
 
@@ -131,20 +144,28 @@ def test_scan_finds_an_unused_definition(tmp_path):
         "        return 2\n"
         "    def stored(self):\n"
         "        pass\n"
+        "    def perimeter(self):\n"
+        "        pass\n"
         "def helper():\n"
         "    pass\n"
         "def exported():\n"
-        "    pass\n"
+        "    perimeter = 8\n"
+        "    return perimeter\n"
         "Shape().area()\n",
         encoding="utf-8",
     )
     user = tmp_path / "user.py"
     user.write_text("from mod import exported\n", encoding="utf-8")
-    assert unused_definitions([mod], [mod, user]) == ["mod.py:9: stored", "mod.py:11: helper"]
+    assert unused_definitions([mod], [mod, user]) == [
+        "mod.py:9: stored",
+        "mod.py:11: perimeter",
+        "mod.py:13: helper",
+    ]
     assert unused_definitions([mod], [mod]) == [
         "mod.py:9: stored",
-        "mod.py:11: helper",
-        "mod.py:13: exported",
+        "mod.py:11: perimeter",
+        "mod.py:13: helper",
+        "mod.py:15: exported",
     ]
 
 

@@ -2,9 +2,11 @@ import pytest
 
 from dcx import (
     BoundaryMismatchError,
+    LabelMismatchError,
     NotParallelError,
     NotRoundError,
     PreconditionError,
+    arrow,
     atom,
     factors_through_atom,
     find_iso,
@@ -25,6 +27,7 @@ from dcx import (
     suspension,
     theta_from_tree,
 )
+from dcx.molecule import paste_labelled
 
 
 def test_point_and_globes():
@@ -63,6 +66,24 @@ def test_paste_globes_at_one():
 def test_paste_mismatch():
     with pytest.raises(BoundaryMismatchError):
         paste(globe(2), path(2), 1)
+
+
+def test_paste_labelled_merges_or_raises():
+    A = arrow().poset
+    (src,), (tgt,) = A.faces[1][0]
+    f = {(0, src): "s", (0, tgt): "t", (1, 0): "f"}
+    g = {(0, src): "t", (0, tgt): "u", (1, 0): "g"}
+    W, labels = paste_labelled(A, f, A, g, 0)
+    assert W.counts == path(2).counts and sorted(labels.values()) == list("fgstu")
+    ends = {"f": ("s", "t"), "g": ("t", "u")}
+    for i, ((mn,), (pl,)) in enumerate(W.faces[1]):
+        assert (labels[(0, mn)], labels[(0, pl)]) == ends[labels[(1, i)]]
+    # the shapes glue, the labels on the shared vertex differ
+    with pytest.raises(LabelMismatchError, match="boundary labels"):
+        paste_labelled(A, f, A, {**g, (0, src): "v"}, 0)
+    # one arrow against the two of a path
+    with pytest.raises(BoundaryMismatchError, match="does not match"):
+        paste_labelled(globe(2).poset, {}, path(2).poset, {}, 1)
 
 
 def test_paste_counts_side_by_side():
