@@ -160,7 +160,7 @@ def _cmd_check(args) -> int:
         if cert is None:
             _emit({"holds": False, "property": prop, "reason": "no valid construction found"})
             return 1
-        _emit({"holds": True, "property": prop, "certificate": serialize.cert_to_data(cert)})
+        _emit({"holds": True, "property": prop, "certificate": cert})
         return 0
     mol = _load_molecule(args.file)
     if prop == "round":

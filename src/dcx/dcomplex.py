@@ -449,15 +449,6 @@ class SemiSimplicialSet:
         return cls(faces)
 
 
-_oriental_cache: dict[int, tuple] = {}
-
-
-def _oriental_labelled(n: int):
-    if n not in _oriental_cache:
-        _oriental_cache[n] = oriental_with_labels(n)
-    return _oriental_cache[n]
-
-
 def import_ssset(S: SemiSimplicialSet) -> DirectedComplex:
     """Realise a semi-simplicial set as a directed complex.
 
@@ -467,19 +458,8 @@ def import_ssset(S: SemiSimplicialSet) -> DirectedComplex:
     """
     S.validate()
     cells: list[list[Cell]] = []
-    if S.n_vertices:
-        shape0, _ = _oriental_labelled(0)
-        cells.append(
-            [Cell(shape0, {(0, 0): (0, i)}) for i in range(S.n_vertices)]
-        )
-    for d in range(1, S.dim + 1):
-        level = []
-        shape, labels = _oriental_labelled(d)
-        for s in range(S.count(d)):
-            attach: dict[El, CellId] = {}
-            for subset, el in labels.items():
-                attach[el] = S.subsimplex(d, s, frozenset(subset))
-            level.append(Cell(shape, attach))
-        cells.append(level)
-    X = DirectedComplex(cells)
-    return X.validate()
+    for d in range(S.dim + 1):
+        shape, labels = oriental_with_labels(d)
+        maps = [{el: S.subsimplex(d, s, T) for T, el in labels.items()} for s in range(S.count(d))]
+        cells.append([Cell(shape, m) for m in maps])
+    return DirectedComplex(cells).validate()

@@ -225,20 +225,21 @@ def atom(U: Molecule, V: Molecule) -> Molecule:
     return Molecule(W, ("atom", U.cert, V.cert))
 
 
-_globes: dict[int, Molecule] = {}
-
-
 def _check_size(what: str, n: int) -> None:
     if n < 0:
         raise PreconditionError(f"{what} needs a size >= 0, got {n}")
 
 
 def globe(k: int) -> Molecule:
-    """The k-globe: the point for k = 0, otherwise an atom on two (k-1)-globes."""
+    """The k-globe: two elements in each dimension below k and one in
+    dimension k, each with inputs (0,) and outputs (1,) one dimension down."""
     _check_size("globe", k)
-    if k not in _globes:
-        _globes[k] = point() if k == 0 else atom(globe(k - 1), globe(k - 1))
-    return _globes[k]
+    counts = [2] * k + [1]
+    faces = [[]] + [[((0,), (1,))] * c for c in counts[1:]]
+    cert = POINT_CERT
+    for _ in range(k):
+        cert = ("atom", cert, cert)
+    return Molecule(OgPoset(counts, faces, regular=True), cert)
 
 
 def path(k: int) -> Molecule:
@@ -494,15 +495,10 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
         return None if order is None else _path_cert(len(order))
     if P.maximal_masks(masks).bit_count() == 1:
         return _atom_cert(P, masks)
+    # splits_masks yields only splits whose two sides are molecules
     for k in range(d - 1, -1, -1):
         for left, right in splits_masks(P, masks, k):
-            cl = mol_cert(P, left)
-            if cl is None:
-                continue
-            cr = mol_cert(P, right)
-            if cr is None:
-                continue
-            return ("paste", k, cl, cr)
+            return ("paste", k, mol_cert(P, left), mol_cert(P, right))
     return None
 
 

@@ -264,15 +264,13 @@ class OgPoset:
 
     # -- extraction --------------------------------------------------------
 
-    def extract(self, masks: Masks, *, regular=None):
+    def extract(self, masks: Masks):
         """Restrict to a closed subset as a standalone poset.
 
         Returns ``(Q, to_ambient)`` where ``to_ambient`` maps elements of
         ``Q`` back to elements of this poset.  Relative index order is
         preserved within each dimension.
         """
-        if regular is None:
-            regular = self.regular
         nd = self.masks_dim(masks) + 1
         counts = [0] * nd
         faces: list[list] = [[] for _ in range(nd)]
@@ -292,7 +290,7 @@ class OgPoset:
                         tuple(newidx[(d - 1, j)] for j in pl),
                     )
                 )
-        Q = OgPoset(counts, faces, regular=regular, _checked=True)
+        Q = OgPoset(counts, faces, regular=self.regular, _checked=True)
         return Q, to_ambient
 
     # -- oriented Hasse diagram --------------------------------------------

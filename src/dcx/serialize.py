@@ -43,29 +43,21 @@ def ogposet_to_data(P: OgPoset) -> dict:
     return {"format": "ogposet/1", "faces": faces}
 
 
-def ogposet_from_data(data: dict, *, regular=False) -> OgPoset:
+def ogposet_from_data(data: dict) -> OgPoset:
     if data.get("format") != "ogposet/1":
         raise DcxError("expected an ogposet/1 document")
-    return validate(data["faces"], regular=regular)
+    return validate(data["faces"])
 
 
 def dumps_ogposet(P: OgPoset) -> str:
     return dumps_json(ogposet_to_data(P))
 
 
-def loads_ogposet(text: str, *, regular=False) -> OgPoset:
-    return ogposet_from_data(json.loads(text), regular=regular)
+def loads_ogposet(text: str) -> OgPoset:
+    return ogposet_from_data(json.loads(text))
 
 
 # -- certificates ------------------------------------------------------------
-
-
-def cert_to_data(cert) -> list:
-    if cert[0] == "point":
-        return ["point"]
-    if cert[0] == "atom":
-        return ["atom", cert_to_data(cert[1]), cert_to_data(cert[2])]
-    return ["paste", cert[1], cert_to_data(cert[2]), cert_to_data(cert[3])]
 
 
 def cert_from_data(data) -> tuple:
@@ -103,7 +95,7 @@ def dcomplex_to_data(X: DirectedComplex) -> dict:
             iso = molecule_iso(cell.shape, replay(cell.shape.cert))
             row.append(
                 {
-                    "shape": cert_to_data(cell.shape.cert),
+                    "shape": cell.shape.cert,
                     "attach": {
                         _el_name(iso[el]): _el_name(cid)
                         for el, cid in sorted(cell.attach.items())

@@ -10,6 +10,13 @@ concrete theta-shaped poset with one image subset of U per element and
 deduplicated by the canonical key of that pair, so distinct trees
 realising the same subdivision collapse.
 
+A subdivision is non-degenerate, so its images alone determine its theta.
+``realize`` reads one theta element off each image, with the images of its
+faces as the image's boundaries one dimension down.  It raises
+BoundaryMismatchError when consecutive layers do not meet along their
+k-boundaries, and DcxError when a leaf's boundary has the wrong dimension
+or when images are shared or missing.
+
 The refinement order is decided on realisations: a node of the coarser
 side must cut the finer side into consecutive chunks over its layers, and
 the comparison recurses into the chunks.  Each layer it visits must be
@@ -21,10 +28,13 @@ by transitivity is never asked of ``tree_leq`` again.
 """
 from __future__ import annotations
 
-from .errors import DcxError, PreconditionError
+import itertools
+from typing import Iterator
+
+from .errors import BoundaryMismatchError, DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
-from .molecule import Molecule, _memo, globe, mol_cert, paste_labelled
+from .molecule import Molecule, _memo, mol_cert
 from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _union, labelled_key
 from .posets import FinPoset
 
@@ -35,6 +45,14 @@ Tree = tuple
 
 def tree_region(tree: Tree) -> Masks:
     return tree[1] if tree[0] == "leaf" else tree[3]
+
+
+def _subtrees(tree: Tree) -> Iterator[Tree]:
+    """The tree and all its subtrees, each before its children."""
+    yield tree
+    if tree[0] == "node":
+        for child in tree[2]:
+            yield from _subtrees(child)
 
 
 class Subdivision:
@@ -63,16 +81,7 @@ class Subdivision:
 
     @property
     def levels(self) -> set[int]:
-        out = set()
-
-        def walk(t):
-            if t[0] == "node":
-                out.add(t[1])
-                for c in t[2]:
-                    walk(c)
-
-        walk(self.tree)
-        return out
+        return {t[1] for t in _subtrees(self.tree) if t[0] == "node"}
 
     def is_big_cell(self) -> bool:
         return self.theta.maximal_masks(self.theta.full_masks()).bit_count() == 1
@@ -82,37 +91,61 @@ class Subdivision:
 
 
 def realize(P: OgPoset, tree: Tree) -> Subdivision:
-    """Realise a subdivision tree over the ambient poset P."""
-    theta, img = _realize_rec(P, tree)
-    size = theta.size()
-    if len(set(img.values())) != size:
+    """Realise a subdivision tree over the ambient poset P.
+
+    A leaf images its globe on its region R and the boundaries of R, a node
+    the union of its layers' images.  The theta has one element per image,
+    numbered by increasing image in each dimension; the element on m has
+    the elements on the input and output boundaries of m one dimension
+    down as faces.  Raises BoundaryMismatchError when consecutive layers of
+    a node do not meet along their k-boundaries, and DcxError when a leaf
+    boundary has the wrong dimension or images are shared or missing.
+    """
+    images, size = _images(P, tree)
+    if len(images) != size:
         raise DcxError("element-image map is not injective")
-    for el, masks in img.items():
-        if P.masks_dim(masks) != el[0]:
-            raise DcxError("element-image map is not dimension-preserving")
-    return Subdivision(P, tree, theta, img)
+    counts = [0] * (P.masks_dim(tree_region(tree)) + 1)
+    img: dict[El, Masks] = {}
+    for m in sorted(images, key=lambda m: (P.masks_dim(m), m)):
+        d = P.masks_dim(m)
+        img[(d, counts[d])] = m
+        counts[d] += 1
+    index = {m: i for (_, i), m in img.items()}
+    faces: list[list] = [[] for _ in counts]
+    for (d, _), m in img.items():
+        if d:
+            sides = [index.get(P.boundary_masks(m, d - 1, alpha)) for alpha in (MINUS, PLUS)]
+            if None in sides:
+                raise DcxError("a boundary of an image is not an image")
+            faces[d].append(((sides[0],), (sides[1],)))
+    return Subdivision(P, tree, OgPoset(counts, faces, regular=True), img)
 
 
-def _realize_rec(P: OgPoset, tree: Tree):
+def _images(P: OgPoset, tree: Tree) -> tuple[set[Masks], int]:
+    """The images of a tree's theta elements, and the theta's size: 2d + 1
+    for a d-globe, less 2k + 1 for each k-globe that two layers share."""
     if tree[0] == "leaf":
         region = tree[1]
         d = P.masks_dim(region)
-        g = globe(d).poset
-        img: dict[El, Masks] = {(d, 0): region}
+        images = {region}
         for j in range(d):
-            img[(j, 0)] = P.boundary_masks(region, j, MINUS)
-            img[(j, 1)] = P.boundary_masks(region, j, PLUS)
-        return g, img
+            for alpha in (MINUS, PLUS):
+                bd = P.boundary_masks(region, j, alpha)
+                if P.masks_dim(bd) != j:
+                    raise DcxError("element-image map is not dimension-preserving")
+                images.add(bd)
+        return images, 2 * d + 1
     k, children = tree[1], tree[2]
-    theta, img = _realize_rec(P, children[0])
-    for child in children[1:]:
-        th2, img2 = _realize_rec(P, child)
-        theta, img = paste_labelled(theta, img, th2, img2, k)
-    return theta, img
-
-
-def _nontrivial_prelayerings(P: OgPoset, masks: Masks, k: int):
-    return [lay for lay in _prelayerings_masks(P, masks, k) if len(lay) >= 2]
+    images, size, left = set(), 2 * k + 1, 0
+    for child in children:
+        right = tree_region(child)
+        if left and P.boundary_masks(left, k, PLUS) != P.boundary_masks(right, k, MINUS):
+            raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
+        more, n = _images(P, child)
+        images |= more
+        size += n - (2 * k + 1)  # the start value 2k + 1 cancels this for the first layer
+        left |= right
+    return images, size
 
 
 def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
@@ -125,15 +158,11 @@ def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
     for k in levels:
         if k < min_k or k >= d:
             continue
-        for lay in _nontrivial_prelayerings(P, masks, k):
-            combos = [()]
-            for layer in lay:
-                nxt = []
-                for prefix in combos:
-                    for sub in _trees(P, layer, levels, k + 1):
-                        nxt.append(prefix + (sub,))
-                combos = nxt
-            for children in combos:
+        for lay in _prelayerings_masks(P, masks, k):
+            if len(lay) < 2:
+                continue  # a node pastes two layers or more
+            subtrees = [_trees(P, layer, levels, k + 1) for layer in lay]
+            for children in itertools.product(*subtrees):
                 out.append(("node", k, children, masks))
     memo[key] = out
     return out
@@ -195,8 +224,8 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
         seen.setdefault(s.key, s)
     elements = [seen[k] for k in sorted(seen)]
     fin = FinPoset(list(range(len(elements))), up_masks=_refinement_rows(elements))
-    bottom_key = realize(P, ("leaf", P.full_masks())).key
-    bottom = next(i for i, s in enumerate(elements) if s.key == bottom_key)
+    # _trees lists the root leaf first, so its key keeps the leaf tree
+    bottom = next(i for i, s in enumerate(elements) if s.tree[0] == "leaf")
     sd = SdPoset(U, levels, elements, fin, bottom)
     if fin.bottom() != bottom:
         raise DcxError("big cell is not the minimum of the subdivision poset")
@@ -251,17 +280,7 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
     every subtree region of a in the same sense, and checking those too
     would reject nothing more.
     """
-    needs = []
-    for a in elements:
-        need = set()
-        stack = [a.tree]
-        while stack:
-            t = stack.pop()
-            if t[0] == "leaf":
-                need.add(t[1])
-            else:
-                stack.extend(t[2])
-        needs.append(need)
+    needs = [{t[1] for t in _subtrees(a.tree) if t[0] == "leaf"} for a in elements]
     covered = {}
     for r in set().union(*needs):
         row = 0

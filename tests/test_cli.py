@@ -180,11 +180,10 @@ def test_make_negative_size_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["make", "globe", "1100"],
         ["make", "theta", "(" * 1200 + ")" * 1200],
         ["check", "molecule", "deep.json"],
     ],
-    ids=["globe", "theta", "json"],
+    ids=["theta", "json"],
 )
 def test_too_deep_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     """Input deeper than the recursion limit is invalid input, not a crash."""
@@ -193,6 +192,13 @@ def test_too_deep_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     code, out = call(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"].startswith("input too deep: maximum recursion depth")
+
+
+def test_make_globe_beyond_the_recursion_limit(capsys):
+    """A globe is built from its face table, so its size has no depth limit."""
+    code, out = call(capsys, "make", "globe", "1100")
+    assert code == 0
+    assert sum(len(level) for level in json.loads(out)["faces"]) == 2201
 
 
 def test_export_options_before_or_after_file(files, capsys):

@@ -13,6 +13,8 @@ hide it.  A mention in a docstring does not count.
 import ast
 from pathlib import Path
 
+import pytest
+
 import dcx
 
 PACKAGE = Path(dcx.__file__).resolve().parent
@@ -213,3 +215,89 @@ def test_only_ogposet_reads_the_layout():
             found.extend(layout_reads(path))
     assert found == []
     assert layout_reads(PACKAGE / "ogposet.py")
+
+
+# -- no module-level caches -----------------------------------------------------------
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _callee(node: ast.expr) -> str:
+    """The last name of what a call or decorator refers to: f, m.f, f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def module_caches(path: Path) -> list[str]:
+    """Top-level names bound to a dict, list or set, and top-level functions
+    decorated with a memoising decorator: state shared by every caller."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and _callee(value) in CONTAINER_CALLS
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.extend(f"{path.name}:{node.lineno}: {ast.unparse(t)}" for t in targets)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if _callee(decorator) in CACHE_DECORATORS:
+                    out.append(f"{path.name}:{decorator.lineno}: {node.name}")
+    return out
+
+
+CACHE_FORMS = {
+    "dict": "memo = {}",
+    "annotated": "memo: dict[int, int] = {1: 2}",
+    "list": "memo = []",
+    "set": "memo = {1, 2}",
+    "dictcomp": "memo = {k: k for k in range(3)}",
+    "listcomp": "memo = [k for k in range(3)]",
+    "setcomp": "memo = {k for k in range(3)}",
+    "dict-call": "memo = dict()",
+    "list-call": "memo = list()",
+    "set-call": "memo = set()",
+    "defaultdict": "memo = collections.defaultdict(list)",
+    "OrderedDict": "memo = OrderedDict()",
+    "Counter": "memo = collections.Counter()",
+    "cache": "@cache\ndef memo(n):\n    return n",
+    "lru_cache-call": "@functools.lru_cache(maxsize=None)\ndef memo(n):\n    return n",
+    "lru_cache": "@lru_cache\ndef memo(n):\n    return n",
+}
+
+
+@pytest.mark.parametrize("source", CACHE_FORMS.values(), ids=CACHE_FORMS.keys())
+def test_scan_finds_a_module_cache(tmp_path, source):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\n" + source + "\n", encoding="utf-8")
+    assert module_caches(mod) == ["mod.py:2: memo"]
+
+
+def test_scan_passes_constants_and_local_state(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "LIMIT = 2000\n"
+        "NAMES = ('a', 'b')\n"
+        "KINDS = frozenset({'a'})\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    items: list\n"
+        "def f():\n"
+        "    memo = {}\n"
+        "    return memo\n",
+        encoding="utf-8",
+    )
+    assert module_caches(mod) == []
+
+
+def test_no_module_level_caches():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.extend(module_caches(path))
+    assert found == []

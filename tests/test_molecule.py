@@ -52,6 +52,16 @@ def test_globe_boundaries_are_globes():
             assert find_iso(sub, globe(j).poset) is not None
 
 
+def test_globe_is_the_atom_on_two_smaller_globes():
+    # the face table matches the atom construction index for index
+    for k in range(1, 13):
+        g = globe(k - 1)
+        built, made = atom(g, g), globe(k)
+        assert made.counts == built.counts
+        assert made.poset.faces == built.poset.faces
+        assert made.cert == built.cert
+
+
 def test_paste_arrows():
     p2 = paste(path(1), path(1), 0)
     assert p2.counts == (3, 2)

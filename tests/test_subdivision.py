@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dcx import (
+    BoundaryMismatchError,
     FinPoset,
     PreconditionError,
     contractibility_report,
@@ -17,7 +18,9 @@ from dcx import (
     theta_from_tree,
     tree_leq,
 )
-from dcx.ogposet import _bits
+from dcx.molecule import paste_labelled, splits_masks
+from dcx.ogposet import MINUS, PLUS, _bits
+from dcx.subdivision import Subdivision, _trees, realize
 from conftest import composition_refines, compositions
 
 
@@ -114,6 +117,49 @@ def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert, monkeypa
         assert [r & ~(1 << i) for i, r in enumerate(rows)] == [
             oracle.up_mask(i) for i in range(sdp.size)
         ], (mol.counts, S)
+
+
+def _pasted_realisation(P, tree):
+    """The theta of a tree as the pasting of its leaves' globes along the
+    node levels, with each element labelled by its image."""
+    if tree[0] == "leaf":
+        region = tree[1]
+        d = P.masks_dim(region)
+        img = {(d, 0): region}
+        for j in range(d):
+            img[(j, 0)] = P.boundary_masks(region, j, MINUS)
+            img[(j, 1)] = P.boundary_masks(region, j, PLUS)
+        return globe(d).poset, img
+    k, children = tree[1], tree[2]
+    theta, img = _pasted_realisation(P, children[0])
+    for child in children[1:]:
+        th2, img2 = _pasted_realisation(P, child)
+        theta, img = paste_labelled(theta, img, th2, img2, k)
+    return theta, img
+
+
+def test_realize_matches_pasting_oracle(corpus, horiz, vert):
+    # realize reads the theta off the images; the oracle pastes it
+    count = 0
+    for mol, S in _differential_inputs(corpus, horiz, vert):
+        P = mol.poset
+        for tree in _trees(P, P.full_masks(), tuple(sorted(S)), -1):
+            sub = realize(P, tree)
+            theta, img = _pasted_realisation(P, tree)
+            assert len(set(img.values())) == theta.size(), (mol.counts, S, tree)
+            assert Subdivision(P, tree, theta, img).key == sub.key, (mol.counts, S, tree)
+            assert set(img.values()) == set(sub.img.values()), (mol.counts, S, tree)
+            count += 1
+    assert count > 700
+
+
+def test_realize_rejects_layers_in_the_wrong_order():
+    P = path(2).poset
+    [(first, second)] = splits_masks(P, P.full_masks(), 0)
+    ordered = ("node", 0, (("leaf", first), ("leaf", second)), P.full_masks())
+    assert realize(P, ordered).theta.counts == (3, 2)
+    with pytest.raises(BoundaryMismatchError):
+        realize(P, ("node", 0, (("leaf", second), ("leaf", first)), P.full_masks()))
 
 
 def test_sd_of_atom_is_empty():
@@ -265,8 +311,6 @@ def test_tree_leq_memo_survives_freed_trees():
     # Compare persistent elements with fresh copies that are freed between
     # calls: a memo keyed by object identity alone answers for a dead tree
     # whose id has been reused by the next copy.
-    from dcx.subdivision import realize
-
     sdp = enumerate_sd(path(5), {0})
     P = sdp.molecule.poset
     elements = sdp.elements
