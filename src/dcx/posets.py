@@ -1,4 +1,4 @@
-"""Finite posets: relation tables, covers, isomorphism, dismantling.
+"""Finite posets: relation tables, covers, chains, dismantling.
 
 Relations are stored as bitmask rows, which keeps beat-point dismantling
 and cover extraction fast on posets with a few hundred elements.
@@ -143,48 +143,6 @@ class FinPoset:
 
     def is_dismantlable(self) -> bool:
         return self.n > 0 and self.dismantle_core().n == 1
-
-    # -- isomorphism -----------------------------------------------------------
-
-    def isomorphic(self, other: "FinPoset") -> bool:
-        if self.n != other.n:
-            return False
-
-        inv_s = [(self.down_mask(i).bit_count(), self.up_mask(i).bit_count()) for i in range(self.n)]
-        inv_o = [(other.down_mask(i).bit_count(), other.up_mask(i).bit_count()) for i in range(other.n)]
-        if sorted(inv_s) != sorted(inv_o):
-            return False
-        cand = {
-            i: [j for j in range(other.n) if inv_o[j] == inv_s[i]]
-            for i in range(self.n)
-        }
-        order = sorted(range(self.n), key=lambda i: len(cand[i]))
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-
-        def rec(pos: int) -> bool:
-            if pos == self.n:
-                return True
-            i = order[pos]
-            for j in cand[i]:
-                if j in used:
-                    continue
-                ok = True
-                for i2, j2 in mapping.items():
-                    if self.leq(i, i2) != other.leq(j, j2) or self.leq(i2, i) != other.leq(j2, j):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                mapping[i] = j
-                used.add(j)
-                if rec(pos + 1):
-                    return True
-                del mapping[i]
-                used.discard(j)
-            return False
-
-        return rec(0)
 
     def __repr__(self):
         return f"FinPoset(n={self.n})"

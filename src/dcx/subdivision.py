@@ -12,10 +12,11 @@ realising the same subdivision collapse.
 
 A subdivision is non-degenerate, so its images alone determine its theta.
 ``realize`` reads one theta element off each image, with the images of its
-faces as the image's boundaries one dimension down.  It raises
-BoundaryMismatchError when consecutive layers do not meet along their
-k-boundaries, and DcxError when a leaf's boundary has the wrong dimension
-or when images are shared or missing.
+faces as the image's boundaries one dimension down, which the leaf that
+made the image has already computed.  It raises BoundaryMismatchError when
+consecutive layers do not meet along their k-boundaries, and DcxError when
+a leaf's boundary has the wrong dimension, when images are shared, or when
+two layers give one image different faces.
 
 The refinement order is decided on realisations: a node of the coarser
 side must cut the finer side into consecutive chunks over its layers, and
@@ -99,7 +100,8 @@ def realize(P: OgPoset, tree: Tree) -> Subdivision:
     the elements on the input and output boundaries of m one dimension
     down as faces.  Raises BoundaryMismatchError when consecutive layers of
     a node do not meet along their k-boundaries, and DcxError when a leaf
-    boundary has the wrong dimension or images are shared or missing.
+    boundary has the wrong dimension, images are shared, or two layers give
+    one image different faces.
     """
     images, size = _images(P, tree)
     if len(images) != size:
@@ -114,35 +116,44 @@ def realize(P: OgPoset, tree: Tree) -> Subdivision:
     faces: list[list] = [[] for _ in counts]
     for (d, _), m in img.items():
         if d:
-            sides = [index.get(P.boundary_masks(m, d - 1, alpha)) for alpha in (MINUS, PLUS)]
-            if None in sides:
-                raise DcxError("a boundary of an image is not an image")
-            faces[d].append(((sides[0],), (sides[1],)))
+            lo, hi = images[m]
+            faces[d].append(((index[lo],), (index[hi],)))
     return Subdivision(P, tree, OgPoset(counts, faces, regular=True), img)
 
 
-def _images(P: OgPoset, tree: Tree) -> tuple[set[Masks], int]:
+def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
     """The images of a tree's theta elements, and the theta's size: 2d + 1
-    for a d-globe, less 2k + 1 for each k-globe that two layers share."""
+    for a d-globe, less 2k + 1 for each k-globe that two layers share.
+
+    Each image maps to the images of its input and output faces, or to None
+    for a point.  By globularity the faces of a leaf's j-boundaries, and of
+    its region R when j is the region's dimension, are the (j-1)-boundaries
+    of R.  Raises DcxError when two layers give one image different faces.
+    """
     if tree[0] == "leaf":
         region = tree[1]
         d = P.masks_dim(region)
-        images = {region}
+        images: dict[Masks, tuple] = {}
+        faces = None
         for j in range(d):
-            for alpha in (MINUS, PLUS):
-                bd = P.boundary_masks(region, j, alpha)
+            sides = tuple(P.boundary_masks(region, j, alpha) for alpha in (MINUS, PLUS))
+            for bd in sides:
                 if P.masks_dim(bd) != j:
                     raise DcxError("element-image map is not dimension-preserving")
-                images.add(bd)
+                images[bd] = faces
+            faces = sides
+        images[region] = faces
         return images, 2 * d + 1
     k, children = tree[1], tree[2]
-    images, size, left = set(), 2 * k + 1, 0
+    images, size, left = {}, 2 * k + 1, 0
     for child in children:
         right = tree_region(child)
         if left and P.boundary_masks(left, k, PLUS) != P.boundary_masks(right, k, MINUS):
             raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
         more, n = _images(P, child)
-        images |= more
+        for m, faces in more.items():
+            if images.setdefault(m, faces) != faces:
+                raise DcxError("two layers give one image different faces")
         size += n - (2 * k + 1)  # the start value 2k + 1 cancels this for the first layer
         left |= right
     return images, size
@@ -279,6 +290,23 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
     A node's region is the union of its leaves' regions, so b then covers
     every subtree region of a in the same sense, and checking those too
     would reject nothing more.
+
+    For a kept b, the chunks that ``tree_leq`` cuts at a node of a cover
+    the node's chunk: every image of b inside the node's region R lies in
+    one of its layers.  First, each leaf region Q of b lies in a leaf
+    region of a.  Two leaf regions of one tree meet in dimension at most
+    the level of the node that parts them, and a layer of a k-split has
+    dimension above k, so an element e of Q of Q's dimension lies in no
+    image but Q.  Some leaf region r of a holds e; r is the union of b's
+    images inside it, so Q lies in r.  Every image of b is a leaf region or
+    a boundary of one, so it lies in a leaf region r of a.  If r is below
+    the node, the image lies in one of its layers.  Otherwise the node
+    where the paths to r and to R part has a lower level j, and the image
+    lies in a j-boundary of the layer that holds R.  Splits above level j
+    keep j-boundaries, so that is a j-boundary of R and of each of R's
+    layers.  The other checks, that each chunk is a molecule of b's theta
+    and meets the next along its k-boundary, have no proof here, so
+    ``tree_leq`` still judges every kept b.
     """
     needs = [{t[1] for t in _subtrees(a.tree) if t[0] == "leaf"} for a in elements]
     covered = {}

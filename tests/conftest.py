@@ -113,3 +113,37 @@ def composition_refines(fine, coarse):
         if acc != part:
             return False
     return i == len(fine)
+
+
+def posets_isomorphic(P, Q):
+    """True iff the finite posets P and Q are isomorphic: a backtracking
+    search over bijections that keep (down-set size, up-set size) and
+    respect the order both ways."""
+    if P.n != Q.n:
+        return False
+    inv_p = [(P.down_mask(i).bit_count(), P.up_mask(i).bit_count()) for i in range(P.n)]
+    inv_q = [(Q.down_mask(j).bit_count(), Q.up_mask(j).bit_count()) for j in range(Q.n)]
+    if sorted(inv_p) != sorted(inv_q):
+        return False
+    cand = {i: [j for j in range(Q.n) if inv_q[j] == inv_p[i]] for i in range(P.n)}
+    order = sorted(range(P.n), key=lambda i: len(cand[i]))
+    mapping: dict[int, int] = {}
+
+    def rec(pos: int) -> bool:
+        if pos == P.n:
+            return True
+        i = order[pos]
+        for j in cand[i]:
+            if j in mapping.values():
+                continue
+            if all(
+                P.leq(i, i2) == Q.leq(j, j2) and P.leq(i2, i) == Q.leq(j2, j)
+                for i2, j2 in mapping.items()
+            ):
+                mapping[i] = j
+                if rec(pos + 1):
+                    return True
+                del mapping[i]
+        return False
+
+    return rec(0)

@@ -21,7 +21,7 @@ from dcx import (
 from dcx.molecule import paste_labelled, splits_masks
 from dcx.ogposet import MINUS, PLUS, _bits
 from dcx.subdivision import Subdivision, _trees, realize
-from conftest import composition_refines, compositions
+from conftest import composition_refines, compositions, posets_isomorphic
 
 
 def composition_of(sub):
@@ -49,7 +49,7 @@ def test_sd_of_path_matches_compositions(k):
     sdp = enumerate_sd(path(k), {0})
     comps = compositions(k)
     comp_poset = FinPoset.from_leq(comps, lambda a, b: composition_refines(b, a))
-    assert sdp.poset.isomorphic(comp_poset)
+    assert posets_isomorphic(sdp.poset, comp_poset)
     # and the explicit bijection preserves order both ways
     index = {c: i for i, c in enumerate(comps)}
     images = [composition_of(s) for s in sdp.elements]
@@ -117,6 +117,28 @@ def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert, monkeypa
         assert [r & ~(1 << i) for i, r in enumerate(rows)] == [
             oracle.up_mask(i) for i in range(sdp.size)
         ], (mol.counts, S)
+
+
+def test_region_filter_is_exact_across_level_sets(corpus, horiz, vert):
+    # Pool the subdivisions of each molecule over all its level sets, so
+    # that pairs whose trees use different levels are compared too.  On
+    # every pair the region filter admits exactly the refinements.
+    import dcx.subdivision as sdm
+
+    pools: dict[bytes, tuple] = {}
+    for mol, S in _differential_inputs(corpus, horiz, vert):
+        mol, pool = pools.setdefault(mol.key, (mol, {}))
+        for s in enumerate_sd(mol, S).elements:
+            pool.setdefault(s.key, s)
+    pairs = 0
+    for mol, pool in pools.values():
+        els = list(pool.values())
+        candidates = sdm._region_candidates(els)
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                assert bool(candidates[i] >> j & 1) == tree_leq(a, b), (mol.counts, a.tree, b.tree)
+        pairs += len(els) ** 2
+    assert pairs > 5000
 
 
 def _pasted_realisation(P, tree):
@@ -201,7 +223,7 @@ def test_single_level_matches_pre_layerings(corpus, horiz, vert):
             sdp = enumerate_sd(mol, {k})
             pl = pre_layerings(mol, k)
             assert sdp.size == pl.n
-            assert sdp.poset.isomorphic(pl)
+            assert posets_isomorphic(sdp.poset, pl)
 
 
 def test_identity_subdivision_is_maximum_for_thetas():
