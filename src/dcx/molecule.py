@@ -474,7 +474,16 @@ def _path_edge_order(P: OgPoset, masks: Masks) -> Optional[list[int]]:
 
 
 def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
-    """Certificate witnessing that a closed subset is a molecule, or None."""
+    """Certificate witnessing that a closed subset is a molecule, or None.
+
+    A subset that is not an atom is recognised by its first split, at the
+    highest level that has one.  The split search checks candidates only
+    up to that split: its memo entry stays unfinished (the splits found so
+    far, the candidate list and the index of the next candidate) until a
+    full listing resumes it and leaves the plain list of all splits; see
+    :func:`splits_masks`.  Resumption is never re-entrant, because both
+    sides of a split are strictly smaller subsets.
+    """
     memo = _memo(P, "mol")
     if masks in memo:
         return memo[masks]
@@ -564,66 +573,125 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     - same side: two high elements whose closures meet above dimension k
       lie on the same side, since A n B has dimension at most k.
 
-    Given the assignment, the shared membrane is forced: it grows from the
-    elements outside both closures (plus the closures' intersection) by
-    adding the level-k output frame of A and input frame of B until stable.
-    The parts of both sides above level k never change during the growth,
-    so the frame tests are stable and the fixpoint reconstructs the unique
-    candidate split, which is then checked exactly.  Candidates are tried
-    in increasing order of their left-side bitmask.
+    :func:`_candidate_split` turns one candidate into its split or None.
+    Candidates are tried in increasing order of their left-side bitmask.
+
+    The splits are found lazily, so a caller that needs one split (as
+    :func:`mol_cert` does) checks only the candidates up to the first one.
+    The poset's "splits" memo holds one entry per ``(masks, k)``:
+
+    - a finished entry is the plain list of all splits, replayed as is;
+    - an unfinished entry is a :class:`_SplitSearch`: the splits found so
+      far, the candidate list and the index of the next candidate.
+
+    A listing replays the splits found so far, then checks candidates from
+    the index onward.  The index moves past a candidate only once its check
+    has returned, and a split is appended before it is yielded, so several
+    listings of one entry may interleave, a listing may stop early, and a
+    check that raises leaves the entry whole: no candidate is checked
+    twice and none is skipped.  When the candidates run out, the entry
+    becomes its plain list.  Resumption is never re-entrant: a check
+    recurses only into strictly smaller subsets, so it never reaches the
+    entry it is checking for.
     """
     d = P.masks_dim(masks)
     if k < 0 or k >= d:
         return
     memo = _memo(P, "splits")
     mkey = (masks, k)
-    if mkey in memo:
-        yield from memo[mkey]
+    entry = memo.get(mkey)
+    if entry is None and d == 1:
+        memo[mkey] = entry = _path_splits(P, masks)
+    if type(entry) is list:
+        yield from entry
         return
-    out = []
-    if d == 1 and k == 0:
-        # a 1-molecule is a directed path: splits are the interior cuts; kept
-        # for speed, as the general search gives the same splits ~10% slower on sd
-        if mol_cert(P, masks) is not None:
-            order = _path_edge_order(P, masks)
-            for cut in range(1, len(order)):
-                left = P.closure_masks(P.el_masks((1, e) for e in order[:cut]))
-                right = P.closure_masks(P.el_masks((1, e) for e in order[cut:]))
-                out.append((left, right))
-    else:
-        high = P.maximal_masks(masks) & ~P.upto(k)
-        closures = [P.cl_el[p] for p in _bits(high)]
-        low = masks & P.upto(k)
-        for bits in _split_candidates(P, high, k):
-            cla = clb = 0
-            for n, cl in enumerate(closures):
-                if bits >> n & 1:
-                    cla |= cl
-                else:
-                    clb |= cl
-            membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
-            while True:
-                left, right = cla | membrane, clb | membrane
-                grow = P.closure_masks(
-                    P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
-                )
-                if grow & ~membrane == 0:
-                    break
-                membrane |= grow
-            if left == masks or right == masks:
-                continue
-            if left | right != masks:
-                continue
-            inter = left & right
-            if P.boundary_masks(left, k, PLUS) != inter:
-                continue
-            if P.boundary_masks(right, k, MINUS) != inter:
-                continue
-            if mol_cert(P, left) is None or mol_cert(P, right) is None:
-                continue
-            out.append((left, right))
-    memo[mkey] = out
-    yield from out
+    high = P.maximal_masks(masks) & ~P.upto(k)
+    if entry is None:
+        memo[mkey] = entry = _SplitSearch(_split_candidates(P, high, k))
+    found, candidates = entry.found, entry.candidates
+    closures = [P.cl_el[p] for p in _bits(high)]
+    low = masks & P.upto(k)
+    seen = 0
+    while True:
+        while seen < len(found):
+            yield found[seen]
+            seen += 1
+        n = entry.next
+        if n == len(candidates):
+            break
+        split = _candidate_split(P, masks, k, closures, low, candidates[n])
+        entry.next = n + 1
+        if split is not None:
+            found.append(split)
+    memo[mkey] = found
+
+
+class _SplitSearch:
+    """An unfinished entry of the split memo (see :func:`splits_masks`)."""
+
+    __slots__ = ("found", "candidates", "next")
+
+    def __init__(self, candidates: list[int]):
+        self.found: list[tuple[Masks, Masks]] = []
+        self.candidates = candidates
+        self.next = 0
+
+
+def _path_splits(P: OgPoset, masks: Masks) -> list[tuple[Masks, Masks]]:
+    """The 0-splits of a 1-dimensional subset: the interior cuts of a
+    directed path; kept for speed, as the general search gives the same
+    splits ~10% slower on sd."""
+    if mol_cert(P, masks) is None:
+        return []
+    order = _path_edge_order(P, masks)
+    return [
+        (
+            P.closure_masks(P.el_masks((1, e) for e in order[:cut])),
+            P.closure_masks(P.el_masks((1, e) for e in order[cut:])),
+        )
+        for cut in range(1, len(order))
+    ]
+
+
+def _candidate_split(
+    P: OgPoset, masks: Masks, k: int, closures: list[Masks], low: Masks, bits: int
+) -> Optional[tuple[Masks, Masks]]:
+    """The k-split of ``masks`` with left side ``bits``, or None.
+
+    ``bits`` assigns the high elements, whose closures are ``closures``, to
+    the two sides; ``low`` is the part of ``masks`` of dimension at most k.
+    Given the assignment, the shared membrane is forced: it grows from the
+    elements outside both closures (plus the closures' intersection) by
+    adding the level-k output frame of A and input frame of B until stable.
+    The parts of both sides above level k never change during the growth,
+    so the frame tests are stable and the fixpoint reconstructs the unique
+    candidate split, which is then checked exactly.
+    """
+    cla = clb = 0
+    for n, cl in enumerate(closures):
+        if bits >> n & 1:
+            cla |= cl
+        else:
+            clb |= cl
+    membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
+    while True:
+        left, right = cla | membrane, clb | membrane
+        grow = P.closure_masks(
+            P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
+        )
+        if grow & ~membrane == 0:
+            break
+        membrane |= grow
+    if left == masks or right == masks or left | right != masks:
+        return None
+    inter = left & right
+    if P.boundary_masks(left, k, PLUS) != inter:
+        return None
+    if P.boundary_masks(right, k, MINUS) != inter:
+        return None
+    if mol_cert(P, left) is None or mol_cert(P, right) is None:
+        return None
+    return left, right
 
 
 def _split_candidates(P: OgPoset, high: Masks, k: int) -> list[int]:
@@ -678,7 +746,7 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
                 if b not in found:
                     found[b] = wit + [("boundary", k, alpha)]
                     queue.append(b)
-            for idx, (a, b) in enumerate(splits_masks(P, cur, k)):
+            for a, b in splits_masks(P, cur, k):
                 if a not in found:
                     found[a] = wit + [("split", k, 0)]
                     queue.append(a)

@@ -65,6 +65,7 @@ class OgPoset:
         "faces",
         "regular",
         "_offsets",
+        "_upto",
         "_els",
         "dn_minus",
         "dn_plus",
@@ -124,6 +125,8 @@ class OgPoset:
         for c in self.counts:
             offsets.append(offsets[-1] + c)
         self._offsets = tuple(offsets)
+        # _upto[j]: the elements of dimension below j, for j = 0 .. len(counts)
+        self._upto = tuple((1 << o) - 1 for o in offsets)
         self._els = [(d, i) for d, c in enumerate(self.counts) for i in range(c)]
         n = offsets[-1]
         self.dn_minus = [0] * n
@@ -174,7 +177,10 @@ class OgPoset:
 
     def upto(self, k: int) -> Masks:
         """The elements of dimension at most k."""
-        return (1 << self._offsets[max(0, min(k + 1, len(self.counts)))]) - 1
+        table = self._upto
+        if -1 <= k < len(table) - 1:
+            return table[k + 1]
+        return 0 if k < 0 else table[-1]
 
     def full_masks(self) -> Masks:
         return (1 << len(self._els)) - 1

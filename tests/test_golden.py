@@ -1,7 +1,7 @@
-"""Golden outputs of the subdivision commands.
+"""Golden outputs of the subdivision and check commands.
 
-``tests/golden/manifest.json`` lists command lines of ``dcx sd`` and
-``dcx export --dot sd``, each with the ogposet/1 file under
+``tests/golden/manifest.json`` lists command lines of ``dcx sd``,
+``dcx export --dot sd`` and ``dcx check``, each with the ogposet/1 file under
 ``tests/golden/inputs/`` that it reads, the sha256 of its stdout and its
 exit code.  The test runs every entry through ``cli.run`` in-process and
 compares both.  A change to the library that must keep these outputs
@@ -75,9 +75,12 @@ def _molecules():
         yield f"corpus{i:02d}", mol
 
 
+CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
+
+
 def _commands(dim: int):
-    """``sd`` and ``export --dot sd`` at every level set, ``sd --report``, and
-    a negative level, which exits 2."""
+    """``sd`` and ``export --dot sd`` at every level set, ``sd --report``, a
+    negative level, which exits 2, and ``check`` of every property."""
     levels = range(max(dim, 0))
     for r in range(len(levels) + 1):
         for S in itertools.combinations(levels, r):
@@ -86,6 +89,8 @@ def _commands(dim: int):
             yield ["export", "--dot", "sd", "--levels", text]
     yield ["sd", "--report"]
     yield ["sd", "--levels", "-1"]
+    for prop in CHECK_PROPERTIES:
+        yield ["check", prop]
 
 
 def update() -> int:

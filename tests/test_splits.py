@@ -7,11 +7,17 @@ elements whose closures meet in dimension at most k.  Run on an independent
 copy of the poset, with the oracle patched in, every split search (the ones
 recognition makes internally included) must give the same list in the same
 order.
+
+The split memo keeps unfinished entries that later listings resume; the
+tests at the end check that every way of reading an entry gives the list a
+fresh full enumeration gives, and that no candidate is checked twice.
 """
+import pytest
+
 import dcx.molecule as molecule
 from dcx import globe, oriental, paste
 from dcx.flow import maxflow_masks
-from dcx.molecule import _split_candidates, splits_masks, submolecules_masks
+from dcx.molecule import _split_candidates, mol_cert, splits_masks, submolecules_masks
 from dcx.ogposet import OgPoset, _bits
 
 
@@ -38,11 +44,19 @@ def fresh(P):
 
 
 def split_table(P):
-    """Splits of every submolecule at every level, plus every search reached."""
+    """Splits of every submolecule at every level, plus every search reached,
+    each read through ``splits_masks``: an unfinished memo entry is not a
+    list of splits."""
     for masks in submolecules_masks(P, P.full_masks()):
         for k in range(P.masks_dim(masks)):
             list(splits_masks(P, masks, k))
-    return P._memo.get("splits", {})
+    memo = P._memo.get("splits", {})
+    table = {}
+    while len(table) < len(memo):
+        for key in list(memo):
+            if key not in table:
+                table[key] = list(splits_masks(P, *key))
+    return table
 
 
 def assert_matches_oracle(mol, monkeypatch):
@@ -115,3 +129,105 @@ def test_candidates_are_the_flow_down_sets_of_the_oracle(small_corpus):
                 for left, _right in splits_masks(P, masks, k):
                     bits = sum(1 << pos[v] for v in high if left & P.el_masks([v]))
                     assert bits in down_sets
+
+
+# -- resumable memo entries ---------------------------------------------------
+
+
+def split_cases(small_corpus):
+    """(molecule, level, full split list) for every level of every molecule of
+    the small corpus and of oriental(4), listed on a fresh copy."""
+    for mol in small_corpus + [oriental(4)]:
+        P = fresh(mol.poset)
+        for k in range(P.dim):
+            yield mol, k, list(splits_masks(P, P.full_masks(), k))
+
+
+def entry(P, k):
+    return P._memo["splits"][(P.full_masks(), k)]
+
+
+def test_interleaved_listings_of_one_entry(small_corpus):
+    interleaved = 0
+    for mol, k, want in split_cases(small_corpus):
+        P = fresh(mol.poset)
+        full = P.full_masks()
+        got = {0: [], 1: []}
+        live = {0: splits_masks(P, full, k), 1: splits_masks(P, full, k)}
+        turn = 0
+        while live:
+            if turn in live:
+                try:
+                    got[turn].append(next(live[turn]))
+                except StopIteration:
+                    del live[turn]
+                if len(want) > 1 and len(got[0]) == 1 and not got[1]:
+                    interleaved += type(entry(P, k)) is not list
+            turn = 1 - turn
+        assert got[0] == want and got[1] == want, (mol, k)
+        assert entry(P, k) == want
+    assert interleaved > 10
+
+
+def test_first_split_then_full_listing(small_corpus, monkeypatch):
+    checked = []
+    check = molecule._candidate_split
+
+    def counting(P, masks, k, closures, low, bits):
+        checked.append((id(P), masks, k, bits))
+        return check(P, masks, k, closures, low, bits)
+
+    monkeypatch.setattr(molecule, "_candidate_split", counting)
+    stopped = 0
+    for mol, k, want in split_cases(small_corpus):
+        P = fresh(mol.poset)
+        full = P.full_masks()
+        del checked[:]
+        assert next(splits_masks(P, full, k), None) == (want[0] if want else None)
+        stopped += type(entry(P, k)) is not list
+        assert list(splits_masks(P, full, k)) == want, (mol, k)
+        assert type(entry(P, k)) is list
+        assert mol_cert(P, full) is not None
+        assert len(set(checked)) == len(checked), (mol, k)
+    assert stopped > 10
+
+
+def test_failed_check_leaves_the_entry_whole(small_corpus, monkeypatch):
+    class Interrupt(Exception):
+        pass
+
+    real = molecule.mol_cert
+    raised = 0
+    for mol, k, want in split_cases(small_corpus):
+        if len(want) < 2 or mol.dim == 1:
+            # the 0-splits of a 1-molecule are listed eagerly
+            continue
+        P = fresh(mol.poset)
+        key = (P.full_masks(), k)
+        armed = [True]
+
+        def flaky(Q, masks):
+            # raise once, in a check made after the entry has found a split
+            current = Q._memo.get("splits", {}).get(key)
+            if armed[0] and isinstance(current, molecule._SplitSearch) and current.found:
+                armed[0] = False
+                raise Interrupt
+            return real(Q, masks)
+
+        with monkeypatch.context() as m:
+            m.setattr(molecule, "mol_cert", flaky)
+            with pytest.raises(Interrupt):
+                list(splits_masks(P, *key))
+        assert type(entry(P, k)) is not list
+        assert list(splits_masks(P, *key)) == want, (mol, k)
+        assert entry(P, k) == want
+        raised += 1
+    assert raised > 10
+
+
+def test_first_split_certificate_matches_full_listing(small_corpus):
+    for mol in small_corpus + [oriental(4)]:
+        lazy = fresh(mol.poset)
+        listed = fresh(mol.poset)
+        split_table(listed)
+        assert mol_cert(lazy, lazy.full_masks()) == mol_cert(listed, listed.full_masks())
