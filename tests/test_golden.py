@@ -1,12 +1,22 @@
-"""Golden outputs of the subdivision and check commands.
+"""Golden outputs of the command line and of the canonical-form search.
 
-``tests/golden/manifest.json`` lists command lines of ``dcx sd``,
-``dcx export --dot sd`` and ``dcx check``, each with the ogposet/1 file under
-``tests/golden/inputs/`` that it reads, the sha256 of its stdout and its
-exit code.  The test runs every entry through ``cli.run`` in-process and
-compares both.  A change to the library that must keep these outputs
-leaves the manifest alone; one that changes them on purpose rewrites the
-inputs and the manifest with
+``tests/golden/manifest.json`` lists command lines of every ``dcx``
+subcommand, each with the sha256 of its stdout and its exit code.  An
+argument that starts with ``inputs/`` names a committed file under
+``tests/golden/``: ogposet/1 molecules, ssset/1 simplices and their
+dcomplex/1 realisations.  ``tests/golden/library.json`` holds one sha256 per
+section of a library digest: canonical keys and relabels, full isomorphism
+lists against relabelled copies, and the keys of enumerated pasting
+diagrams.
+
+Tier-1 runs the commands on the inputs of ``SLICE`` and the library digest
+in-process.  The full set runs as a script, which prints one summary line:
+
+    python3 tests/test_golden.py
+
+A change to the library that must keep these outputs leaves the golden
+files alone; one that changes them on purpose rewrites the inputs, the
+manifest and the digest with
 
     python3 tests/test_golden.py --update
 """
@@ -15,26 +25,41 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
+import time
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 MANIFEST = GOLDEN / "manifest.json"
+LIBRARY = GOLDEN / "library.json"
 
 # the first molecules of the seeded test corpus with positive dimension and
 # at most CORPUS_MAX_ELEMENTS elements are inputs too
 CORPUS_TAKE = 12
 CORPUS_MAX_ELEMENTS = 14
 
+# the inputs whose commands tier-1 runs; commands reading no file run too
+SLICE = ("path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2")
 
-def run_command(argv, input_name) -> tuple[str, int]:
-    """The stdout text and exit code of one command on one input file."""
-    from dcx import cli  # imported late, after ``--update`` has put src/ on the path
+
+def _resolve(arg: str) -> str:
+    return str(GOLDEN / arg) if arg.startswith("inputs/") else arg
+
+
+def _inputs(argv) -> list[str]:
+    """The names of the input files a command line reads."""
+    return [Path(arg).stem.split(".")[0] for arg in argv if arg.startswith("inputs/")]
+
+
+def run_command(argv) -> tuple[str, int]:
+    """The stdout text and exit code of one command line."""
+    from dcx import cli  # imported late, after the script has put src/ on the path
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.run(list(argv) + [str(INPUTS / input_name)])
+        code = cli.run([_resolve(arg) for arg in argv])
     return out.getvalue(), code
 
 
@@ -42,23 +67,117 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_golden_outputs_are_unchanged():
+def _entries(in_slice: bool) -> list[dict]:
     entries = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert len(entries) > 200
+    if in_slice:
+        entries = [e for e in entries if all(name in SLICE for name in _inputs(e["argv"]))]
+    return entries
+
+
+def _failures(entries) -> list[list[str]]:
+    bad = []
     for entry in entries:
-        text, code = run_command(entry["argv"], entry["input"])
-        got = {"stdout_sha256": _digest(text), "exit": code}
-        want = {"stdout_sha256": entry["stdout_sha256"], "exit": entry["exit"]}
-        assert got == want, (entry["argv"], entry["input"])
+        text, code = run_command(entry["argv"])
+        if (_digest(text), code) != (entry["stdout_sha256"], entry["exit"]):
+            bad.append(entry["argv"])
+    return bad
+
+
+def test_golden_outputs_are_unchanged():
+    entries = _entries(in_slice=True)
+    commands = {tuple(e["argv"][:2]) for e in entries}
+    assert len(entries) > 200
+    assert {("make", "paste"), ("flow", "theory"), ("cx", "molecules"), ("sd", "--report")} <= commands
+    assert _failures(entries) == []
+
+
+def test_library_digest_is_unchanged(corpus):
+    want = json.loads(LIBRARY.read_text(encoding="utf-8"))
+    assert library_digest(corpus) == want
+
+
+# -- library digest --------------------------------------------------------------
+
+
+def _symmetric_posets():
+    """Posets with many automorphisms: parallel arrows, isolated points,
+    disjoint globes, and seeded random posets of dimension at most 2."""
+    from dcx import validate
+
+    for n in range(1, 6):
+        yield validate([n])
+        yield validate([2, [([0], [1])] * n])
+    yield validate([4, [([0], [1]), ([0], [1]), ([2], [3]), ([2], [3])], [([0], [1]), ([2], [3])]])
+    rng = random.Random(7)
+    for _ in range(60):
+        faces = [rng.randint(1, 4)]
+        for d in (1, 2):
+            below = faces[0] if d == 1 else len(faces[1])
+            level = []
+            for _ in range(rng.randint(0, 4) if below else 0):
+                sides = [rng.choice("-+ ") for _ in range(below)]
+                level.append(
+                    ([j for j, s in enumerate(sides) if s == "-"], [j for j, s in enumerate(sides) if s == "+"])
+                )
+            if not level:
+                break
+            faces.append(level)
+        yield validate(faces)
+
+
+def _relabelled(P, rng):
+    """A copy of P with the indices of each dimension shuffled."""
+    from dcx import validate
+
+    perms = []
+    for c in P.counts:
+        perm = list(range(c))
+        rng.shuffle(perm)
+        perms.append(perm)
+    raw = [P.counts[0]]
+    for d in range(1, len(P.counts)):
+        level = [None] * P.counts[d]
+        for i, (mn, pl) in enumerate(P.faces[d]):
+            level[perms[d][i]] = ([perms[d - 1][j] for j in mn], [perms[d - 1][j] for j in pl])
+        raw.append(level)
+    return validate(raw)
+
+
+def library_digest(corpus) -> dict[str, str]:
+    """One sha256 per section of the library outputs that rest on the
+    canonical-form and isomorphism search, over the seeded test corpus and
+    the golden inputs."""
+    from dcx import enumerate_molecules, import_ssset, isomorphisms
+    from dcx.dcomplex import SemiSimplicialSet
+
+    posets = [mol.poset for _, mol in _molecules(corpus)] + [m.poset for m in corpus]
+    posets += list(_symmetric_posets())
+    canon, isos = [], []
+    rng = random.Random(11)
+    for P in posets:
+        key, relabel = P.canonical()
+        canon.append(repr((key, sorted(relabel.items()))))
+        Q = _relabelled(P, rng)
+        qkey, qrelabel = Q.canonical()
+        found = [sorted(iso.mapping.items()) for iso in isomorphisms(P, Q)]
+        isos.append(repr((qkey == key, sorted(qrelabel.items()), found)))
+    diagrams = []
+    for n, max_cells in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        X = import_ssset(SemiSimplicialSet.standard_simplex(n))
+        diagrams.append(repr([d.key for d in enumerate_molecules(X, max_cells)]))
+    return {
+        "canonical": _digest("\n".join(canon)),
+        "isomorphisms": _digest("\n".join(isos)),
+        "enumerate_molecules": _digest("\n".join(diagrams)),
+    }
 
 
 # -- regeneration ----------------------------------------------------------------
 
 
-def _molecules():
-    """(input name, molecule) for every golden input."""
-    from conftest import CORPUS_SEED, CORPUS_SIZE
-    from dcx import globe, oriental, paste, path, random_molecules, theta_from_tree
+def _molecules(corpus):
+    """(input name, molecule) for every golden ogposet/1 input."""
+    from dcx import globe, oriental, paste, path, theta_from_tree
 
     for k in range(1, 8):
         yield f"path{k}", path(k)
@@ -69,18 +188,20 @@ def _molecules():
     yield "theta", theta_from_tree("(((),()),())")
     yield "horiz", paste(globe(2), globe(2), 0)
     yield "vert", paste(globe(2), globe(2), 1)
-    corpus = random_molecules(CORPUS_SIZE, seed=CORPUS_SEED)
     small = [m for m in corpus if m.dim >= 1 and m.size() <= CORPUS_MAX_ELEMENTS]
     for i, mol in enumerate(small[:CORPUS_TAKE]):
         yield f"corpus{i:02d}", mol
 
 
 CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
+FLOW_MODES = ("graph", "layerings", "orderings", "theory")
 
 
 def _commands(dim: int):
-    """``sd`` and ``export --dot sd`` at every level set, ``sd --report``, a
-    negative level, which exits 2, and ``check`` of every property."""
+    """For one molecule: ``sd`` and ``export --dot sd`` at every level set,
+    ``sd --report``, a negative level, which exits 2, ``check`` of every
+    property, ``flow`` of every mode and ``export --dot flow`` at every k
+    from -1 to the dimension, and ``export --dot hasse``."""
     levels = range(max(dim, 0))
     for r in range(len(levels) + 1):
         for S in itertools.combinations(levels, r):
@@ -91,31 +212,116 @@ def _commands(dim: int):
     yield ["sd", "--levels", "-1"]
     for prop in CHECK_PROPERTIES:
         yield ["check", prop]
+    for k in range(-1, dim + 1):
+        for mode in FLOW_MODES:
+            yield ["flow", mode, "--k", str(k)]
+        yield ["flow", "graph", "--k", str(k), "--output", "dot"]
+        yield ["export", "--dot", "flow", "--k", str(k)]
+    yield ["export", "--dot", "hasse"]
+
+
+def _make_commands():
+    """``make`` of every target: the shapes built from numbers and trees,
+    the operations on golden inputs, and malformed requests, which exit 2."""
+    for k in range(4):
+        yield ["make", "globe", str(k)]
+        yield ["make", "oriental", str(k)]
+    for k in range(5):
+        yield ["make", "path", str(k)]
+    for tree in ("()", "((),())", "(((),()),())", "(((),),())"):
+        yield ["make", "theta", tree]
+    pairs = [("globe1", "globe1"), ("path2", "globe1"), ("globe2", "globe2"), ("horiz", "vert"), ("theta", "globe2")]
+    for a, b in pairs:
+        files = [f"inputs/{a}.json", f"inputs/{b}.json"]
+        for k in range(3):
+            yield ["make", "paste", *files, str(k)]
+        yield ["make", "atom", *files]
+        yield ["make", "join", *files]
+    for name in ("path1", "path2", "globe2", "oriental2", "theta", "horiz"):
+        yield ["make", "suspend", f"inputs/{name}.json"]
+    yield ["make", "join", "inputs/oriental1.json", "inputs/oriental2.json"]
+    yield ["make", "globe", "x"]
+    yield ["make", "theta"]
+    yield ["make", "theta", "(("]
+    yield ["make", "paste", "inputs/globe1.json", "inputs/globe1.json"]
+    yield ["make", "atom", "inputs/globe1.json"]
+    yield ["make", "suspend"]
+    yield ["make", "cube", "2"]
+
+
+def _complex_commands(name: str):
+    """``cx`` of every mode on one simplex, read as ssset/1 and as dcomplex/1."""
+    yield ["cx", "import-ssset", f"inputs/{name}.ssset.json"]
+    yield ["cx", "verify", f"inputs/{name}.ssset.json"]
+    files = f"inputs/{name}.dcomplex.json"
+    yield ["cx", "verify", files]
+    for max_cells in (2, 3):
+        yield ["cx", "molecules", "--max-cells", str(max_cells), files]
+    yield ["cx", "frame-acyclic", files]
+    yield ["cx", "frame-acyclic", "--budget", "2", files]
+
+
+def _corpus():
+    from conftest import CORPUS_SEED, CORPUS_SIZE
+    from dcx import random_molecules
+
+    return random_molecules(CORPUS_SIZE, seed=CORPUS_SEED)
 
 
 def update() -> int:
-    from dcx import serialize
+    from dcx import import_ssset, serialize
+    from dcx.dcomplex import SemiSimplicialSet
 
     INPUTS.mkdir(parents=True, exist_ok=True)
     for old in INPUTS.glob("*.json"):
         old.unlink()
+    corpus = _corpus()
+    commands = []
+    for name, mol in _molecules(corpus):
+        (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(mol.poset), encoding="utf-8")
+        commands += [argv + [f"inputs/{name}.json"] for argv in _commands(mol.dim)]
+    commands += list(_make_commands())
+    for n in (1, 2, 3):
+        S = SemiSimplicialSet.standard_simplex(n)
+        (INPUTS / f"delta{n}.ssset.json").write_text(serialize.dumps_ssset(S), encoding="utf-8")
+        (INPUTS / f"delta{n}.dcomplex.json").write_text(
+            serialize.dumps_dcomplex(import_ssset(S)), encoding="utf-8"
+        )
+        commands += list(_complex_commands(f"delta{n}"))
     entries = []
-    for name, mol in _molecules():
-        input_name = f"{name}.json"
-        (INPUTS / input_name).write_text(serialize.dumps_ogposet(mol.poset), encoding="utf-8")
-        for argv in _commands(mol.dim):
-            text, code = run_command(argv, input_name)
-            entries.append(
-                {"argv": argv, "input": input_name, "stdout_sha256": _digest(text), "exit": code}
-            )
+    for argv in commands:
+        text, code = run_command(argv)
+        entries.append({"argv": argv, "stdout_sha256": _digest(text), "exit": code})
     lines = ",\n".join(" " + json.dumps(entry) for entry in entries)
     MANIFEST.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {MANIFEST}")
+    LIBRARY.write_text(json.dumps(library_digest(corpus), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {MANIFEST} and the digest to {LIBRARY}")
     return 0
 
 
+def check_all() -> int:
+    """Run every command and the library digest; print one summary line."""
+    start = time.perf_counter()
+    entries = _entries(in_slice=False)
+    bad = _failures(entries)
+    want = json.loads(LIBRARY.read_text(encoding="utf-8"))
+    got = library_digest(_corpus())
+    bad_sections = sorted(name for name in want if got.get(name) != want[name])
+    for argv in bad:
+        print("changed:", " ".join(argv))
+    for name in bad_sections:
+        print("changed: library digest section", name)
+    print(
+        f"golden: {len(entries)} commands, {len(bad)} failures; "
+        f"library digest: {len(want)} sections, {len(bad_sections)} failures; "
+        f"{time.perf_counter() - start:.1f} s"
+    )
+    return 1 if bad or bad_sections else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: python3 tests/test_golden.py --update")
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    sys.exit(update())
+    if sys.argv[1:] not in ([], ["--update"]):
+        sys.exit("usage: python3 tests/test_golden.py [--update]")
+    here = Path(__file__).resolve()
+    sys.path[:0] = [str(here.parents[1] / "src"), str(here.parent)]
+    sys.exit(update() if sys.argv[1:] else check_all())
