@@ -567,48 +567,33 @@ class OgIso:
         return f"OgIso({self.mapping})"
 
 
-def _tables(P: OgPoset) -> tuple:
-    return (P.dn_minus, P.dn_plus, P.up_minus, P.up_plus)
+def _refine(nbrs: list[tuple[list[int], ...]], colors: list) -> list[int]:
+    """Stable colour refinement of a flat colouring, as ranks 0, 1, ...
 
-
-def _refine(posets: list[OgPoset], colors: dict) -> dict:
-    """Stable colour refinement; colour ids are comparable across posets.
-
-    Colours are keyed by (poset, position).  An element's signature is its
-    colour and the sorted colours of its input faces, output faces, and the
-    cofaces having it as an input and as an output.
+    ``nbrs[q]`` lists the positions of q's input faces, output faces, and
+    cofaces having q as an input and as an output.  A signature is the
+    colour and the sorted colours of each list; new colours rank them, so
+    they keep the order of the old ones.
     """
-    rows = [
-        ((p, q), [[(p, r) for r in _bits(table[q])] for table in _tables(P)])
-        for p, P in enumerate(posets)
-        for q in range(P.size())
-    ]
+    count = len(set(colors))
     while True:
-        sigs = {}
-        for key, row in rows:
-            sigs[key] = (colors[key], *[tuple(sorted([colors[n] for n in ns])) for ns in row])
-        ranking = {sig: n for n, sig in enumerate(sorted(set(sigs.values())))}
-        new = {key: ranking[sig] for key, sig in sigs.items()}
-        if len(set(new.values())) == len(set(colors.values())):
-            return new
-        colors = new
-
-
-def _start_colors(posets: list[OgPoset]) -> dict:
-    """Colour each element by its dimension and its numbers of faces and
-    cofaces on each side."""
-    raw = {}
-    for p, P in enumerate(posets):
-        for q, (d, _) in enumerate(P._els):
-            raw[(p, q)] = (d,) + tuple(table[q].bit_count() for table in _tables(P))
-    ranking = {sig: n for n, sig in enumerate(sorted(set(raw.values())))}
-    return {key: ranking[sig] for key, sig in raw.items()}
+        sigs = [
+            (c, *[tuple(sorted([colors[r] for r in ns])) for ns in row])
+            for c, row in zip(colors, nbrs)
+        ]
+        ranking = {sig: n for n, sig in enumerate(sorted(set(sigs)))}
+        colors = [ranking[sig] for sig in sigs]
+        if len(ranking) == count:
+            return colors
+        count = len(ranking)
 
 
 def _search(posets: list[OgPoset], leaf) -> None:
     """Individualisation-refinement over one poset or a pair.
 
-    Colours are refined jointly.  A branch is pruned when some colour class
+    The posets are laid end to end: colours form one list indexed by
+    position, the first poset's first, refined jointly from each element's
+    dimension and numbers of faces and cofaces by side.  A branch is pruned when some colour class
     holds different numbers of elements from each poset.  When every class
     holds exactly one element of each poset, ``leaf(colors)`` is called, and
     the search stops once it returns True.  Otherwise the search branches on
@@ -618,31 +603,43 @@ def _search(posets: list[OgPoset], leaf) -> None:
     balanced, discrete colouring of a pair matches neighbour colours, so it
     is an isomorphism, and each isomorphism survives exactly one branch.
     Members are ordered by position, which is ``(dim, index)`` order.
+    Colours keep their order through refinement and individualisation, so
+    a discrete colouring of one poset numbers its positions dimension by
+    dimension.
     """
+    nbrs, start = [], []
+    base = 0
+    for P in posets:
+        for q, (d, _) in enumerate(P._els):
+            tables = (P.dn_minus[q], P.dn_plus[q], P.up_minus[q], P.up_plus[q])
+            nbrs.append(tuple([base + r for r in _bits(t)] for t in tables))
+            start.append((d, *[t.bit_count() for t in tables]))
+        base += P.size()
+    n, ways = posets[0].size(), len(posets)
 
     def rec(colors) -> bool:
-        classes: dict[int, list[list[int]]] = {}
-        for (p, q), c in colors.items():
-            classes.setdefault(c, [[] for _ in posets])[p].append(q)
-        if any(len(m) != len(ms[0]) for ms in classes.values() for m in ms):
+        classes: dict[int, list[int]] = {}
+        for q, c in enumerate(colors):
+            classes.setdefault(c, []).append(q)
+        if any(ways * sum(q < n for q in ms) != len(ms) for ms in classes.values()):
             return False
-        target = next((c for c in sorted(classes) if len(classes[c][0]) > 1), None)
+        target = next((c for c in sorted(classes) if len(classes[c]) > ways), None)
         if target is None:
             return leaf(colors)
-        first = sorted(classes[target][0])
-        if len(posets) == 1:
-            branches = [[(0, x)] for x in first]
+        first = [q for q in classes[target] if q < n]
+        if ways == 1:
+            branches = [[x] for x in first]
         else:
-            branches = [[(0, first[0]), (1, y)] for y in sorted(classes[target][1])]
+            branches = [[first[0], y] for y in classes[target] if y >= n]
         for picked in branches:
-            nxt = {key: 2 * c for key, c in colors.items()}
-            for key in picked:
-                nxt[key] -= 1
-            if rec(_refine(posets, nxt)):
+            nxt = [2 * c for c in colors]
+            for q in picked:
+                nxt[q] -= 1
+            if rec(_refine(nbrs, nxt)):
                 return True
         return False
 
-    rec(_refine(posets, _start_colors(posets)))
+    rec(_refine(nbrs, start))
 
 
 def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[OgIso]:
@@ -650,12 +647,11 @@ def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[Og
     if P.counts != Q.counts:
         return []
     found: list[OgIso] = []
+    n = P.size()
 
     def leaf(colors) -> bool:
-        image = {c: Q._els[q] for (p, q), c in colors.items() if p == 1}
-        found.append(
-            OgIso(P, Q, {P._els[q]: image[c] for (p, q), c in colors.items() if p == 0})
-        )
+        image = dict(zip(colors[n:], Q._els))
+        found.append(OgIso(P, Q, {el: image[c] for el, c in zip(P._els, colors)}))
         return limit is not None and len(found) >= limit
 
     _search([P, Q], leaf)
@@ -695,13 +691,9 @@ def _canonical_form(P: OgPoset):
         return (b"()", {})
     best: list = [None, None]
 
-    def leaf(cols) -> bool:
-        order: dict[El, int] = {}
-        for d in range(len(P.counts)):
-            base = P._offsets[d]
-            row = sorted(range(P.counts[d]), key=lambda i: cols[(0, base + i)])
-            for new, old in enumerate(row):
-                order[(d, old)] = new
+    def leaf(colors) -> bool:
+        # a discrete colouring numbers each dimension's positions consecutively
+        order = {el: c - P._offsets[el[0]] for el, c in zip(P._els, colors)}
         cert = [tuple(P.counts)]
         for d in range(1, len(P.counts)):
             row = sorted(range(P.counts[d]), key=lambda i: order[(d, i)])

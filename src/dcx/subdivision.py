@@ -36,7 +36,7 @@ from .errors import BoundaryMismatchError, DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule, _memo, mol_cert
-from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _union, labelled_key
+from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, labelled_key
 from .posets import FinPoset
 
 # trees: ("leaf", region) | ("node", k, children, region), where a region is
@@ -59,7 +59,7 @@ def _subtrees(tree: Tree) -> Iterator[Tree]:
 class Subdivision:
     """A realised subdivision: a theta poset with image subsets of U."""
 
-    __slots__ = ("ambient", "tree", "theta", "img", "key", "_images", "_chunks")
+    __slots__ = ("ambient", "tree", "theta", "img", "key", "_images")
 
     def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, img: dict):
         self.ambient = ambient
@@ -70,15 +70,6 @@ class Subdivision:
         self.key = labelled_key(theta, {el: ambient.masks_by_dim(m) for el, m in img.items()})
         # the image of each theta element, indexed by its theta position
         self._images = [img[el] for el in theta.elements()]
-        self._chunks: dict[int, int] = {}
-
-    def chunk_inside(self, layer: Masks) -> Masks:
-        """Theta elements whose image lies in the given ambient subset."""
-        cached = self._chunks.get(layer)
-        if cached is None:
-            images = enumerate(self._images)
-            cached = self._chunks[layer] = sum(1 << p for p, m in images if m & ~layer == 0)
-        return cached
 
     @property
     def levels(self) -> set[int]:
@@ -261,14 +252,21 @@ def _leq_rec(tree: Tree, b: Subdivision, sub: Masks) -> bool:
     _, k, children, _region = tree
     T = b.theta
     layers = [tree_region(c) for c in children]
-    chunks = [b.chunk_inside(layer) & sub for layer in layers]
-    union = 0
+    # per layer, the elements of sub whose image lies in it, and their images' union
+    chunks, unions = [0] * len(layers), [0] * len(layers)
+    for p in _bits(sub):
+        image = b._images[p]
+        for i, layer in enumerate(layers):
+            if image & ~layer == 0:
+                chunks[i] |= 1 << p
+                unions[i] |= image
+    covered = 0
     for c in chunks:
-        union |= c
-    if union != sub:
+        covered |= c
+    if covered != sub or unions != layers:
         return False
-    for layer, chunk in zip(layers, chunks):
-        if _union(b._images, chunk) != layer or mol_cert(T, chunk) is None:
+    for chunk in chunks:
+        if mol_cert(T, chunk) is None:
             return False
     rest = chunks[-1]
     for left in reversed(chunks[:-1]):

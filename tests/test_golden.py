@@ -101,12 +101,20 @@ def test_library_digest_is_unchanged(corpus):
 
 def _symmetric_posets():
     """Posets with many automorphisms: parallel arrows, isolated points,
-    disjoint globes, and seeded random posets of dimension at most 2."""
+    disjoint globes, unions of directed cycles, and seeded random posets of
+    dimension at most 2.  Refinement alone does not tell a 6-cycle from two
+    3-cycles, so their union has leaves with different certificates."""
     from dcx import validate
 
     for n in range(1, 6):
         yield validate([n])
         yield validate([2, [([0], [1])] * n])
+    for lengths in ((6, 3, 3), (4, 2, 2), (2, 4, 2)):
+        arrows, start = [], 0
+        for length in lengths:
+            arrows += [([start + i], [start + (i + 1) % length]) for i in range(length)]
+            start += length
+        yield validate([start, arrows])
     yield validate([4, [([0], [1]), ([0], [1]), ([2], [3]), ([2], [3])], [([0], [1]), ([2], [3])]])
     rng = random.Random(7)
     for _ in range(60):
@@ -253,12 +261,12 @@ def _complex_commands(name: str):
     """``cx`` of every mode on one simplex, read as ssset/1 and as dcomplex/1."""
     yield ["cx", "import-ssset", f"inputs/{name}.ssset.json"]
     yield ["cx", "verify", f"inputs/{name}.ssset.json"]
-    files = f"inputs/{name}.dcomplex.json"
-    yield ["cx", "verify", files]
+    dump = f"inputs/{name}.dcomplex.json"
+    yield ["cx", "verify", dump]
     for max_cells in (2, 3):
-        yield ["cx", "molecules", "--max-cells", str(max_cells), files]
-    yield ["cx", "frame-acyclic", files]
-    yield ["cx", "frame-acyclic", "--budget", "2", files]
+        yield ["cx", "molecules", "--max-cells", str(max_cells), dump]
+    yield ["cx", "frame-acyclic", dump]
+    yield ["cx", "frame-acyclic", "--budget", "2", dump]
 
 
 def _corpus():

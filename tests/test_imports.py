@@ -217,6 +217,17 @@ def test_only_ogposet_reads_the_layout():
     assert layout_reads(PACKAGE / "ogposet.py")
 
 
+def test_only_ogposet_reads_union():
+    """Subset unions over a per-position table stay inside ogposet.py, so a
+    faster table lookup can replace ``_union`` in one module."""
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "_union" in set().union(*reads(path))
+    ]
+    assert readers == ["ogposet.py"]
+
+
 # -- no module-level caches -----------------------------------------------------------
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
