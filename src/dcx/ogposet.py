@@ -593,19 +593,19 @@ def _search(posets: list[OgPoset], leaf) -> None:
 
     The posets are laid end to end: colours form one list indexed by
     position, the first poset's first, refined jointly from each element's
-    dimension and numbers of faces and cofaces by side.  A branch is pruned when some colour class
-    holds different numbers of elements from each poset.  When every class
-    holds exactly one element of each poset, ``leaf(colors)`` is called, and
-    the search stops once it returns True.  Otherwise the search branches on
-    the lowest class with more than one element per poset: for one poset each
-    member is individualised in turn, for a pair the smallest member from
-    the first poset is matched with each member from the second.  A stable,
-    balanced, discrete colouring of a pair matches neighbour colours, so it
-    is an isomorphism, and each isomorphism survives exactly one branch.
-    Members are ordered by position, which is ``(dim, index)`` order.
-    Colours keep their order through refinement and individualisation, so
-    a discrete colouring of one poset numbers its positions dimension by
-    dimension.
+    dimension and numbers of faces and cofaces by side.  A branch is pruned
+    when some colour class holds different numbers of elements from each
+    poset.  When every class holds exactly one element of each poset,
+    ``leaf(colors)`` is called, and the search stops once it returns True.
+    Otherwise the search branches on the lowest class with more than one
+    element per poset: for one poset each member is individualised in turn,
+    for a pair the smallest member from the first poset is matched with
+    each member from the second.  A stable, balanced, discrete colouring of
+    a pair matches neighbour colours, so it is an isomorphism, and each
+    isomorphism survives exactly one branch.  Members are ordered by
+    position, which is ``(dim, index)`` order.  Colours keep their order
+    through refinement and individualisation, so a discrete colouring of
+    one poset numbers its positions dimension by dimension.
     """
     nbrs, start = [], []
     base = 0

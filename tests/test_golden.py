@@ -87,7 +87,8 @@ def test_golden_outputs_are_unchanged():
     entries = _entries(in_slice=True)
     commands = {tuple(e["argv"][:2]) for e in entries}
     assert len(entries) > 200
-    assert {("make", "paste"), ("flow", "theory"), ("cx", "molecules"), ("sd", "--report")} <= commands
+    kinds = {("make", "paste"), ("flow", "theory"), ("cx", "molecules"), ("sd", "--report")}
+    assert kinds <= commands
     assert _failures(entries) == []
 
 
@@ -124,9 +125,7 @@ def _symmetric_posets():
             level = []
             for _ in range(rng.randint(0, 4) if below else 0):
                 sides = [rng.choice("-+ ") for _ in range(below)]
-                level.append(
-                    ([j for j, s in enumerate(sides) if s == "-"], [j for j, s in enumerate(sides) if s == "+"])
-                )
+                level.append(tuple([j for j, s in enumerate(sides) if s == a] for a in "-+"))
             if not level:
                 break
             faces.append(level)
@@ -238,7 +237,13 @@ def _make_commands():
         yield ["make", "path", str(k)]
     for tree in ("()", "((),())", "(((),()),())", "(((),),())"):
         yield ["make", "theta", tree]
-    pairs = [("globe1", "globe1"), ("path2", "globe1"), ("globe2", "globe2"), ("horiz", "vert"), ("theta", "globe2")]
+    pairs = [
+        ("globe1", "globe1"),
+        ("path2", "globe1"),
+        ("globe2", "globe2"),
+        ("horiz", "vert"),
+        ("theta", "globe2"),
+    ]
     for a, b in pairs:
         files = [f"inputs/{a}.json", f"inputs/{b}.json"]
         for k in range(3):
