@@ -252,18 +252,20 @@ def _leq_rec(tree: Tree, b: Subdivision, sub: Masks) -> bool:
     _, k, children, _region = tree
     T = b.theta
     layers = [tree_region(c) for c in children]
-    # per layer, the elements of sub whose image lies in it, and their images' union
+    # per layer, the elements of sub whose image lies in it, and their images'
+    # union; an element whose image lies in no layer fails at once
     chunks, unions = [0] * len(layers), [0] * len(layers)
     for p in _bits(sub):
         image = b._images[p]
+        found = False
         for i, layer in enumerate(layers):
             if image & ~layer == 0:
                 chunks[i] |= 1 << p
                 unions[i] |= image
-    covered = 0
-    for c in chunks:
-        covered |= c
-    if covered != sub or unions != layers:
+                found = True
+        if not found:
+            return False
+    if unions != layers:
         return False
     for chunk in chunks:
         if mol_cert(T, chunk) is None:

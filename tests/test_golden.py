@@ -9,8 +9,9 @@ section of a library digest: canonical keys and relabels, full isomorphism
 lists against relabelled copies, and the keys of enumerated pasting
 diagrams.
 
-Tier-1 runs the commands on the inputs of ``SLICE`` and the library digest
-in-process.  The full set runs as a script, which prints one summary line:
+Tier-1 runs in-process every ``sd``, ``export --dot sd`` and ``check``
+command, every command on the inputs of ``SLICE`` and the library digest.
+The full set runs as a script, which prints one summary line:
 
     python3 tests/test_golden.py
 
@@ -40,7 +41,10 @@ LIBRARY = GOLDEN / "library.json"
 CORPUS_TAKE = 12
 CORPUS_MAX_ELEMENTS = 14
 
-# the inputs whose commands tier-1 runs; commands reading no file run too
+# tier-1 runs the commands that start with one of TIER1_COMMANDS on every
+# input, and every command on the inputs of SLICE; commands reading no file
+# run too
+TIER1_COMMANDS = (("sd",), ("export", "--dot", "sd"), ("check",))
 SLICE = ("path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2")
 
 
@@ -67,10 +71,16 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _entries(in_slice: bool) -> list[dict]:
+def _in_tier1(argv) -> bool:
+    return any(tuple(argv[: len(c)]) == c for c in TIER1_COMMANDS) or all(
+        name in SLICE for name in _inputs(argv)
+    )
+
+
+def _entries(tier1: bool) -> list[dict]:
     entries = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    if in_slice:
-        entries = [e for e in entries if all(name in SLICE for name in _inputs(e["argv"]))]
+    if tier1:
+        entries = [e for e in entries if _in_tier1(e["argv"])]
     return entries
 
 
@@ -84,7 +94,7 @@ def _failures(entries) -> list[list[str]]:
 
 
 def test_golden_outputs_are_unchanged():
-    entries = _entries(in_slice=True)
+    entries = _entries(tier1=True)
     commands = {tuple(e["argv"][:2]) for e in entries}
     assert len(entries) > 200
     kinds = {("make", "paste"), ("flow", "theory"), ("cx", "molecules"), ("sd", "--report")}
@@ -315,7 +325,7 @@ def update() -> int:
 def check_all() -> int:
     """Run every command and the library digest; print one summary line."""
     start = time.perf_counter()
-    entries = _entries(in_slice=False)
+    entries = _entries(tier1=False)
     bad = _failures(entries)
     want = json.loads(LIBRARY.read_text(encoding="utf-8"))
     got = library_digest(_corpus())
