@@ -6,8 +6,12 @@ argument that starts with ``inputs/`` names a committed file under
 ``tests/golden/``: ogposet/1 molecules, ssset/1 simplices and their
 dcomplex/1 realisations.  ``tests/golden/library.json`` holds one sha256 per
 section of a library digest: canonical keys and relabels, full isomorphism
-lists against relabelled copies, and the keys of enumerated pasting
-diagrams.
+lists against relabelled copies, the keys of enumerated pasting diagrams,
+and, for each committed ogposet/1 input, its submolecules with witnesses,
+their certificates and their splits at every k, its pre-layerings at every
+k, and its subdivision posets at every level set.  The subdivision section
+does not depend on the order in which ``enumerate_sd`` lists elements: each
+element is named by its set of images.
 
 Tier-1 runs in-process every ``sd``, ``export --dot sd`` and ``check``
 command, every command on the inputs of ``SLICE`` and the library digest.
@@ -186,7 +190,57 @@ def library_digest(corpus) -> dict[str, str]:
         "canonical": _digest("\n".join(canon)),
         "isomorphisms": _digest("\n".join(isos)),
         "enumerate_molecules": _digest("\n".join(diagrams)),
+        **_input_digest(),
     }
+
+
+def _input_digest() -> dict[str, str]:
+    """Sections over the committed ogposet/1 inputs, each read from its file
+    and recognised afresh: submolecules with witnesses, the certificate and
+    the splits at every k of each submolecule, pre-layerings at every k, and
+    the subdivision poset at every level set."""
+    from dcx import Molecule, enumerate_sd, is_molecule, pre_layerings, submolecules
+    from dcx.molecule import mol_cert, splits_masks
+    from dcx.serialize import loads_ogposet
+
+    names = ("submolecules", "certificates", "splits", "prelayerings", "enumerate_sd")
+    lines: dict[str, list[str]] = {name: [] for name in names}
+    for path in sorted(INPUTS.glob("*.json")):
+        if "." in path.stem:
+            continue  # an ssset/1 or dcomplex/1 input
+        P = loads_ogposet(path.read_text(encoding="utf-8"))
+        mol = Molecule(P, is_molecule(P))
+
+        def add(section, value):
+            lines[section].append(repr((path.stem, value)))
+
+        subs = submolecules(mol)
+        add("submolecules", [(s.subset.elements(), s.witness) for s in subs])
+        for sub in subs:
+            m = sub.subset.masks
+            add("certificates", mol_cert(P, m))
+            for k in range(P.masks_dim(m)):
+                add("splits", (k, [(P.masks_els(a), P.masks_els(b)) for a, b in splits_masks(P, m, k)]))
+        for k in range(-1, mol.dim):
+            pl = pre_layerings(mol, k)
+            add("prelayerings", (k, [[layer.elements() for layer in lay] for lay in pl.elements], pl.covers()))
+        levels = range(max(mol.dim, 0))
+        for r in range(len(levels) + 1):
+            for S in itertools.combinations(levels, r):
+                add("enumerate_sd", (S, _sd_record(P, enumerate_sd(mol, S))))
+    return {name: _digest("\n".join(text)) for name, text in lines.items()}
+
+
+def _sd_record(P, sdp):
+    """A subdivision poset with every element named by its sorted list of
+    images: the bottom's name and, per element, its name and the sorted
+    names of the elements above it."""
+    names = [sorted(P.masks_els(m) for m in s.img.values()) for s in sdp.elements]
+    rows = sorted(
+        (names[i], sorted(names[j] for j in range(sdp.size) if sdp.poset.leq(i, j)))
+        for i in range(sdp.size)
+    )
+    return names[sdp.bottom], rows
 
 
 # -- regeneration ----------------------------------------------------------------
