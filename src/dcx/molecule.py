@@ -500,8 +500,9 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if not P.connected_masks(masks):
         return None
     if d == 1:
-        # the split search gives the same certificate, but without this fork and
-        # _path_splits Sd makes 39% more calls on path(10) at {0}, 4% on the theta
+        # the split search gives the same certificate, but without this fork
+        # enumerate_sd makes 45% more function calls on path(10) at {0}
+        # (1.17 M to 1.69 M, cProfile) and 5% more on the bench theta at {0,1}
         order = _path_edge_order(P, masks)
         return None if order is None else _path_cert(len(order))
     if P.maximal_masks(masks).bit_count() == 1:
@@ -601,8 +602,6 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     memo = _memo(P, "splits")
     mkey = (masks, k)
     entry = memo.get(mkey)
-    if entry is None and d == 1:
-        memo[mkey] = entry = _path_splits(P, masks)
     if type(entry) is list:
         yield from entry
         return
@@ -636,26 +635,6 @@ class _SplitSearch:
         self.found: list[tuple[Masks, Masks]] = []
         self.candidates = candidates
         self.next = 0
-
-
-def _path_splits(P: OgPoset, masks: Masks) -> list[tuple[Masks, Masks]]:
-    """The 0-splits of a 1-dimensional subset: the interior cuts of a
-    directed path.  The general search gives the same splits; without this
-    fork one frame-acyclicity pass over the test corpus makes 5% more calls
-    (cProfile), 19% more of them ``_candidate_split``, while Sd of path(10)
-    at {0} makes only 0.5% more and of the bench theta at {0,1} 3% fewer.
-    In 10 paired bench ``check`` runs without it no metric moved beyond its
-    run-to-run spread (median ``wall_s`` 4.30 s with it, 4.29 s without)."""
-    if mol_cert(P, masks) is None:
-        return []
-    order = _path_edge_order(P, masks)
-    return [
-        (
-            P.closure_masks(P.el_masks((1, e) for e in order[:cut])),
-            P.closure_masks(P.el_masks((1, e) for e in order[cut:])),
-        )
-        for cut in range(1, len(order))
-    ]
 
 
 def _candidate_split(

@@ -6,14 +6,16 @@ U.  We encode candidates as trees: a Leaf stands for the big cell of its
 region (the unique active map from a globe), and a Node at level k pastes
 the subdivisions of the layers of a non-trivial k-pre-layering of its
 region, with all deeper node levels above k.  Each tree is realised as a
-concrete theta-shaped poset with one image subset of U per element and
-deduplicated by the canonical key of that pair, so distinct trees
-realising the same subdivision collapse.
+concrete theta-shaped poset with one image subset of U per element.
 
 A subdivision is non-degenerate, so its images alone determine its theta.
 ``realize`` reads one theta element off each image, with the images of its
 faces as the image's boundaries one dimension down, which the leaf that
-made the image has already computed.  It raises BoundaryMismatchError when
+made the image has already computed.  So a subdivision is keyed by its
+image set, listed in theta position order: distinct trees realising the
+same subdivision share the key and collapse, and no isomorphism search is
+needed.  Thetas are molecules, hence rigid, so two realisations have equal
+keys exactly when their labelled thetas are isomorphic.  It raises BoundaryMismatchError when
 consecutive layers do not meet along their k-boundaries, and DcxError when
 a leaf's boundary has the wrong dimension, when images are shared, or when
 two layers give one image different faces.
@@ -36,7 +38,7 @@ from .errors import BoundaryMismatchError, DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule, _memo, mol_cert
-from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, labelled_key
+from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits
 from .posets import FinPoset
 
 # trees: ("leaf", region) | ("node", k, children, region), where a region is
@@ -57,19 +59,25 @@ def _subtrees(tree: Tree) -> Iterator[Tree]:
 
 
 class Subdivision:
-    """A realised subdivision: a theta poset with image subsets of U."""
+    """A realised subdivision: a theta poset with image subsets of U.
 
-    __slots__ = ("ambient", "tree", "theta", "img", "key", "_images")
+    ``key`` is the image of each theta element, indexed by its theta
+    position; it identifies the subdivision, and elements are listed in key
+    order.
+    """
 
-    def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, img: dict):
+    __slots__ = ("ambient", "tree", "theta", "key")
+
+    def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, key: tuple[Masks, ...]):
         self.ambient = ambient
         self.tree = tree
         self.theta = theta
-        self.img = img
-        # the key prints each image by dimension; elements are listed in key order
-        self.key = labelled_key(theta, {el: ambient.masks_by_dim(m) for el, m in img.items()})
-        # the image of each theta element, indexed by its theta position
-        self._images = [img[el] for el in theta.elements()]
+        self.key = key
+
+    @property
+    def img(self) -> dict[El, Masks]:
+        """The image of each theta element."""
+        return dict(zip(self.theta.elements(), self.key))
 
     @property
     def levels(self) -> set[int]:
@@ -97,19 +105,19 @@ def realize(P: OgPoset, tree: Tree) -> Subdivision:
     images, size = _images(P, tree)
     if len(images) != size:
         raise DcxError("element-image map is not injective")
+    dims = {m: P.masks_dim(m) for m in images}
+    key = tuple(sorted(images, key=lambda m: (dims[m], m)))
     counts = [0] * (P.masks_dim(tree_region(tree)) + 1)
-    img: dict[El, Masks] = {}
-    for m in sorted(images, key=lambda m: (P.masks_dim(m), m)):
-        d = P.masks_dim(m)
-        img[(d, counts[d])] = m
-        counts[d] += 1
-    index = {m: i for (_, i), m in img.items()}
+    index: dict[Masks, int] = {}
     faces: list[list] = [[] for _ in counts]
-    for (d, _), m in img.items():
+    for m in key:
+        d = dims[m]
+        index[m] = counts[d]
+        counts[d] += 1
         if d:
             lo, hi = images[m]
             faces[d].append(((index[lo],), (index[hi],)))
-    return Subdivision(P, tree, OgPoset(counts, faces, regular=True), img)
+    return Subdivision(P, tree, OgPoset(counts, faces, regular=True), key)
 
 
 def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
@@ -198,7 +206,8 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
 
     ``S`` defaults to every level below the dimension of U.  The enumeration
     is generic: frame-acyclicity is not assumed.  Trees are realised and
-    deduplicated by canonical key, and the big cell is the initial element.
+    deduplicated by key, the image set, and elements are listed in key
+    order.  The big cell is the initial element.
 
     The order is built row by row, not by comparing all n² pairs.  When
     ``tree_leq(a, b)`` holds, every subtree region r of a has been checked to
@@ -220,7 +229,7 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     levels = tuple(sorted(set(int(s) for s in S)))
     if any(s < 0 for s in levels):
         raise PreconditionError("subdivision levels must be >= 0")
-    seen: dict[bytes, Subdivision] = {}
+    seen: dict[tuple[Masks, ...], Subdivision] = {}
     for tree in _trees(P, P.full_masks(), levels, -1):
         s = realize(P, tree)
         seen.setdefault(s.key, s)
@@ -256,7 +265,7 @@ def _leq_rec(tree: Tree, b: Subdivision, sub: Masks) -> bool:
     # union; an element whose image lies in no layer fails at once
     chunks, unions = [0] * len(layers), [0] * len(layers)
     for p in _bits(sub):
-        image = b._images[p]
+        image = b.key[p]
         found = False
         for i, layer in enumerate(layers):
             if image & ~layer == 0:
@@ -314,7 +323,7 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
         row = 0
         for j, b in enumerate(elements):
             union = 0
-            for img in b._images:
+            for img in b.key:
                 if img & ~r == 0:
                     union |= img
             if union == r:

@@ -522,8 +522,9 @@ def test_calculus_matches_plain_sets(corpus):
 
 
 def test_outputs_keep_their_order_and_keys(corpus):
-    # captured before subsets became single ints: sorting or keying by the
-    # raw int instead of the per-dimension view changes each of these
+    # the submolecules and pre-layerings were captured before subsets became
+    # single ints: sorting by the raw int instead of the per-dimension view
+    # changes each of these
     from dcx import enumerate_sd, pre_layerings, submolecules
 
     v = [(0, i) for i in range(4)]
@@ -552,10 +553,10 @@ def test_outputs_keep_their_order_and_keys(corpus):
         ],
         [[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0)]],
     ]
+    # a subdivision's key is its images as ints, in theta position order
     assert [s.key for s in enumerate_sd(path(3), {0}).elements] == [
-        b"((2, 1), (((1,), (0,)),))|((8, 0), (1, 0), (15, 7))",
-        b"((3, 2), (((1,), (2,)), ((2,), (0,))))|((8, 0), (1, 0), (2, 0), (3, 1), (14, 6))",
-        b"((3, 2), (((1,), (2,)), ((2,), (0,))))|((8, 0), (1, 0), (4, 0), (7, 3), (12, 4))",
-        b"((4, 3), (((1,), (3,)), ((2,), (0,)), ((3,), (2,))))"
-        b"|((8, 0), (1, 0), (4, 0), (2, 0), (3, 1), (12, 4), (6, 2))",
+        (1, 2, 4, 8, 19, 38, 76),
+        (1, 2, 8, 19, 110),
+        (1, 4, 8, 55, 76),
+        (1, 8, 127),
     ]

@@ -19,8 +19,8 @@ from dcx import (
     tree_leq,
 )
 from dcx.molecule import paste_labelled, splits_masks
-from dcx.ogposet import MINUS, PLUS, _bits
-from dcx.subdivision import Subdivision, _trees, realize
+from dcx.ogposet import MINUS, PLUS, _bits, labelled_key
+from dcx.subdivision import _trees, realize
 from conftest import composition_refines, compositions, posets_isomorphic
 
 
@@ -161,18 +161,49 @@ def _pasted_realisation(P, tree):
 
 
 def test_realize_matches_pasting_oracle(corpus, horiz, vert):
-    # realize reads the theta off the images; the oracle pastes it
+    # realize reads the theta off the images; the oracle pastes it, and the
+    # canonical key of each labelled theta compares their structure.  A
+    # subdivision is keyed by its image set alone: over all trees of an
+    # input, that key groups the trees as the canonical key does.
     count = 0
     for mol, S in _differential_inputs(corpus, horiz, vert):
         P = mol.poset
-        for tree in _trees(P, P.full_masks(), tuple(sorted(S)), -1):
+        by_key, by_canonical = {}, {}
+        for n, tree in enumerate(_trees(P, P.full_masks(), tuple(sorted(S)), -1)):
             sub = realize(P, tree)
             theta, img = _pasted_realisation(P, tree)
             assert len(set(img.values())) == theta.size(), (mol.counts, S, tree)
-            assert Subdivision(P, tree, theta, img).key == sub.key, (mol.counts, S, tree)
-            assert set(img.values()) == set(sub.img.values()), (mol.counts, S, tree)
+            canonical = labelled_key(sub.theta, sub.img)
+            assert labelled_key(theta, img) == canonical, (mol.counts, S, tree)
+            assert set(img.values()) == set(sub.key), (mol.counts, S, tree)
+            by_key.setdefault(sub.key, []).append(n)
+            by_canonical.setdefault(canonical, []).append(n)
             count += 1
+        assert sorted(by_key.values()) == sorted(by_canonical.values()), (mol.counts, S)
     assert count > 700
+
+
+def test_sd_makes_no_isomorphism_search(horiz, vert, monkeypatch):
+    # A subdivision is keyed by its images, so listing, ordering and
+    # restricting subdivisions never search for an isomorphism.  The
+    # molecules are built and certified first: paste and atom search.
+    import dcx.ogposet
+
+    inputs = [(path(6), {0}), (theta_from_tree("(((),()),())"), {0, 1}), (horiz, {0, 1}), (vert, {0, 1})]
+    for mol, _ in inputs:
+        assert mol.cert
+
+    def refuse(*args):
+        raise AssertionError("isomorphism search on the sd path")
+
+    monkeypatch.setattr(dcx.ogposet, "_search", refuse)
+    for mol, S in inputs:
+        sdp = enumerate_sd(mol, S)
+        bottom = sdp.elements[sdp.bottom]
+        for sub in sdp.elements:
+            assert tree_leq(bottom, sub)
+            assert restrict_levels(sub, set()).key == bottom.key
+            assert restrict_levels(sub, S).key == sub.key
 
 
 def test_realize_rejects_layers_in_the_wrong_order():
