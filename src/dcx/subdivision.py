@@ -11,14 +11,16 @@ concrete theta-shaped poset with one image subset of U per element.
 A subdivision is non-degenerate, so its images alone determine its theta.
 ``realize`` reads one theta element off each image, with the images of its
 faces as the image's boundaries one dimension down, which the leaf that
-made the image has already computed.  So a subdivision is keyed by its
-image set, listed in theta position order: distinct trees realising the
-same subdivision share the key and collapse, and no isomorphism search is
-needed.  Thetas are molecules, hence rigid, so two realisations have equal
-keys exactly when their labelled thetas are isomorphic.  It raises BoundaryMismatchError when
+made the image has already computed.  It raises BoundaryMismatchError when
 consecutive layers do not meet along their k-boundaries, and DcxError when
 a leaf's boundary has the wrong dimension, when images are shared, or when
 two layers give one image different faces.
+
+So a subdivision is keyed by its image set, listed in theta position
+order, and no isomorphism search is needed: thetas are molecules, hence
+rigid, so two realisations have equal keys exactly when their labelled
+thetas are isomorphic.  Distinct trees realising the same subdivision
+share the key and collapse.
 
 The refinement order is decided on realisations: a node of the coarser
 side must cut the finer side into consecutive chunks over its layers, and
@@ -95,12 +97,13 @@ def realize(P: OgPoset, tree: Tree) -> Subdivision:
 
     A leaf images its globe on its region R and the boundaries of R, a node
     the union of its layers' images.  The theta has one element per image,
-    numbered by increasing image in each dimension; the element on m has
-    the elements on the input and output boundaries of m one dimension
-    down as faces.  Raises BoundaryMismatchError when consecutive layers of
-    a node do not meet along their k-boundaries, and DcxError when a leaf
-    boundary has the wrong dimension, images are shared, or two layers give
-    one image different faces.
+    numbered by increasing image in each dimension, and the key lists the
+    images in that order; the element on m has the elements on the input
+    and output boundaries of m one dimension down as faces.  Raises
+    BoundaryMismatchError when consecutive layers of a node do not meet
+    along their k-boundaries, and DcxError when a leaf boundary has the
+    wrong dimension, images are shared, or two layers give one image
+    different faces.
     """
     images, size = _images(P, tree)
     if len(images) != size:
@@ -206,8 +209,8 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
 
     ``S`` defaults to every level below the dimension of U.  The enumeration
     is generic: frame-acyclicity is not assumed.  Trees are realised and
-    deduplicated by key, the image set, and elements are listed in key
-    order.  The big cell is the initial element.
+    deduplicated by their image sets (``Subdivision.key``), elements are
+    listed in key order, and the big cell is the initial element.
 
     The order is built row by row, not by comparing all n² pairs.  When
     ``tree_leq(a, b)`` holds, every subtree region r of a has been checked to
