@@ -220,10 +220,12 @@ def _input_digest() -> dict[str, str]:
             m = sub.subset.masks
             add("certificates", mol_cert(P, m))
             for k in range(P.masks_dim(m)):
-                add("splits", (k, [(P.masks_els(a), P.masks_els(b)) for a, b in splits_masks(P, m, k)]))
+                found = [(P.masks_els(a), P.masks_els(b)) for a, b in splits_masks(P, m, k)]
+                add("splits", (k, found))
         for k in range(-1, mol.dim):
             pl = pre_layerings(mol, k)
-            add("prelayerings", (k, [[layer.elements() for layer in lay] for lay in pl.elements], pl.covers()))
+            lays = [[layer.elements() for layer in lay] for lay in pl.elements]
+            add("prelayerings", (k, lays, pl.covers()))
         levels = range(max(mol.dim, 0))
         for r in range(len(levels) + 1):
             for S in itertools.combinations(levels, r):

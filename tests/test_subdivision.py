@@ -189,7 +189,8 @@ def test_sd_makes_no_isomorphism_search(horiz, vert, monkeypatch):
     # molecules are built and certified first: paste and atom search.
     import dcx.ogposet
 
-    inputs = [(path(6), {0}), (theta_from_tree("(((),()),())"), {0, 1}), (horiz, {0, 1}), (vert, {0, 1})]
+    theta = theta_from_tree("(((),()),())")
+    inputs = [(path(6), {0}), (theta, {0, 1}), (horiz, {0, 1}), (vert, {0, 1})]
     for mol, _ in inputs:
         assert mol.cert
 
