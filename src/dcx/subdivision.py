@@ -19,27 +19,26 @@ two layers give one image different faces.
 So a subdivision is keyed by its image set, listed in theta position
 order, and no isomorphism search is needed: thetas are molecules, hence
 rigid, so two realisations have equal keys exactly when their labelled
-thetas are isomorphic.  Distinct trees realising the same subdivision
-share the key and collapse.
+thetas are isomorphic.  Each subdivision has exactly one tree (see
+``_trees``), so no two realised trees share a key.
 
-The refinement order is decided on realisations: a node of the coarser
-side must cut the finer side into consecutive chunks over its layers, and
-the comparison recurses into the chunks.  Each layer it visits must be
-exactly the union of the finer side's images inside it, and it visits
-every layer down to the leaves.  ``enumerate_sd`` turns that necessary
-condition into bitsets to pick the candidates above each element, then
-closes the order finest element first, so that an answer already implied
-by transitivity is never asked of ``tree_leq`` again.
+b refines a when a factors through b: each node of a cuts b's theta into
+chunks, one per layer, that are molecules meeting along the node's
+k-boundaries.  By the proof at ``_region_candidates`` this holds iff b's
+images cover each leaf region of a, so ``enumerate_sd`` reads the order off
+one bitset per leaf region, and ``tree_leq`` runs that test on one pair.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterator
 
 from .errors import BoundaryMismatchError, DcxError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
-from .molecule import Molecule, _memo, mol_cert
+from .molecule import Molecule, _memo
 from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits
 from .posets import FinPoset
 
@@ -130,10 +129,14 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
     Each image maps to the images of its input and output faces, or to None
     for a point.  By globularity the faces of a leaf's j-boundaries, and of
     its region R when j is the region's dimension, are the (j-1)-boundaries
-    of R.  Raises DcxError when two layers give one image different faces.
+    of R.  A leaf's images are computed once per poset, and callers share
+    them.  Raises DcxError when two layers give one image different faces.
     """
     if tree[0] == "leaf":
         region = tree[1]
+        memo = _memo(P, "sdleaf")
+        if region in memo:
+            return memo[region]
         d = P.masks_dim(region)
         images: dict[Masks, tuple] = {}
         faces = None
@@ -145,7 +148,8 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
                 images[bd] = faces
             faces = sides
         images[region] = faces
-        return images, 2 * d + 1
+        memo[region] = leaf = (images, 2 * d + 1)
+        return leaf
     k, children = tree[1], tree[2]
     images, size, left = {}, 2 * k + 1, 0
     for child in children:
@@ -162,6 +166,20 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
 
 
 def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
+    """The subdivision trees of a region, node levels in ``levels`` and at
+    least ``min_k``; a node's children start one level above it.
+
+    Each subdivision has one tree: two trees over one region with one image
+    set, so one theta T, are equal, by induction on the region.  A tree is
+    a leaf iff its region is an image.  A node at level k has children with
+    levels and leaves above k, so each child's theta has two j-elements for
+    each j <= k, and T has two for each j < k and one k-element more than
+    it has layers: k is the least dimension where T has three elements or
+    more.  The k-elements form a chain, each the output k-boundary of the
+    elements above k whose input k-boundary is the one before, and the
+    images of those elements make up a layer.  So both trees have the same
+    k and layers, and the same image set over each layer.
+    """
     memo = _memo(P, "sdtrees")
     key = (masks, levels, min_k)
     if key in memo:
@@ -208,23 +226,11 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     """All subdivisions of U with levels in S, as a refinement poset.
 
     ``S`` defaults to every level below the dimension of U.  The enumeration
-    is generic: frame-acyclicity is not assumed.  Trees are realised and
-    deduplicated by their image sets (``Subdivision.key``), elements are
-    listed in key order, and the big cell is the initial element.
-
-    The order is built row by row, not by comparing all n² pairs.  When
-    ``tree_leq(a, b)`` holds, every subtree region r of a has been checked to
-    be exactly the union of b's images inside r: the root region is all of
-    U, and every other region is a layer of its parent's node, which the
-    comparison visits.  So the candidates above a are the elements that
-    cover all of a's regions in that sense: an AND of one bitset per leaf
-    region, since a node's region is the union of its leaves' regions.
-    Rows are finished finest element first (most theta elements), and a's
-    candidates are tried coarsest first.  A candidate already in a's row is
-    skipped; otherwise ``tree_leq`` judges it, and a true answer brings in
-    the candidate's row if that row is finished, by transitivity, or else
-    only the candidate.  The visiting order changes the number of calls,
-    never the rows.
+    is generic: frame-acyclicity is not assumed.  Each tree of ``_trees`` is
+    its own subdivision, realised and keyed by its image set
+    (``Subdivision.key``).  Elements are listed in key order, the big cell
+    is the initial element, and each element's up-set is its row of
+    ``_region_candidates``, which is the refinement order itself.
     """
     P = U.poset
     if S is None:
@@ -232,13 +238,9 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     levels = tuple(sorted(set(int(s) for s in S)))
     if any(s < 0 for s in levels):
         raise PreconditionError("subdivision levels must be >= 0")
-    seen: dict[tuple[Masks, ...], Subdivision] = {}
-    for tree in _trees(P, P.full_masks(), levels, -1):
-        s = realize(P, tree)
-        seen.setdefault(s.key, s)
-    elements = [seen[k] for k in sorted(seen)]
-    fin = FinPoset(list(range(len(elements))), up_masks=_refinement_rows(elements))
-    # _trees lists the root leaf first, so its key keeps the leaf tree
+    trees = _trees(P, P.full_masks(), levels, -1)
+    elements = sorted((realize(P, tree) for tree in trees), key=lambda s: s.key)
+    fin = FinPoset(list(range(len(elements))), up_masks=_region_candidates(elements))
     bottom = next(i for i, s in enumerate(elements) if s.tree[0] == "leaf")
     sd = SdPoset(U, levels, elements, fin, bottom)
     if fin.bottom() != bottom:
@@ -250,109 +252,101 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
 
 
 def tree_leq(a: Subdivision, b: Subdivision) -> bool:
-    """True iff a factors through b (b refines a)."""
+    """True iff a factors through b (b refines a): each leaf region of a is
+    the union of b's images inside it, see ``_region_candidates``."""
     if a.ambient is not b.ambient:
         raise PreconditionError("subdivisions of different molecules")
-    if a.key == b.key:
-        return True
-    return _leq_rec(a.tree, b, b.theta.full_masks())
+    return all(
+        functools.reduce(operator.or_, (m for m in b.key if m & ~r == 0), 0) == r
+        for r in _leaf_regions(a.tree)
+    )
 
 
-def _leq_rec(tree: Tree, b: Subdivision, sub: Masks) -> bool:
-    if tree[0] == "leaf":
-        return True
-    _, k, children, _region = tree
-    T = b.theta
-    layers = [tree_region(c) for c in children]
-    # per layer, the elements of sub whose image lies in it, and their images'
-    # union; an element whose image lies in no layer fails at once
-    chunks, unions = [0] * len(layers), [0] * len(layers)
-    for p in _bits(sub):
-        image = b.key[p]
-        found = False
-        for i, layer in enumerate(layers):
-            if image & ~layer == 0:
-                chunks[i] |= 1 << p
-                unions[i] |= image
-                found = True
-        if not found:
-            return False
-    if unions != layers:
-        return False
-    for chunk in chunks:
-        if mol_cert(T, chunk) is None:
-            return False
-    rest = chunks[-1]
-    for left in reversed(chunks[:-1]):
-        bd = T.boundary_masks(left, k, PLUS)
-        if left & rest != bd or T.boundary_masks(rest, k, MINUS) != bd:
-            return False
-        rest |= left
-    for child, chunk in zip(children, chunks):
-        if not _leq_rec(child, b, chunk):
-            return False
-    return True
+def _leaf_regions(tree: Tree) -> set[Masks]:
+    return {t[1] for t in _subtrees(tree) if t[0] == "leaf"}
 
 
 def _region_candidates(elements: list[Subdivision]) -> list[int]:
-    """Per element a, the bitset of elements that may refine a.
+    """Per element a, the bitset of the elements b that refine a.
 
-    b is kept when, for every leaf region r of a, the images of b lying
-    inside r have union exactly r.  Every b with ``tree_leq(a, b)`` is kept.
-    A node's region is the union of its leaves' regions, so b then covers
-    every subtree region of a in the same sense, and checking those too
-    would reject nothing more.
+    b is kept when it covers each leaf region r of a: r is the union of b's
+    images inside r.  As r and the images are closed, that holds iff each
+    maximal element e of r lies in such an image, so a's row is an AND over
+    r and e of the OR of the element bitsets of the images inside r that
+    contain e.
 
-    For a kept b, the chunks that ``tree_leq`` cuts at a node of a cover
-    the node's chunk: every image of b inside the node's region R lies in
-    one of its layers.  First, each leaf region Q of b lies in a leaf
-    region of a.  Two leaf regions of one tree meet in dimension at most
-    the level of the node that parts them, and a layer of a k-split has
-    dimension above k, so an element e of Q of Q's dimension lies in no
-    image but Q.  Some leaf region r of a holds e; r is the union of b's
-    images inside it, so Q lies in r.  Every image of b is a leaf region or
-    a boundary of one, so it lies in a leaf region r of a.  If r is below
-    the node, the image lies in one of its layers.  Otherwise the node
-    where the paths to r and to R part has a lower level j, and the image
-    lies in a j-boundary of the layer that holds R.  Splits above level j
-    keep j-boundaries, so that is a j-boundary of R and of each of R's
-    layers.  The other checks, that each chunk is a molecule of b's theta
-    and meets the next along its k-boundary, have no proof here, so
-    ``tree_leq`` still judges every kept b.
+    Proof that the kept b are exactly the refinements.  Write C(X) for the
+    elements of b's theta whose images lie in a closed X; b covers X when X
+    is their images' union.  Chains on a closed set have its elements as
+    basis and ∂x = (output faces) - (input faces); [V] sums V's elements
+    of its dimension.  Standard facts: globularity; the boundaries of a
+    pasting V #k W; the first i layers of an iterated k-pasting meet the
+    rest in ∂+k of layer i; molecules are acyclic (they realise as balls);
+    ∂[V] = [∂+V] - [∂-V] for a j-molecule V.  So parallel j-molecules (with
+    equal (j-1)-boundaries) A ⊆ B are equal, as [B] - [A] is a cycle of B
+    with nothing to bound it, and a j-dimensional closed set that holds
+    distinct parallel j-molecules A, B is not acyclic, as nothing bounds
+    [A] - [B].
+
+    A refinement is kept: the comparison checks each layer of each node of
+    a, down to the leaves, to be covered.  Conversely, let b be kept.
+    (1) At each node of a, each image of b inside its region R lies in a
+    layer.  A leaf region Q of b lies in a leaf region of a: two leaf
+    regions of one tree meet in dimension at most the level of the node
+    that parts them, and a layer of a k-split has dimension above k, so an
+    element of Q of Q's dimension lies in no image but Q, so Q lies in the
+    covered leaf region of a that holds it.  So each image of b lies in a
+    leaf region r of a.  If r is below the node, the image lies in a layer.
+    Otherwise the paths to r and to R part at a lower level j, and the
+    image lies in a j-boundary of the layer that holds R, which splits
+    above j keep: a j-boundary of R and of each of its layers.
+    (2) So at a node of a at level k with layers L1, ..., Ln, the chunks
+    are the C(Li), with unions Li, and the chunks after the i-th make up
+    C(R>i), R>i = Li+1 ∪ ... ∪ Ln: an image inside R>i and some Ll, l <= i,
+    lies in ∂-k R>i ⊆ Li+1.  a's regions are molecules (split sides are)
+    and covered, so by (3) each C(Li) is a molecule and C(Li) ∩ C(R>i) =
+    C(∂+k Li) = ∂+k C(Li) = ∂-k C(R>i), which is all the comparison asks.
+    (3) Let s be a subtree of b with region M and theta Ts, and X ⊆ M a
+    closed, acyclic union of s's images.  Then X and Cs(X) are molecules,
+    s covers each ∂j X, and ∂j Cs(X) = Cs(∂j X).  By induction on s.  A
+    leaf's images are M and its boundaries, nested, so X is M, one ∂j M,
+    or the non-acyclic ∂-j M ∪ ∂+j M; Cs(X) is the closure of one element.
+    At a node at level k with layers M1, ..., Mn, let xi = ∂+k Mi and x0 =
+    ∂-k M.  Splits above k keep k-boundaries, so an image of the child si
+    contains xi-1 ∪ xi or is xi-1, xi or a j-boundary of M with j < k.  If
+    X has dimension at most k, it is one image, as it holds no two parallel
+    ones.  Otherwise let I hold the i with an image of si above dimension k
+    in X, p and q its ends, and Yi = X ∩ Mi: X holds xi-1 ∪ xi, so Yi is
+    the union of si's images in X, and X's elements above dimension k lie
+    in the layers of I.  If xl ⊆ X with l < p - 1, then [xl] - [xp-1] = ∂c
+    on X, and ∂c lies on the layers from p on, which meet xl inside xp-1,
+    so xl ⊆ xp-1, which distinct parallel molecules exclude; likewise for
+    l > q.  If i < i' are adjacent in I with i' > i + 1, take ∂c = [xi] -
+    [xi'-1] and c' the part of c on layers up to i: ∂c' = [xi] + w with w
+    on xi ∩ xi'-1 is a cycle of the molecule xi, so 0, and xi ⊆ xi'-1.
+    So X = Yp ∪ ... ∪ Yq, consecutive pieces meet in xi, and each Yi is
+    acyclic by Mayer-Vietoris.  By induction Yi and Ci = Csi(Yi) are
+    molecules.  The theta of si has two k-elements, on xi-1 and xi, the
+    k-boundaries of all its elements above k, so ∂-k Ci and ∂+k Ci are
+    their closures, and ∂-k Yi = xi-1, ∂+k Yi = xi.  So X = Yp #k ... #k Yq
+    and Cs(X) = Cp #k ... #k Cq, and the boundary laws of pastings on both
+    sides give the rest.
     """
-    needs = [{t[1] for t in _subtrees(a.tree) if t[0] == "leaf"} for a in elements]
+    P = elements[0].ambient
+    holders: dict[Masks, int] = {}  # image -> the elements that have it
+    for j, s in enumerate(elements):
+        for image in s.key:
+            holders[image] = holders.get(image, 0) | 1 << j
+    everything = (1 << len(elements)) - 1
+    leaves = [_leaf_regions(a.tree) for a in elements]
     covered = {}
-    for r in set().union(*needs):
-        row = 0
-        for j, b in enumerate(elements):
-            union = 0
-            for img in b.key:
-                if img & ~r == 0:
-                    union |= img
-            if union == r:
-                row |= 1 << j
+    for r in set().union(*leaves):
+        inside = [(m, held) for m, held in holders.items() if m & ~r == 0]
+        row = everything
+        for e in _bits(P.maximal_masks(r)):
+            row &= functools.reduce(operator.or_, (held for m, held in inside if m >> e & 1), 0)
         covered[r] = row
-    out = []
-    for need in needs:
-        row = (1 << len(elements)) - 1
-        for r in need:
-            row &= covered[r]
-        out.append(row)
-    return out
-
-
-def _refinement_rows(elements: list[Subdivision]) -> list[int]:
-    """Up-set bitset rows of the refinement order, see ``enumerate_sd``."""
-    size = [s.theta.size() for s in elements]
-    candidates = _region_candidates(elements)
-    rows = [0] * len(elements)  # 0 until the row is finished
-    for i in sorted(range(len(elements)), key=lambda i: -size[i]):
-        row = 1 << i
-        for j in sorted(_bits(candidates[i]), key=size.__getitem__):
-            if not row >> j & 1 and tree_leq(elements[i], elements[j]):
-                row |= rows[j] | 1 << j
-        rows[i] = row
-    return rows
+    return [functools.reduce(operator.and_, map(covered.get, need)) for need in leaves]
 
 
 def restrict_levels(x: Subdivision, keep) -> Subdivision:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -18,16 +19,14 @@ from dcx import (
     theta_from_tree,
     tree_leq,
 )
-from dcx.molecule import paste_labelled, splits_masks
+from dcx.molecule import mol_cert, paste_labelled, splits_masks
 from dcx.ogposet import MINUS, PLUS, _bits, labelled_key
-from dcx.subdivision import _trees, realize
+from dcx.subdivision import _subtrees, _trees, realize, tree_region
 from conftest import composition_refines, compositions, posets_isomorphic
 
 
 def composition_of(sub):
     """Edge counts of the root layers of a subdivision of a path."""
-    from dcx.subdivision import tree_region
-
     view = sub.ambient.masks_by_dim
     if sub.tree[0] == "leaf":
         return (bin(view(sub.ambient.full_masks())[1]).count("1"),)
@@ -79,50 +78,74 @@ def _differential_inputs(corpus, horiz, vert):
             yield mol, S
 
 
-def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert, monkeypatch):
-    import dcx.subdivision as sdm
+def _factors_through(a, b):
+    """Oracle for the refinement order: a factors through b when every node
+    of a cuts b's theta into chunks, one per layer, that are molecules of
+    the theta, meet the next chunk along their k-boundaries and have their
+    layer as the union of their images; the comparison recurses into the
+    chunks."""
+    return _chunks_factor(a.tree, b, b.theta.full_masks())
 
-    calls = []
 
-    def counted_leq(a, b):
-        calls.append((a, b))
-        return tree_leq(a, b)
+def _chunks_factor(tree, b, sub):
+    if tree[0] == "leaf":
+        return True
+    _, k, children, _region = tree
+    T = b.theta
+    layers = [tree_region(c) for c in children]
+    chunks, unions = [0] * len(layers), [0] * len(layers)
+    for p in _bits(sub):
+        image = b.key[p]
+        found = False
+        for i, layer in enumerate(layers):
+            if image & ~layer == 0:
+                chunks[i] |= 1 << p
+                unions[i] |= image
+                found = True
+        if not found:
+            return False
+    if unions != layers:
+        return False
+    if any(mol_cert(T, chunk) is None for chunk in chunks):
+        return False
+    rest = chunks[-1]
+    for left in reversed(chunks[:-1]):
+        bd = T.boundary_masks(left, k, PLUS)
+        if left & rest != bd or T.boundary_masks(rest, k, MINUS) != bd:
+            return False
+        rest |= left
+    return all(_chunks_factor(c, b, chunk) for c, chunk in zip(children, chunks))
 
-    def unfiltered(els):
-        return [(1 << len(els)) - 1] * len(els)
 
+def _covers_leaves(a, b):
+    """The region test by its definition: every leaf region r of a is the
+    union of b's images inside r."""
+    for t in _subtrees(a.tree):
+        if t[0] == "leaf":
+            r = t[1]
+            if functools.reduce(int.__or__, (m for m in b.key if m & ~r == 0), 0) != r:
+                return False
+    return True
+
+
+def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert):
     for mol, S in _differential_inputs(corpus, horiz, vert):
-        with monkeypatch.context() as m:
-            m.setattr(sdm, "tree_leq", counted_leq)
-            calls.clear()
-            sdp = enumerate_sd(mol, S)
+        sdp = enumerate_sd(mol, S)
         els = sdp.elements
-        oracle = FinPoset.from_leq(range(sdp.size), lambda i, j: tree_leq(els[i], els[j]))
-        candidates = sdm._region_candidates(els)
+        oracle = FinPoset.from_leq(range(sdp.size), lambda i, j: _factors_through(els[i], els[j]))
         for i in range(sdp.size):
             up = oracle.up_mask(i)
             assert sdp.poset.up_mask(i) == up, (mol.counts, S, i)
-            assert up & ~candidates[i] == 0, (mol.counts, S, i)
             for j in _bits(up):
                 assert oracle.up_mask(j) & ~up == 0, (mol.counts, S, i, j)
                 assert els[i].theta.size() < els[j].theta.size(), (mol.counts, S, i, j)
-        # The filter keeps only true pairs on these inputs, and a strict
-        # refinement has more theta elements, so the closure meets finished
-        # rows only and judges each cover once and nothing else.
-        assert len(calls) == len(sdp.poset.covers()), (mol.counts, S)
-        # The closure alone, trying every pair, gives the same rows.
-        with monkeypatch.context() as m:
-            m.setattr(sdm, "_region_candidates", unfiltered)
-            rows = sdm._refinement_rows(els)
-        assert [r & ~(1 << i) for i, r in enumerate(rows)] == [
-            oracle.up_mask(i) for i in range(sdp.size)
-        ], (mol.counts, S)
 
 
 def test_region_filter_is_exact_across_level_sets(corpus, horiz, vert):
     # Pool the subdivisions of each molecule over all its level sets, so
     # that pairs whose trees use different levels are compared too.  On
-    # every pair the region filter admits exactly the refinements.
+    # every pair the filter's maximal-element form, the region test by its
+    # definition, tree_leq and the factorisation oracle agree.
     import dcx.subdivision as sdm
 
     pools: dict[bytes, tuple] = {}
@@ -136,7 +159,11 @@ def test_region_filter_is_exact_across_level_sets(corpus, horiz, vert):
         candidates = sdm._region_candidates(els)
         for i, a in enumerate(els):
             for j, b in enumerate(els):
-                assert bool(candidates[i] >> j & 1) == tree_leq(a, b), (mol.counts, a.tree, b.tree)
+                covered = _covers_leaves(a, b)
+                where = (mol.counts, a.tree, b.tree)
+                assert bool(candidates[i] >> j & 1) == covered, where
+                assert tree_leq(a, b) == covered, where
+                assert _factors_through(a, b) == covered, where
         pairs += len(els) ** 2
     assert pairs > 5000
 
@@ -164,7 +191,8 @@ def test_realize_matches_pasting_oracle(corpus, horiz, vert):
     # realize reads the theta off the images; the oracle pastes it, and the
     # canonical key of each labelled theta compares their structure.  A
     # subdivision is keyed by its image set alone: over all trees of an
-    # input, that key groups the trees as the canonical key does.
+    # input, that key groups the trees as the canonical key does, and no two
+    # trees share it, so enumerate_sd keeps every tree.
     count = 0
     for mol, S in _differential_inputs(corpus, horiz, vert):
         P = mol.poset
@@ -180,6 +208,7 @@ def test_realize_matches_pasting_oracle(corpus, horiz, vert):
             by_canonical.setdefault(canonical, []).append(n)
             count += 1
         assert sorted(by_key.values()) == sorted(by_canonical.values()), (mol.counts, S)
+        assert len(by_key) == n + 1 == enumerate_sd(mol, S).size, (mol.counts, S)
     assert count > 700
 
 
