@@ -262,7 +262,7 @@ def _cmd_sd(args) -> int:
             "levels": list(sdp.levels),
             "size": sdp.size,
             "sd_size": sdp.size - 1,
-            "theta_counts": [list(s.theta.counts) for s in sdp.elements],
+            "theta_counts": [list(s.counts) for s in sdp.elements],
         }
     )
     return 0

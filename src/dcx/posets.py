@@ -1,10 +1,15 @@
 """Finite posets: relation tables, covers, chains, dismantling.
 
 Relations are stored as bitmask rows, which keeps beat-point dismantling
-and cover extraction fast on posets with a few hundred elements.
+and cover extraction fast on posets with a few hundred elements.  The
+up-set rows are the relation; the down-set rows are their transpose, built
+on first use, since ``bottom``, ``leq`` and ``restrict`` read only the
+up-rows.  ``restrict`` cuts each up-row into the runs of consecutive kept
+indices and shifts each run into place.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 from .ogposet import _bits
@@ -16,34 +21,22 @@ class FinPoset:
     def __init__(self, elements: list, leq_matrix=None, *, up_masks=None):
         self.elements = list(elements)
         self.n = len(self.elements)
-        if up_masks is not None:
-            self._up = list(up_masks)
-        else:
-            self._up = [0] * self.n
-            for i in range(self.n):
-                row = 0
-                for j in range(self.n):
-                    if leq_matrix[i][j]:
-                        row |= 1 << j
-                self._up[i] = row
-        for i in range(self.n):
-            self._up[i] |= 1 << i
-        self._dn = [0] * self.n
+        if up_masks is None:
+            up_masks = [sum(1 << j for j, x in enumerate(row) if x) for row in leq_matrix]
+        self._up = [row | 1 << i for i, row in enumerate(up_masks)]
+
+    @functools.cached_property
+    def _dn(self) -> list[int]:
+        dn = [0] * self.n
         for i in range(self.n):
             for j in _bits(self._up[i]):
-                self._dn[j] |= 1 << i
+                dn[j] |= 1 << i
+        return dn
 
     @classmethod
     def from_leq(cls, elements: list, leq: Callable) -> "FinPoset":
         els = list(elements)
-        ups = []
-        for a in els:
-            row = 0
-            for j, b in enumerate(els):
-                if leq(a, b):
-                    row |= 1 << j
-            ups.append(row)
-        return cls(els, up_masks=ups)
+        return cls(els, [[leq(a, b) for b in els] for a in els])
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
@@ -54,25 +47,15 @@ class FinPoset:
     def down_mask(self, i: int) -> int:
         return self._dn[i] & ~(1 << i)
 
-    def maximal(self) -> list[int]:
-        return [i for i in range(self.n) if not self.up_mask(i)]
-
-    def minimal(self) -> list[int]:
-        return [i for i in range(self.n) if not self.down_mask(i)]
-
     def bottom(self) -> Optional[int]:
+        """The element below all others: its up-row is full."""
         full = (1 << self.n) - 1
-        for i in self.minimal():
-            if self._up[i] == full:
-                return i
-        return None
+        return self._up.index(full) if full in self._up else None
 
     def top(self) -> Optional[int]:
+        """The element above all others: its down-row is full."""
         full = (1 << self.n) - 1
-        for i in self.maximal():
-            if self._dn[i] == full:
-                return i
-        return None
+        return self._dn.index(full) if full in self._dn else None
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i."""
@@ -85,14 +68,16 @@ class FinPoset:
         return out
 
     def restrict(self, keep: list[int]) -> "FinPoset":
-        pos = {old: new for new, old in enumerate(keep)}
-        ups = []
-        for old in keep:
-            row = 0
-            for j in _bits(self._up[old]):
-                if j in pos:
-                    row |= 1 << pos[j]
-            ups.append(row)
+        """The induced subposet on ``keep``, a list of increasing indices:
+        each run of consecutive kept indices is shifted into place."""
+        runs: list[list[int]] = []  # [start, end, shift]
+        for new, old in enumerate(keep):
+            if runs and runs[-1][1] == old:
+                runs[-1][1] += 1
+            else:
+                runs.append([old, old + 1, old - new])
+        cuts = [((1 << end) - (1 << start), shift) for start, end, shift in runs]
+        ups = [sum((self._up[old] & run) >> shift for run, shift in cuts) for old in keep]
         return FinPoset([self.elements[i] for i in keep], up_masks=ups)
 
     def chains(self) -> list[list[tuple[int, ...]]]:

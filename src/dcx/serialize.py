@@ -180,7 +180,7 @@ def dot_sd(sdp) -> str:
     lines = ["digraph sd {"]
     for i, sub in enumerate(sdp.elements):
         label = f"sd{i}" + ("*" if i == sdp.bottom else "")
-        shape = "x".join(str(c) for c in sub.theta.counts)
+        shape = "x".join(str(c) for c in sub.counts)
         lines.append(f'  "sd{i}" [label="{label} [{shape}]"];')
     for i, j in sdp.poset.covers():
         lines.append(f'  "sd{i}" -> "sd{j}";')

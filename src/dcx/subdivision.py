@@ -5,16 +5,17 @@ non-degenerate active functor from a theta with pasting levels in S onto
 U.  We encode candidates as trees: a Leaf stands for the big cell of its
 region (the unique active map from a globe), and a Node at level k pastes
 the subdivisions of the layers of a non-trivial k-pre-layering of its
-region, with all deeper node levels above k.  Each tree is realised as a
-concrete theta-shaped poset with one image subset of U per element.
+region, with all deeper node levels above k.
 
 A subdivision is non-degenerate, so its images alone determine its theta.
-``realize`` reads one theta element off each image, with the images of its
-faces as the image's boundaries one dimension down, which the leaf that
-made the image has already computed.  It raises BoundaryMismatchError when
-consecutive layers do not meet along their k-boundaries, and DcxError when
-a leaf's boundary has the wrong dimension, when images are shared, or when
-two layers give one image different faces.
+``realize`` collects the images, one per theta element, each with the
+images of its faces: the image's boundaries one dimension down, which the
+leaf that made the image has already computed.  It raises
+BoundaryMismatchError when consecutive layers do not meet along their
+k-boundaries, DcxError when a leaf's boundary has the wrong dimension, when
+images are shared or when two layers give one image different faces, and
+OverlapError when an image's two faces are equal.  These are all the ways
+the theta can fail, so it is built only on first read of ``theta``.
 
 So a subdivision is keyed by its image set, listed in theta position
 order, and no isomorphism search is needed: thetas are molecules, hence
@@ -35,7 +36,7 @@ import itertools
 import operator
 from typing import Iterator
 
-from .errors import BoundaryMismatchError, DcxError, PreconditionError
+from .errors import BoundaryMismatchError, DcxError, OverlapError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule, _memo
@@ -60,20 +61,47 @@ def _subtrees(tree: Tree) -> Iterator[Tree]:
 
 
 class Subdivision:
-    """A realised subdivision: a theta poset with image subsets of U.
+    """A realised subdivision: a tree over U and the image subsets of U.
 
     ``key`` is the image of each theta element, indexed by its theta
     position; it identifies the subdivision, and elements are listed in key
-    order.
+    order.  The theta poset is built from the images on first read of
+    ``theta``; ``realize`` has already made every check that can fail.
     """
 
-    __slots__ = ("ambient", "tree", "theta", "key")
+    __slots__ = ("ambient", "tree", "key", "_theta")
 
-    def __init__(self, ambient: OgPoset, tree: Tree, theta: OgPoset, key: tuple[Masks, ...]):
+    def __init__(self, ambient: OgPoset, tree: Tree, key: tuple[Masks, ...]):
         self.ambient = ambient
         self.tree = tree
-        self.theta = theta
         self.key = key
+        self._theta = None
+
+    @property
+    def theta(self) -> OgPoset:
+        """The theta: the element on image m has the elements on m's input
+        and output boundaries one dimension down as its faces."""
+        if self._theta is None:
+            P = self.ambient
+            images, _ = _images(P, self.tree)
+            counts = [0] * (P.masks_dim(self.key[-1]) + 1)
+            index: dict[Masks, int] = {}
+            faces: list[list] = [[] for _ in counts]
+            for m in self.key:
+                d = P.masks_dim(m)
+                index[m] = counts[d]
+                counts[d] += 1
+                if d:
+                    lo, hi = images[m]
+                    faces[d].append(((index[lo],), (index[hi],)))
+            self._theta = OgPoset(counts, faces, regular=True, _checked=True)
+        return self._theta
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """The number of theta elements in each dimension, read off the key."""
+        dims = [self.ambient.masks_dim(m) for m in self.key]
+        return tuple(dims.count(d) for d in range(dims[-1] + 1))
 
     @property
     def img(self) -> dict[El, Masks]:
@@ -85,41 +113,35 @@ class Subdivision:
         return {t[1] for t in _subtrees(self.tree) if t[0] == "node"}
 
     def is_big_cell(self) -> bool:
-        return self.theta.maximal_masks(self.theta.full_masks()).bit_count() == 1
+        # a node pastes two or more layers of dimension above its level k,
+        # so its theta has two or more maximal elements
+        return self.tree[0] == "leaf"
 
     def __repr__(self):
-        return f"Subdivision(theta_counts={list(self.theta.counts)})"
+        return f"Subdivision(theta_counts={list(self.counts)})"
 
 
 def realize(P: OgPoset, tree: Tree) -> Subdivision:
     """Realise a subdivision tree over the ambient poset P.
 
     A leaf images its globe on its region R and the boundaries of R, a node
-    the union of its layers' images.  The theta has one element per image,
-    numbered by increasing image in each dimension, and the key lists the
-    images in that order; the element on m has the elements on the input
-    and output boundaries of m one dimension down as faces.  Raises
-    BoundaryMismatchError when consecutive layers of a node do not meet
-    along their k-boundaries, and DcxError when a leaf boundary has the
-    wrong dimension, images are shared, or two layers give one image
-    different faces.
+    the union of its layers' images.  The key lists the images in theta
+    position order, by increasing image in each dimension.  The images are
+    checked here and the theta is built on first read of
+    ``Subdivision.theta``.  Raises BoundaryMismatchError when consecutive
+    layers of a node do not meet along their k-boundaries, DcxError when a
+    leaf boundary has the wrong dimension, images are shared, or two layers
+    give one image different faces, and OverlapError when an image's input
+    and output faces are equal.
     """
     images, size = _images(P, tree)
     if len(images) != size:
         raise DcxError("element-image map is not injective")
-    dims = {m: P.masks_dim(m) for m in images}
-    key = tuple(sorted(images, key=lambda m: (dims[m], m)))
-    counts = [0] * (P.masks_dim(tree_region(tree)) + 1)
-    index: dict[Masks, int] = {}
-    faces: list[list] = [[] for _ in counts]
-    for m in key:
-        d = dims[m]
-        index[m] = counts[d]
-        counts[d] += 1
-        if d:
-            lo, hi = images[m]
-            faces[d].append(((index[lo],), (index[hi],)))
-    return Subdivision(P, tree, OgPoset(counts, faces, regular=True), key)
+    # positions run in dimension order, so a mask of higher dimension is larger
+    key = tuple(sorted(images))
+    if any(faces and faces[0] == faces[1] for faces in images.values()):
+        raise OverlapError("an image has equal input and output faces")
+    return Subdivision(P, tree, key)
 
 
 def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
@@ -130,7 +152,8 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
     for a point.  By globularity the faces of a leaf's j-boundaries, and of
     its region R when j is the region's dimension, are the (j-1)-boundaries
     of R.  A leaf's images are computed once per poset, and callers share
-    them.  Raises DcxError when two layers give one image different faces.
+    them; so is each pair of consecutive layers found to meet.  Raises
+    DcxError when two layers give one image different faces.
     """
     if tree[0] == "leaf":
         region = tree[1]
@@ -151,11 +174,14 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
         memo[region] = leaf = (images, 2 * d + 1)
         return leaf
     k, children = tree[1], tree[2]
+    met = _memo(P, "sdmeet")
     images, size, left = {}, 2 * k + 1, 0
     for child in children:
         right = tree_region(child)
-        if left and P.boundary_masks(left, k, PLUS) != P.boundary_masks(right, k, MINUS):
-            raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
+        if left and (left, right, k) not in met:
+            if P.boundary_masks(left, k, PLUS) != P.boundary_masks(right, k, MINUS):
+                raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
+            met[left, right, k] = True
         more, n = _images(P, child)
         for m, faces in more.items():
             if images.setdefault(m, faces) != faces:

@@ -157,3 +157,38 @@ def test_connected_matches_comparability_graph():
         assert homology(nerve(P)).connected == connected
         assert poset_homology(P).connected == connected
     assert seen == {True, False}
+
+
+def _random_order(rng, n):
+    """A random partial order on range(n), as a set of pairs (i, j), i <= j."""
+    leq = {(i, i) for i in range(n)}
+    leq |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if (i, k) in leq and (k, j) in leq:
+            leq.add((i, j))
+    return leq
+
+
+def test_restrict_bottom_top_and_down_sets_match_their_definitions():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        leq = _random_order(rng, n)
+        P = FinPoset([f"e{i}" for i in range(n)], [[(i, j) in leq for j in range(n)] for i in range(n)])
+        start = rng.randrange(n)
+        keeps = [[], list(range(start, rng.randint(start + 1, n)))]
+        keeps.append(sorted(rng.sample(range(n), rng.randint(1, n))))
+        keeps += [[j for j in range(n) if j != i] for i in range(n)]
+        for keep in keeps:
+            Q = P.restrict(keep)
+            m = len(keep)
+            rel = {(a, b) for a in range(m) for b in range(m) if (keep[a], keep[b]) in leq}
+            assert Q.n == m and Q.elements == [f"e{i}" for i in keep]
+            for a in range(m):
+                ups = sum(1 << b for b in range(m) if (a, b) in rel and b != a)
+                downs = sum(1 << b for b in range(m) if (b, a) in rel and b != a)
+                assert (Q.up_mask(a), Q.down_mask(a)) == (ups, downs), (n, keep, a)
+            bottoms = [a for a in range(m) if all((a, b) in rel for b in range(m))]
+            tops = [a for a in range(m) if all((b, a) in rel for b in range(m))]
+            assert Q.bottom() == (bottoms[0] if bottoms else None), (n, keep)
+            assert Q.top() == (tops[0] if tops else None), (n, keep)

@@ -1,11 +1,15 @@
 import functools
 import itertools
+import random
 
 import pytest
 
 from dcx import (
     BoundaryMismatchError,
+    DcxError,
     FinPoset,
+    OgPoset,
+    OverlapError,
     PreconditionError,
     contractibility_report,
     enumerate_sd,
@@ -21,7 +25,7 @@ from dcx import (
 )
 from dcx.molecule import mol_cert, paste_labelled, splits_masks
 from dcx.ogposet import MINUS, PLUS, _bits, labelled_key
-from dcx.subdivision import _subtrees, _trees, realize, tree_region
+from dcx.subdivision import _images, _subtrees, _trees, realize, tree_region
 from conftest import composition_refines, compositions, posets_isomorphic
 
 
@@ -234,6 +238,122 @@ def test_sd_makes_no_isomorphism_search(horiz, vert, monkeypatch):
             assert tree_leq(bottom, sub)
             assert restrict_levels(sub, set()).key == bottom.key
             assert restrict_levels(sub, S).key == sub.key
+
+
+def test_sd_builds_no_theta(horiz, vert, monkeypatch):
+    # The order, the homology and level pruning read only the keys, so no
+    # theta poset is built on the sd path.
+    import dcx.subdivision
+
+    theta = theta_from_tree("(((),()),())")
+    inputs = [(path(6), {0}), (theta, {0, 1}), (horiz, {0, 1}), (vert, {0, 1})]
+    for mol, _ in inputs:
+        assert mol.cert
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta built on the sd path")
+
+    monkeypatch.setattr(dcx.subdivision, "OgPoset", refuse)
+    for mol, S in inputs:
+        sdp = enumerate_sd(mol, S)
+        assert contractibility_report(mol, S).connected
+        bottom = sdp.elements[sdp.bottom]
+        for sub in sdp.elements:
+            assert tree_leq(bottom, sub)
+            assert restrict_levels(sub, set()).key == bottom.key
+            assert restrict_levels(sub, S).key == sub.key
+
+
+def test_counts_and_big_cell_are_read_off_key_and_tree(corpus, horiz, vert):
+    for mol, S in _differential_inputs(corpus, horiz, vert):
+        for sub in enumerate_sd(mol, S).elements:
+            T = sub.theta
+            assert sub.counts == T.counts, (mol.counts, S, sub.tree)
+            big = T.maximal_masks(T.full_masks()).bit_count() == 1
+            assert sub.is_big_cell() == big, (mol.counts, S, sub.tree)
+
+
+def _eager_realize(P, tree):
+    """The theta built and validated at once, as a plain OgPoset."""
+    images, size = _images(P, tree)
+    if len(images) != size:
+        raise DcxError("element-image map is not injective")
+    key = sorted(images, key=lambda m: (P.masks_dim(m), m))
+    counts = [0] * (P.masks_dim(tree_region(tree)) + 1)
+    index, faces = {}, [[] for _ in counts]
+    for m in key:
+        d = P.masks_dim(m)
+        index[m] = counts[d]
+        counts[d] += 1
+        if d:
+            lo, hi = images[m]
+            faces[d].append(((index[lo],), (index[hi],)))
+    return OgPoset(counts, faces, regular=True), tuple(key)
+
+
+def _lazy_realize(P, tree):
+    sub = realize(P, tree)
+    return sub.theta, sub.key
+
+
+def _outcome(build):
+    try:
+        theta, key = build()
+        return theta.counts, theta.faces, key
+    except DcxError as e:
+        return type(e), str(e)
+
+
+def test_realize_raises_where_the_eager_theta_does():
+    # Random trees of closed subsets of random regular ogposets, most of
+    # them not subdivisions: realize raises exactly where building and
+    # validating the theta at once raises, with the same error, and the
+    # lazily built theta is otherwise the validated one.
+    rng = random.Random(5)
+    raised, built = set(), 0
+    for _ in range(150):
+        counts = [rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 3)]
+        faces = [[]]
+        for d in (1, 2):
+            faces.append([])
+            for _ in range(counts[d]):
+                below = rng.sample(range(counts[d - 1]), rng.randint(2, counts[d - 1]))
+                cut = rng.randint(1, len(below) - 1)
+                faces[d].append((below[:cut], below[cut:]))
+        P = OgPoset(counts, faces, regular=True)
+        closed = [functools.reduce(int.__or__, rng.sample(P.cl_el, 2)) for _ in range(8)]
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.4:
+                return ("leaf", rng.choice(closed))
+            children = tuple(tree(depth - 1) for _ in range(rng.randint(2, 3)))
+            return ("node", rng.randint(0, 1), children, functools.reduce(
+                int.__or__, map(tree_region, children)))
+
+        for _ in range(20):
+            t = tree(2)
+            lazy = _outcome(lambda: _lazy_realize(P, t))
+            assert lazy == _outcome(lambda: _eager_realize(P, t)), t
+            if len(lazy) == 2:
+                raised.add(lazy[1])
+            else:
+                built += 1
+    assert built > 500 and len(raised) == 5, (built, raised)
+
+
+def test_realize_reports_overlapping_faces(monkeypatch):
+    # An image whose input and output faces are equal raises the error that
+    # validating its theta would raise, before any theta is built.
+    import dcx.subdivision
+
+    P = path(1).poset
+    vertex, edge = 1 << 0, 1 << 2  # positions: two vertices, then the edge
+    images = {vertex: None, edge: (vertex, vertex)}
+    monkeypatch.setattr(dcx.subdivision, "_images", lambda P, tree: (images, 2))
+    with pytest.raises(OverlapError):
+        realize(P, ("leaf", P.full_masks()))
+    with pytest.raises(OverlapError):
+        OgPoset([1, 1], [[], [((0,), (0,))]], regular=True)
 
 
 def test_realize_rejects_layers_in_the_wrong_order():
