@@ -7,7 +7,9 @@ position, its rank in ``(dim, index)`` order, and a subset of the poset is
 one int: bit p is set when the element at position p belongs to it.  The
 closure and boundary calculus is then a few whole-int operations over
 per-position tables of faces, cofaces and single-element closures, cheap
-enough for exhaustive searches.
+enough for exhaustive searches.  The flow rule reads one more pair of
+per-position tables, each element's input and output k-frame, built for
+each k on first use.
 
 Only this module knows the layout.  Other modules build subsets from
 elements (:meth:`OgPoset.el_masks`), read them back
@@ -56,8 +58,10 @@ class OgPoset:
     into dimension ``d - 1``; dimension 0 carries no face data.  Indexed by
     position, ``dn_minus``/``dn_plus``/``dn_all`` hold an element's input,
     output and all faces, ``up_minus``/``up_plus``/``up_all`` its cofaces
-    by side, and ``cl_el`` its closure, each as a subset.  Instances are
-    immutable and cache their canonical form and memoised searches.
+    by side, and ``cl_el`` its closure, each as a subset.  The input and
+    output k-frames of every element (see :meth:`flow_masks`) are built at
+    each k on the first flow query there and kept in ``_memo``.  Instances
+    are immutable and cache their canonical form and memoised searches.
     """
 
     __slots__ = (
@@ -125,8 +129,11 @@ class OgPoset:
         for c in self.counts:
             offsets.append(offsets[-1] + c)
         self._offsets = tuple(offsets)
-        # _upto[j]: the elements of dimension below j, for j = 0 .. len(counts)
-        self._upto = tuple((1 << o) - 1 for o in offsets)
+        # _upto[j]: the elements of dimension below j, for j = 0 .. len(counts) + 1;
+        # the repeated last entry lets delta_masks read level k + 2 for every k <= dim,
+        # and repeating the object, not a copy of its value, costs one slot per poset
+        upto = tuple((1 << o) - 1 for o in offsets)
+        self._upto = upto + upto[-1:]
         self._els = [(d, i) for d, c in enumerate(self.counts) for i in range(c)]
         n = offsets[-1]
         self.dn_minus = [0] * n
@@ -222,12 +229,12 @@ class OgPoset:
 
     def delta_masks(self, masks: Masks, k: int, alpha: str) -> Masks:
         """Dimension-k elements of the subset with no (-alpha)-coface inside it."""
-        if k < 0:
+        if not 0 <= k < len(self.counts):
             return 0
-        below, at = self.upto(k - 1), self.upto(k)
-        above = masks & self.upto(k + 1) & ~at
+        t = self._upto
+        above = masks & t[k + 2] & ~t[k + 1]
         side = self.dn_plus if alpha == MINUS else self.dn_minus
-        return masks & at & ~below & ~_union(side, above)
+        return masks & t[k + 1] & ~t[k] & ~_union(side, above)
 
     def boundary_masks(self, masks: Masks, k: int, alpha: str) -> Masks:
         """The alpha-side k-boundary of a closed subset, as a closed subset.
@@ -238,21 +245,46 @@ class OgPoset:
         """
         if k < 0:
             return 0
-        low = self.maximal_masks(masks & self.upto(k)) & self.upto(k - 1)
+        t = self._upto
+        j = min(k, len(self.counts))
+        low = self.maximal_masks(masks & t[j + 1]) & t[j]
         return self.closure_masks(low | self.delta_masks(masks, k, alpha))
+
+    def _frames(self, k: int) -> tuple[list[int], list[int]]:
+        """The input and output k-frames of every element, by position.
+
+        Built on the first request at k and kept in ``_memo``: an element of
+        dimension k is its own frame, one of lower dimension has none, and
+        the frames of a higher element p are the δ at k of its closure.
+        """
+        frames = self._memo.get(("frames", k))
+        if frames is None:
+            lo = hi = len(self._els)
+            if 0 <= k < len(self.counts):
+                lo, hi = self._offsets[k], self._offsets[k + 1]
+            own = [0] * lo + [1 << p for p in range(lo, hi)]
+            cl = self.cl_el[hi:]
+            frames = (
+                own + [self.delta_masks(c, k, MINUS) for c in cl],
+                own + [self.delta_masks(c, k, PLUS) for c in cl],
+            )
+            self._memo[("frames", k)] = frames
+        return frames
 
     def flow_masks(self, vertices: Masks, k: int) -> list[int]:
         """The maximal k-flow rule on a set of elements, listed in position order.
 
         Bit j of entry i is set iff the output k-frame of vertex i (the
         dimension-k part of its output k-boundary) meets the input k-frame
-        of vertex j.  Every entry is 0 for k < 0.
+        of vertex j.  A vertex of dimension k is its own input and output
+        k-frame, so it has an edge to itself; one of lower dimension has
+        empty k-frames, and every entry is 0 for k < 0.
         """
-        cl = [self.cl_el[p] for p in _bits(vertices)]
-        plus = [self.delta_masks(c, k, PLUS) for c in cl]
-        minus = [self.delta_masks(c, k, MINUS) for c in cl]
+        minus_frames, plus_frames = self._frames(k)
+        ps = list(_bits(vertices))
+        minus = [minus_frames[p] for p in ps]
         return [
-            sum(1 << j for j, m in enumerate(minus) if p & m) for p in plus
+            sum(1 << j for j, m in enumerate(minus) if plus_frames[p] & m) for p in ps
         ]
 
     def masks_dim(self, masks: Masks) -> int:

@@ -180,7 +180,7 @@ def test_every_definition_is_read():
 
 # -- the subset layout lives in one module ------------------------------------------
 
-LAYOUT_TABLES = {"_offsets", "_els"}
+LAYOUT_TABLES = {"_offsets", "_els", "_upto"}
 
 
 def layout_reads(path: Path) -> list[str]:

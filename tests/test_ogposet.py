@@ -449,6 +449,20 @@ def plain_boundary(P, S, k, alpha):
     return plain_closure(P, low | plain_delta(P, S, k, alpha))
 
 
+def plain_frames(P, k):
+    """Each element's input and output k-frame: the dimension-k part of the
+    "-" and "+" k-boundaries of its closure, which is δ at k of the closure."""
+    closures = {x: plain_closure(P, {x}) for x in P.elements()}
+    return {x: (plain_delta(P, c, k, "-"), plain_delta(P, c, k, "+")) for x, c in closures.items()}
+
+
+def plain_flow(frames, S):
+    """Bit j of entry i is set iff the output frame of the i-th member of S
+    meets the input frame of the j-th, members in (dim, index) order."""
+    vs = sorted(S)
+    return [sum(1 << j for j, y in enumerate(vs) if frames[x][1] & frames[y][0]) for x in vs]
+
+
 def plain_connected(P, S):
     if not S:
         return True
@@ -481,8 +495,9 @@ def check_extract(P, S):
             assert {amb[f] for f in plain_faces(Q, el, side)} == plain_faces(P, amb[el], side)
 
 
-def check_against_plain(P, S):
-    """Every calculus operation on S agrees with the plain set version."""
+def check_against_plain(P, S, frames):
+    """Every calculus operation on S agrees with the plain set version;
+    ``frames[k]`` is ``plain_frames(P, k)``."""
     m = P.el_masks(S)
     assert set(P.masks_els(m)) == S and P.masks_els(m) == sorted(S)
     assert set(P.masks_els(P.closure_masks(m))) == plain_closure(P, S)
@@ -492,6 +507,8 @@ def check_against_plain(P, S):
     for k in range(-1, P.dim + 2):
         for alpha in "-+":
             assert set(P.masks_els(P.delta_masks(m, k, alpha))) == plain_delta(P, S, k, alpha)
+        # any vertex set is allowed, so S may hold elements at or below k
+        assert P.flow_masks(m, k) == plain_flow(frames[k], S)
     if plain_closure(P, S) != S:
         return
     check_extract(P, S)
@@ -508,14 +525,41 @@ def test_calculus_matches_plain_sets(corpus):
     closed = 0
     for P in posets:
         els = list(P.elements())
+        frames = {k: plain_frames(P, k) for k in range(-1, P.dim + 2)}
         subsets = [set(els), set()]
         for _ in range(4):
             S = {el for el in els if rng.random() < rng.choice([0.1, 0.3, 0.6])}
             subsets += [S, plain_closure(P, S)]
         for S in subsets:
             closed += plain_closure(P, S) == S
-            check_against_plain(P, S)
+            check_against_plain(P, S, frames)
     assert closed >= len(posets) * 5
+
+
+def test_flow_frames_are_built_once_per_poset_and_level(monkeypatch):
+    P = oriental(4).poset
+    made = []
+    delta = OgPoset.delta_masks
+
+    def counted(self, masks, k, alpha):
+        made.append(self)
+        return delta(self, masks, k, alpha)
+
+    monkeypatch.setattr(OgPoset, "delta_masks", counted)
+    high = P.full_masks() & ~P.upto(1)
+    first = P.flow_masks(high, 1)
+    assert made
+    made.clear()
+    assert P.flow_masks(high, 1) == first
+    assert any(P.flow_masks(P.full_masks(), 1))
+    assert made == []
+    # an extracted copy keeps its own tables, even with the same layout
+    Q = P.extract(P.full_masks())[0]
+    assert Q.flow_masks(high, 1) == first
+    assert made and all(R is Q for R in made)
+    made.clear()
+    P.flow_masks(high, 2)
+    assert made and all(R is P for R in made)
 
 
 # -- outputs keep the per-dimension order -----------------------------------------
