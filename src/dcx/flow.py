@@ -8,7 +8,8 @@ of its vertices compatible with the edges: each block is a down-set of what
 the earlier blocks leave, drawn from :func:`~dcx.ogposet.down_sets`, and
 orderings are the case with one vertex per block.  Frame-acyclicity asks every
 submolecule's flow graph, taken at that submolecule's own frame dimension,
-to be acyclic.
+to be acyclic; it is decided on a superset of the submolecules that needs no
+recognition, and only a cycle found there sends it to the exact submolecules.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .molecule import Molecule, _memo, splits_masks, submolecules_masks
+from .molecule import Molecule, _memo, candidate_closure_masks, splits_masks, submolecules_masks
 from .molecule import mol_cert as mol_cert  # perfbench's tests read dcx.flow.mol_cert
 from .ogposet import Closed, El, Masks, OgPoset, _bits, closed_rows, down_sets, find_cycle
 from .posets import FinPoset
@@ -235,14 +236,39 @@ class FrameAcyclicity:
 
 
 def is_frame_acyclic(U: Molecule) -> FrameAcyclicity:
-    """Check every submolecule's flow graph at its own frame dimension."""
+    """Check every submolecule's flow graph at its own frame dimension.
+
+    The scan runs first over :func:`~dcx.molecule.candidate_closure_masks`:
+    the closure of U under boundaries and under the membrane fixpoint of
+    every split candidate, with no boundary comparison and no recognition.
+    It contains every submolecule.  The :func:`~dcx.molecule.splits_masks`
+    and :func:`~dcx.molecule._membrane_split` docstrings prove that every
+    k-split of a subset is one of its candidates and that the candidate's
+    fixpoint rebuilds that split.  So by induction along a witness of
+    :func:`~dcx.molecule.submolecules_masks`, whose steps are boundaries and
+    split sides, the scan reaches each submolecule.  If no member of the
+    superset has a flow cycle, no submolecule has one: U is frame-acyclic.
+
+    A member with a cycle need not be a submolecule, so then the exact loop
+    over :func:`~dcx.molecule.submolecules_masks` runs as it always has: a
+    negative answer, its offending submolecule and its cycle are the first
+    that the exact order meets.  Such an input pays for both scans.
+    """
     P = U.poset
-    for masks in submolecules_masks(P, P.full_masks()):
-        r = frame_dim_masks(P, masks)
-        cycle = maxflow_masks(P, masks, r).find_cycle()
+    full = P.full_masks()
+    if all(_flow_cycle(P, masks) is None for masks in candidate_closure_masks(P, full)):
+        return FrameAcyclicity(True)
+    for masks in submolecules_masks(P, full):
+        cycle = _flow_cycle(P, masks)
         if cycle is not None:
             return FrameAcyclicity(False, Closed(P, masks), cycle)
     return FrameAcyclicity(True)
+
+
+def _flow_cycle(P: OgPoset, masks: Masks) -> Optional[list[El]]:
+    """A cycle of the maximal flow graph of ``masks`` at its own frame
+    dimension, or None."""
+    return maxflow_masks(P, masks, frame_dim_masks(P, masks)).find_cycle()
 
 
 # -- the comparison between layerings and orderings -----------------------------
@@ -277,8 +303,44 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
     Requires U frame-acyclic and frame_dim(U) <= k <= dim U - 1.  Checks:
     (a) a k-layering exists; (b) layerings biject with orderings; (c) the
     induced map on pre-layerings is an isomorphism of posets onto the
-    pre-orderings (a cover-preserving bijection); (d) every pre-ordering is
-    refined by an ordering.
+    pre-orderings; (d) every pre-ordering is refined by an ordering.
+
+    For (c) it checks that the map f (:func:`_layer_blocks`) is a bijection
+    and that, for each pre-layering x, f maps the one-split refinements of
+    x (:func:`_prelayering_covers`) onto those of f(x)
+    (:func:`_partition_covers`).  That makes f an isomorphism for the order
+    :func:`_refines`; the proof is the one for a bijection of finite posets
+    that preserves and reflects covers:
+
+    1. Refinement is grouping.  Each layer of a pre-layering holds an
+       element that no other layer holds: the two sides of a split meet in
+       the membrane, of dimension at most k, and each side holds a maximal
+       element of dimension above k of the subset split, which the other
+       side lacks.  Blocks of a
+       pre-ordering are nonempty and disjoint.  So in both posets no proper
+       prefix of a group of finer blocks already has the group's union, and
+       ``_refines(x, y)`` holds iff x's blocks split into consecutive groups
+       whose unions are y's blocks.  Grouping composes, so ``_refines`` is
+       transitive, and a one-split refinement refines.
+    2. f preserves the order: a flow vertex lies in a union of layers iff
+       it lies in one of them, so f turns a grouping of layers into the
+       same grouping of blocks.
+    3. One-splits generate the order on pre-orderings.  Two consecutive
+       blocks of a pre-ordering merge into a pre-ordering: the first is a
+       down-set of what the earlier blocks leave, the second of what the
+       first leaves too, so their union is a down-set of the former, and
+       the first block is a proper down-set of the union.  So if b refines
+       c, merging two consecutive blocks of one group of b steps up by one
+       split, and induction on the number of blocks gives a chain of
+       one-splits from c down to b.  (Each step is a cover, as a strict
+       refinement adds a block.)
+    4. f reflects the order: if f(x) refines f(y), take such a chain from
+       f(y) to f(x).  Each member is f of a unique pre-layering, and the
+       checked reflection makes each step a one-split of pre-layerings,
+       which refines by point 1; by transitivity x refines y.
+
+    The full comparison of the two refinement matrices is therefore
+    implied, and it is kept only as an oracle in the tests.
     """
     r = frame_dim(U)
     if not (r <= k <= U.dim - 1):
@@ -324,12 +386,6 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
                     "reason": "covers not preserved and reflected",
                 }
             )
-    if len(prelays) <= 400:
-        # small enough: double-check the full relation matrices agree
-        for i in range(len(prelays)):
-            for j in range(len(prelays)):
-                if _refines(prelays[j], prelays[i]) != _refines(images[j], images[i]):
-                    return fail({"pair": [i, j], "reason": "order mismatch"})
 
     ord_set = set(ords)
     for partition in preords:

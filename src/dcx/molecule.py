@@ -575,8 +575,11 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     - same side: two high elements whose closures meet above dimension k
       lie on the same side, since A n B has dimension at most k.
 
-    :func:`_candidate_split` turns one candidate into its split or None.
-    Candidates are tried in increasing order of their left-side bitmask.
+    :func:`_candidate_split` turns one candidate into its split or None:
+    :func:`_membrane_split` rebuilds the two sides the candidate forces, so
+    every split is the rebuild of one candidate, and the exact checks then
+    keep the rebuilds that are splits.  Candidates are tried in increasing
+    order of their left-side bitmask.
 
     The splits are found lazily, so a caller that needs one split (as
     :func:`mol_cert` does) checks only the candidates up to the first one.
@@ -640,7 +643,28 @@ class _SplitSearch:
 def _candidate_split(
     P: OgPoset, masks: Masks, k: int, closures: list[Masks], low: Masks, bits: int
 ) -> Optional[tuple[Masks, Masks]]:
-    """The k-split of ``masks`` with left side ``bits``, or None.
+    """The k-split of ``masks`` with left side ``bits``, or None: the
+    :func:`_membrane_split` of the candidate, checked exactly (the shared
+    membrane is both sides' k-boundary and both sides are molecules)."""
+    pair = _membrane_split(P, masks, k, closures, low, bits)
+    if pair is None:
+        return None
+    left, right = pair
+    inter = left & right
+    if P.boundary_masks(left, k, PLUS) != inter:
+        return None
+    if P.boundary_masks(right, k, MINUS) != inter:
+        return None
+    if mol_cert(P, left) is None or mol_cert(P, right) is None:
+        return None
+    return pair
+
+
+def _membrane_split(
+    P: OgPoset, masks: Masks, k: int, closures: list[Masks], low: Masks, bits: int
+) -> Optional[tuple[Masks, Masks]]:
+    """The two sides that the candidate ``bits`` forces, or None unless they
+    are proper and cover ``masks``.
 
     ``bits`` assigns the high elements, whose closures are ``closures``, to
     the two sides; ``low`` is the part of ``masks`` of dimension at most k.
@@ -649,7 +673,9 @@ def _candidate_split(
     adding the level-k output frame of A and input frame of B until stable.
     The parts of both sides above level k never change during the growth,
     so the frame tests are stable and the fixpoint reconstructs the unique
-    candidate split, which is then checked exactly.
+    candidate split.  Whether it is a split is left to the caller:
+    :func:`_candidate_split` checks it exactly, :func:`candidate_closure_masks`
+    keeps it as is.
     """
     cla = clb = 0
     for n, cl in enumerate(closures):
@@ -667,13 +693,6 @@ def _candidate_split(
             break
         membrane |= grow
     if left == masks or right == masks or left | right != masks:
-        return None
-    inter = left & right
-    if P.boundary_masks(left, k, PLUS) != inter:
-        return None
-    if P.boundary_masks(right, k, MINUS) != inter:
-        return None
-    if mol_cert(P, left) is None or mol_cert(P, right) is None:
         return None
     return left, right
 
@@ -718,6 +737,37 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     operators (the factors of unital pastings).  Witnesses are lists of
     steps ("split", k, side) / ("boundary", k, alpha) leading from the root.
     """
+    return _closure(P, masks, splits_masks)
+
+
+def candidate_closure_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
+    """A superset of :func:`submolecules_masks`: the closure of ``masks``
+    under boundary operators and under the :func:`_membrane_split` of every
+    split candidate, with no check that a candidate is a split.
+
+    Why it holds every submolecule is in :func:`dcx.flow.is_frame_acyclic`.
+    The other members need not be molecules; their witnesses name the
+    candidate steps that reached them.  Nothing is memoised, so the "splits"
+    and "mol" memos stay exact.
+    """
+    return _closure(P, masks, _membrane_splits)
+
+
+def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
+    """The :func:`_membrane_split` of each k-split candidate of ``masks``."""
+    high = P.maximal_masks(masks) & ~P.upto(k)
+    closures = [P.cl_el[p] for p in _bits(high)]
+    low = masks & P.upto(k)
+    for bits in _split_candidates(P, high, k):
+        pair = _membrane_split(P, masks, k, closures, low, bits)
+        if pair is not None:
+            yield pair
+
+
+def _closure(P: OgPoset, masks: Masks, split_lister) -> dict[Masks, list]:
+    """The closure of ``masks`` under boundaries and the pairs that
+    ``split_lister(P, subset, k)`` yields for each level k below the subset's
+    dimension, each member with the steps that first reached it."""
     found: dict[Masks, list] = {masks: []}
     queue = [masks]
     while queue:
@@ -730,7 +780,7 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
                 if b not in found:
                     found[b] = wit + [("boundary", k, alpha)]
                     queue.append(b)
-            for a, b in splits_masks(P, cur, k):
+            for a, b in split_lister(P, cur, k):
                 if a not in found:
                     found[a] = wit + [("split", k, 0)]
                     queue.append(a)

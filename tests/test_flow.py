@@ -4,9 +4,12 @@ import networkx as nx
 import pytest
 
 import dcx.flow as flow
+import dcx.molecule as molecule
 from dcx import (
+    Closed,
     FinPoset,
     FlowGraph,
+    Molecule,
     PreconditionError,
     check_layering_theory,
     frame_dim,
@@ -22,9 +25,11 @@ from dcx import (
     path,
     pre_layerings,
     pre_orderings,
+    random_molecules,
 )
-from dcx.flow import _chains, _minimal_blocks
-from dcx.ogposet import down_sets
+from dcx.flow import FrameAcyclicity, _chains, _minimal_blocks
+from dcx.molecule import candidate_closure_masks, submolecules_masks
+from dcx.ogposet import OgPoset, down_sets
 
 
 def test_frame_dim_examples(horiz, vert):
@@ -316,3 +321,147 @@ def test_cap_is_an_upper_bound():
         assert fg.topological_sorts(cap=cap) == sorts[:cap]
         assert _chains(need, full, _minimal_blocks, cap) == chains[:cap]
         assert _chains(need, full, down_sets, cap) == parts[:cap]
+
+
+def test_refinement_matrices_agree(corpus):
+    # the order comparison that check_layering_theory's docstring proves from
+    # the cover check, compared pair by pair on every pre-layering poset of
+    # at most 400 elements
+    pairs = 0
+    for mol in corpus[:40]:
+        P = mol.poset
+        for k in range(max(frame_dim(mol), 0), mol.dim):
+            assert check_layering_theory(mol, k)["iso"]
+            prelays = flow._sorted_prelayerings(P, k)
+            if len(prelays) > 400:
+                continue
+            order = tuple(sorted(maxflow(mol, k).vertices))
+            images = [flow._layer_blocks(P, order, lay) for lay in prelays]
+            for fine, fine_image in zip(prelays, images):
+                for coarse, coarse_image in zip(prelays, images):
+                    assert flow._refines(fine, coarse) == flow._refines(fine_image, coarse_image)
+                    pairs += 1
+    assert pairs > 1000
+
+
+# -- the superset scan and its exact fallback -----------------------------------
+
+
+def dim4_slice():
+    """Random molecules up to dimension 4; 18 of these 80 have dimension 4."""
+    return random_molecules(80, seed=3, max_elements=18, max_dim=4)
+
+
+def test_candidate_closure_contains_the_submolecules(corpus):
+    for mol in corpus + [oriental(n) for n in range(6)] + dim4_slice():
+        P = mol.poset
+        full = P.full_masks()
+        exact = submolecules_masks(P, full)
+        assert exact.keys() <= candidate_closure_masks(P, full).keys(), mol.counts
+
+
+def exact_frame_acyclicity(U):
+    """The loop over the exact submolecules that the superset scan precedes."""
+    P = U.poset
+    for masks in submolecules_masks(P, P.full_masks()):
+        r = flow.frame_dim_masks(P, masks)
+        cycle = flow.maxflow_masks(P, masks, r).find_cycle()
+        if cycle is not None:
+            return FrameAcyclicity(False, Closed(P, masks), cycle)
+    return FrameAcyclicity(True)
+
+
+def report_cycles_on(monkeypatch, targets):
+    """Patch the flow graphs of the subsets in ``targets`` to carry a
+    self-loop at their first vertex."""
+    real = flow.maxflow_masks
+
+    def patched(P, masks, k):
+        fg = real(P, masks, k)
+        if masks in targets and fg.vertices:
+            v = fg.vertices[0]
+            return FlowGraph(fg.vertices, fg.edges | {(v, v)})
+        return fg
+
+    monkeypatch.setattr(flow, "maxflow_masks", patched)
+
+
+def test_cycle_off_the_submolecules_is_not_reported(corpus, monkeypatch):
+    real_closure = flow.candidate_closure_masks
+    fallbacks = []
+    real_exact = flow.submolecules_masks
+
+    def exact(P, masks):
+        fallbacks.append(masks)
+        return real_exact(P, masks)
+
+    monkeypatch.setattr(flow, "submolecules_masks", exact)
+    cases = 0
+    for mol in corpus[:30]:
+        P = mol.poset
+        points = P.full_masks() & P.upto(0)
+        if points.bit_count() < 2:
+            continue
+        # the points of a molecule with two or more of them: closed, not connected
+        assert points not in real_exact(P, P.full_masks())
+        with monkeypatch.context() as m:
+            m.setattr(
+                flow,
+                "candidate_closure_masks",
+                lambda Q, masks: {**real_closure(Q, masks), points: []},
+            )
+            report_cycles_on(m, {points})
+            del fallbacks[:]
+            res = is_frame_acyclic(mol)
+        assert res.ok and res.offending is None and res.cycle is None
+        assert fallbacks == [P.full_masks()]
+        cases += 1
+    assert cases == 29
+
+
+def test_cycle_on_a_submolecule_matches_the_exact_loop(corpus, monkeypatch):
+    cases = 0
+    for mol in corpus[:20] + [oriental(4)]:
+        P = mol.poset
+        subs = list(submolecules_masks(P, P.full_masks()))
+        # one target, then several, so that the answer depends on the order
+        # of the exact loop
+        for targets in ({subs[-1]}, {m for m in subs if m.bit_count() % 3 == 0}):
+            with monkeypatch.context() as m:
+                report_cycles_on(m, targets)
+                want = exact_frame_acyclicity(mol)
+                got = is_frame_acyclic(mol)
+            assert got.ok == want.ok
+            if not want.ok:
+                assert got.offending.masks == want.offending.masks
+                assert got.cycle == want.cycle
+                cases += 1
+    assert cases >= 40
+
+
+def test_scan_leaves_recognition_exact(small_corpus, monkeypatch):
+    def snapshot(P):
+        out = {}
+        for name in ("splits", "mol"):
+            for key, value in P._memo.get(name, {}).items():
+                if isinstance(value, molecule._SplitSearch):
+                    value = ("search", list(value.found), list(value.candidates), value.next)
+                else:
+                    value = list(value) if type(value) is list else value
+                out[name, key] = value
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("recognition called by the scan")
+
+    for mol in small_corpus[:30] + [oriental(4)]:
+        P = OgPoset(mol.poset.counts, mol.poset.faces, regular=mol.poset.regular, _checked=True)
+        U = Molecule(P, molecule.mol_cert(P, P.full_masks()))
+        before = snapshot(P)
+        with monkeypatch.context() as m:
+            m.setattr(molecule, "mol_cert", forbidden)
+            m.setattr(molecule, "splits_masks", forbidden)
+            m.setattr(flow, "submolecules_masks", forbidden)
+            candidate_closure_masks(P, P.full_masks())
+            assert is_frame_acyclic(U)
+        assert snapshot(P) == before
