@@ -20,6 +20,7 @@ from .errors import (
     IncompatibleAttachmentError,
     IdentityViolationError,
     LabelMismatchError,
+    PreconditionError,
     ShapeNotAtomError,
 )
 from .flow import is_frame_acyclic
@@ -286,6 +287,8 @@ def enumerate_molecules(
     smaller dimension are skipped: there the k-boundary of the lower operand
     is all of it, so the pasting is the other operand again, already pooled.
     """
+    if max_cells < 1:
+        raise PreconditionError(f"max_cells must be at least 1, got {max_cells}")
     if max_elements is None:
         max_elements = element_limit()
     pool: dict[bytes, PastingDiagram] = {}
@@ -350,6 +353,8 @@ def has_frame_acyclic_molecules(X: DirectedComplex, budget: int = 4) -> Verdict:
     Acyclic atoms and dimension at most 3 are sound proofs; otherwise all
     diagrams within the budget are checked directly.
     """
+    if budget < 1:
+        raise PreconditionError(f"budget must be at least 1, got {budget}")
     if atoms_acyclic(X):
         return Verdict(Verdict.PROVEN_BY_ACYCLIC_ATOMS)
     if X.dim <= 3:

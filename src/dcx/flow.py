@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .molecule import Molecule, _memo, candidate_closure_masks, splits_masks, submolecules_masks
+from .molecule import Molecule, candidate_closure_masks, splits_masks, submolecules_masks
 from .molecule import mol_cert as mol_cert  # perfbench's tests read dcx.flow.mol_cert
-from .ogposet import Closed, El, Masks, OgPoset, _bits, closed_rows, down_sets, find_cycle
+from .ogposet import Closed, El, Masks, OgPoset, _bits, _memo, closed_rows, down_sets, find_cycle
 from .posets import FinPoset
 
 Layering = tuple[Masks, ...]
@@ -242,7 +242,7 @@ def is_frame_acyclic(U: Molecule) -> FrameAcyclicity:
     the closure of U under boundaries and under the membrane fixpoint of
     every split candidate, with no boundary comparison and no recognition.
     It contains every submolecule.  The :func:`~dcx.molecule.splits_masks`
-    and :func:`~dcx.molecule._membrane_split` docstrings prove that every
+    and :func:`~dcx.molecule._membrane_splits` docstrings prove that every
     k-split of a subset is one of its candidates and that the candidate's
     fixpoint rebuilds that split.  So by induction along a witness of
     :func:`~dcx.molecule.submolecules_masks`, whose steps are boundaries and

@@ -32,6 +32,7 @@ from .ogposet import (
     OgIso,
     OgPoset,
     _bits,
+    _memo,
     closed_rows,
     down_sets,
     find_iso,
@@ -437,10 +438,6 @@ def is_round(U: Molecule) -> bool:
 # -- recognition --------------------------------------------------------------
 
 
-def _memo(P: OgPoset, name: str) -> dict:
-    return P._memo.setdefault(name, {})
-
-
 def _path_cert(length: int) -> Cert:
     if length == 1:
         return ARROW_CERT
@@ -477,12 +474,9 @@ def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
     """Certificate witnessing that a closed subset is a molecule, or None.
 
     A subset that is not an atom is recognised by its first split, at the
-    highest level that has one.  The split search checks candidates only
-    up to that split: its memo entry stays unfinished (the splits found so
-    far, the candidate list and the index of the next candidate) until a
-    full listing resumes it and leaves the plain list of all splits; see
-    :func:`splits_masks`.  Resumption is never re-entrant, because both
-    sides of a split are strictly smaller subsets.
+    highest level that has one.  :func:`_splits` checks candidates only up
+    to that split and memoises nothing, so the "splits" memo holds only the
+    full lists of :func:`splits_masks`.
     """
     memo = _memo(P, "mol")
     if masks in memo:
@@ -500,16 +494,17 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if not P.connected_masks(masks):
         return None
     if d == 1:
-        # the split search gives the same certificate, but without this fork
-        # 200 `check molecule` queries make 9.7% more function calls (1.80 M
-        # to 1.98 M, cProfile); enumerate_sd makes 3.5% more on path(10) at {0}
+        # the split search gives the same certificate, but paired perfbench
+        # runs without this fork took longer (Python 3.11, 2 cores): `check`
+        # wall_s +0.5% (fork faster in 13 of 20 pairs), `sd` wall_s +4.3%
+        # and its path(10) query +8.5% (7 of 10 pairs each)
         order = _path_edge_order(P, masks)
         return None if order is None else _path_cert(len(order))
     if P.maximal_masks(masks).bit_count() == 1:
         return _atom_cert(P, masks)
-    # splits_masks yields only splits whose two sides are molecules
+    # _splits yields only splits whose two sides are molecules
     for k in range(d - 1, -1, -1):
-        for left, right in splits_masks(P, masks, k):
+        for left, right in _splits(P, masks, k):
             return ("paste", k, mol_cert(P, left), mol_cert(P, right))
     return None
 
@@ -575,134 +570,82 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     - same side: two high elements whose closures meet above dimension k
       lie on the same side, since A n B has dimension at most k.
 
-    :func:`_candidate_split` turns one candidate into its split or None:
-    :func:`_membrane_split` rebuilds the two sides the candidate forces, so
+    :func:`_splits` turns the candidates into splits:
+    :func:`_membrane_splits` rebuilds the two sides each candidate forces, so
     every split is the rebuild of one candidate, and the exact checks then
     keep the rebuilds that are splits.  Candidates are tried in increasing
     order of their left-side bitmask.
 
-    The splits are found lazily, so a caller that needs one split (as
-    :func:`mol_cert` does) checks only the candidates up to the first one.
-    The poset's "splits" memo holds one entry per ``(masks, k)``:
-
-    - a finished entry is the plain list of all splits, replayed as is;
-    - an unfinished entry is a :class:`_SplitSearch`: the splits found so
-      far, the candidate list and the index of the next candidate.
-
-    A listing replays the splits found so far, then checks candidates from
-    the index onward.  The index moves past a candidate only once its check
-    has returned, and a split is appended before it is yielded, so several
-    listings of one entry may interleave, a listing may stop early, and a
-    check that raises leaves the entry whole: no candidate is checked
-    twice and none is skipped.  When the candidates run out, the entry
-    becomes its plain list.  Resumption is never re-entrant: a check
-    recurses only into strictly smaller subsets, so it never reaches the
-    entry it is checking for.
+    The first listing of ``(masks, k)`` stores the full list in the poset's
+    "splits" memo, and later listings replay it; a listing that raises
+    stores nothing.
     """
-    d = P.masks_dim(masks)
-    if k < 0 or k >= d:
+    if not 0 <= k < P.masks_dim(masks):
         return
     memo = _memo(P, "splits")
-    mkey = (masks, k)
-    entry = memo.get(mkey)
-    if type(entry) is list:
-        yield from entry
-        return
+    if (masks, k) not in memo:
+        memo[masks, k] = list(_splits(P, masks, k))
+    yield from memo[masks, k]
+
+
+def _splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
+    """The k-splits of ``masks``, found lazily and not memoised: the
+    :func:`_membrane_splits` pairs whose shared membrane is both sides'
+    k-boundary and whose sides are both molecules."""
+    for left, right in _membrane_splits(P, masks, k):
+        inter = left & right
+        if (
+            P.boundary_masks(left, k, PLUS) == inter
+            and P.boundary_masks(right, k, MINUS) == inter
+            and mol_cert(P, left) is not None
+            and mol_cert(P, right) is not None
+        ):
+            yield left, right
+
+
+def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
+    """The two sides that each k-split candidate of ``masks`` forces, when
+    they are proper and cover ``masks``.
+
+    A candidate assigns the high elements to the two sides; ``low`` is the
+    part of ``masks`` of dimension at most k.  Given the assignment, the
+    shared membrane is forced: it grows from the elements outside both
+    closures (plus the closures' intersection) by adding the level-k output
+    frame of A and input frame of B until stable.  The parts of both sides
+    above level k never change during the growth, so the frame tests are
+    stable and the fixpoint reconstructs the unique candidate split.
+    Whether it is a split is left to the caller: :func:`_splits` checks it
+    exactly, :func:`candidate_closure_masks` keeps it as is.
+    """
     high = P.maximal_masks(masks) & ~P.upto(k)
-    if entry is None:
-        memo[mkey] = entry = _SplitSearch(_split_candidates(P, high, k))
-    found, candidates = entry.found, entry.candidates
     closures = [P.cl_el[p] for p in _bits(high)]
     low = masks & P.upto(k)
-    seen = 0
-    while True:
-        while seen < len(found):
-            yield found[seen]
-            seen += 1
-        n = entry.next
-        if n == len(candidates):
-            break
-        split = _candidate_split(P, masks, k, closures, low, candidates[n])
-        entry.next = n + 1
-        if split is not None:
-            found.append(split)
-    memo[mkey] = found
+    for bits in _split_candidates(P, high, k):
+        cla = clb = 0
+        for n, cl in enumerate(closures):
+            if bits >> n & 1:
+                cla |= cl
+            else:
+                clb |= cl
+        membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
+        while True:
+            left, right = cla | membrane, clb | membrane
+            grow = P.closure_masks(
+                P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
+            )
+            if grow & ~membrane == 0:
+                break
+            membrane |= grow
+        if left != masks and right != masks and left | right == masks:
+            yield left, right
 
 
-class _SplitSearch:
-    """An unfinished entry of the split memo (see :func:`splits_masks`)."""
-
-    __slots__ = ("found", "candidates", "next")
-
-    def __init__(self, candidates: list[int]):
-        self.found: list[tuple[Masks, Masks]] = []
-        self.candidates = candidates
-        self.next = 0
-
-
-def _candidate_split(
-    P: OgPoset, masks: Masks, k: int, closures: list[Masks], low: Masks, bits: int
-) -> Optional[tuple[Masks, Masks]]:
-    """The k-split of ``masks`` with left side ``bits``, or None: the
-    :func:`_membrane_split` of the candidate, checked exactly (the shared
-    membrane is both sides' k-boundary and both sides are molecules)."""
-    pair = _membrane_split(P, masks, k, closures, low, bits)
-    if pair is None:
-        return None
-    left, right = pair
-    inter = left & right
-    if P.boundary_masks(left, k, PLUS) != inter:
-        return None
-    if P.boundary_masks(right, k, MINUS) != inter:
-        return None
-    if mol_cert(P, left) is None or mol_cert(P, right) is None:
-        return None
-    return pair
-
-
-def _membrane_split(
-    P: OgPoset, masks: Masks, k: int, closures: list[Masks], low: Masks, bits: int
-) -> Optional[tuple[Masks, Masks]]:
-    """The two sides that the candidate ``bits`` forces, or None unless they
-    are proper and cover ``masks``.
-
-    ``bits`` assigns the high elements, whose closures are ``closures``, to
-    the two sides; ``low`` is the part of ``masks`` of dimension at most k.
-    Given the assignment, the shared membrane is forced: it grows from the
-    elements outside both closures (plus the closures' intersection) by
-    adding the level-k output frame of A and input frame of B until stable.
-    The parts of both sides above level k never change during the growth,
-    so the frame tests are stable and the fixpoint reconstructs the unique
-    candidate split.  Whether it is a split is left to the caller:
-    :func:`_candidate_split` checks it exactly, :func:`candidate_closure_masks`
-    keeps it as is.
-    """
-    cla = clb = 0
-    for n, cl in enumerate(closures):
-        if bits >> n & 1:
-            cla |= cl
-        else:
-            clb |= cl
-    membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
-    while True:
-        left, right = cla | membrane, clb | membrane
-        grow = P.closure_masks(
-            P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
-        )
-        if grow & ~membrane == 0:
-            break
-        membrane |= grow
-    if left == masks or right == masks or left | right != masks:
-        return None
-    return left, right
-
-
-def _split_candidates(P: OgPoset, high: Masks, k: int) -> list[int]:
+def _split_candidates(P: OgPoset, high: Masks, k: int) -> Iterator[int]:
     """Left sides worth trying for a k-split, as bitmasks over the members
     of ``high`` listed in position order.
 
     These are the nonempty proper down-sets of the flow-predecessor and
-    same-side relations, in increasing order (see :func:`down_sets`).
+    same-side relations, lazily in increasing order (see :func:`down_sets`).
     """
     above = ~P.upto(k)
     cl = [P.cl_el[p] & above for p in _bits(high)]
@@ -718,7 +661,7 @@ def _split_candidates(P: OgPoset, high: Masks, k: int) -> list[int]:
                 need[a] |= 1 << b
                 need[b] |= 1 << a
     full = (1 << n) - 1
-    return [bits for bits in down_sets(closed_rows(need), full) if bits and bits != full]
+    return (bits for bits in down_sets(closed_rows(need), full) if bits and bits != full)
 
 
 def splits(U: Molecule, k: int) -> list[tuple[Closed, Closed]]:
@@ -742,7 +685,7 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
 
 def candidate_closure_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     """A superset of :func:`submolecules_masks`: the closure of ``masks``
-    under boundary operators and under the :func:`_membrane_split` of every
+    under boundary operators and under the :func:`_membrane_splits` of every
     split candidate, with no check that a candidate is a split.
 
     Why it holds every submolecule is in :func:`dcx.flow.is_frame_acyclic`.
@@ -751,17 +694,6 @@ def candidate_closure_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     and "mol" memos stay exact.
     """
     return _closure(P, masks, _membrane_splits)
-
-
-def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
-    """The :func:`_membrane_split` of each k-split candidate of ``masks``."""
-    high = P.maximal_masks(masks) & ~P.upto(k)
-    closures = [P.cl_el[p] for p in _bits(high)]
-    low = masks & P.upto(k)
-    for bits in _split_candidates(P, high, k):
-        pair = _membrane_split(P, masks, k, closures, low, bits)
-        if pair is not None:
-            yield pair
 
 
 def _closure(P: OgPoset, masks: Masks, split_lister) -> dict[Masks, list]:

@@ -51,6 +51,11 @@ def _union(table: list[int], mask: int) -> int:
     return out
 
 
+def _memo(P: "OgPoset", name: str) -> dict:
+    """The memo table ``name`` of P, made empty on first use."""
+    return P._memo.setdefault(name, {})
+
+
 class OgPoset:
     """A validated oriented graded poset.
 
@@ -257,7 +262,7 @@ class OgPoset:
         dimension k is its own frame, one of lower dimension has none, and
         the frames of a higher element p are the δ at k of its closure.
         """
-        frames = self._memo.get(("frames", k))
+        frames = _memo(self, "frames").get(k)
         if frames is None:
             lo = hi = len(self._els)
             if 0 <= k < len(self.counts):
@@ -268,7 +273,7 @@ class OgPoset:
                 own + [self.delta_masks(c, k, MINUS) for c in cl],
                 own + [self.delta_masks(c, k, PLUS) for c in cl],
             )
-            self._memo[("frames", k)] = frames
+            _memo(self, "frames")[k] = frames
         return frames
 
     def flow_masks(self, vertices: Masks, k: int) -> list[int]:

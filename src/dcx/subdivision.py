@@ -39,8 +39,8 @@ from typing import Iterator
 from .errors import BoundaryMismatchError, DcxError, OverlapError, PreconditionError
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
-from .molecule import Molecule, _memo
-from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits
+from .molecule import Molecule
+from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _memo
 from .posets import FinPoset
 
 # trees: ("leaf", region) | ("node", k, children, region), where a region is

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dcx
-from dcx import path, serialize
+from dcx import OgPoset, path, serialize
 from dcx.cli import run
 from dcx.dcomplex import SemiSimplicialSet, import_ssset
 
@@ -24,6 +24,7 @@ def files(tmp_path, horiz, sphere_boundary):
     put("path2", serialize.dumps_ogposet(path(2).poset))
     put("horiz", serialize.dumps_ogposet(horiz.poset))
     put("sphere", serialize.dumps_ogposet(sphere_boundary))
+    put("loop", serialize.dumps_ogposet(OgPoset((2, 2), [[], [((0,), (1,)), ((1,), (0,))]])))
     put("garbage", "{not json")
     simplex = SemiSimplicialSet.standard_simplex(2)
     put("simplex", serialize.dumps_ssset(simplex))
@@ -46,6 +47,13 @@ def test_check_exit_codes(files, capsys):
     assert call(capsys, "check", "molecule", files["garbage"])[0] == 2
     assert call(capsys, "check", "round", files["sphere"])[0] == 2
     assert call(capsys, "check", "no-such-property", files["horiz"])[0] == 2
+
+
+def test_check_hasse_acyclic(files, capsys):
+    code, out = call(capsys, "check", "hasse-acyclic", files["loop"])
+    assert code == 1 and json.loads(out)["holds"] is False
+    code, out = call(capsys, "check", "hasse-acyclic", files["horiz"])
+    assert code == 0 and json.loads(out)["holds"] is True
 
 
 def test_flow_options_before_or_after_file(files, capsys):
@@ -94,6 +102,17 @@ def test_cx_options_before_or_after_file(files, capsys):
     assert code == 0 and json.loads(out)["verdict"] != "counterexample"
     assert call(capsys, "cx", "verify", files["garbage"])[0] == 2
     assert call(capsys, "cx", "molecules", files["horiz"], "--max-cells", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command, option, name",
+    [("molecules", "--max-cells", "max_cells"), ("frame-acyclic", "--budget", "budget")],
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_cell_bound_exits_2(files, capsys, command, option, name, value):
+    code, out = call(capsys, "cx", command, option, value, files["triangle"])
+    assert code == 2
+    assert json.loads(out)["error"] == f"{name} must be at least 1, got {value}"
 
 
 @pytest.mark.parametrize("value", ["abc", "", "2.5"])

@@ -25,6 +25,7 @@ from dcx.errors import (
     BoundaryMismatchError,
     IncompatibleAttachmentError,
     LabelMismatchError,
+    PreconditionError,
 )
 from dcx.molecule import globe, point
 from dcx.ogposet import find_iso
@@ -402,6 +403,18 @@ def test_skeleton_keeps_the_low_cells():
     assert [len(level) for level in skeleton(X, 1).validate().cells] == [4, 6]
     assert skeleton(X, 5).n_cells() == X.n_cells() == 15
     assert skeleton(X, -1).dim == -1
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_non_positive_cell_bounds_raise(bound):
+    X = simplex_complex(2)
+    with pytest.raises(PreconditionError, match="max_cells must be at least 1"):
+        enumerate_molecules(X, bound)
+    # raised before the proofs that would ignore the budget
+    assert atoms_acyclic(X)
+    with pytest.raises(PreconditionError, match="budget must be at least 1"):
+        has_frame_acyclic_molecules(X, bound)
+    assert len(enumerate_molecules(X, 1)) == X.n_cells()
 
 
 def test_frame_acyclic_verdicts(monkeypatch):

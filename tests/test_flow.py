@@ -444,11 +444,7 @@ def test_scan_leaves_recognition_exact(small_corpus, monkeypatch):
         out = {}
         for name in ("splits", "mol"):
             for key, value in P._memo.get(name, {}).items():
-                if isinstance(value, molecule._SplitSearch):
-                    value = ("search", list(value.found), list(value.candidates), value.next)
-                else:
-                    value = list(value) if type(value) is list else value
-                out[name, key] = value
+                out[name, key] = list(value) if type(value) is list else value
         return out
 
     def forbidden(*args):

@@ -228,6 +228,17 @@ def test_only_ogposet_reads_union():
     assert readers == ["ogposet.py"]
 
 
+def test_only_ogposet_reads_the_memo():
+    """Memo tables are reached through ``ogposet._memo``, so the cache
+    mechanism lives in one module."""
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "_memo" in reads(path)[1]
+    ]
+    assert readers == ["ogposet.py"]
+
+
 # -- no module-level caches -----------------------------------------------------------
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

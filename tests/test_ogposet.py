@@ -15,6 +15,7 @@ from dcx import (
     closure,
     find_iso,
     globe,
+    hasse_cycle,
     is_hasse_acyclic,
     isomorphisms,
     oriental,
@@ -186,8 +187,15 @@ def test_hasse_acyclic_globes_and_orientals():
 
 
 def test_hasse_cycle_in_loop_graph():
+    # two vertices with edges a -> b and b -> a
     loop = validate([2, [([0], [1]), ([1], [0])]])
     assert not is_hasse_acyclic(loop)
+    cycle = hasse_cycle(loop)
+    assert len(cycle) > 2 and cycle[0] == cycle[-1]
+    edges = set(oriented_hasse(loop))
+    assert all(step in edges for step in zip(cycle, cycle[1:]))
+    assert set(cycle) == set(loop.elements())
+    assert hasse_cycle(oriental(3).poset) is None
 
 
 def test_hasse_acyclicity_matches_networkx(corpus):

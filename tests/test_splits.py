@@ -4,13 +4,13 @@
 k-flow graph and keep glued high elements together.  The oracle below is the
 plain enumeration it replaced: every proper bipartition of the high maximal
 elements whose closures meet in dimension at most k.  Run on an independent
-copy of the poset, with the oracle patched in, every split search (the ones
-recognition makes internally included) must give the same list in the same
-order.
+copy of the poset, with the oracle patched in, every split listing must give
+the same list in the same order, and recognition, which stops at the first
+split, must give the same certificates.
 
-The split memo keeps unfinished entries that later listings resume; the
-tests at the end check that every way of reading an entry gives the list a
-fresh full enumeration gives, and that no candidate is checked twice.
+The split memo keeps finished lists only; the tests at the end check that
+recognition writes no entry, that interleaved listings agree, and that an
+interrupted listing leaves no entry behind.
 """
 import pytest
 
@@ -44,29 +44,27 @@ def fresh(P):
 
 
 def split_table(P):
-    """Splits of every submolecule at every level, plus every search reached,
-    each read through ``splits_masks``: an unfinished memo entry is not a
-    list of splits."""
-    for masks in submolecules_masks(P, P.full_masks()):
-        for k in range(P.masks_dim(masks)):
-            list(splits_masks(P, masks, k))
-    memo = P._memo.get("splits", {})
-    table = {}
-    while len(table) < len(memo):
-        for key in list(memo):
-            if key not in table:
-                table[key] = list(splits_masks(P, *key))
-    return table
+    """Splits of every submolecule at every level, listed through
+    ``splits_masks``."""
+    return {
+        (masks, k): list(splits_masks(P, masks, k))
+        for masks in submolecules_masks(P, P.full_masks())
+        for k in range(P.masks_dim(masks))
+    }
 
 
 def assert_matches_oracle(mol, monkeypatch):
-    new = split_table(fresh(mol.poset))
+    P, Q = fresh(mol.poset), fresh(mol.poset)
+    new = split_table(P)
+    mol_cert(P, P.full_masks())
     with monkeypatch.context() as m:
         m.setattr(molecule, "_split_candidates", bipartition_candidates)
-        old = split_table(fresh(mol.poset))
+        old = split_table(Q)
+        mol_cert(Q, Q.full_masks())
     assert list(new) == list(old)
     for key in old:
         assert new[key] == old[key], key
+    assert P._memo["mol"] == Q._memo["mol"]
 
 
 def high_maximal(P, masks, k):
@@ -102,7 +100,7 @@ def test_non_down_set_never_tried():
     assert {first, middle, last} == set(high)
     pos = {el: p for p, el in enumerate(high)}
     want = sorted([1 << pos[first], 1 << pos[first] | 1 << pos[middle]])
-    assert _split_candidates(P, P.el_masks(high), 0) == want
+    assert list(_split_candidates(P, P.el_masks(high), 0)) == want
     assert len(list(splits_masks(P, full, 0))) == 2
 
 
@@ -125,13 +123,13 @@ def test_candidates_are_the_flow_down_sets_of_the_oracle(small_corpus):
                     for bits in bipartition_candidates(P, P.el_masks(high), k)
                     if all(bits >> a & 1 for a, b in edges if bits >> b & 1)
                 ]
-                assert _split_candidates(P, P.el_masks(high), k) == down_sets
+                assert list(_split_candidates(P, P.el_masks(high), k)) == down_sets
                 for left, _right in splits_masks(P, masks, k):
                     bits = sum(1 << pos[v] for v in high if left & P.el_masks([v]))
                     assert bits in down_sets
 
 
-# -- resumable memo entries ---------------------------------------------------
+# -- the split memo --------------------------------------------------------------
 
 
 def split_cases(small_corpus):
@@ -147,8 +145,14 @@ def entry(P, k):
     return P._memo["splits"][(P.full_masks(), k)]
 
 
+def test_recognition_writes_no_split_entry(small_corpus):
+    for mol in small_corpus + [oriental(4)]:
+        P = fresh(mol.poset)
+        assert mol_cert(P, P.full_masks()) is not None
+        assert P._memo.get("splits", {}) == {}, mol
+
+
 def test_interleaved_listings_of_one_entry(small_corpus):
-    interleaved = 0
     for mol, k, want in split_cases(small_corpus):
         P = fresh(mol.poset)
         full = P.full_masks()
@@ -161,55 +165,28 @@ def test_interleaved_listings_of_one_entry(small_corpus):
                     got[turn].append(next(live[turn]))
                 except StopIteration:
                     del live[turn]
-                if len(want) > 1 and len(got[0]) == 1 and not got[1]:
-                    interleaved += type(entry(P, k)) is not list
             turn = 1 - turn
         assert got[0] == want and got[1] == want, (mol, k)
         assert entry(P, k) == want
-    assert interleaved > 10
+        assert all(type(value) is list for value in P._memo["splits"].values())
 
 
-def test_first_split_then_full_listing(small_corpus, monkeypatch):
-    checked = []
-    check = molecule._candidate_split
-
-    def counting(P, masks, k, closures, low, bits):
-        checked.append((id(P), masks, k, bits))
-        return check(P, masks, k, closures, low, bits)
-
-    monkeypatch.setattr(molecule, "_candidate_split", counting)
-    stopped = 0
-    for mol, k, want in split_cases(small_corpus):
-        P = fresh(mol.poset)
-        full = P.full_masks()
-        del checked[:]
-        assert next(splits_masks(P, full, k), None) == (want[0] if want else None)
-        stopped += type(entry(P, k)) is not list
-        assert list(splits_masks(P, full, k)) == want, (mol, k)
-        assert type(entry(P, k)) is list
-        assert mol_cert(P, full) is not None
-        assert len(set(checked)) == len(checked), (mol, k)
-    assert stopped > 10
-
-
-def test_failed_check_leaves_the_entry_whole(small_corpus, monkeypatch):
+def test_interrupted_listing_leaves_no_entry(small_corpus, monkeypatch):
     class Interrupt(Exception):
         pass
 
     real = molecule.mol_cert
     raised = 0
     for mol, k, want in split_cases(small_corpus):
-        if len(want) < 2 or mol.dim == 1:
-            # the 0-splits of a 1-molecule are listed eagerly
+        if not want:
             continue
         P = fresh(mol.poset)
         key = (P.full_masks(), k)
         armed = [True]
 
         def flaky(Q, masks):
-            # raise once, in a check made after the entry has found a split
-            current = Q._memo.get("splits", {}).get(key)
-            if armed[0] and isinstance(current, molecule._SplitSearch) and current.found:
+            # raise once, in the first check of a side
+            if armed[0]:
                 armed[0] = False
                 raise Interrupt
             return real(Q, masks)
@@ -218,7 +195,7 @@ def test_failed_check_leaves_the_entry_whole(small_corpus, monkeypatch):
             m.setattr(molecule, "mol_cert", flaky)
             with pytest.raises(Interrupt):
                 list(splits_masks(P, *key))
-        assert type(entry(P, k)) is not list
+        assert key not in P._memo.get("splits", {})
         assert list(splits_masks(P, *key)) == want, (mol, k)
         assert entry(P, k) == want
         raised += 1
