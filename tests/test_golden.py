@@ -3,8 +3,9 @@
 ``tests/golden/manifest.json`` lists command lines of every ``dcx``
 subcommand, each with the sha256 of its stdout and its exit code.  An
 argument that starts with ``inputs/`` names a committed file under
-``tests/golden/``: ogposet/1 molecules, ssset/1 simplices and their
-dcomplex/1 realisations.  ``tests/golden/library.json`` holds one sha256 per
+``tests/golden/``: ogposet/1 molecules, three ogposet/1 posets that are not
+molecules (checked only), ssset/1 simplices and their dcomplex/1
+realisations.  ``tests/golden/library.json`` holds one sha256 per
 section of a library digest: canonical keys and relabels, full isomorphism
 lists against relabelled copies, the keys of enumerated pasting diagrams,
 and, for each committed ogposet/1 input, its submolecules with witnesses,
@@ -206,8 +207,8 @@ def _input_digest() -> dict[str, str]:
     names = ("submolecules", "certificates", "splits", "prelayerings", "enumerate_sd")
     lines: dict[str, list[str]] = {name: [] for name in names}
     for path in sorted(INPUTS.glob("*.json")):
-        if "." in path.stem:
-            continue  # an ssset/1 or dcomplex/1 input
+        if "." in path.stem or path.stem in NON_MOLECULES:
+            continue  # an ssset/1 or dcomplex/1 input, or not a molecule
         P = loads_ogposet(path.read_text(encoding="utf-8"))
         mol = Molecule(P, is_molecule(P))
 
@@ -265,6 +266,16 @@ def _molecules(corpus):
     for i, mol in enumerate(small[:CORPUS_TAKE]):
         yield f"corpus{i:02d}", mol
 
+
+# valid ogposet/1 inputs that are not molecules, as raw data for ``validate``:
+# two opposite arrows between two points (Hasse-cyclic), two points, and a
+# 2-cell whose input arrow and output arrow share no end; only ``check`` runs
+# on them
+NON_MOLECULES = {
+    "opposite": [2, [([0], [1]), ([1], [0])]],
+    "points": [2],
+    "apart": [4, [([0], [1]), ([2], [3])], [([0], [1])]],
+}
 
 CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
 FLOW_MODES = ("graph", "layerings", "orderings", "theory")
@@ -348,7 +359,7 @@ def _corpus():
 
 
 def update() -> int:
-    from dcx import import_ssset, serialize
+    from dcx import import_ssset, serialize, validate
     from dcx.dcomplex import SemiSimplicialSet
 
     INPUTS.mkdir(parents=True, exist_ok=True)
@@ -367,6 +378,9 @@ def update() -> int:
             serialize.dumps_dcomplex(import_ssset(S)), encoding="utf-8"
         )
         commands += list(_complex_commands(f"delta{n}"))
+    for name, raw in NON_MOLECULES.items():
+        (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(validate(raw)), encoding="utf-8")
+        commands += [["check", prop, f"inputs/{name}.json"] for prop in CHECK_PROPERTIES]
     entries = []
     for argv in commands:
         text, code = run_command(argv)
