@@ -50,17 +50,28 @@ class FlowGraph:
         return self.find_cycle() is None
 
     def find_cycle(self) -> Optional[list[El]]:
-        return find_cycle(self.vertices, self.edges)
+        """A cycle by :func:`~dcx.ogposet.find_cycle`, over the vertices in
+        the order given."""
+        order = self.vertices
+        cycle = find_cycle(self._rows(order, False), (1 << len(order)) - 1)
+        return None if cycle is None else [order[p] for p in cycle]
+
+    def _rows(self, order: tuple[El, ...], back: bool) -> list[int]:
+        """Bit q of row p: an edge from the p-th vertex of ``order`` to the
+        q-th, or from the q-th to the p-th when ``back`` is set."""
+        pos = {v: p for p, v in enumerate(order)}
+        rows = [0] * len(order)
+        for a, b in self.edges:
+            if back:
+                a, b = b, a
+            rows[pos[a]] |= 1 << pos[b]
+        return rows
 
     def _need(self) -> tuple[tuple[El, ...], list[int]]:
         """The vertices in sorted order, and for each position the positions
         of its ancestors, itself included (self-loops change nothing)."""
         order = tuple(sorted(self.vertices))
-        pos = {v: p for p, v in enumerate(order)}
-        rows = [0] * len(order)
-        for a, b in self.edges:
-            rows[pos[b]] |= 1 << pos[a]
-        return order, closed_rows(rows)
+        return order, closed_rows(self._rows(order, True), (1 << len(order)) - 1)
 
     def topological_sorts(self, cap: Optional[int] = None) -> list[tuple[El, ...]]:
         """The topological sorts in lexicographic order, at most ``cap``."""
@@ -268,7 +279,20 @@ def is_frame_acyclic(U: Molecule) -> FrameAcyclicity:
 def _flow_cycle(P: OgPoset, masks: Masks) -> Optional[list[El]]:
     """A cycle of the maximal flow graph of ``masks`` at its own frame
     dimension, or None."""
-    return maxflow_masks(P, masks, frame_dim_masks(P, masks)).find_cycle()
+    rows, high = _flow_rows(P, masks)
+    cycle = find_cycle(rows, high)
+    if cycle is None:
+        return None
+    els = dict(zip(_bits(high), P.masks_els(high)))
+    return [els[p] for p in cycle]
+
+
+def _flow_rows(P: OgPoset, masks: Masks) -> tuple[list[int], Masks]:
+    """The maximal flow graph of ``masks`` at its own frame dimension r, for
+    :func:`~dcx.ogposet.find_cycle`: the flow successors of the level-r
+    table, and the maximal elements of ``masks`` above r."""
+    r = frame_dim_masks(P, masks)
+    return P.level(r).succ, P.maximal_masks(masks) & ~P.upto(r)
 
 
 # -- the comparison between layerings and orderings -----------------------------

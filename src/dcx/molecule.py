@@ -558,8 +558,10 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
 
     A split assigns each maximal element of dimension > k (a high element)
     to one side.  Only assignments meeting two necessary conditions are
-    tried; :func:`_split_candidates` lists them as the down-sets (see
-    :func:`down_sets`) of the relation that these conditions define:
+    tried; :func:`_split_candidates` lists their left sides, as subsets of
+    the high elements, as the down-sets (see :func:`down_sets`) of the
+    relation that these conditions define, which the poset's level-k table
+    holds as ``Level.need``:
 
     - flow order: the left side is closed under predecessors in the maximal
       k-flow graph, self-loops ignored.  If a -> b with a in B and b in A,
@@ -574,7 +576,7 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     :func:`_membrane_splits` rebuilds the two sides each candidate forces, so
     every split is the rebuild of one candidate, and the exact checks then
     keep the rebuilds that are splits.  Candidates are tried in increasing
-    order of their left-side bitmask.
+    order of their left side as a subset.
 
     The first listing of ``(masks, k)`` stores the full list in the poset's
     "splits" memo, and later listings replay it; a listing that raises
@@ -607,32 +609,42 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
     """The two sides that each k-split candidate of ``masks`` forces, when
     they are proper and cover ``masks``.
 
-    A candidate assigns the high elements to the two sides; ``low`` is the
-    part of ``masks`` of dimension at most k.  Given the assignment, the
-    shared membrane is forced: it grows from the elements outside both
-    closures (plus the closures' intersection) by adding the level-k output
-    frame of A and input frame of B until stable.  The parts of both sides
-    above level k never change during the growth, so the frame tests are
-    stable and the fixpoint reconstructs the unique candidate split.
-    Whether it is a split is left to the caller: :func:`_splits` checks it
-    exactly, :func:`candidate_closure_masks` keeps it as is.
+    A candidate is the set of high elements (maximal, of dimension above k)
+    on the left, as a subset; ``cla`` and ``clb`` are the closures of the
+    two sides' high elements and ``low`` is the part of ``masks`` of
+    dimension at most k.  Given the assignment, the shared membrane is
+    forced: it grows from the elements outside both closures (plus the
+    closures' intersection) by adding the level-k output frame of A and
+    input frame of B until stable.  The parts of both sides above level k
+    never change during the growth, so the frame tests are stable and the
+    fixpoint reconstructs the unique candidate split.  Whether it is a split
+    is left to the caller: :func:`_splits` checks it exactly,
+    :func:`candidate_closure_masks` keeps it as is.
+
+    The membrane stays below dimension k + 1.  Two high elements whose
+    closures meet above k are on the same side (the same-side rule of
+    :func:`splits_masks`, kept by every candidate), so ``cla & clb`` lies
+    in dimension at most k, as does ``low``; each growth step is the
+    closure of k-cells.  So the (k+1)-cells of A are those of ``cla``, and
+    the k-cells of A that are input faces of one of them are the union of
+    ``Level.ins`` over A's high elements: the output frame δ⁺ at k of A is
+    ``A & keep_a``, with ``keep_a`` from :meth:`~dcx.ogposet.Level.keep`,
+    and the input frame of B is ``B & keep_b`` likewise.  Both masks are
+    fixed per candidate, so no δ is recomputed during the growth.
     """
     high = P.maximal_masks(masks) & ~P.upto(k)
-    closures = [P.cl_el[p] for p in _bits(high)]
+    if high & (high - 1) == 0:
+        return  # no candidate, and no level table to build
+    level = P.level(k)
     low = masks & P.upto(k)
-    for bits in _split_candidates(P, high, k):
-        cla = clb = 0
-        for n, cl in enumerate(closures):
-            if bits >> n & 1:
-                cla |= cl
-            else:
-                clb |= cl
+    for left_high in _split_candidates(P, high, k):
+        right_high = high & ~left_high
+        cla, clb = P.closure_masks(left_high), P.closure_masks(right_high)
+        keep_a, keep_b = level.keep(left_high, right_high)
         membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
         while True:
             left, right = cla | membrane, clb | membrane
-            grow = P.closure_masks(
-                P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
-            )
+            grow = P.closure_masks(left & keep_a | right & keep_b)
             if grow & ~membrane == 0:
                 break
             membrane |= grow
@@ -640,28 +652,16 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
             yield left, right
 
 
-def _split_candidates(P: OgPoset, high: Masks, k: int) -> Iterator[int]:
-    """Left sides worth trying for a k-split, as bitmasks over the members
-    of ``high`` listed in position order.
+def _split_candidates(P: OgPoset, high: Masks, k: int) -> Iterator[Masks]:
+    """Left sides worth trying for a k-split, as subsets of ``high``.
 
     These are the nonempty proper down-sets of the flow-predecessor and
-    same-side relations, lazily in increasing order (see :func:`down_sets`).
+    same-side relations (``Level.need`` cut to ``high``), lazily in
+    increasing order (see :func:`down_sets`); a ``high`` of at most one
+    element has none.
     """
-    above = ~P.upto(k)
-    cl = [P.cl_el[p] & above for p in _bits(high)]
-    n = len(cl)
-    # need[a]: the members of high that must be on the left whenever a is
-    need = [0] * n
-    for a, succ in enumerate(P.flow_masks(high, k)):
-        for b in _bits(succ):
-            need[b] |= 1 << a
-    for a in range(n):
-        for b in range(a + 1, n):
-            if cl[a] & cl[b]:
-                need[a] |= 1 << b
-                need[b] |= 1 << a
-    full = (1 << n) - 1
-    return (bits for bits in down_sets(closed_rows(need), full) if bits and bits != full)
+    rows = closed_rows(P.level(k).need, high)
+    return (left for left in down_sets(rows, high) if left and left != high)
 
 
 def splits(U: Molecule, k: int) -> list[tuple[Closed, Closed]]:

@@ -7,9 +7,11 @@ position, its rank in ``(dim, index)`` order, and a subset of the poset is
 one int: bit p is set when the element at position p belongs to it.  The
 closure and boundary calculus is then a few whole-int operations over
 per-position tables of faces, cofaces and single-element closures, cheap
-enough for exhaustive searches.  The flow rule reads one more pair of
-per-position tables, each element's input and output k-frame, built for
-each k on first use.
+enough for exhaustive searches.  For each level k, a :class:`Level` table
+holds per position the input and output k-frames, the flow successors, what
+a split at k must put on the same side, and the k-cells that the element's
+(k+1)-cells consume and produce; it is built on the first request at k.
+Split candidates, the membrane fixpoint and flow cycles all read it.
 
 Only this module knows the layout.  Other modules build subsets from
 elements (:meth:`OgPoset.el_masks`), read them back
@@ -63,10 +65,11 @@ class OgPoset:
     into dimension ``d - 1``; dimension 0 carries no face data.  Indexed by
     position, ``dn_minus``/``dn_plus``/``dn_all`` hold an element's input,
     output and all faces, ``up_minus``/``up_plus``/``up_all`` its cofaces
-    by side, and ``cl_el`` its closure, each as a subset.  The input and
-    output k-frames of every element (see :meth:`flow_masks`) are built at
-    each k on the first flow query there and kept in ``_memo``.  Instances
-    are immutable and cache their canonical form and memoised searches.
+    by side, and ``cl_el`` its closure, each as a subset.  The
+    :class:`Level` table at k (:meth:`level`) is built on the first request
+    at k and kept in the "frames" memo, so a poset and an extracted copy each
+    build their own.  Instances are immutable and cache their canonical form
+    and memoised searches.
     """
 
     __slots__ = (
@@ -255,42 +258,26 @@ class OgPoset:
         low = self.maximal_masks(masks & t[j + 1]) & t[j]
         return self.closure_masks(low | self.delta_masks(masks, k, alpha))
 
-    def _frames(self, k: int) -> tuple[list[int], list[int]]:
-        """The input and output k-frames of every element, by position.
-
-        Built on the first request at k and kept in ``_memo``: an element of
-        dimension k is its own frame, one of lower dimension has none, and
-        the frames of a higher element p are the δ at k of its closure.
-        """
-        frames = _memo(self, "frames").get(k)
-        if frames is None:
-            lo = hi = len(self._els)
-            if 0 <= k < len(self.counts):
-                lo, hi = self._offsets[k], self._offsets[k + 1]
-            own = [0] * lo + [1 << p for p in range(lo, hi)]
-            cl = self.cl_el[hi:]
-            frames = (
-                own + [self.delta_masks(c, k, MINUS) for c in cl],
-                own + [self.delta_masks(c, k, PLUS) for c in cl],
-            )
-            _memo(self, "frames")[k] = frames
-        return frames
+    def level(self, k: int) -> "Level":
+        """The :class:`Level` table at k, built on the first request at k."""
+        table = _memo(self, "frames").get(k)
+        if table is None:
+            table = _memo(self, "frames")[k] = Level(self, k)
+        return table
 
     def flow_masks(self, vertices: Masks, k: int) -> list[int]:
         """The maximal k-flow rule on a set of elements, listed in position order.
 
         Bit j of entry i is set iff the output k-frame of vertex i (the
         dimension-k part of its output k-boundary) meets the input k-frame
-        of vertex j.  A vertex of dimension k is its own input and output
-        k-frame, so it has an edge to itself; one of lower dimension has
-        empty k-frames, and every entry is 0 for k < 0.
+        of vertex j: it is ``Level.succ`` cut to the vertices.  A vertex of
+        dimension k is its own input and output k-frame, so it has an edge to
+        itself; one of lower dimension has empty k-frames, and every entry is
+        0 for k < 0.
         """
-        minus_frames, plus_frames = self._frames(k)
+        succ = self.level(k).succ
         ps = list(_bits(vertices))
-        minus = [minus_frames[p] for p in ps]
-        return [
-            sum(1 << j for j, m in enumerate(minus) if plus_frames[p] & m) for p in ps
-        ]
+        return [sum(1 << j for j, q in enumerate(ps) if succ[p] >> q & 1) for p in ps]
 
     def masks_dim(self, masks: Masks) -> int:
         return self._els[masks.bit_length() - 1][0] if masks else -1
@@ -368,6 +355,71 @@ class OgPoset:
 
     def __repr__(self):
         return f"OgPoset(counts={list(self.counts)})"
+
+
+class Level:
+    """The per-position tables of a poset at one level k.
+
+    Indexed by position, as subsets:
+
+    - ``minus[p]``, ``plus[p]``: the input and output k-frames of p, the
+      dimension-k part of its closure's input and output k-boundary.  An
+      element of dimension k is its own frame, one of lower dimension has
+      none, and a higher element's frames are the δ at k of its closure.
+    - ``succ[p]``: the elements whose input k-frame meets p's output
+      k-frame, p's successors in the maximal k-flow rule.
+    - ``need[p]``: p's flow predecessors, and the elements whose closures
+      meet p's above dimension k.  A k-split with p on its left side has
+      there every high element of ``need[p]`` (see
+      :func:`dcx.molecule.splits_masks`).
+    - ``ins[p]``, ``outs[p]``: the k-cells of p's closure that are input,
+      respectively output, faces of its (k+1)-cells: the k-cells of the
+      closure outside p's output, respectively input, k-frame.
+
+    ``cells`` is the set of elements of dimension k.  Every table is 0 at
+    every position for k < 0 and for k above the dimension, except ``need``
+    at k < 0, whose closures meet above k whenever they meet.
+    """
+
+    __slots__ = ("cells", "minus", "plus", "succ", "need", "ins", "outs")
+
+    def __init__(self, P: OgPoset, k: int):
+        n = P.size()
+        lo = hi = n
+        if 0 <= k < len(P.counts):
+            lo, hi = P._offsets[k], P._offsets[k + 1]
+        self.cells = (1 << hi) - (1 << lo)
+        own = [0] * lo + [1 << p for p in range(lo, hi)]
+        cl_above = P.cl_el[hi:]
+        self.minus = own + [P.delta_masks(c, k, MINUS) for c in cl_above]
+        self.plus = own + [P.delta_masks(c, k, PLUS) for c in cl_above]
+        # into[c]: the elements whose input k-frame holds the k-cell c
+        into = [0] * n
+        for q, frame in enumerate(self.minus):
+            for c in _bits(frame):
+                into[c] |= 1 << q
+        self.succ = [_union(into, frame) for frame in self.plus]
+        # up[r]: the elements whose closures hold r, for r above k, which
+        # are the highest positions; cofaces come first, from the top down
+        above = P.full_masks() & ~P.upto(k)
+        up = [0] * n
+        for r in reversed(range(n - above.bit_count(), n)):
+            up[r] = 1 << r | _union(up, P.up_all[r])
+        need = [_union(up, cl & above) for cl in P.cl_el]
+        for p, row in enumerate(self.succ):
+            for q in _bits(row):
+                need[q] |= 1 << p
+        self.need = need
+        self.ins = [cl & self.cells & ~f for cl, f in zip(P.cl_el, self.plus)]
+        self.outs = [cl & self.cells & ~f for cl, f in zip(P.cl_el, self.minus)]
+
+    def keep(self, left: Masks, right: Masks) -> tuple[Masks, Masks]:
+        """The k-cells consumed by no (k+1)-cell of the closures of ``left``,
+        and those produced by no (k+1)-cell of the closures of ``right``."""
+        return (
+            self.cells & ~_union(self.ins, left),
+            self.cells & ~_union(self.outs, right),
+        )
 
 
 class Closed:
@@ -484,51 +536,61 @@ def is_hasse_acyclic(P: OgPoset) -> bool:
 
 
 def hasse_cycle(P: OgPoset) -> Optional[list[El]]:
-    """A directed cycle of the oriented Hasse diagram, or None."""
-    return find_cycle(P.elements(), P.hasse_edges())
+    """A directed cycle of the oriented Hasse diagram, or None.
 
-
-def find_cycle(vertices: Iterable, edges: Iterable[tuple]) -> Optional[list]:
-    """A directed cycle of a graph, as a vertex path ending where it began.
-
-    Depth-first search from each unvisited vertex in the order given,
-    following edges in the order given; None when the graph is acyclic.
+    An element's Hasse successors are its output faces and the cofaces
+    having it as an input, in position order, as :meth:`OgPoset.hasse_edges`
+    lists them for each element.
     """
-    adj: dict = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {v: WHITE for v in adj}
-    for root in adj:
-        if state[root] != WHITE:
+    rows = [P.up_minus[p] | P.dn_plus[p] for p in range(P.size())]
+    cycle = find_cycle(rows, P.full_masks())
+    return None if cycle is None else [P._els[p] for p in cycle]
+
+
+def find_cycle(rows: list[int], within: int) -> Optional[list[int]]:
+    """A directed cycle of a graph on the positions of ``within``, as a path
+    of positions ending where it began, or None when the graph is acyclic.
+
+    The edges out of p are the bits of ``rows[p] & within``; a bit at p
+    itself is a self-loop, a cycle of length one.  Depth-first search from
+    each unvisited position in increasing order, following edges in
+    increasing order.
+    """
+    done = 0
+    for root in _bits(within):
+        if done >> root & 1:
             continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = GREY
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if state[nxt] == WHITE:
-                    state[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = BLACK
-                path.pop()
-                stack.pop()
+        path, on_path = [root], 1 << root
+        todo = [rows[root] & within]
+        while path:
+            nxt = todo[-1] & ~done
+            if not nxt:
+                low = 1 << path.pop()
+                on_path ^= low
+                done |= low
+                todo.pop()
+                continue
+            low = nxt & -nxt
+            todo[-1] = nxt ^ low
+            q = low.bit_length() - 1
+            if on_path & low:
+                return path[path.index(q):] + [q]
+            path.append(q)
+            on_path |= low
+            todo.append(rows[q] & within)
     return None
 
 
-def closed_rows(rows: list[int]) -> list[int]:
-    """The reflexive-transitive closure of a relation given as bitmask rows."""
-    out = [row | 1 << p for p, row in enumerate(rows)]
-    for q in range(len(out)):
-        for p in range(len(out)):
+def closed_rows(rows: list[int], within: int) -> list[int]:
+    """The reflexive-transitive closure of the relation ``rows[p] & within``
+    on the positions p of ``within``, as rows indexed by position; rows
+    outside ``within`` are 0."""
+    ps = list(_bits(within))
+    out = [0] * len(rows)
+    for p in ps:
+        out[p] = rows[p] & within | 1 << p
+    for q in ps:
+        for p in ps:
             if out[p] >> q & 1:
                 out[p] |= out[q]
     return out
@@ -538,7 +600,8 @@ def down_sets(need: list[int], within: int) -> Iterator[int]:
     """The down-sets of ``within``, in increasing bitmask order.
 
     ``need[p]`` holds the positions that must be in a set whenever p is, as
-    rows of a reflexive-transitive closure (:func:`closed_rows`).  Yields
+    rows of a reflexive-transitive closure (:func:`closed_rows`), indexed by
+    position; only the rows of members of ``within`` are read.  Yields
     each subset S of ``within`` that holds ``need[p] & within`` for every p
     in S, the empty set first.  When ``within`` is convex (it holds whatever
     lies between two of its members), paths between members stay inside

@@ -364,26 +364,27 @@ def exact_frame_acyclicity(U):
     """The loop over the exact submolecules that the superset scan precedes."""
     P = U.poset
     for masks in submolecules_masks(P, P.full_masks()):
-        r = flow.frame_dim_masks(P, masks)
-        cycle = flow.maxflow_masks(P, masks, r).find_cycle()
+        cycle = flow._flow_cycle(P, masks)
         if cycle is not None:
             return FrameAcyclicity(False, Closed(P, masks), cycle)
     return FrameAcyclicity(True)
 
 
 def report_cycles_on(monkeypatch, targets):
-    """Patch the flow graphs of the subsets in ``targets`` to carry a
-    self-loop at their first vertex."""
-    real = flow.maxflow_masks
+    """Patch the flow rows of the subsets in ``targets`` to carry a
+    self-loop at their first vertex; the scan and the exact loop both read
+    a subset's flow graph through ``_flow_rows``."""
+    real = flow._flow_rows
 
-    def patched(P, masks, k):
-        fg = real(P, masks, k)
-        if masks in targets and fg.vertices:
-            v = fg.vertices[0]
-            return FlowGraph(fg.vertices, fg.edges | {(v, v)})
-        return fg
+    def patched(P, masks):
+        rows, high = real(P, masks)
+        if masks in targets and high:
+            first = (high & -high).bit_length() - 1
+            rows = list(rows)
+            rows[first] |= 1 << first
+        return rows, high
 
-    monkeypatch.setattr(flow, "maxflow_masks", patched)
+    monkeypatch.setattr(flow, "_flow_rows", patched)
 
 
 def test_cycle_off_the_submolecules_is_not_reported(corpus, monkeypatch):

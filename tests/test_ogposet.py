@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -26,7 +27,10 @@ from dcx import (
     unique_iso,
     validate,
 )
-from dcx.ogposet import _bits, closed_rows, down_sets
+from dcx.ogposet import _bits, closed_rows, down_sets, find_cycle
+from dcx.serialize import loads_ogposet
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def test_validate_point():
@@ -196,6 +200,37 @@ def test_hasse_cycle_in_loop_graph():
     assert all(step in edges for step in zip(cycle, cycle[1:]))
     assert set(cycle) == set(loop.elements())
     assert hasse_cycle(oriental(3).poset) is None
+
+
+def test_hasse_cycle_on_the_opposite_arrows_input():
+    # two arrows between two points, one each way: the golden non-molecule
+    P = loads_ogposet((INPUTS / "opposite.json").read_text(encoding="utf-8"))
+    cycle = hasse_cycle(P)
+    assert cycle == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
+    edges = set(oriented_hasse(P))
+    assert all(step in edges for step in zip(cycle, cycle[1:]))
+
+
+def test_find_cycle_matches_networkx():
+    rng = random.Random(5)
+    cyclic = loops = 0
+    for _ in range(500):
+        n = rng.randint(0, 9)
+        density = rng.choice([0.05, 0.15, 0.3])
+        rows = [sum(1 << q for q in range(n) if rng.random() < density) for _ in range(n)]
+        within = rng.choice([(1 << n) - 1, rng.getrandbits(n) if n else 0])
+        g = nx.DiGraph()
+        g.add_nodes_from(_bits(within))
+        g.add_edges_from((p, q) for p in _bits(within) for q in _bits(rows[p] & within))
+        cycle = find_cycle(rows, within)
+        assert (cycle is None) == nx.is_directed_acyclic_graph(g)
+        if cycle is not None:
+            # a closed walk along edges, one self-loop at least as long as two
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:]))
+            cyclic += 1
+            loops += len(cycle) == 2
+    assert cyclic > 100 and loops > 20
 
 
 def test_hasse_acyclicity_matches_networkx(corpus):
@@ -384,9 +419,15 @@ def random_relations(seed, count=300):
 
 
 def test_closed_rows_is_warshall():
-    for rows, need, _within in random_relations(1):
-        assert closed_rows(rows) == need
-    assert closed_rows([]) == []
+    for rows, need, within in random_relations(1):
+        n = len(rows)
+        assert closed_rows(rows, (1 << n) - 1) == need
+        # on a part of the positions: the closure of the induced relation
+        induced = warshall([row & within if within >> p & 1 else 0 for p, row in enumerate(rows)])
+        assert closed_rows(rows, within) == [
+            induced[p] if within >> p & 1 else 0 for p in range(n)
+        ]
+    assert closed_rows([], 0) == []
 
 
 def test_down_sets_match_brute_force():
@@ -464,6 +505,28 @@ def plain_frames(P, k):
     return {x: (plain_delta(P, c, k, "-"), plain_delta(P, c, k, "+")) for x, c in closures.items()}
 
 
+def plain_level(P, k):
+    """The level-k tables as sets, element by element: the frames, the flow
+    successors, what a k-split keeps with or before each element, and the
+    k-cells of each closure that its (k+1)-cells consume and produce, read
+    from the faces of those cells."""
+    frames = plain_frames(P, k)
+    els = list(P.elements())
+    closures = {x: plain_closure(P, {x}) for x in els}
+    succ = {x: {y for y in els if frames[x][1] & frames[y][0]} for x in els}
+    need = {
+        x: {y for y in els if x in succ[y] or any(z[0] > k for z in closures[x] & closures[y])}
+        for x in els
+    }
+
+    def faces_of_cells(x, side):
+        return {f for c in closures[x] if c[0] == k + 1 for f in plain_faces(P, c, side)}
+
+    ins = {x: faces_of_cells(x, "-") for x in els}
+    outs = {x: faces_of_cells(x, "+") for x in els}
+    return {"frames": frames, "succ": succ, "need": need, "ins": ins, "outs": outs}
+
+
 def plain_flow(frames, S):
     """Bit j of entry i is set iff the output frame of the i-th member of S
     meets the input frame of the j-th, members in (dim, index) order."""
@@ -503,9 +566,10 @@ def check_extract(P, S):
             assert {amb[f] for f in plain_faces(Q, el, side)} == plain_faces(P, amb[el], side)
 
 
-def check_against_plain(P, S, frames):
-    """Every calculus operation on S agrees with the plain set version;
-    ``frames[k]`` is ``plain_frames(P, k)``."""
+def check_against_plain(P, S, levels):
+    """Every calculus operation on S, and every row of the level tables at
+    a member of S, agrees with the plain set version; ``levels[k]`` is
+    ``plain_level(P, k)``."""
     m = P.el_masks(S)
     assert set(P.masks_els(m)) == S and P.masks_els(m) == sorted(S)
     assert set(P.masks_els(P.closure_masks(m))) == plain_closure(P, S)
@@ -516,7 +580,14 @@ def check_against_plain(P, S, frames):
         for alpha in "-+":
             assert set(P.masks_els(P.delta_masks(m, k, alpha))) == plain_delta(P, S, k, alpha)
         # any vertex set is allowed, so S may hold elements at or below k
-        assert P.flow_masks(m, k) == plain_flow(frames[k], S)
+        assert P.flow_masks(m, k) == plain_flow(levels[k]["frames"], S)
+        level, plain = P.level(k), levels[k]
+        for x, p in zip(P.masks_els(m), _bits(m)):
+            assert (set(P.masks_els(level.minus[p])), set(P.masks_els(level.plus[p]))) == plain[
+                "frames"
+            ][x]
+            for name in ("succ", "need", "ins", "outs"):
+                assert set(P.masks_els(getattr(level, name)[p])) == plain[name][x], (name, k, x)
     if plain_closure(P, S) != S:
         return
     check_extract(P, S)
@@ -533,14 +604,14 @@ def test_calculus_matches_plain_sets(corpus):
     closed = 0
     for P in posets:
         els = list(P.elements())
-        frames = {k: plain_frames(P, k) for k in range(-1, P.dim + 2)}
+        levels = {k: plain_level(P, k) for k in range(-1, P.dim + 2)}
         subsets = [set(els), set()]
         for _ in range(4):
             S = {el for el in els if rng.random() < rng.choice([0.1, 0.3, 0.6])}
             subsets += [S, plain_closure(P, S)]
         for S in subsets:
             closed += plain_closure(P, S) == S
-            check_against_plain(P, S, frames)
+            check_against_plain(P, S, levels)
     assert closed >= len(posets) * 5
 
 

@@ -3,7 +3,8 @@
 ``splits_masks`` tries only the left sides that are down-sets of the maximal
 k-flow graph and keep glued high elements together.  The oracle below is the
 plain enumeration it replaced: every proper bipartition of the high maximal
-elements whose closures meet in dimension at most k.  Run on an independent
+elements whose closures meet in dimension at most k, each given by its left
+side as a subset, as the candidates are.  Run on an independent
 copy of the poset, with the oracle patched in, every split listing must give
 the same list in the same order, and recognition, which stops at the first
 split, must give the same certificates.
@@ -22,19 +23,21 @@ from dcx.ogposet import OgPoset, _bits
 
 
 def bipartition_candidates(P, high, k):
-    """Every proper bipartition, as a left-side bitmask, in increasing order."""
-    closures = [P.cl_el[p] for p in _bits(high)]
+    """Every proper bipartition of ``high``, as its left side (a subset of
+    ``high``), in increasing order."""
+    members = list(_bits(high))
     out = []
-    for bits in range(1, (1 << len(closures)) - 1):
-        cla = clb = 0
-        for pos, cl in enumerate(closures):
-            if bits >> pos & 1:
-                cla |= cl
+    for bits in range(1, (1 << len(members)) - 1):
+        left = cla = clb = 0
+        for n, p in enumerate(members):
+            if bits >> n & 1:
+                left |= 1 << p
+                cla |= P.cl_el[p]
             else:
-                clb |= cl
+                clb |= P.cl_el[p]
         if P.masks_dim(cla & clb) > k:
             continue
-        out.append(bits)
+        out.append(left)
     return out
 
 
@@ -98,8 +101,7 @@ def test_non_down_set_never_tried():
     middle = succ[first]
     last = succ[middle]
     assert {first, middle, last} == set(high)
-    pos = {el: p for p, el in enumerate(high)}
-    want = sorted([1 << pos[first], 1 << pos[first] | 1 << pos[middle]])
+    want = sorted([P.el_masks([first]), P.el_masks([first, middle])])
     assert list(_split_candidates(P, P.el_masks(high), 0)) == want
     assert len(list(splits_masks(P, full, 0))) == 2
 
@@ -111,22 +113,20 @@ def test_candidates_are_the_flow_down_sets_of_the_oracle(small_corpus):
         P = mol.poset
         for masks in submolecules_masks(P, P.full_masks()):
             for k in range(P.masks_dim(masks)):
-                high = high_maximal(P, masks, k)
-                pos = {el: p for p, el in enumerate(high)}
+                high = P.el_masks(high_maximal(P, masks, k))
                 edges = [
-                    (pos[a], pos[b])
+                    (P.el_masks([a]), P.el_masks([b]))
                     for a, b in maxflow_masks(P, masks, k).edges
                     if a != b
                 ]
                 down_sets = [
-                    bits
-                    for bits in bipartition_candidates(P, P.el_masks(high), k)
-                    if all(bits >> a & 1 for a, b in edges if bits >> b & 1)
+                    left
+                    for left in bipartition_candidates(P, high, k)
+                    if all(left & a for a, b in edges if left & b)
                 ]
-                assert list(_split_candidates(P, P.el_masks(high), k)) == down_sets
+                assert list(_split_candidates(P, high, k)) == down_sets
                 for left, _right in splits_masks(P, masks, k):
-                    bits = sum(1 << pos[v] for v in high if left & P.el_masks([v]))
-                    assert bits in down_sets
+                    assert (left & high) in down_sets
 
 
 # -- the split memo --------------------------------------------------------------
