@@ -81,13 +81,13 @@ class FlowGraph:
 
 
 def maxflow_masks(P: OgPoset, masks: Masks, k: int) -> FlowGraph:
+    """The maximal k-flow graph of a subset: its maximal elements above k,
+    with the edges of ``Level.succ`` at k among them."""
     high = P.maximal_masks(masks) & ~P.upto(k)
-    mx = P.masks_els(high)
-    succ = P.flow_masks(high, k)
-    edges = frozenset(
-        (mx[a], mx[b]) for a in range(len(mx)) for b in _bits(succ[a])
-    )
-    return FlowGraph(tuple(mx), edges)
+    succ = P.level(k).succ
+    mx = dict(zip(_bits(high), P.masks_els(high)))
+    edges = frozenset((mx[p], mx[q]) for p in mx for q in _bits(succ[p] & high))
+    return FlowGraph(tuple(mx.values()), edges)
 
 
 def maxflow(U: Molecule, k: int) -> FlowGraph:
@@ -290,9 +290,11 @@ def _flow_cycle(P: OgPoset, masks: Masks) -> Optional[list[El]]:
 def _flow_rows(P: OgPoset, masks: Masks) -> tuple[list[int], Masks]:
     """The maximal flow graph of ``masks`` at its own frame dimension r, for
     :func:`~dcx.ogposet.find_cycle`: the flow successors of the level-r
-    table, and the maximal elements of ``masks`` above r."""
+    table, and the maximal elements of ``masks`` above r.  At r = -1 every
+    frame is empty, so the rows are zeros and no table is built."""
     r = frame_dim_masks(P, masks)
-    return P.level(r).succ, P.maximal_masks(masks) & ~P.upto(r)
+    high = P.maximal_masks(masks) & ~P.upto(r)
+    return (P.level(r).succ if r >= 0 else [0] * P.size()), high
 
 
 # -- the comparison between layerings and orderings -----------------------------

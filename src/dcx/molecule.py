@@ -474,9 +474,8 @@ def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
     """Certificate witnessing that a closed subset is a molecule, or None.
 
     A subset that is not an atom is recognised by its first split, at the
-    highest level that has one.  :func:`_splits` checks candidates only up
-    to that split and memoises nothing, so the "splits" memo holds only the
-    full lists of :func:`splits_masks`.
+    highest level that has one; :func:`splits_masks` checks candidates only
+    up to that split.
     """
     memo = _memo(P, "mol")
     if masks in memo:
@@ -502,9 +501,9 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
         return None if order is None else _path_cert(len(order))
     if P.maximal_masks(masks).bit_count() == 1:
         return _atom_cert(P, masks)
-    # _splits yields only splits whose two sides are molecules
+    # splits_masks yields only splits whose two sides are molecules
     for k in range(d - 1, -1, -1):
-        for left, right in _splits(P, masks, k):
+        for left, right in splits_masks(P, masks, k):
             return ("paste", k, mol_cert(P, left), mol_cert(P, right))
     return None
 
@@ -572,28 +571,15 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     - same side: two high elements whose closures meet above dimension k
       lie on the same side, since A n B has dimension at most k.
 
-    :func:`_splits` turns the candidates into splits:
-    :func:`_membrane_splits` rebuilds the two sides each candidate forces, so
-    every split is the rebuild of one candidate, and the exact checks then
-    keep the rebuilds that are splits.  Candidates are tried in increasing
-    order of their left side as a subset.
-
-    The first listing of ``(masks, k)`` stores the full list in the poset's
-    "splits" memo, and later listings replay it; a listing that raises
-    stores nothing.
+    :func:`_membrane_splits` rebuilds the two sides each candidate forces,
+    so every split is the rebuild of one candidate; the rebuilds whose
+    shared membrane is both sides' k-boundary and whose sides are both
+    molecules are the splits.  Candidates are tried in increasing order of
+    their left side as a subset, and each split is checked only when the
+    listing reaches it.  Nothing is memoised.
     """
     if not 0 <= k < P.masks_dim(masks):
         return
-    memo = _memo(P, "splits")
-    if (masks, k) not in memo:
-        memo[masks, k] = list(_splits(P, masks, k))
-    yield from memo[masks, k]
-
-
-def _splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
-    """The k-splits of ``masks``, found lazily and not memoised: the
-    :func:`_membrane_splits` pairs whose shared membrane is both sides'
-    k-boundary and whose sides are both molecules."""
     for left, right in _membrane_splits(P, masks, k):
         inter = left & right
         if (
@@ -618,7 +604,7 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
     input frame of B until stable.  The parts of both sides above level k
     never change during the growth, so the frame tests are stable and the
     fixpoint reconstructs the unique candidate split.  Whether it is a split
-    is left to the caller: :func:`_splits` checks it exactly,
+    is left to the caller: :func:`splits_masks` checks it exactly,
     :func:`candidate_closure_masks` keeps it as is.
 
     The membrane stays below dimension k + 1.  Two high elements whose
@@ -690,8 +676,8 @@ def candidate_closure_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
 
     Why it holds every submolecule is in :func:`dcx.flow.is_frame_acyclic`.
     The other members need not be molecules; their witnesses name the
-    candidate steps that reached them.  Nothing is memoised, so the "splits"
-    and "mol" memos stay exact.
+    candidate steps that reached them.  Nothing is memoised, so the "mol"
+    memo stays exact.
     """
     return _closure(P, masks, _membrane_splits)
 

@@ -265,20 +265,6 @@ class OgPoset:
             table = _memo(self, "frames")[k] = Level(self, k)
         return table
 
-    def flow_masks(self, vertices: Masks, k: int) -> list[int]:
-        """The maximal k-flow rule on a set of elements, listed in position order.
-
-        Bit j of entry i is set iff the output k-frame of vertex i (the
-        dimension-k part of its output k-boundary) meets the input k-frame
-        of vertex j: it is ``Level.succ`` cut to the vertices.  A vertex of
-        dimension k is its own input and output k-frame, so it has an edge to
-        itself; one of lower dimension has empty k-frames, and every entry is
-        0 for k < 0.
-        """
-        succ = self.level(k).succ
-        ps = list(_bits(vertices))
-        return [sum(1 << j for j, q in enumerate(ps) if succ[p] >> q & 1) for p in ps]
-
     def masks_dim(self, masks: Masks) -> int:
         return self._els[masks.bit_length() - 1][0] if masks else -1
 

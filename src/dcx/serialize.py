@@ -44,7 +44,7 @@ def ogposet_to_data(P: OgPoset) -> dict:
 
 
 def ogposet_from_data(data: dict) -> OgPoset:
-    if data.get("format") != "ogposet/1":
+    if not isinstance(data, dict) or data.get("format") != "ogposet/1":
         raise DcxError("expected an ogposet/1 document")
     return validate(data["faces"])
 
@@ -107,7 +107,7 @@ def dcomplex_to_data(X: DirectedComplex) -> dict:
 
 
 def dcomplex_from_data(data: dict) -> DirectedComplex:
-    if data.get("format") != "dcomplex/1":
+    if not isinstance(data, dict) or data.get("format") != "dcomplex/1":
         raise DcxError("expected a dcomplex/1 document")
     cells: list[list[Cell]] = []
     for level in data["cells"]:
@@ -141,7 +141,7 @@ def ssset_to_data(S: SemiSimplicialSet) -> dict:
 
 
 def ssset_from_data(data: dict) -> SemiSimplicialSet:
-    if data.get("format") != "ssset/1":
+    if not isinstance(data, dict) or data.get("format") != "ssset/1":
         raise DcxError("expected an ssset/1 document")
     return SemiSimplicialSet(data["faces"]).validate()
 

@@ -237,3 +237,35 @@ def test_export_options_before_or_after_file(files, capsys):
     assert call(capsys, "export", "--dot", "hasse", files["garbage"])[0] == 2
     assert call(capsys, "export", files["sphere"], "--dot", "flow")[0] == 2
     assert call(capsys, "export", "--dot", "sd", files["horiz"], "--levels", "x")[0] == 2
+
+
+NOT_OBJECTS = ["[1]", '"x"', "3", "null"]
+
+
+def non_object(tmp_path, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    return str(doc)
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_ogposet_document_not_an_object_exits_2(tmp_path, capsys, text):
+    doc = non_object(tmp_path, text)
+    for argv in (["check", "molecule", doc], ["export", "--dot", "hasse", doc]):
+        code, out = call(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "invalid ogposet input: expected an ogposet/1 document"
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_dcomplex_document_not_an_object_exits_2(tmp_path, capsys, text):
+    code, out = call(capsys, "cx", "verify", non_object(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid dcomplex input: expected a dcomplex/1 document"
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_ssset_document_not_an_object_exits_2(tmp_path, capsys, text):
+    code, out = call(capsys, "cx", "import-ssset", non_object(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid ssset input: expected an ssset/1 document"

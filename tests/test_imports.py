@@ -239,6 +239,36 @@ def test_only_ogposet_reads_the_memo():
     assert readers == ["ogposet.py"]
 
 
+MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames"}
+
+
+def memo_names(path: Path) -> set:
+    """The table names a module passes to ``_memo``; a name that is not a
+    string constant shows as None."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and _callee(node) == "_memo":
+            name = node.args[1] if len(node.args) > 1 else None
+            out.add(name.value if isinstance(name, ast.Constant) else None)
+    return out
+
+
+def test_scan_finds_the_memo_names(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(P, key):\n"
+        "    return _memo(P, 'a'), ogposet._memo(P, key), P._memo\n",
+        encoding="utf-8",
+    )
+    assert memo_names(mod) == {"a", None}
+
+
+def test_the_memo_names_are_fixed():
+    """Each memo is one named table per poset, so a new table shows here."""
+    found = set().union(*(memo_names(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert found == MEMO_NAMES
+
+
 # -- no module-level caches -----------------------------------------------------------
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

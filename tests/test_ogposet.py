@@ -527,13 +527,6 @@ def plain_level(P, k):
     return {"frames": frames, "succ": succ, "need": need, "ins": ins, "outs": outs}
 
 
-def plain_flow(frames, S):
-    """Bit j of entry i is set iff the output frame of the i-th member of S
-    meets the input frame of the j-th, members in (dim, index) order."""
-    vs = sorted(S)
-    return [sum(1 << j for j, y in enumerate(vs) if frames[x][1] & frames[y][0]) for x in vs]
-
-
 def plain_connected(P, S):
     if not S:
         return True
@@ -579,8 +572,6 @@ def check_against_plain(P, S, levels):
     for k in range(-1, P.dim + 2):
         for alpha in "-+":
             assert set(P.masks_els(P.delta_masks(m, k, alpha))) == plain_delta(P, S, k, alpha)
-        # any vertex set is allowed, so S may hold elements at or below k
-        assert P.flow_masks(m, k) == plain_flow(levels[k]["frames"], S)
         level, plain = P.level(k), levels[k]
         for x, p in zip(P.masks_els(m), _bits(m)):
             assert (set(P.masks_els(level.minus[p])), set(P.masks_els(level.plus[p]))) == plain[
@@ -625,19 +616,18 @@ def test_flow_frames_are_built_once_per_poset_and_level(monkeypatch):
         return delta(self, masks, k, alpha)
 
     monkeypatch.setattr(OgPoset, "delta_masks", counted)
-    high = P.full_masks() & ~P.upto(1)
-    first = P.flow_masks(high, 1)
+    first = P.level(1).succ
     assert made
     made.clear()
-    assert P.flow_masks(high, 1) == first
-    assert any(P.flow_masks(P.full_masks(), 1))
+    assert P.level(1).succ == first
+    assert any(first)
     assert made == []
     # an extracted copy keeps its own tables, even with the same layout
     Q = P.extract(P.full_masks())[0]
-    assert Q.flow_masks(high, 1) == first
+    assert Q.level(1).succ == first
     assert made and all(R is Q for R in made)
     made.clear()
-    P.flow_masks(high, 2)
+    P.level(2)
     assert made and all(R is P for R in made)
 
 

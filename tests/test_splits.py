@@ -9,14 +9,23 @@ copy of the poset, with the oracle patched in, every split listing must give
 the same list in the same order, and recognition, which stops at the first
 split, must give the same certificates.
 
-The split memo keeps finished lists only; the tests at the end check that
-recognition writes no entry, that interleaved listings agree, and that an
-interrupted listing leaves no entry behind.
+``splits_masks`` is a lazy generator that memoises nothing; the tests at the
+end check that no search leaves a split entry on any poset, that interleaved
+listings each give the full list, and that recognition pastes the first
+split listed at the highest level that has one.
 """
-import pytest
-
 import dcx.molecule as molecule
-from dcx import globe, oriental, paste
+from dcx import (
+    Molecule,
+    check_layering_theory,
+    enumerate_sd,
+    frame_dim,
+    globe,
+    oriental,
+    paste,
+    pre_layerings,
+    submolecules,
+)
 from dcx.flow import maxflow_masks
 from dcx.molecule import _split_candidates, mol_cert, splits_masks, submolecules_masks
 from dcx.ogposet import OgPoset, _bits
@@ -129,7 +138,7 @@ def test_candidates_are_the_flow_down_sets_of_the_oracle(small_corpus):
                     assert (left & high) in down_sets
 
 
-# -- the split memo --------------------------------------------------------------
+# -- one lazy lister, no memo ------------------------------------------------------
 
 
 def split_cases(small_corpus):
@@ -141,18 +150,32 @@ def split_cases(small_corpus):
             yield mol, k, list(splits_masks(P, P.full_masks(), k))
 
 
-def entry(P, k):
-    return P._memo["splits"][(P.full_masks(), k)]
+def test_no_search_keeps_a_split_entry(small_corpus, monkeypatch):
+    made = []
+    init = OgPoset.__init__
 
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
-def test_recognition_writes_no_split_entry(small_corpus):
+    monkeypatch.setattr(OgPoset, "__init__", recorded)
     for mol in small_corpus + [oriental(4)]:
-        P = fresh(mol.poset)
-        assert mol_cert(P, P.full_masks()) is not None
-        assert P._memo.get("splits", {}) == {}, mol
+        U = Molecule(fresh(mol.poset))
+        assert U.cert is not None
+        submolecules(U)
+        r = frame_dim(U)
+        for k in range(-1, U.dim):
+            pre_layerings(U, k)
+            if k >= r:
+                check_layering_theory(U, k)
+        enumerate_sd(U)
+    assert len(made) > len(small_corpus) + 1
+    assert any("mol" in P._memo for P in made)
+    assert any("prelay" in P._memo for P in made)
+    assert all("splits" not in P._memo for P in made)
 
 
-def test_interleaved_listings_of_one_entry(small_corpus):
+def test_interleaved_listings_of_one_subset(small_corpus):
     for mol, k, want in split_cases(small_corpus):
         P = fresh(mol.poset)
         full = P.full_masks()
@@ -167,39 +190,22 @@ def test_interleaved_listings_of_one_entry(small_corpus):
                     del live[turn]
             turn = 1 - turn
         assert got[0] == want and got[1] == want, (mol, k)
-        assert entry(P, k) == want
-        assert all(type(value) is list for value in P._memo["splits"].values())
 
 
-def test_interrupted_listing_leaves_no_entry(small_corpus, monkeypatch):
-    class Interrupt(Exception):
-        pass
-
-    real = molecule.mol_cert
-    raised = 0
-    for mol, k, want in split_cases(small_corpus):
-        if not want:
-            continue
+def test_recognition_pastes_the_first_listed_split(small_corpus):
+    pastes = 0
+    for mol in small_corpus + [oriental(4)]:
         P = fresh(mol.poset)
-        key = (P.full_masks(), k)
-        armed = [True]
-
-        def flaky(Q, masks):
-            # raise once, in the first check of a side
-            if armed[0]:
-                armed[0] = False
-                raise Interrupt
-            return real(Q, masks)
-
-        with monkeypatch.context() as m:
-            m.setattr(molecule, "mol_cert", flaky)
-            with pytest.raises(Interrupt):
-                list(splits_masks(P, *key))
-        assert key not in P._memo.get("splits", {})
-        assert list(splits_masks(P, *key)) == want, (mol, k)
-        assert entry(P, k) == want
-        raised += 1
-    assert raised > 10
+        full = P.full_masks()
+        cert = mol_cert(P, full)
+        if P.dim < 2 or cert[0] != "paste":
+            continue
+        k = cert[1]
+        assert all(not list(splits_masks(P, full, j)) for j in range(k + 1, P.dim))
+        left, right = next(splits_masks(P, full, k))
+        assert cert == ("paste", k, mol_cert(P, left), mol_cert(P, right))
+        pastes += 1
+    assert pastes > 10
 
 
 def test_first_split_certificate_matches_full_listing(small_corpus):
