@@ -290,22 +290,26 @@ def _flow_cycle(P: OgPoset, masks: Masks) -> Optional[list[El]]:
 def _flow_rows(P: OgPoset, masks: Masks) -> tuple[list[int], Masks]:
     """The maximal flow graph of ``masks`` at its own frame dimension r, for
     :func:`~dcx.ogposet.find_cycle`: the flow successors of the level-r
-    table, and the maximal elements of ``masks`` above r.  At r = -1 every
-    frame is empty, so the rows are zeros and no table is built."""
+    table, and the maximal elements of ``masks`` above r."""
     r = frame_dim_masks(P, masks)
-    high = P.maximal_masks(masks) & ~P.upto(r)
-    return (P.level(r).succ if r >= 0 else [0] * P.size()), high
+    return P.level(r).succ, P.maximal_masks(masks) & ~P.upto(r)
 
 
 # -- the comparison between layerings and orderings -----------------------------
 
 
 def _prelayering_covers(P: OgPoset, lay: Layering, k: int) -> set[Layering]:
-    """Pre-layerings obtained by splitting exactly one layer in two."""
+    """Pre-layerings obtained by splitting exactly one layer in two.
+
+    The splits of a layer, in :func:`splits_masks` order, are its
+    pre-layerings with two layers: each split followed by the trivial
+    pre-layering of its right side.  They are read from the "prelay" memo,
+    as the same layer recurs in many pre-layerings."""
     out = set()
     for i, layer in enumerate(lay):
-        for a, b in splits_masks(P, layer, k):
-            out.add(lay[:i] + (a, b) + lay[i + 1:])
+        for split in _prelayerings_masks(P, layer, k):
+            if len(split) == 2:
+                out.add(lay[:i] + split + lay[i + 1:])
     return out
 
 

@@ -10,22 +10,13 @@ the same list in the same order, and recognition, which stops at the first
 split, must give the same certificates.
 
 ``splits_masks`` is a lazy generator that memoises nothing; the tests at the
-end check that no search leaves a split entry on any poset, that interleaved
-listings each give the full list, and that recognition pastes the first
-split listed at the highest level that has one.
+end check that interleaved listings each give the full list, and that
+recognition pastes the first split listed at the highest level that has
+one.  That no split memo exists is pinned by the memo-name guard in
+``test_imports.py``.
 """
 import dcx.molecule as molecule
-from dcx import (
-    Molecule,
-    check_layering_theory,
-    enumerate_sd,
-    frame_dim,
-    globe,
-    oriental,
-    paste,
-    pre_layerings,
-    submolecules,
-)
+from dcx import globe, oriental, paste
 from dcx.flow import maxflow_masks
 from dcx.molecule import _split_candidates, mol_cert, splits_masks, submolecules_masks
 from dcx.ogposet import OgPoset, _bits
@@ -148,31 +139,6 @@ def split_cases(small_corpus):
         P = fresh(mol.poset)
         for k in range(P.dim):
             yield mol, k, list(splits_masks(P, P.full_masks(), k))
-
-
-def test_no_search_keeps_a_split_entry(small_corpus, monkeypatch):
-    made = []
-    init = OgPoset.__init__
-
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(OgPoset, "__init__", recorded)
-    for mol in small_corpus + [oriental(4)]:
-        U = Molecule(fresh(mol.poset))
-        assert U.cert is not None
-        submolecules(U)
-        r = frame_dim(U)
-        for k in range(-1, U.dim):
-            pre_layerings(U, k)
-            if k >= r:
-                check_layering_theory(U, k)
-        enumerate_sd(U)
-    assert len(made) > len(small_corpus) + 1
-    assert any("mol" in P._memo for P in made)
-    assert any("prelay" in P._memo for P in made)
-    assert all("splits" not in P._memo for P in made)
 
 
 def test_interleaved_listings_of_one_subset(small_corpus):
