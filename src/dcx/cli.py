@@ -352,6 +352,67 @@ class _SubcommandParser(argparse.ArgumentParser):
             self._mixing = False
 
 
+def _args_make(p) -> None:
+    p.add_argument(
+        "what",
+        nargs="+",
+        help="globe N | path K | oriental N | theta TREE | paste A B K | atom A B | suspend A | join A B",
+    )
+    p.set_defaults(func=_cmd_make)
+
+
+def _args_check(p) -> None:
+    p.add_argument(
+        "property", choices=["molecule", "round", "atom", "hasse-acyclic", "frame-acyclic"]
+    )
+    p.add_argument("file", nargs="?", help="ogposet/1 file (default stdin)")
+    p.set_defaults(func=_cmd_check)
+
+
+def _args_flow(p) -> None:
+    p.add_argument("mode", choices=["graph", "layerings", "orderings", "theory"])
+    p.add_argument("file", nargs="?")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--output", choices=["json", "dot"], default="json")
+    p.set_defaults(func=_cmd_flow)
+
+
+def _args_sd(p) -> None:
+    p.add_argument("file", nargs="?")
+    p.add_argument("--levels", help="comma-separated levels, e.g. 0,1")
+    p.add_argument("--report", action="store_true", help="homology report of Sd")
+    p.set_defaults(func=_cmd_sd)
+
+
+def _args_cx(p) -> None:
+    p.add_argument(
+        "mode", choices=["import-ssset", "verify", "molecules", "frame-acyclic"]
+    )
+    p.add_argument("file", nargs="?")
+    p.add_argument("--max-cells", type=int, default=3)
+    p.add_argument("--budget", type=int, default=4)
+    p.set_defaults(func=_cmd_cx)
+
+
+def _args_export(p) -> None:
+    p.add_argument("--dot", dest="what", choices=["hasse", "flow", "sd"], required=True)
+    p.add_argument("file", nargs="?")
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--levels")
+    p.set_defaults(func=_cmd_export)
+
+
+# (name, help, adder): each subcommand's arguments are defined once, by its adder
+_SUBCOMMANDS = (
+    ("make", "construct a molecule, write ogposet/1 JSON", _args_make),
+    ("check", "check a property of an ogposet/molecule", _args_check),
+    ("flow", "flow graphs, layerings, orderings", _args_flow),
+    ("sd", "subdivision posets and contractibility evidence", _args_sd),
+    ("cx", "directed complexes", _args_cx),
+    ("export", "DOT export", _args_export),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcx",
@@ -360,58 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=_SubcommandParser
     )
-
-    p_make = sub.add_parser("make", help="construct a molecule, write ogposet/1 JSON")
-    p_make.add_argument(
-        "what",
-        nargs="+",
-        help="globe N | path K | oriental N | theta TREE | paste A B K | atom A B | suspend A | join A B",
-    )
-    p_make.set_defaults(func=_cmd_make)
-
-    p_check = sub.add_parser("check", help="check a property of an ogposet/molecule")
-    p_check.add_argument(
-        "property", choices=["molecule", "round", "atom", "hasse-acyclic", "frame-acyclic"]
-    )
-    p_check.add_argument("file", nargs="?", help="ogposet/1 file (default stdin)")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_flow = sub.add_parser("flow", help="flow graphs, layerings, orderings")
-    p_flow.add_argument("mode", choices=["graph", "layerings", "orderings", "theory"])
-    p_flow.add_argument("file", nargs="?")
-    p_flow.add_argument("--k", type=int, required=True)
-    p_flow.add_argument("--output", choices=["json", "dot"], default="json")
-    p_flow.set_defaults(func=_cmd_flow)
-
-    p_sd = sub.add_parser("sd", help="subdivision posets and contractibility evidence")
-    p_sd.add_argument("file", nargs="?")
-    p_sd.add_argument("--levels", help="comma-separated levels, e.g. 0,1")
-    p_sd.add_argument("--report", action="store_true", help="homology report of Sd")
-    p_sd.set_defaults(func=_cmd_sd)
-
-    p_cx = sub.add_parser("cx", help="directed complexes")
-    p_cx.add_argument(
-        "mode", choices=["import-ssset", "verify", "molecules", "frame-acyclic"]
-    )
-    p_cx.add_argument("file", nargs="?")
-    p_cx.add_argument("--max-cells", type=int, default=3)
-    p_cx.add_argument("--budget", type=int, default=4)
-    p_cx.set_defaults(func=_cmd_cx)
-
-    p_exp = sub.add_parser("export", help="DOT export")
-    p_exp.add_argument("--dot", dest="what", choices=["hasse", "flow", "sd"], required=True)
-    p_exp.add_argument("file", nargs="?")
-    p_exp.add_argument("--k", type=int, default=0)
-    p_exp.add_argument("--levels")
-    p_exp.set_defaults(func=_cmd_export)
-
+    for name, help_text, add in _SUBCOMMANDS:
+        add(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed by the parser of its subcommand
+    alone when that parser takes every argument, else by the full parser."""
+    for name, _, add in _SUBCOMMANDS:
+        if argv and argv[0] == name:
+            parser = _SubcommandParser(prog=f"dcx {name}")
+            add(parser)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built.  The full parser of ``build_parser`` parses ``argv`` instead when
+    there is no subcommand name (no arguments, ``--help`` or an unknown
+    name) or when arguments are left over, so help, usage lines and errors
+    read exactly as when the full parser parses every command line.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

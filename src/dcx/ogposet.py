@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (
     AmbiguityError,
     DanglingIndexError,
+    DcxError,
     EmptyFaceSetError,
     OverlapError,
 )
@@ -479,21 +480,30 @@ def validate(raw, *, regular=False) -> OgPoset:
     ``raw`` is a list indexed by dimension: entry 0 is an integer count (or a
     list with one entry per 0-element), and entry ``d >= 1`` is a list of
     ``(minus, plus)`` pairs (or ``{"-": [...], "+": [...]}`` mappings) of
-    indices into dimension ``d - 1``.
+    indices into dimension ``d - 1``.  A count or index must be an ``int``
+    (not a ``bool``, which JSON ``true`` and ``false`` read as) and a count
+    must not be negative.
     """
     if not raw:
         return OgPoset((), [], regular=regular)
     head = raw[0]
-    counts = [head if isinstance(head, int) else len(head)]
+    if isinstance(head, list):
+        head = len(head)
+    elif type(head) is not int or head < 0:
+        raise DcxError(f"the 0-element count {head!r} is not a non-negative integer")
+    counts = [head]
     faces = [[]]
     for d in range(1, len(raw)):
         level = []
-        for entry in raw[d]:
+        for i, entry in enumerate(raw[d]):
             if isinstance(entry, dict):
-                level.append((tuple(entry.get("-", ())), tuple(entry.get("+", ()))))
+                mn, pl = tuple(entry.get("-", ())), tuple(entry.get("+", ()))
             else:
-                mn, pl = entry
-                level.append((tuple(mn), tuple(pl)))
+                mn, pl = map(tuple, entry)
+            for j in mn + pl:
+                if type(j) is not int:
+                    raise DcxError(f"element ({d},{i}) has face index {j!r}, not an integer")
+            level.append((mn, pl))
         counts.append(len(level))
         faces.append(level)
     return OgPoset(counts, faces, regular=regular)

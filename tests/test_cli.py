@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dcx
-from dcx import OgPoset, path, serialize
+from dcx import OgPoset, cli, path, serialize
 from dcx.cli import run
 from dcx.dcomplex import SemiSimplicialSet, import_ssset
 
@@ -242,7 +242,7 @@ def test_export_options_before_or_after_file(files, capsys):
 NOT_OBJECTS = ["[1]", '"x"', "3", "null"]
 
 
-def non_object(tmp_path, text):
+def write_doc(tmp_path, text):
     doc = tmp_path / "doc.json"
     doc.write_text(text, encoding="utf-8")
     return str(doc)
@@ -250,7 +250,7 @@ def non_object(tmp_path, text):
 
 @pytest.mark.parametrize("text", NOT_OBJECTS)
 def test_ogposet_document_not_an_object_exits_2(tmp_path, capsys, text):
-    doc = non_object(tmp_path, text)
+    doc = write_doc(tmp_path, text)
     for argv in (["check", "molecule", doc], ["export", "--dot", "hasse", doc]):
         code, out = call(capsys, *argv)
         assert code == 2, argv
@@ -259,13 +259,144 @@ def test_ogposet_document_not_an_object_exits_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("text", NOT_OBJECTS)
 def test_dcomplex_document_not_an_object_exits_2(tmp_path, capsys, text):
-    code, out = call(capsys, "cx", "verify", non_object(tmp_path, text))
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
     assert code == 2
     assert json.loads(out)["error"] == "invalid dcomplex input: expected a dcomplex/1 document"
 
 
 @pytest.mark.parametrize("text", NOT_OBJECTS)
 def test_ssset_document_not_an_object_exits_2(tmp_path, capsys, text):
-    code, out = call(capsys, "cx", "import-ssset", non_object(tmp_path, text))
+    code, out = call(capsys, "cx", "import-ssset", write_doc(tmp_path, text))
     assert code == 2
     assert json.loads(out)["error"] == "invalid ssset input: expected an ssset/1 document"
+
+
+# JSON true and false are Python bools, which are ints: an ogposet/1 reader
+# that only compares them with the bounds reads true as 1
+BAD_NUMBERS = {
+    "bool-index": (
+        '{"format":"ogposet/1","faces":[[{},{}],[{"-":[true],"+":[false]}]]}',
+        "element (1,0) has face index True, not an integer",
+    ),
+    "bool-count": (
+        '{"format":"ogposet/1","faces":[true]}',
+        "the 0-element count True is not a non-negative integer",
+    ),
+    "negative-count": (
+        '{"format":"ogposet/1","faces":[-3]}',
+        "the 0-element count -3 is not a non-negative integer",
+    ),
+    "float-count": (
+        '{"format":"ogposet/1","faces":[2.5]}',
+        "the 0-element count 2.5 is not a non-negative integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, error", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_ogposet_count_or_index_not_an_integer_exits_2(tmp_path, capsys, text, error):
+    code, out = call(capsys, "check", "molecule", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid ogposet input: {error}"
+
+
+# -- one subcommand's parser per query ------------------------------------------------
+
+SUBCOMMAND_NAMES = ["make", "check", "flow", "sd", "cx", "export"]
+
+# help and usage errors of every subcommand; FILE stands for a molecule file
+USAGE_CASES = [
+    ["make", "--help"],
+    ["make"],
+    ["make", "globe", "1", "--no-such"],
+    ["check", "--help"],
+    ["check"],
+    ["check", "no-such", "FILE"],
+    ["check", "molecule", "FILE", "--no-such"],
+    ["check", "molecule", "FILE", "extra"],
+    ["flow", "--help"],
+    ["flow", "--k", "0"],
+    ["flow", "no-such", "FILE", "--k", "0"],
+    ["flow", "graph", "FILE", "--k", "x"],
+    ["flow", "graph", "FILE", "--k", "0", "--no-such"],
+    ["flow", "graph", "FILE", "extra", "--k", "0"],
+    ["sd", "--help"],
+    ["sd", "FILE", "--levels"],
+    ["sd", "FILE", "--no-such"],
+    ["sd", "FILE", "extra"],
+    ["cx", "--help"],
+    ["cx"],
+    ["cx", "no-such", "FILE"],
+    ["cx", "molecules", "FILE", "--max-cells", "x"],
+    ["cx", "verify", "FILE", "--no-such"],
+    ["cx", "verify", "FILE", "extra"],
+    ["export", "--help"],
+    ["export", "FILE"],
+    ["export", "--dot", "no-such", "FILE"],
+    ["export", "--dot", "flow", "FILE", "--k", "x"],
+    ["export", "--dot", "hasse", "FILE", "--no-such"],
+    ["export", "--dot", "hasse", "FILE", "extra"],
+]
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def no_full_parser():
+    raise AssertionError("the full parser was built")
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_run_matches_the_full_parser(files, capsys, monkeypatch, argv):
+    """The full parser is the oracle: exit code, stdout and stderr agree."""
+    argv = [files["horiz"] if arg == "FILE" else arg for arg in argv]
+    code = run(argv)
+    fast = (code, *capsys.readouterr())
+    monkeypatch.setattr(cli, "_parse", full_parse)
+    assert (run(argv), *capsys.readouterr()) == fast
+    assert code == (0 if "--help" in argv else 2)
+
+
+def test_golden_argv_parse_as_with_the_full_parser(monkeypatch):
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    manifest = Path(__file__).resolve().parent / "golden" / "manifest.json"
+    for entry in json.loads(manifest.read_text(encoding="utf-8")):
+        want = vars(full.parse_args(entry["argv"]))
+        del want["command"]
+        assert vars(cli._parse(entry["argv"])) == want, entry["argv"]
+
+
+def test_top_level_help_and_usage_errors(capsys):
+    assert [name for name, _, _ in cli._SUBCOMMANDS] == SUBCOMMAND_NAMES
+    code, out = call(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(SUBCOMMAND_NAMES) + "}" in out
+    for name, help_text, _ in cli._SUBCOMMANDS:
+        assert f"    {name}" in out and help_text in out
+    assert run([]) == 2
+    assert "required: command" in capsys.readouterr().err
+    assert run(["nosuch"]) == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_NAMES)
+def test_each_subcommand_exits_2_on_a_usage_error(capsys, name):
+    assert run([name, "--no-such-option"]) == 2
+    assert capsys.readouterr().err.startswith("usage: dcx")
+
+
+def test_a_query_builds_only_its_own_parser(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    horiz = files["horiz"]
+    for argv in (
+        ["check", "molecule", horiz],
+        ["check", "frame-acyclic", horiz],
+        ["flow", "graph", "--k", "0", horiz],
+        ["sd", "--levels", "0", horiz],
+        ["make", "globe", "2"],
+        ["cx", "verify", files["triangle"]],
+        ["export", "--dot", "hasse", horiz],
+    ):
+        assert call(capsys, *argv)[0] == 0, argv
