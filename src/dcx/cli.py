@@ -99,14 +99,34 @@ def _emit_poset(mol: Molecule) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
+# (target, number of arguments, what a wrong number of arguments is told)
+_MAKE_TARGETS = (
+    ("globe", 1, "integer N"),
+    ("path", 1, "integer K"),
+    ("oriental", 1, "integer N"),
+    ("theta", 1, "a tree such as ((),())"),
+    ("paste", 3, "A B K"),
+    ("atom", 2, "A B"),
+    ("join", 2, "A B"),
+    ("suspend", 1, "A"),
+)
+
+
 def _cmd_make(args) -> int:
     kind = args.what[0]
     rest = args.what[1:]
+    for target, arity, usage in _MAKE_TARGETS:
+        if target == kind:
+            break
+    else:
+        raise CliError(f"unknown make target {kind!r}")
+    if len(rest) != arity:
+        raise CliError(f"make {kind} needs {usage}")
 
     def arg_int(pos, name):
         try:
             return int(rest[pos])
-        except (IndexError, ValueError):
+        except ValueError:
             raise CliError(f"make {kind} needs integer {name}")
 
     if kind == "globe":
@@ -116,30 +136,20 @@ def _cmd_make(args) -> int:
     elif kind == "oriental":
         _emit_poset(oriental(arg_int(0, "N")))
     elif kind == "theta":
-        if not rest:
-            raise CliError("make theta needs a tree such as ((),())")
         try:
             _emit_poset(theta_from_tree(rest[0]))
         except ValueError as exc:
             raise CliError(f"bad tree: {exc}")
     elif kind == "paste":
-        if len(rest) != 3:
-            raise CliError("make paste needs A B K")
         U = _load_molecule(rest[0])
         V = _load_molecule(rest[1])
         _emit_poset(paste(U, V, arg_int(2, "K")))
     elif kind in ("atom", "join"):
-        if len(rest) != 2:
-            raise CliError(f"make {kind} needs A B")
         U = _load_molecule(rest[0])
         V = _load_molecule(rest[1])
         _emit_poset(atom(U, V) if kind == "atom" else join(U, V))
-    elif kind == "suspend":
-        if len(rest) != 1:
-            raise CliError("make suspend needs A")
-        _emit_poset(suspension(_load_molecule(rest[0])))
     else:
-        raise CliError(f"unknown make target {kind!r}")
+        _emit_poset(suspension(_load_molecule(rest[0])))
     return 0
 
 

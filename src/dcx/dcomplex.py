@@ -25,7 +25,16 @@ from .errors import (
 )
 from .flow import is_frame_acyclic
 from .molecule import Molecule, mol_cert, oriental_with_labels, paste_labelled
-from .ogposet import MINUS, PLUS, El, OgPoset, find_iso, is_hasse_acyclic, labelled_key
+from .ogposet import (
+    MINUS,
+    PLUS,
+    El,
+    OgPoset,
+    _labelled_bytes,
+    find_iso,
+    is_hasse_acyclic,
+    labelled_key,
+)
 
 CellId = tuple[int, int]
 
@@ -207,10 +216,10 @@ class PastingDiagram:
         return self._key
 
     def _boundary_key(self, k: int, alpha: str) -> bytes:
-        """``boundary_diagram(self, k, alpha).key``, without certifying the
-        boundary as a molecule."""
-        _, Q, labels = _boundary_part(self, k, alpha)
-        return labelled_key(Q, labels)
+        """``boundary_diagram(self, k, alpha).key``, from the shape's
+        memoised boundary record, with no extraction and no certificate."""
+        key, els = self.shape.poset.boundary_canon(k, alpha)
+        return _labelled_bytes(key, [self.labels[el] for el in els])
 
     def validate(self) -> "PastingDiagram":
         problem = restriction_problem(self.complex, self.shape.poset, self.labels)
@@ -235,19 +244,13 @@ class PastingDiagram:
         return f"PastingDiagram(shape_counts={list(self.shape.counts)})"
 
 
-def _boundary_part(f: PastingDiagram, k: int, alpha: str):
-    """The alpha-side k-boundary of f's shape: its masks in the shape, the
-    extracted poset, and f's labels pulled back onto that poset."""
+def boundary_diagram(f: PastingDiagram, k: int, alpha: str) -> PastingDiagram:
+    """Restriction of the diagram along the k-boundary of its shape."""
     P = f.shape.poset
     masks = P.boundary_masks(P.full_masks(), k, alpha)
     Q, amb = P.extract(masks)
-    return masks, Q, {el: f.labels[amb[el]] for el in Q.elements()}
-
-
-def boundary_diagram(f: PastingDiagram, k: int, alpha: str) -> PastingDiagram:
-    """Restriction of the diagram along the k-boundary of its shape."""
-    masks, Q, labels = _boundary_part(f, k, alpha)
-    cert = mol_cert(f.shape.poset, masks)
+    labels = {el: f.labels[amb[el]] for el in Q.elements()}
+    cert = mol_cert(P, masks)
     return PastingDiagram(f.complex, Molecule(Q, cert), labels)
 
 

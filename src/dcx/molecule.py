@@ -35,7 +35,6 @@ from .ogposet import (
     _memo,
     closed_rows,
     down_sets,
-    find_iso,
     unique_iso,
 )
 
@@ -118,14 +117,29 @@ def boundary_glue(
     """Match the ``q_side`` k-boundary of Q with the ``p_side`` k-boundary of P.
 
     Returns the isomorphism as a map from elements of Q to elements of P,
-    or None when the two boundaries are not isomorphic.
+    or None when the two boundaries are not isomorphic.  No isomorphism is
+    searched for: the two canonical records of
+    :meth:`~dcx.ogposet.OgPoset.boundary_canon` decide it.
+
+    - Different keys: the keys are canonical, equal exactly for isomorphic
+      posets, so the boundaries are not isomorphic.
+    - Equal keys: a key spells out the face data of the boundary relabelled
+      by its canonical relabelling, a bijection in each dimension.  Both
+      boundaries therefore relabel onto one canonical poset C, and the
+      i-th elements of the two canonical orders go to the same element of
+      C.  Sending ``q_els[i]`` to ``p_els[i]`` is the relabelling of Q's
+      boundary onto C followed by the inverse relabelling of P's, a
+      composite of two orientation-preserving isomorphisms.
+    - It is the glue that an isomorphism search would give.  The boundary
+      of a molecule is a molecule, and molecules are rigid (Hadzihasanovic,
+      *Combinatorics of higher-categorical diagrams*, 2024): two isomorphic
+      boundaries have exactly one isomorphism between them.
     """
-    BP, p_amb = P.extract(P.boundary_masks(P.full_masks(), k, p_side))
-    BQ, q_amb = Q.extract(Q.boundary_masks(Q.full_masks(), k, q_side))
-    iso = find_iso(BP, BQ)
-    if iso is None:
+    p_key, p_els = P.boundary_canon(k, p_side)
+    q_key, q_els = Q.boundary_canon(k, q_side)
+    if p_key != q_key:
         return None
-    return {q_amb[iso[el]]: p_amb[el] for el in BP.elements()}
+    return dict(zip(q_els, p_els))
 
 
 def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):

@@ -69,8 +69,8 @@ class OgPoset:
     by side, and ``cl_el`` its closure, each as a subset.  The
     :class:`Level` table at k (:meth:`level`) is built on the first request
     at k and kept in the "frames" memo, so a poset and an extracted copy each
-    build their own.  Instances are immutable and cache their canonical form
-    and memoised searches.
+    build their own.  Instances are immutable and cache their canonical form,
+    the canonical records of their boundaries and memoised searches.
     """
 
     __slots__ = (
@@ -340,6 +340,25 @@ class OgPoset:
     def canonical_key(self) -> bytes:
         return self.canonical()[0]
 
+    def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
+        """The canonical record of the alpha-side k-boundary of the poset.
+
+        Returns ``(key, els)``: the canonical key of the boundary, extracted
+        as a standalone poset, and the boundary's elements, as elements of
+        this poset, listed in canonical order (by dimension, then canonical
+        index).  So ``els[i]`` of two boundaries with equal keys are sent to
+        the same element of the one canonical poset that both relabel onto.
+        Kept in the "bdry" memo; the extracted poset itself is not kept.
+        """
+        memo = _memo(self, "bdry")
+        record = memo.get((k, alpha))
+        if record is None:
+            B, to_ambient = self.extract(self.boundary_masks(self.full_masks(), k, alpha))
+            key, relabel = B.canonical()
+            order = sorted(B._els, key=lambda el: (el[0], relabel[el]))
+            record = memo[(k, alpha)] = (key, tuple(to_ambient[el] for el in order))
+        return record
+
     def __repr__(self):
         return f"OgPoset(counts={list(self.counts)})"
 
@@ -482,8 +501,11 @@ def validate(raw, *, regular=False) -> OgPoset:
     ``(minus, plus)`` pairs (or ``{"-": [...], "+": [...]}`` mappings) of
     indices into dimension ``d - 1``.  A count or index must be an ``int``
     (not a ``bool``, which JSON ``true`` and ``false`` read as) and a count
-    must not be negative.
+    must not be negative.  Data of any other shape raises ``DcxError``
+    naming the dimension, and the index of the element when there is one.
     """
+    if not isinstance(raw, (list, tuple)):
+        raise DcxError(f"the face table {raw!r} is not a list")
     if not raw:
         return OgPoset((), [], regular=regular)
     head = raw[0]
@@ -494,19 +516,29 @@ def validate(raw, *, regular=False) -> OgPoset:
     counts = [head]
     faces = [[]]
     for d in range(1, len(raw)):
-        level = []
-        for i, entry in enumerate(raw[d]):
-            if isinstance(entry, dict):
-                mn, pl = tuple(entry.get("-", ())), tuple(entry.get("+", ()))
-            else:
-                mn, pl = map(tuple, entry)
-            for j in mn + pl:
-                if type(j) is not int:
-                    raise DcxError(f"element ({d},{i}) has face index {j!r}, not an integer")
-            level.append((mn, pl))
+        if not isinstance(raw[d], (list, tuple)):
+            raise DcxError(f"dimension {d} of the face table is {raw[d]!r}, not a list")
+        level = [_face_entry(entry, d, i) for i, entry in enumerate(raw[d])]
         counts.append(len(level))
         faces.append(level)
     return OgPoset(counts, faces, regular=regular)
+
+
+def _face_entry(entry, d: int, i: int) -> tuple[tuple, tuple]:
+    """The ``(minus, plus)`` index tuples of the raw face entry of (d, i)."""
+    if isinstance(entry, dict):
+        sides = (entry.get("-", ()), entry.get("+", ()))
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        sides = entry
+    else:
+        sides = None
+    if sides is None or not all(isinstance(side, (list, tuple)) for side in sides):
+        raise DcxError(f"element ({d},{i}) has face entry {entry!r}, not two index lists")
+    mn, pl = map(tuple, sides)
+    for j in mn + pl:
+        if type(j) is not int:
+            raise DcxError(f"element ({d},{i}) has face index {j!r}, not an integer")
+    return mn, pl
 
 
 def closure(P: OgPoset, els: Iterable[El]) -> Closed:
@@ -689,9 +721,9 @@ def _search(posets: list[OgPoset], leaf) -> None:
 
     The posets are laid end to end: colours form one list indexed by
     position, the first poset's first, refined jointly from each element's
-    dimension and numbers of faces and cofaces by side.  A branch is pruned
-    when some colour class holds different numbers of elements from each
-    poset.  When every class holds exactly one element of each poset,
+    dimension and numbers of faces and cofaces by side.  For a pair, a
+    branch is pruned when some colour class holds different numbers of
+    elements from each poset; one poset has nothing to balance.  When every class holds exactly one element of each poset,
     ``leaf(colors)`` is called, and the search stops once it returns True.
     Otherwise the search branches on the lowest class with more than one
     element per poset: for one poset each member is individualised in turn,
@@ -717,7 +749,10 @@ def _search(posets: list[OgPoset], leaf) -> None:
         classes: dict[int, list[int]] = {}
         for q, c in enumerate(colors):
             classes.setdefault(c, []).append(q)
-        if any(ways * sum(q < n for q in ms) != len(ms) for ms in classes.values()):
+        # one poset puts all of each class below n, so only a pair can be unbalanced
+        if ways > 1 and any(
+            ways * sum(q < n for q in ms) != len(ms) for ms in classes.values()
+        ):
             return False
         target = next((c for c in sorted(classes) if len(classes[c]) > ways), None)
         if target is None:
@@ -779,7 +814,14 @@ def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
     """
     key, relabel = P.canonical()
     order = sorted(labels, key=lambda el: (el[0], relabel[el]))
-    return key + b"|" + repr(tuple(labels[el] for el in order)).encode()
+    return _labelled_bytes(key, [labels[el] for el in order])
+
+
+def _labelled_bytes(key: bytes, labels: list) -> bytes:
+    """A canonical key followed by labels listed in canonical element order:
+    the one byte format of :func:`labelled_key` and of boundary keys built
+    from :meth:`OgPoset.boundary_canon`."""
+    return key + b"|" + repr(tuple(labels)).encode()
 
 
 def _canonical_form(P: OgPoset):

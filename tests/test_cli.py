@@ -189,6 +189,31 @@ def test_make_exit_codes(files, capsys):
         assert "error" in json.loads(out)
 
 
+MAKE_ARGUMENTS = {
+    "globe": lambda files: ["1"],
+    "path": lambda files: ["1"],
+    "oriental": lambda files: ["1"],
+    "theta": lambda files: ["((),())"],
+    "paste": lambda files: [files["horiz"], files["horiz"], "1"],
+    "atom": lambda files: [files["path2"], files["path2"]],
+    "join": lambda files: [files["path2"], files["path2"]],
+    "suspend": lambda files: [files["horiz"]],
+}
+
+
+@pytest.mark.parametrize("target", MAKE_ARGUMENTS)
+def test_make_rejects_an_extra_argument(target, files, capsys):
+    """Every make target takes a fixed number of arguments, and one more
+    exits 2 with the target's usage."""
+    usages = {name: usage for name, _, usage in cli._MAKE_TARGETS}
+    assert set(MAKE_ARGUMENTS) == set(usages)
+    args = MAKE_ARGUMENTS[target](files)
+    assert call(capsys, "make", target, *args)[0] == 0
+    code, out = call(capsys, "make", target, *args, "junk")
+    assert code == 2
+    assert json.loads(out)["error"] == f"make {target} needs {usages[target]}"
+
+
 def test_make_negative_size_exits_2(capsys):
     for kind in ("globe", "path", "oriental"):
         code, out = call(capsys, "make", kind, "-1")
@@ -291,6 +316,34 @@ BAD_NUMBERS = {
         "the 0-element count 2.5 is not a non-negative integer",
     ),
 }
+
+
+MALFORMED_FACES = {
+    "entry-not-a-pair": (
+        '{"format":"ogposet/1","faces":[2,[[0]]]}',
+        "element (1,0) has face entry [0], not two index lists",
+    ),
+    "side-not-a-list": (
+        '{"format":"ogposet/1","faces":[2,[[[0],[1]],{"-":0}]]}',
+        "element (1,1) has face entry {'-': 0}, not two index lists",
+    ),
+    "dimension-not-a-list": (
+        '{"format":"ogposet/1","faces":[2,5]}',
+        "dimension 1 of the face table is 5, not a list",
+    ),
+    "table-not-a-list": (
+        '{"format":"ogposet/1","faces":5}',
+        "the face table 5 is not a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, error", MALFORMED_FACES.values(), ids=MALFORMED_FACES.keys())
+def test_ogposet_malformed_faces_exit_2(tmp_path, capsys, text, error):
+    """A face table of the wrong shape is named by dimension and index."""
+    code, out = call(capsys, "check", "molecule", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid ogposet input: {error}"
 
 
 @pytest.mark.parametrize("text, error", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())

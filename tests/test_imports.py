@@ -239,7 +239,7 @@ def test_only_ogposet_reads_the_memo():
     assert readers == ["ogposet.py"]
 
 
-MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames"}
+MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "bdry"}
 
 
 def memo_names(path: Path) -> set:

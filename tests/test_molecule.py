@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dcx import (
@@ -27,7 +29,10 @@ from dcx import (
     suspension,
     theta_from_tree,
 )
-from dcx.molecule import paste_labelled
+from dcx.dcomplex import SemiSimplicialSet, enumerate_molecules, import_ssset
+from dcx.molecule import boundary_glue, paste_labelled
+from dcx.ogposet import OgIso
+from dcx.randgen import random_molecules
 
 
 def test_point_and_globes():
@@ -304,8 +309,6 @@ def test_factors_through_atom(horiz):
 
 
 def test_paste_associative_and_unital(corpus):
-    import itertools
-
     triples = 0
     pool = [m for m in corpus if m.size() <= 12]
     for A, B in itertools.islice(itertools.combinations(pool, 2), 300):
@@ -325,3 +328,40 @@ def test_paste_associative_and_unital(corpus):
             if triples >= 12:
                 return
     assert triples > 0
+
+
+def _extracted_boundary(P, k, side, cache):
+    """The alpha-side k-boundary of P as a standalone poset, with the maps
+    from its elements to P's and back."""
+    key = (id(P), k, side)
+    if key not in cache:
+        B, to_p = P.extract(P.boundary_masks(P.full_masks(), k, side))
+        cache[key] = (B, to_p, {el: b for b, el in to_p.items()})
+    return cache[key]
+
+
+def test_boundary_glue_matches_an_isomorphism_search():
+    """boundary_glue reads the glue off two canonical boundary records; an
+    isomorphism search of the extracted boundaries is the oracle."""
+    X = import_ssset(SemiSimplicialSet.standard_simplex(3))
+    posets = [m.poset for m in random_molecules(40, seed=3)]
+    posets += [d.shape.poset for d in enumerate_molecules(X, 2)]
+    cache: dict = {}
+    glued = same_counts_apart = 0
+    for P in posets:
+        for Q in posets:
+            for k in range(-1, max(P.dim, Q.dim) + 1):
+                for p_side, q_side in itertools.product("-+", repeat=2):
+                    BP, p_to, p_from = _extracted_boundary(P, k, p_side, cache)
+                    BQ, q_to, q_from = _extracted_boundary(Q, k, q_side, cache)
+                    glue = boundary_glue(P, Q, k, p_side, q_side)
+                    iso = find_iso(BQ, BP)
+                    assert (glue is None) == (iso is None), (P, Q, k, p_side, q_side)
+                    if iso is None:
+                        same_counts_apart += BP.counts == BQ.counts
+                        continue
+                    local = {q_from[q]: p_from[p] for q, p in glue.items()}
+                    assert OgIso(BQ, BP, local).verify()
+                    assert local == iso.mapping
+                    glued += 1
+    assert glued and same_counts_apart
