@@ -171,16 +171,7 @@ def skeleton(X: DirectedComplex, n: int) -> DirectedComplex:
 
 def atoms_acyclic(X: DirectedComplex) -> bool:
     """True iff the oriented Hasse diagram of every cell shape is acyclic."""
-    seen: set[bytes] = set()
-    for cid in X.cell_ids():
-        shape = X.cell(cid).shape
-        key = shape.key
-        if key in seen:
-            continue
-        seen.add(key)
-        if not is_hasse_acyclic(shape.poset):
-            return False
-    return True
+    return all(is_hasse_acyclic(X.cell(cid).shape.poset) for cid in X.cell_ids())
 
 
 # -- pasting diagrams -----------------------------------------------------------

@@ -27,11 +27,13 @@ Partition = tuple[frozenset, ...]
 
 
 def frame_dim_masks(P: OgPoset, masks: Masks) -> int:
-    cl = [P.cl_el[p] for p in _bits(P.maximal_masks(masks))]
-    acc = 0
-    for a in range(len(cl)):
-        for b in range(a + 1, len(cl)):
-            acc |= cl[a] & cl[b]
+    """The dimension of the elements lying in the closures of two or more
+    maximal elements of the subset, found in one pass: ``seen`` is the
+    union of the closures met so far."""
+    acc = seen = 0
+    for p in _bits(P.maximal_masks(masks)):
+        acc |= seen & P.cl_el[p]
+        seen |= P.cl_el[p]
     return P.masks_dim(acc)
 
 

@@ -458,32 +458,6 @@ def _path_cert(length: int) -> Cert:
     return ("paste", 0, ARROW_CERT, _path_cert(length - 1))
 
 
-def _path_edge_order(P: OgPoset, masks: Masks) -> Optional[list[int]]:
-    """Edge indices of a 1-dimensional subset in source-to-target order, or
-    None unless the subset is a directed path."""
-    succ: dict[int, int] = {}
-    has_pred: set[int] = set()
-    els = P.masks_els(masks)
-    vertices = [i for d, i in els if d == 0]
-    for _, e in els[len(vertices):]:
-        mn, pl = P.faces[1][e]
-        if len(mn) != 1 or len(pl) != 1 or mn[0] in succ or pl[0] in has_pred:
-            return None
-        succ[mn[0]] = e
-        has_pred.add(pl[0])
-    starts = [v for v in vertices if v not in has_pred]
-    if len(starts) != 1 or len(starts) + len(has_pred) != len(vertices):
-        return None
-    order = []
-    v = starts[0]
-    while v in succ:
-        e = succ[v]
-        order.append(e)
-        v = P.faces[1][e][1][0]
-    # with one source and every target inside, a full walk is the whole subset
-    return order if len(order) == len(succ) else None
-
-
 def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
     """Certificate witnessing that a closed subset is a molecule, or None.
 
@@ -507,12 +481,25 @@ def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     if not P.connected_masks(masks):
         return None
     if d == 1:
-        # the split search gives the same certificate, but paired perfbench
-        # runs without this fork took longer (Python 3.11, 2 cores): `check`
-        # wall_s +0.5% (fork faster in 13 of 20 pairs), `sd` wall_s +4.3%
-        # and its path(10) query +8.5% (7 of 10 pairs each)
-        order = _path_edge_order(P, masks)
-        return None if order is None else _path_cert(len(order))
+        # A connected 1-dimensional subset is a directed path iff each edge
+        # has one source and one target, no two edges share a source or a
+        # target, and it has one vertex more than edges.  Connected with
+        # one vertex more than edges, it is a tree; each vertex has at most
+        # one edge in and one out, so the tree is a line whose edges all
+        # point one way, a directed path.  A directed path passes all three
+        # tests, so they decide it exactly.  The
+        # split search gives the same certificate, but its recursion deepens
+        # with the length n and its cost grows faster than n^2: without this
+        # case, recognising path(50) took 12.9 ms and path(200) 568 ms,
+        # against 0.21 and 0.64 ms with it (Python 3.11, CPU time).
+        edges = [P.faces[1][i] for _, i in P.masks_els(masks & ~P.upto(0))]
+        if (
+            all(len(mn) == len(pl) == 1 for mn, pl in edges)
+            and len({mn for mn, _ in edges}) == len({pl for _, pl in edges}) == len(edges)
+            and masks.bit_count() == 2 * len(edges) + 1
+        ):
+            return _path_cert(len(edges))
+        return None
     if P.maximal_masks(masks).bit_count() == 1:
         return _atom_cert(P, masks)
     # splits_masks yields only splits whose two sides are molecules

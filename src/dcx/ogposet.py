@@ -366,12 +366,15 @@ class OgPoset:
 class Level:
     """The per-position tables of a poset at one level k.
 
-    Indexed by position, as subsets:
+    The table describes only the elements above level k, those of
+    dimension greater than k, and none below level 0, which has no k-cells:
+    every row at a position of dimension at most k is 0, every row is 0
+    when k < 0 or k >= dim, and every row holds only elements above k.
+    Its readers cut rows and bits to high elements, so they ask for
+    nothing else.  For p above k, as subsets indexed by position:
 
     - ``minus[p]``, ``plus[p]``: the input and output k-frames of p, the
-      dimension-k part of its closure's input and output k-boundary.  An
-      element of dimension k is its own frame, one of lower dimension has
-      none, and a higher element's frames are the δ at k of its closure.
+      δ at k of its closure.
     - ``succ[p]``: the elements whose input k-frame meets p's output
       k-frame, p's successors in the maximal k-flow rule.
     - ``need[p]``: p's flow predecessors, and the elements whose closures
@@ -382,9 +385,7 @@ class Level:
       respectively output, faces of its (k+1)-cells: the k-cells of the
       closure outside p's output, respectively input, k-frame.
 
-    ``cells`` is the set of elements of dimension k.  Every table is 0 at
-    every position for k < 0 and for k above the dimension, except ``need``
-    at k < 0, whose closures meet above k whenever they meet.
+    ``cells`` is the set of elements of dimension k.
     """
 
     __slots__ = ("cells", "minus", "plus", "succ", "need", "ins", "outs")
@@ -395,29 +396,32 @@ class Level:
         if 0 <= k < len(P.counts):
             lo, hi = P._offsets[k], P._offsets[k + 1]
         self.cells = (1 << hi) - (1 << lo)
-        own = [0] * lo + [1 << p for p in range(lo, hi)]
+        low = [0] * hi
         cl_above = P.cl_el[hi:]
-        self.minus = own + [P.delta_masks(c, k, MINUS) for c in cl_above]
-        self.plus = own + [P.delta_masks(c, k, PLUS) for c in cl_above]
+        minus = [P.delta_masks(c, k, MINUS) for c in cl_above]
+        plus = [P.delta_masks(c, k, PLUS) for c in cl_above]
         # into[c]: the elements whose input k-frame holds the k-cell c
         into = [0] * n
-        for q, frame in enumerate(self.minus):
+        for q, frame in enumerate(minus, hi):
             for c in _bits(frame):
                 into[c] |= 1 << q
-        self.succ = [_union(into, frame) for frame in self.plus]
-        # up[r]: the elements whose closures hold r, for r above k, which
-        # are the highest positions; cofaces come first, from the top down
-        above = P.full_masks() & ~P.upto(k)
+        succ = [_union(into, frame) for frame in plus]
+        # up[r]: the elements above k whose closures hold r, for r above k;
+        # cofaces come first, from the top down
+        above = P.full_masks() >> hi << hi
         up = [0] * n
-        for r in reversed(range(n - above.bit_count(), n)):
+        for r in reversed(range(hi, n)):
             up[r] = 1 << r | _union(up, P.up_all[r])
-        need = [_union(up, cl & above) for cl in P.cl_el]
-        for p, row in enumerate(self.succ):
+        need = low + [_union(up, cl & above) for cl in cl_above]
+        for p, row in enumerate(succ, hi):
             for q in _bits(row):
                 need[q] |= 1 << p
+        self.minus = low + minus
+        self.plus = low + plus
+        self.succ = low + succ
         self.need = need
-        self.ins = [cl & self.cells & ~f for cl, f in zip(P.cl_el, self.plus)]
-        self.outs = [cl & self.cells & ~f for cl, f in zip(P.cl_el, self.minus)]
+        self.ins = low + [cl & self.cells & ~f for cl, f in zip(cl_above, plus)]
+        self.outs = low + [cl & self.cells & ~f for cl, f in zip(cl_above, minus)]
 
     def keep(self, left: Masks, right: Masks) -> tuple[Masks, Masks]:
         """The k-cells consumed by no (k+1)-cell of the closures of ``left``,

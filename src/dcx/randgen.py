@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from .errors import DcxError
-from .molecule import Molecule, arrow, atom, globe, is_round, paste, path, point
+from .molecule import Molecule, arrow, atom, globe, paste, path, point
 
 
 def random_molecules(
@@ -41,8 +41,6 @@ def random_molecules(
             U = rng.choice(pool)
             V = rng.choice(pool)
             if U.dim != V.dim or U.dim >= max_dim:
-                continue
-            if not (is_round(U) and is_round(V)):
                 continue
             try:
                 made = atom(U, V)

@@ -30,6 +30,8 @@ from dcx.errors import (
 from dcx.molecule import globe, point
 from dcx.ogposet import find_iso
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
 
 def simplex_complex(n):
     return import_ssset(SemiSimplicialSet.standard_simplex(n))
@@ -435,3 +437,25 @@ def test_frame_acyclic_verdicts(monkeypatch):
         "verdict": "counterexample",
         "counterexample_shape": list(verdict.diagram.shape.counts),
     }
+
+
+def generated_complex(P):
+    """The directed complex generated by a regular molecule: one cell per
+    element, shaped as its closure and attached by inclusion."""
+    cells = [[] for _ in P.counts]
+    for el in P.elements():
+        Q, to_ambient = P.extract(P.cl_el[P.pos(el)])
+        cells[el[0]].append(Cell(dcx.Molecule(Q, dcx.is_molecule(Q)), to_ambient))
+    return DirectedComplex(cells).validate()
+
+
+@pytest.mark.parametrize("name", ["cyclic151", "cyclic206"])
+def test_a_hasse_cyclic_atom_is_proven_by_dimension(name):
+    # a committed Hasse-cyclic 3-atom: no monkeypatch reaches the dimension
+    # proof, as the complex's top cell has a Hasse-cyclic shape
+    P = serialize.loads_ogposet((GOLDEN_INPUTS / f"{name}.json").read_text(encoding="utf-8"))
+    X = generated_complex(P)
+    assert X.n_cells() == P.size() and X.dim == 3
+    assert not atoms_acyclic(X)
+    verdict = has_frame_acyclic_molecules(X)
+    assert verdict.kind == Verdict.PROVEN_BY_DIMENSION and verdict.is_proof()

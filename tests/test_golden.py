@@ -3,14 +3,15 @@
 ``tests/golden/manifest.json`` lists command lines of every ``dcx``
 subcommand, each with the sha256 of its stdout and its exit code.  An
 argument that starts with ``inputs/`` names a committed file under
-``tests/golden/``: ogposet/1 molecules, three ogposet/1 posets that are not
-molecules (checked only), ssset/1 simplices and their dcomplex/1
-realisations.  ``tests/golden/library.json`` holds one sha256 per
-section of a library digest: canonical keys and relabels, full isomorphism
-lists against relabelled copies, the keys of enumerated pasting diagrams,
-and, for each committed ogposet/1 input, its submolecules with witnesses,
-their certificates and their splits at every k, its pre-layerings at every
-k, and its subdivision posets at every level set.  The subdivision section
+``tests/golden/``: ogposet/1 molecules, ogposet/1 inputs that are only
+checked (three posets that are not molecules and two Hasse-cyclic atoms),
+ssset/1 simplices and their dcomplex/1 realisations.
+``tests/golden/library.json`` holds one sha256 per section of a library
+digest: canonical keys and relabels, full isomorphism lists against
+relabelled copies, the keys of enumerated pasting diagrams, and, for each
+committed ogposet/1 molecule, its submolecules with witnesses, their
+certificates and their splits at every k, its pre-layerings at every k,
+and its subdivision posets at every level set.  The subdivision section
 does not depend on the order in which ``enumerate_sd`` lists elements: each
 element is named by its set of images.
 
@@ -207,8 +208,8 @@ def _input_digest() -> dict[str, str]:
     names = ("submolecules", "certificates", "splits", "prelayerings", "enumerate_sd")
     lines: dict[str, list[str]] = {name: [] for name in names}
     for path in sorted(INPUTS.glob("*.json")):
-        if "." in path.stem or path.stem in NON_MOLECULES:
-            continue  # an ssset/1 or dcomplex/1 input, or not a molecule
+        if "." in path.stem or path.stem in CHECK_ONLY:
+            continue  # an ssset/1 or dcomplex/1 input, or one only checked
         P = loads_ogposet(path.read_text(encoding="utf-8"))
         mol = Molecule(P, is_molecule(P))
 
@@ -267,14 +268,28 @@ def _molecules(corpus):
         yield f"corpus{i:02d}", mol
 
 
-# valid ogposet/1 inputs that are not molecules, as raw data for ``validate``:
-# two opposite arrows between two points (Hasse-cyclic), two points, and a
-# 2-cell whose input arrow and output arrow share no end; only ``check`` runs
-# on them
-NON_MOLECULES = {
+# valid ogposet/1 inputs on which only ``check`` runs, as raw data for
+# ``validate``.  Three are not molecules: two opposite arrows between two
+# points (Hasse-cyclic), two points, and a 2-cell whose input arrow and
+# output arrow share no end.  Two are the Hasse-cyclic 3-atoms at indices 151
+# (counts [4, 6, 4, 1]) and 206 ([5, 6, 3, 1]) of ``random_molecules(300, 2,
+# max_elements=16, max_dim=4)``, which are frame-acyclic.
+CHECK_ONLY = {
     "opposite": [2, [([0], [1]), ([1], [0])]],
     "points": [2],
     "apart": [4, [([0], [1]), ([2], [3])], [([0], [1])]],
+    "cyclic151": [
+        4,
+        [([0], [1]), ([1], [2]), ([0], [2]), ([2], [3]), ([0], [3]), ([0], [1])],
+        [([0, 1], [2]), ([2, 3], [4]), ([0], [5]), ([1, 3, 5], [4])],
+        [([0, 1], [2, 3])],
+    ],
+    "cyclic206": [
+        5,
+        [([0], [1]), ([1], [2]), ([2], [3]), ([3], [4]), ([0], [4]), ([0], [1])],
+        [([0, 1, 2, 3], [4]), ([0], [5]), ([1, 2, 3, 5], [4])],
+        [([0], [1, 2])],
+    ],
 }
 
 CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
@@ -378,7 +393,7 @@ def update() -> int:
             serialize.dumps_dcomplex(import_ssset(S)), encoding="utf-8"
         )
         commands += list(_complex_commands(f"delta{n}"))
-    for name, raw in NON_MOLECULES.items():
+    for name, raw in CHECK_ONLY.items():
         (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(validate(raw)), encoding="utf-8")
         commands += [["check", prop, f"inputs/{name}.json"] for prop in CHECK_PROPERTIES]
     entries = []

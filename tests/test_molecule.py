@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -28,9 +29,10 @@ from dcx import (
     submolecules,
     suspension,
     theta_from_tree,
+    validate,
 )
 from dcx.dcomplex import SemiSimplicialSet, enumerate_molecules, import_ssset
-from dcx.molecule import boundary_glue, paste_labelled
+from dcx.molecule import boundary_glue, mol_cert, paste_labelled
 from dcx.ogposet import OgIso
 from dcx.randgen import random_molecules
 
@@ -365,3 +367,72 @@ def test_boundary_glue_matches_an_isomorphism_search():
                     assert local == iso.mapping
                     glued += 1
     assert glued and same_counts_apart
+
+
+def _random_graph(rng):
+    """A valid non-regular poset of dimension at most 1: at most 6 vertices
+    and 6 edges, each side of an edge a random set of vertices, possibly
+    empty, disjoint from the other side."""
+    n = rng.randint(1, 6)
+    edges = []
+    for _ in range(rng.randint(0, 6)):
+        sides = [rng.choice("-+  ") for _ in range(n)]
+        edges.append(tuple([v for v, s in enumerate(sides) if s == a] for a in "-+"))
+    return validate([n, edges] if edges else [n])
+
+
+def _connected_graph_subsets(P):
+    """Every connected 1-dimensional closed subset of P, with its face data
+    renumbered as ``validate`` reads it.  Each is the union of the closures
+    of a nonempty set of edges, as a vertex outside every edge would be
+    isolated; ``cl[r]`` is that union for the edges of the bits of r."""
+    edges = [P.pos(e) for e in P.elements() if e[0] == 1]
+    cl = [0]
+    for r in range(1, 1 << len(edges)):
+        low = r & -r
+        cl.append(cl[r ^ low] | P.cl_el[edges[low.bit_length() - 1]])
+        if P.connected_masks(cl[r]):
+            els = P.masks_els(cl[r])
+            new = {v: j for j, (d, v) in enumerate(els) if d == 0}
+            faces = (
+                tuple(tuple(new[v] for v in side) for side in P.faces[1][i])
+                for d, i in els
+                if d == 1
+            )
+            yield cl[r], (len(new), tuple(faces))
+
+
+def test_one_dimensional_recognition_matches_an_isomorphism_search(corpus):
+    """A connected 1-dimensional subset is recognised exactly when it is
+    isomorphic to the path with as many edges, and its certificate replays
+    to it.  The oracle runs once per distinct renumbered subset, on paths
+    of at most 12 edges, the most that a corpus molecule has."""
+    rng = random.Random(29)
+    posets = [
+        validate([2, [([0], [1]), ([1], [0])]]),  # a 2-cycle
+        validate([2, [([0], [1]), ([0], [1])]]),  # two parallel edges
+        validate([3, [([0], [1]), ([0], [2])]]),  # a branch
+        validate([2, [([0], [])]]),  # an edge with an empty side
+    ]
+    posets += [_random_graph(rng) for _ in range(600)]
+    # the corpus through 1-skeletons of their own, so that its shared
+    # recognition memos stay as they are
+    posets += [m.poset.extract(m.poset.upto(1))[0] for m in corpus]
+    paths = [path(n).poset for n in range(13)]
+    oracle: dict = {}
+    replayed = set()
+    seen = recognised = 0
+    for P in posets:
+        for masks, raw in _connected_graph_subsets(P):
+            if raw not in oracle:
+                Q = validate(raw)
+                oracle[raw] = Q, find_iso(Q, paths[len(raw[1])]) is not None
+            Q, is_path = oracle[raw]
+            cert = mol_cert(P, masks)
+            assert (cert is not None) == is_path, (P, P.masks_els(masks))
+            if cert is not None and (raw, cert) not in replayed:
+                assert find_iso(replay(cert).poset, Q) is not None
+                replayed.add((raw, cert))
+            seen += 1
+            recognised += cert is not None
+    assert recognised and seen > recognised

@@ -506,24 +506,27 @@ def plain_frames(P, k):
 
 
 def plain_level(P, k):
-    """The level-k tables as sets, element by element: the frames, the flow
-    successors, what a k-split keeps with or before each element, and the
-    k-cells of each closure that its (k+1)-cells consume and produce, read
-    from the faces of those cells."""
-    frames = plain_frames(P, k)
+    """The level-k tables as sets, element by element.  Only the elements
+    above k, at a level 0 <= k, have rows that are not empty: their frames,
+    their flow successors among the elements above k, what a k-split keeps
+    with or before them among the elements above k, and the k-cells of their
+    closures that (k+1)-cells consume and produce, read from the faces of
+    those cells."""
     els = list(P.elements())
+    high = {x for x in els if x[0] > k >= 0}
+    frames = {x: f if x in high else (set(), set()) for x, f in plain_frames(P, k).items()}
     closures = {x: plain_closure(P, {x}) for x in els}
-    succ = {x: {y for y in els if frames[x][1] & frames[y][0]} for x in els}
+    succ = {x: {y for y in high if frames[x][1] & frames[y][0]} for x in els}
     need = {
-        x: {y for y in els if x in succ[y] or any(z[0] > k for z in closures[x] & closures[y])}
+        x: {y for y in high if x in succ[y] or any(z[0] > k for z in closures[x] & closures[y])}
         for x in els
     }
 
     def faces_of_cells(x, side):
         return {f for c in closures[x] if c[0] == k + 1 for f in plain_faces(P, c, side)}
 
-    ins = {x: faces_of_cells(x, "-") for x in els}
-    outs = {x: faces_of_cells(x, "+") for x in els}
+    ins = {x: faces_of_cells(x, "-") if x in high else set() for x in els}
+    outs = {x: faces_of_cells(x, "+") if x in high else set() for x in els}
     return {"frames": frames, "succ": succ, "need": need, "ins": ins, "outs": outs}
 
 
