@@ -366,7 +366,10 @@ def _args_make(p) -> None:
     p.add_argument(
         "what",
         nargs="+",
-        help="globe N | path K | oriental N | theta TREE | paste A B K | atom A B | suspend A | join A B",
+        help=(
+            "globe N | path K | oriental N | theta TREE | paste A B K | atom A B"
+            " | suspend A | join A B"
+        ),
     )
     p.set_defaults(func=_cmd_make)
 

@@ -166,7 +166,9 @@ def layerings(U: Molecule, k: int) -> list[tuple[Closed, ...]]:
 # -- pre-orderings -----------------------------------------------------------
 
 
-def _chains(need: list[int], within: int, first, cap: Optional[int] = None) -> list[tuple[int, ...]]:
+def _chains(
+    need: list[int], within: int, first, cap: Optional[int] = None
+) -> list[tuple[int, ...]]:
     """Ordered partitions of ``within`` into blocks, as bitmasks.
 
     Each block is a nonempty set drawn by ``first(need, rest)`` from what

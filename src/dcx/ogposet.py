@@ -28,6 +28,7 @@ from .errors import (
     DcxError,
     EmptyFaceSetError,
     OverlapError,
+    PreconditionError,
 )
 
 El = tuple[int, int]
@@ -677,10 +678,12 @@ class OgIso:
         return self.mapping[el]
 
     def verify(self) -> bool:
+        """True iff the mapping is a bijection from the elements of the
+        source onto those of the target that keeps dimensions and both face
+        sides; a key or value that is not an element gives False."""
         P, Q = self.source, self.target
-        if P.counts != Q.counts or len(self.mapping) != P.size():
-            return False
-        if len(set(self.mapping.values())) != len(self.mapping):
+        els = set(P._els)
+        if P.counts != Q.counts or set(self.mapping) != els or set(self.mapping.values()) != els:
             return False
         for (d, i), (dq, iq) in self.mapping.items():
             if d != dq:
@@ -703,21 +706,50 @@ def _refine(nbrs: list[tuple[list[int], ...]], colors: list) -> list[int]:
     """Stable colour refinement of a flat colouring, as ranks 0, 1, ...
 
     ``nbrs[q]`` lists the positions of q's input faces, output faces, and
-    cofaces having q as an input and as an output.  A signature is the
-    colour and the sorted colours of each list; new colours rank them, so
-    they keep the order of the old ones.
+    cofaces having q as an input and as an output.  Each round ranks every
+    element's signature, its colour and the sorted colours of each list,
+    until a round makes no new colour.  Every signature starts with the old
+    colour, so ranking them all is ranking within each class: a class of one
+    element takes the next rank unsigned, and the members of a larger class
+    take the class's first rank plus the rank of the rest of their
+    signature among the class's distinct ones.
+
+    The classes are kept as lists in colour order from one round to the
+    next, and each round numbers them afresh before signing their members.
     """
-    count = len(set(colors))
+    distinct = sorted(set(colors))
+    rank = {c: r for r, c in enumerate(distinct)}
+    classes: list[list[int]] = [[] for _ in distinct]
+    for q, c in enumerate(colors):
+        classes[rank[c]].append(q)
+    colors = [0] * len(colors)
+    get = colors.__getitem__
     while True:
-        sigs = [
-            (c, *[tuple(sorted([colors[r] for r in ns])) for ns in row])
-            for c, row in zip(colors, nbrs)
-        ]
-        ranking = {sig: n for n, sig in enumerate(sorted(set(sigs)))}
-        colors = [ranking[sig] for sig in sigs]
-        if len(ranking) == count:
+        for r, members in enumerate(classes):
+            for q in members:
+                colors[q] = r
+        split: list[list[int]] = []
+        for members in classes:
+            if len(members) == 1:
+                split.append(members)
+                continue
+            parts: dict = {}
+            for q in members:
+                a, b, c, d = nbrs[q]
+                sig = (
+                    tuple(sorted(map(get, a))),
+                    tuple(sorted(map(get, b))),
+                    tuple(sorted(map(get, c))),
+                    tuple(sorted(map(get, d))),
+                )
+                parts.setdefault(sig, []).append(q)
+            if len(parts) == 1:
+                split.append(members)
+            else:
+                split.extend(parts[sig] for sig in sorted(parts))
+        if len(split) == len(classes):
             return colors
-        count = len(ranking)
+        classes = split
 
 
 def _search(posets: list[OgPoset], leaf) -> None:
@@ -725,47 +757,59 @@ def _search(posets: list[OgPoset], leaf) -> None:
 
     The posets are laid end to end: colours form one list indexed by
     position, the first poset's first, refined jointly from each element's
-    dimension and numbers of faces and cofaces by side.  For a pair, a
-    branch is pruned when some colour class holds different numbers of
-    elements from each poset; one poset has nothing to balance.  When every class holds exactly one element of each poset,
-    ``leaf(colors)`` is called, and the search stops once it returns True.
-    Otherwise the search branches on the lowest class with more than one
-    element per poset: for one poset each member is individualised in turn,
-    for a pair the smallest member from the first poset is matched with
-    each member from the second.  A stable, balanced, discrete colouring of
-    a pair matches neighbour colours, so it is an isomorphism, and each
-    isomorphism survives exactly one branch.  Members are ordered by
-    position, which is ``(dim, index)`` order.  Colours keep their order
-    through refinement and individualisation, so a discrete colouring of
-    one poset numbers its positions dimension by dimension.
+    dimension and numbers of faces and cofaces by side.  Each position's
+    four neighbour lists are read off the face table, the cofaces in the
+    same pass as the faces.  For a pair, a branch is pruned when some
+    colour class holds different numbers of elements from each poset; one
+    poset has nothing to balance.  When every class holds exactly one
+    element of each poset, ``leaf(colors)`` is called, and the search stops
+    once it returns True.  Otherwise the search branches on the lowest
+    class with more than one element per poset: for one poset each member
+    is individualised in turn, for a pair the smallest member from the
+    first poset is matched with each member from the second.  A stable,
+    balanced, discrete colouring of a pair matches neighbour colours, so it
+    is an isomorphism, and each isomorphism survives exactly one branch.
+    Members are ordered by position, which is ``(dim, index)`` order.
+    Colours keep their order through refinement and individualisation, so
+    a discrete colouring of one poset numbers its positions dimension by
+    dimension.
     """
     nbrs, start = [], []
     base = 0
     for P in posets:
-        for q, (d, _) in enumerate(P._els):
-            tables = (P.dn_minus[q], P.dn_plus[q], P.up_minus[q], P.up_plus[q])
-            nbrs.append(tuple([base + r for r in _bits(t)] for t in tables))
-            start.append((d, *[t.bit_count() for t in tables]))
+        rows = [([], [], [], []) for _ in P._els]
+        for d in range(1, len(P.counts)):
+            lo, hi = P._offsets[d - 1], P._offsets[d]
+            for p, (mn, pl) in enumerate(P.faces[d], hi):
+                row = rows[p]
+                for j in mn:
+                    row[0].append(base + lo + j)
+                    rows[lo + j][2].append(base + p)
+                for j in pl:
+                    row[1].append(base + lo + j)
+                    rows[lo + j][3].append(base + p)
+        for (d, _), row in zip(P._els, rows):
+            start.append((d, *map(len, row)))
+        nbrs += rows
         base += P.size()
     n, ways = posets[0].size(), len(posets)
 
     def rec(colors) -> bool:
-        classes: dict[int, list[int]] = {}
+        # colours are ranks, so the classes are listed in colour order
+        classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
         for q, c in enumerate(colors):
-            classes.setdefault(c, []).append(q)
+            classes[c].append(q)
         # one poset puts all of each class below n, so only a pair can be unbalanced
-        if ways > 1 and any(
-            ways * sum(q < n for q in ms) != len(ms) for ms in classes.values()
-        ):
+        if ways > 1 and any(ways * sum(q < n for q in ms) != len(ms) for ms in classes):
             return False
-        target = next((c for c in sorted(classes) if len(classes[c]) > ways), None)
+        target = next((ms for ms in classes if len(ms) > ways), None)
         if target is None:
             return leaf(colors)
-        first = [q for q in classes[target] if q < n]
+        first = [q for q in target if q < n]
         if ways == 1:
             branches = [[x] for x in first]
         else:
-            branches = [[first[0], y] for y in classes[target] if y >= n]
+            branches = [[first[0], y] for y in target if y >= n]
         for picked in branches:
             nxt = [2 * c for c in colors]
             for q in picked:
@@ -778,8 +822,14 @@ def _search(posets: list[OgPoset], leaf) -> None:
 
 
 def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[OgIso]:
-    """All orientation-preserving isomorphisms P -> Q (up to ``limit``)."""
-    if P.counts != Q.counts:
+    """All orientation-preserving isomorphisms P -> Q (up to ``limit``).
+
+    ``limit`` 0 gives ``[]`` without a search; a negative one raises
+    PreconditionError.
+    """
+    if limit is not None and limit < 0:
+        raise PreconditionError(f"limit must be at least 0, got {limit}")
+    if P.counts != Q.counts or limit == 0:
         return []
     found: list[OgIso] = []
     n = P.size()
@@ -829,30 +879,45 @@ def _labelled_bytes(key: bytes, labels: list) -> bytes:
 
 
 def _canonical_form(P: OgPoset):
+    """The canonical key and relabel of P (see :meth:`OgPoset.canonical`).
+
+    Every leaf of the search gives a certificate: the counts, then each
+    dimension's face pairs listed in the leaf's order of its elements.  The
+    key is the least certificate over all leaves, so every branch is
+    explored.  On a poset with automorphisms refinement alone can leave
+    classes it cannot split, and the leaf reached by individualising some
+    member first depends on how the input was numbered; only the least
+    over all of them is the same for every numbering.  ``relabel`` is the
+    order of the best leaf, which numbers each dimension from 0.
+    """
     if not P.counts:
         return (b"()", {})
+    offs = P._offsets
     best: list = [None, None]
 
     def leaf(colors) -> bool:
         # a discrete colouring numbers each dimension's positions consecutively
-        order = {el: c - P._offsets[el[0]] for el, c in zip(P._els, colors)}
+        at = [0] * len(colors)
+        for p, c in enumerate(colors):
+            at[c] = p
         cert = [tuple(P.counts)]
         for d in range(1, len(P.counts)):
-            row = sorted(range(P.counts[d]), key=lambda i: order[(d, i)])
-            cert.append(
-                tuple(
+            lo, hi = offs[d - 1], offs[d]
+            rows = []
+            for p in at[hi : offs[d + 1]]:
+                mn, pl = P.faces[d][p - hi]
+                rows.append(
                     (
-                        tuple(sorted(order[(d - 1, j)] for j in P.faces[d][i][0])),
-                        tuple(sorted(order[(d - 1, j)] for j in P.faces[d][i][1])),
+                        tuple(sorted([colors[lo + j] - lo for j in mn])),
+                        tuple(sorted([colors[lo + j] - lo for j in pl])),
                     )
-                    for i in row
                 )
-            )
+            cert.append(tuple(rows))
         key = repr(tuple(cert)).encode()
         if best[0] is None or key < best[0]:
-            best[0] = key
-            best[1] = order
+            best[:] = key, colors
         return False
 
     _search([P], leaf)
-    return (best[0], best[1])
+    key, colors = best
+    return (key, {el: c - offs[el[0]] for el, c in zip(P._els, colors)})

@@ -269,6 +269,34 @@ def test_the_memo_names_are_fixed():
     assert found == MEMO_NAMES
 
 
+# -- line length ------------------------------------------------------------------
+
+MAX_LINE = 100
+
+
+def long_lines(path: Path) -> list[str]:
+    """The lines of a module longer than ``MAX_LINE`` characters, with their
+    numbers and lengths."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        f"{path.name}:{n}: {len(line)}"
+        for n, line in enumerate(lines, 1)
+        if len(line) > MAX_LINE
+    ]
+
+
+def test_scan_finds_a_long_line(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("x = 1\ny = '" + "a" * 94 + "'\nz = '" + "a" * 95 + "'\n", encoding="utf-8")
+    assert long_lines(mod) == ["mod.py:3: 101"]
+
+
+def test_no_long_lines():
+    """No line of the package is longer than ``MAX_LINE`` characters."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in long_lines(path)]
+    assert found == []
+
+
 # -- no module-level caches -----------------------------------------------------------
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

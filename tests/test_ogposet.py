@@ -13,10 +13,14 @@ from dcx import (
     OgIso,
     OgPoset,
     OverlapError,
+    PreconditionError,
+    SemiSimplicialSet,
     closure,
+    enumerate_molecules,
     find_iso,
     globe,
     hasse_cycle,
+    import_ssset,
     is_hasse_acyclic,
     isomorphisms,
     oriental,
@@ -27,6 +31,7 @@ from dcx import (
     unique_iso,
     validate,
 )
+from dcx import ogposet
 from dcx.ogposet import _bits, closed_rows, down_sets, find_cycle
 from dcx.serialize import loads_ogposet
 
@@ -368,6 +373,97 @@ def test_canonical_key_invariant_under_relabelling(corpus):
             assert Q.canonical_key() == mol.key
             iso = find_iso(mol.poset, Q)
             assert iso is not None and iso.verify()
+
+
+def test_verify_rejects_keys_and_values_that_are_not_elements():
+    P, Q = validate([1]), validate([1])
+    assert OgIso(P, Q, {(0, 0): (0, 0)}).verify()
+    assert not OgIso(P, Q, {(0, 5): (0, 7)}).verify()
+    assert not OgIso(P, Q, {(0, 5): (0, 0)}).verify()
+    assert not OgIso(P, Q, {(0, 0): (0, 7)}).verify()
+    arrow = validate([2, [([0], [1])]])
+    ends = {(0, 0): (0, 0), (0, 1): (0, 1)}
+    assert OgIso(arrow, arrow, {**ends, (1, 0): (1, 0)}).verify()
+    assert not OgIso(arrow, arrow, {**ends, (1, 0): (1, 3)}).verify()
+    assert not OgIso(arrow, arrow, {**ends, (1, 3): (1, 0)}).verify()
+
+
+def test_isomorphisms_limit_zero_searches_nothing_and_negative_is_refused(monkeypatch):
+    P = globe(2).poset
+    assert len(isomorphisms(P, P, limit=1)) == 1
+
+    def no_search(posets, leaf):
+        raise AssertionError("searched with limit 0")
+
+    monkeypatch.setattr(ogposet, "_search", no_search)
+    assert isomorphisms(P, P, limit=0) == []
+    for limit in (-1, -3):
+        with pytest.raises(PreconditionError):
+            isomorphisms(P, P, limit=limit)
+
+
+def oracle_refine(nbrs, colors):
+    """Colour refinement as every element's signature ranked afresh each
+    round, the colour and the sorted colours of each neighbour list."""
+    count = len(set(colors))
+    while True:
+        sigs = [
+            (c, *[tuple(sorted([colors[r] for r in ns])) for ns in row])
+            for c, row in zip(colors, nbrs)
+        ]
+        ranking = {sig: n for n, sig in enumerate(sorted(set(sigs)))}
+        colors = [ranking[sig] for sig in sigs]
+        if len(ranking) == count:
+            return colors
+        count = len(ranking)
+
+
+def test_refinement_matches_the_oracle(monkeypatch, corpus, random_pairs):
+    """Every refinement the searches make returns the oracle's colours."""
+    refine = ogposet._refine
+    calls = []
+
+    def checked(nbrs, colors):
+        expected = oracle_refine(nbrs, colors)
+        got = refine(nbrs, colors)
+        assert got == expected
+        calls.append(len(colors))
+        return got
+
+    monkeypatch.setattr(ogposet, "_refine", checked)
+
+    def made(run) -> int:
+        before = len(calls)
+        run()
+        return len(calls) - before
+
+    def fresh(P):
+        return OgPoset(P.counts, P.faces)
+
+    def corpus_keys():
+        for mol in corpus:
+            assert fresh(mol.poset).canonical_key() == mol.key
+
+    def pair_isos():
+        for P, Q, expected in random_pairs:
+            assert len(isomorphisms(P, Q)) == len(expected)
+
+    def simplex_molecules():
+        X = import_ssset(SemiSimplicialSet.standard_simplex(3))
+        assert enumerate_molecules(X, 2)
+
+    arrows = validate([2, [([0], [1])] * 6])
+    points = validate([40])
+
+    def symmetric():
+        assert len(isomorphisms(arrows, fresh(arrows))) == 720
+        assert fresh(arrows).canonical_key() == arrows.canonical_key()
+        assert find_iso(points, fresh(points)) is not None
+
+    for run in (corpus_keys, pair_isos, simplex_molecules, symmetric):
+        assert made(run) > 0
+    # the pair of 40 points, the largest colouring, was refined too
+    assert max(calls) == 80
 
 
 # -- down-sets of a closed relation ---------------------------------------
