@@ -4,7 +4,9 @@ Subcommands build shapes, check properties, explore layerings and
 subdivision posets, and work with directed complexes.  Exit codes: 0 when
 the requested property holds (or the command succeeded), 1 when a checked
 property fails (a JSON counterexample goes to stdout), 2 on invalid input
-or when a brute-force guard (DCX_ELEMENT_LIMIT) trips.
+or when a brute-force guard trips: every poset read from a file, and every
+``make globe``, ``path``, ``oriental`` or ``join`` output, may hold at most
+DCX_ELEMENT_LIMIT elements.  Those outputs are sized before they are built.
 """
 from __future__ import annotations
 
@@ -70,18 +72,16 @@ def _parse_input(kind: str, parse, path_arg):
 
 
 def _load_poset(path_arg) -> OgPoset:
-    return _parse_input("ogposet", serialize.loads_ogposet, path_arg)
-
-
-def _guard(P: OgPoset):
+    """The ogposet of a file; one over DCX_ELEMENT_LIMIT exits 2."""
+    P = _parse_input("ogposet", serialize.loads_ogposet, path_arg)
     limit = element_limit()
     if P.size() > limit:
         raise CliError(f"input has {P.size()} elements, over DCX_ELEMENT_LIMIT={limit}")
+    return P
 
 
 def _load_molecule(path_arg) -> Molecule:
     P = _load_poset(path_arg)
-    _guard(P)
     cert = is_molecule(P)
     if cert is None:
         raise CliError("input poset is not a molecule")
@@ -129,12 +129,27 @@ def _cmd_make(args) -> int:
         except ValueError:
             raise CliError(f"make {kind} needs integer {name}")
 
-    if kind == "globe":
-        _emit_poset(globe(arg_int(0, "N")))
-    elif kind == "path":
-        _emit_poset(path(arg_int(0, "K")))
+    def fits(size: int, shown=None) -> None:
+        """Exit 2 before building a target of ``size`` elements over the
+        limit; ``shown`` writes a size too large to compute."""
+        limit = element_limit()
+        if size > limit:
+            raise CliError(
+                f"make {' '.join(args.what)} would build {shown or size} elements,"
+                f" over DCX_ELEMENT_LIMIT={limit}"
+            )
+
+    if kind in ("globe", "path"):
+        n = arg_int(0, "N" if kind == "globe" else "K")
+        fits(2 * n + 1)
+        _emit_poset(globe(n) if kind == "globe" else path(n))
     elif kind == "oriental":
-        _emit_poset(oriental(arg_int(0, "N")))
+        n = arg_int(0, "N")
+        # 2^(N+1) - 1 elements; the exponent is capped one past the limit's
+        # bit length, where the count is already over it, so a huge N is cheap
+        bits = min(n + 1, element_limit().bit_length() + 1)
+        fits((1 << max(bits, 0)) - 1, f"2^{n + 1} - 1")
+        _emit_poset(oriental(n))
     elif kind == "theta":
         try:
             _emit_poset(theta_from_tree(rest[0]))
@@ -144,10 +159,13 @@ def _cmd_make(args) -> int:
         U = _load_molecule(rest[0])
         V = _load_molecule(rest[1])
         _emit_poset(paste(U, V, arg_int(2, "K")))
-    elif kind in ("atom", "join"):
+    elif kind == "atom":
+        _emit_poset(atom(_load_molecule(rest[0]), _load_molecule(rest[1])))
+    elif kind == "join":
         U = _load_molecule(rest[0])
         V = _load_molecule(rest[1])
-        _emit_poset(atom(U, V) if kind == "atom" else join(U, V))
+        fits(U.size() + V.size() + U.size() * V.size())
+        _emit_poset(join(U, V))
     else:
         _emit_poset(suspension(_load_molecule(rest[0])))
     return 0
@@ -157,7 +175,6 @@ def _cmd_check(args) -> int:
     prop = args.property
     if prop == "hasse-acyclic":
         P = _load_poset(args.file)
-        _guard(P)
         if is_hasse_acyclic(P):
             _emit({"holds": True, "property": prop})
             return 0
@@ -165,7 +182,6 @@ def _cmd_check(args) -> int:
         return 1
     if prop == "molecule":
         P = _load_poset(args.file)
-        _guard(P)
         cert = is_molecule(P)
         if cert is None:
             _emit({"holds": False, "property": prop, "reason": "no valid construction found"})
@@ -177,7 +193,7 @@ def _cmd_check(args) -> int:
         ok, reason = is_round(mol), "boundary collapse condition fails"
     elif prop == "atom":
         ok, reason = mol.greatest() is not None, "no greatest element"
-    elif prop == "frame-acyclic":
+    else:  # frame-acyclic, the last choice the parser allows
         res = is_frame_acyclic(mol)
         ok = bool(res)
         if not ok:
@@ -191,8 +207,6 @@ def _cmd_check(args) -> int:
             )
             return 1
         reason = ""
-    else:
-        raise CliError(f"unknown property {prop!r}")
     if ok:
         _emit({"holds": True, "property": prop})
         return 0
@@ -241,11 +255,9 @@ def _cmd_flow(args) -> int:
             }
         )
         return 0
-    if args.mode == "theory":
-        report = check_layering_theory(mol, k)
-        _emit(report)
-        return 0 if report["iso"] else 1
-    raise CliError(f"unknown flow mode {args.mode!r}")
+    report = check_layering_theory(mol, k)  # theory, the last choice
+    _emit(report)
+    return 0 if report["iso"] else 1
 
 
 def _parse_levels(text):
@@ -321,12 +333,10 @@ def _cmd_cx(args) -> int:
             }
         )
         return 0
-    if mode == "frame-acyclic":
-        X = _load_complex(args.file)
-        verdict = has_frame_acyclic_molecules(X, args.budget)
-        _emit(verdict.to_json())
-        return 1 if verdict.kind == verdict.COUNTEREXAMPLE else 0
-    raise CliError(f"unknown cx mode {mode!r}")
+    X = _load_complex(args.file)  # frame-acyclic, the last choice
+    verdict = has_frame_acyclic_molecules(X, args.budget)
+    _emit(verdict.to_json())
+    return 1 if verdict.kind == verdict.COUNTEREXAMPLE else 0
 
 
 def _cmd_export(args) -> int:
@@ -338,12 +348,10 @@ def _cmd_export(args) -> int:
         mol = _load_molecule(args.file)
         sys.stdout.write(serialize.dot_flow(maxflow(mol, args.k)))
         return 0
-    if args.what == "sd":
-        mol = _load_molecule(args.file)
-        levels = _parse_levels(args.levels)
-        sys.stdout.write(serialize.dot_sd(enumerate_sd(mol, levels)))
-        return 0
-    raise CliError(f"unknown export target {args.what!r}")
+    mol = _load_molecule(args.file)  # sd, the last choice
+    levels = _parse_levels(args.levels)
+    sys.stdout.write(serialize.dot_sd(enumerate_sd(mol, levels)))
+    return 0
 
 
 class _SubcommandParser(argparse.ArgumentParser):

@@ -572,12 +572,13 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
     - same side: two high elements whose closures meet above dimension k
       lie on the same side, since A n B has dimension at most k.
 
-    :func:`_membrane_splits` rebuilds the two sides each candidate forces,
-    so every split is the rebuild of one candidate; the rebuilds whose
-    shared membrane is both sides' k-boundary and whose sides are both
-    molecules are the splits.  Candidates are tried in increasing order of
-    their left side as a subset, and each split is checked only when the
-    listing reaches it.  Nothing is memoised.
+    :func:`_membrane_splits` rebuilds the two sides each candidate forces, a
+    proper pair that covers the input, so every split is the rebuild of one
+    candidate; the rebuilds whose shared membrane is both sides' k-boundary
+    and whose sides are both molecules are the splits, and only these two
+    tests are made.  Candidates are tried in increasing order of their left
+    side as a subset, and each split is checked only when the listing
+    reaches it.  Nothing is memoised.
     """
     if not 0 <= k < P.masks_dim(masks):
         return
@@ -593,8 +594,8 @@ def splits_masks(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Mask
 
 
 def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, Masks]]:
-    """The two sides that each k-split candidate of ``masks`` forces, when
-    they are proper and cover ``masks``.
+    """The two sides that each k-split candidate of a closed ``masks``
+    forces: a proper pair that covers ``masks``.
 
     A candidate is the set of high elements (maximal, of dimension above k)
     on the left, as a subset; ``cla`` and ``clb`` are the closures of the
@@ -618,6 +619,19 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
     ``A & keep_a``, with ``keep_a`` from :meth:`~dcx.ogposet.Level.keep`,
     and the input frame of B is ``B & keep_b`` likewise.  Both masks are
     fixed per candidate, so no δ is recomputed during the growth.
+
+    The pair needs no test for being proper and covering:
+
+    - Cover: an element of ``masks`` above dimension k lies under a maximal
+      element of ``masks``, which is high, so it is in ``cla | clb``.  Every
+      other element is in ``low``, and the membrane starts with the part of
+      ``low`` outside both closures.  Each growth step is a closure of cells
+      of the closed ``masks``, so neither side leaves ``masks``.
+    - Proper: a candidate and its complement in ``high`` are nonempty.  A
+      high element on the right is maximal in ``masks``, so it lies neither
+      in ``cla`` nor below it, and not in the membrane either, whose
+      elements have dimension at most k.  So the left side misses it, and
+      likewise the right side misses every high element on the left.
     """
     high = P.maximal_masks(masks) & ~P.upto(k)
     if high & (high - 1) == 0:
@@ -635,8 +649,7 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
             if grow & ~membrane == 0:
                 break
             membrane |= grow
-        if left != masks and right != masks and left | right == masks:
-            yield left, right
+        yield left, right
 
 
 def _split_candidates(P: OgPoset, high: Masks, k: int) -> Iterator[Masks]:
@@ -673,7 +686,8 @@ def submolecules_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
 def candidate_closure_masks(P: OgPoset, masks: Masks) -> dict[Masks, list]:
     """A superset of :func:`submolecules_masks`: the closure of ``masks``
     under boundary operators and under the :func:`_membrane_splits` of every
-    split candidate, with no check that a candidate is a split.
+    split candidate, a proper covering pair, with no check that it is a
+    split.
 
     Why it holds every submolecule is in :func:`dcx.flow.is_frame_acyclic`.
     The other members need not be molecules; their witnesses name the

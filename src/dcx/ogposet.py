@@ -8,9 +8,9 @@ one int: bit p is set when the element at position p belongs to it.  The
 closure and boundary calculus is then a few whole-int operations over
 per-position tables of faces, cofaces and single-element closures, cheap
 enough for exhaustive searches.  For each level k, a :class:`Level` table
-holds per position the input and output k-frames, the flow successors, what
-a split at k must put on the same side, and the k-cells that the element's
-(k+1)-cells consume and produce; it is built on the first request at k.
+holds per position the flow successors, what a split at k must put on the
+same side, and the k-cells that the element's (k+1)-cells consume and
+produce; it is built on the first request at k.
 Split candidates, the membrane fixpoint and flow cycles all read it.
 
 Only this module knows the layout.  Other modules build subsets from
@@ -72,12 +72,13 @@ class OgPoset:
     at k and kept in the "frames" memo, so a poset and an extracted copy each
     build their own.  Instances are immutable and cache their canonical form,
     the canonical records of their boundaries and memoised searches.
+    ``regular=True`` also refuses an element of positive dimension with an
+    empty face side; the flag is not kept.
     """
 
     __slots__ = (
         "counts",
         "faces",
-        "regular",
         "_offsets",
         "_upto",
         "_els",
@@ -103,16 +104,15 @@ class OgPoset:
             else ()
             for d in range(len(counts))
         )
-        self.regular = regular
         if not _checked:
-            self._validate()
+            self._validate(regular)
         self._build_tables()
         self._canon = None
         self._memo = {}
 
     # -- validation ----------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, regular: bool):
         for d in range(1, len(self.counts)):
             below = self.counts[d - 1]
             if len(self.faces[d]) != self.counts[d]:
@@ -129,7 +129,7 @@ class OgPoset:
                     )
                 if len(set(mn)) != len(mn) or len(set(pl)) != len(pl):
                     raise DanglingIndexError(f"element ({d},{i}) repeats a face index")
-                if self.regular and (not mn or not pl):
+                if regular and (not mn or not pl):
                     raise EmptyFaceSetError(
                         f"element ({d},{i}) has an empty face side"
                     )
@@ -308,7 +308,7 @@ class OgPoset:
                         tuple(newidx[(d - 1, j)] for j in pl),
                     )
                 )
-        Q = OgPoset(counts, faces, regular=self.regular, _checked=True)
+        Q = OgPoset(counts, faces, _checked=True)
         return Q, to_ambient
 
     # -- oriented Hasse diagram --------------------------------------------
@@ -374,8 +374,6 @@ class Level:
     Its readers cut rows and bits to high elements, so they ask for
     nothing else.  For p above k, as subsets indexed by position:
 
-    - ``minus[p]``, ``plus[p]``: the input and output k-frames of p, the
-      δ at k of its closure.
     - ``succ[p]``: the elements whose input k-frame meets p's output
       k-frame, p's successors in the maximal k-flow rule.
     - ``need[p]``: p's flow predecessors, and the elements whose closures
@@ -384,12 +382,14 @@ class Level:
       :func:`dcx.molecule.splits_masks`).
     - ``ins[p]``, ``outs[p]``: the k-cells of p's closure that are input,
       respectively output, faces of its (k+1)-cells: the k-cells of the
-      closure outside p's output, respectively input, k-frame.
+      closure outside p's output, respectively input, k-frame.  So the
+      frames are not kept: the output k-frame of p is the closure's k-cells
+      outside ``ins[p]``, and the input k-frame those outside ``outs[p]``.
 
     ``cells`` is the set of elements of dimension k.
     """
 
-    __slots__ = ("cells", "minus", "plus", "succ", "need", "ins", "outs")
+    __slots__ = ("cells", "succ", "need", "ins", "outs")
 
     def __init__(self, P: OgPoset, k: int):
         n = P.size()
@@ -417,8 +417,6 @@ class Level:
         for p, row in enumerate(succ, hi):
             for q in _bits(row):
                 need[q] |= 1 << p
-        self.minus = low + minus
-        self.plus = low + plus
         self.succ = low + succ
         self.need = need
         self.ins = low + [cl & self.cells & ~f for cl, f in zip(cl_above, plus)]

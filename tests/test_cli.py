@@ -1,8 +1,11 @@
 """The command line: exit codes 0/1/2 and argument order."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,11 +241,72 @@ def test_too_deep_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert json.loads(out)["error"].startswith("input too deep: maximum recursion depth")
 
 
-def test_make_globe_beyond_the_recursion_limit(capsys):
+def test_make_globe_beyond_the_recursion_limit(capsys, monkeypatch):
     """A globe is built from its face table, so its size has no depth limit."""
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "2201")
     code, out = call(capsys, "make", "globe", "1100")
     assert code == 0
     assert sum(len(level) for level in json.loads(out)["faces"]) == 2201
+
+
+def refuse_to_build(*args):
+    raise AssertionError("a target over the limit was built")
+
+
+@pytest.fixture
+def paths_4_and_5(tmp_path):
+    out = {}
+    for k in (4, 5):
+        out[k] = str(tmp_path / f"path{k}.json")
+        Path(out[k]).write_text(serialize.dumps_ogposet(path(k).poset), encoding="utf-8")
+    return out
+
+
+def test_make_over_the_element_limit_exits_2_before_building(
+    capsys, monkeypatch, paths_4_and_5
+):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    for name in ("globe", "path", "oriental", "join"):
+        monkeypatch.setattr(cli, name, refuse_to_build)
+    p5 = paths_4_and_5[5]
+    for what, size in (
+        (["globe", "50"], "101"),
+        (["path", "50"], "101"),
+        (["oriental", "6"], "2^7 - 1"),
+        (["oriental", "1000000000"], "2^1000000001 - 1"),
+        (["join", p5, p5], "143"),
+    ):
+        start = time.perf_counter()
+        code, out = call(capsys, "make", *what)
+        assert time.perf_counter() - start < 1.0, what
+        assert code == 2, what
+        assert json.loads(out)["error"] == (
+            f"make {' '.join(what)} would build {size} elements, over DCX_ELEMENT_LIMIT=100"
+        )
+
+
+def test_make_at_the_element_limit_builds(capsys, monkeypatch, paths_4_and_5):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    p4 = paths_4_and_5[4]
+    for what, size in ((["globe", "49"], 99), (["oriental", "5"], 63), (["join", p4, p4], 99)):
+        code, out = call(capsys, "make", *what)
+        assert code == 0, what
+        assert serialize.loads_ogposet(out).size() == size
+
+
+def test_every_poset_input_is_guarded(tmp_path, capsys, monkeypatch):
+    points = tmp_path / "points.json"
+    points.write_text(serialize.dumps_ogposet(OgPoset((101,), [[]])), encoding="utf-8")
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    error = {"error": "input has 101 elements, over DCX_ELEMENT_LIMIT=100"}
+    for argv in (
+        ["check", "hasse-acyclic", str(points)],
+        ["check", "molecule", str(points)],
+        ["check", "round", str(points)],
+        ["export", "--dot", "hasse", str(points)],
+    ):
+        code, out = call(capsys, *argv)
+        assert (code, json.loads(out)) == (2, error), argv
 
 
 def test_export_options_before_or_after_file(files, capsys):
@@ -411,14 +475,72 @@ def test_run_matches_the_full_parser(files, capsys, monkeypatch, argv):
     assert code == (0 if "--help" in argv else 2)
 
 
+def golden_argvs():
+    manifest = Path(__file__).resolve().parent / "golden" / "manifest.json"
+    return [entry["argv"] for entry in json.loads(manifest.read_text(encoding="utf-8"))]
+
+
 def test_golden_argv_parse_as_with_the_full_parser(monkeypatch):
     full = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", no_full_parser)
-    manifest = Path(__file__).resolve().parent / "golden" / "manifest.json"
-    for entry in json.loads(manifest.read_text(encoding="utf-8")):
-        want = vars(full.parse_args(entry["argv"]))
+    for argv in golden_argvs():
+        want = vars(full.parse_args(argv))
         del want["command"]
-        assert vars(cli._parse(entry["argv"])) == want, entry["argv"]
+        assert vars(cli._parse(argv)) == want, argv
+
+
+def subcommand_parser(name, add):
+    parser = cli._SubcommandParser(prog=f"dcx {name}")
+    add(parser)
+    return parser
+
+
+def uncovered_choices(subcommands, argvs):
+    """The (subcommand, destination, value) of every argparse choice that no
+    argv of that subcommand parses to.  An argv that omits an option parses
+    to its default, so a default needs no argv of its own."""
+    out = []
+    for name, _, add in subcommands:
+        parser = subcommand_parser(name, add)
+        parsed = []
+        for argv in argvs:
+            if argv[0] != name:
+                continue
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    parsed.append(parser.parse_args(argv[1:]))
+            except SystemExit:
+                continue
+        for action in parser._actions:
+            for value in action.choices or ():
+                if all(getattr(args, action.dest) != value for args in parsed):
+                    out.append((name, action.dest, value))
+    return out
+
+
+def test_every_choice_has_a_golden_entry():
+    """So a mode without a golden command cannot ship: the subcommands end
+    on their last mode with no fall-through for an unknown one."""
+    argvs = golden_argvs()
+    assert uncovered_choices(cli._SUBCOMMANDS, argvs) == []
+    choices = {
+        name: sum(len(action.choices or ()) for action in subcommand_parser(name, add)._actions)
+        for name, _, add in cli._SUBCOMMANDS
+    }
+    assert choices == {"make": 0, "check": 5, "flow": 6, "sd": 0, "cx": 4, "export": 3}
+
+
+def test_uncovered_choices_finds_a_mode_without_an_entry():
+    def args_check(p):
+        p.add_argument("property", choices=["molecule", "no-golden-entry"])
+        p.add_argument("--output", choices=["json", "dot"], default="json")
+
+    subcommands = [("check", "", args_check)]
+    argvs = [["check", "molecule"], ["check", "bogus"], ["flow", "no-golden-entry"]]
+    assert uncovered_choices(subcommands, argvs) == [
+        ("check", "property", "no-golden-entry"),
+        ("check", "output", "dot"),
+    ]
 
 
 def test_top_level_help_and_usage_errors(capsys):

@@ -175,6 +175,50 @@ def test_check_layering_theory_random(corpus):
             assert rep["iso"], (mol.counts, k, rep)
 
 
+def unrefined_preorderings(need, full, partitions):
+    """The partitions, among ``partitions`` of the flow vertices ``full``,
+    that no ordering refines, tried as clause (d) of
+    ``check_layering_theory`` is proved: a topological sort of each block,
+    concatenated, must be an ordering that refines the partition."""
+    ords = set(_chains(need, full, _minimal_blocks))
+    out = []
+    for partition in partitions:
+        sorts = [_chains(need, block, _minimal_blocks, cap=1) for block in partition]
+        if not all(sorts):
+            out.append(partition)
+            continue
+        candidate = tuple(b for (first,) in sorts for b in first)
+        if candidate not in ords or not flow._refines(candidate, partition):
+            out.append(partition)
+    return out
+
+
+def test_every_preordering_is_refined_by_an_ordering(corpus):
+    reports = 0
+    for mol in corpus + [oriental(n) for n in range(2, 6)]:
+        if not is_frame_acyclic(mol):
+            continue
+        for k in range(max(frame_dim(mol), 0), mol.dim):
+            assert check_layering_theory(mol, k)["iso"], (mol.counts, k)
+            order, need = maxflow(mol, k)._need()
+            full = (1 << len(order)) - 1
+            preords = _chains(need, full, down_sets)
+            assert unrefined_preorderings(need, full, preords) == [], (mol.counts, k)
+            reports += 1
+    assert reports == 451
+
+
+def test_unrefined_preorderings_finds_what_no_ordering_refines():
+    # path(3) at 0: the flow graph is a -> b -> c; blocks out of order, and a
+    # block with a cycle, are refined by no ordering
+    _, need = maxflow(path(3), 0)._need()
+    a, b, c = (1 << p for p in range(3))
+    good = [(a, b | c), (a, b, c)]
+    bad = [(c, a | b), (b | c, a)]
+    assert unrefined_preorderings(need, a | b | c, good + bad) == bad
+    assert unrefined_preorderings([0b11, 0b11], 0b11, [(0b11,)]) == [(0b11,)]
+
+
 def test_flow_graph_acyclic_at_top_for_frame_acyclic(corpus):
     from dcx import submolecules
 
@@ -448,7 +492,7 @@ def test_scan_leaves_recognition_exact(small_corpus, monkeypatch):
         raise AssertionError("recognition called by the scan")
 
     for mol in small_corpus[:30] + [oriental(4)]:
-        P = OgPoset(mol.poset.counts, mol.poset.faces, regular=mol.poset.regular, _checked=True)
+        P = OgPoset(mol.poset.counts, mol.poset.faces, _checked=True)
         U = Molecule(P, molecule.mol_cert(P, P.full_masks()))
         before = snapshot(P)
         with monkeypatch.context() as m:

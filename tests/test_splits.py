@@ -14,11 +14,22 @@ end check that interleaved listings each give the full list, and that
 recognition pastes the first split listed at the highest level that has
 one.  That no split memo exists is pinned by the memo-name guard in
 ``test_imports.py``.
+
+``_membrane_splits`` yields every rebuild without testing it; its docstring
+proves each one proper and covering.  The rebuild oracle below makes that
+test on every rebuild that recognition, ``submolecules_masks`` and
+``candidate_closure_masks`` ask for.
 """
 import dcx.molecule as molecule
 from dcx import globe, oriental, paste
 from dcx.flow import maxflow_masks
-from dcx.molecule import _split_candidates, mol_cert, splits_masks, submolecules_masks
+from dcx.molecule import (
+    _split_candidates,
+    candidate_closure_masks,
+    mol_cert,
+    splits_masks,
+    submolecules_masks,
+)
 from dcx.ogposet import OgPoset, _bits
 
 
@@ -43,7 +54,7 @@ def bipartition_candidates(P, high, k):
 
 def fresh(P):
     """A copy of P with empty memos."""
-    return OgPoset(P.counts, P.faces, regular=P.regular, _checked=True)
+    return OgPoset(P.counts, P.faces, _checked=True)
 
 
 def split_table(P):
@@ -180,3 +191,35 @@ def test_first_split_certificate_matches_full_listing(small_corpus):
         listed = fresh(mol.poset)
         split_table(listed)
         assert mol_cert(lazy, lazy.full_masks()) == mol_cert(listed, listed.full_masks())
+
+
+# -- every rebuild is proper, covers its subset and meets at most at k ------------
+
+
+def checked_rebuilds(real, seen):
+    """``real`` with every pair it yields checked: neither side is the whole
+    subset, together they cover it, and they meet in dimension at most k.
+    ``seen[0]`` counts the pairs."""
+
+    def rebuilds(P, masks, k):
+        for left, right in real(P, masks, k):
+            proper = left != masks and right != masks
+            if not (proper and left | right == masks and left & right & ~P.upto(k) == 0):
+                raise AssertionError(("not proper, covering, meeting at most at k", masks, k))
+            seen[0] += 1
+            yield left, right
+
+    return rebuilds
+
+
+def test_rebuilds_are_proper_and_covering(corpus, monkeypatch):
+    seen = [0]
+    real = molecule._membrane_splits
+    monkeypatch.setattr(molecule, "_membrane_splits", checked_rebuilds(real, seen))
+    for mol in corpus + [oriental(n) for n in range(7)]:
+        P = fresh(mol.poset)
+        full = P.full_masks()
+        assert mol_cert(P, full) is not None
+        submolecules_masks(P, full)
+        candidate_closure_masks(P, full)
+    assert seen[0] > 400_000
