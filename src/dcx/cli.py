@@ -4,9 +4,11 @@ Subcommands build shapes, check properties, explore layerings and
 subdivision posets, and work with directed complexes.  Exit codes: 0 when
 the requested property holds (or the command succeeded), 1 when a checked
 property fails (a JSON counterexample goes to stdout), 2 on invalid input
-or when a brute-force guard trips: every poset read from a file, and every
-``make globe``, ``path``, ``oriental`` or ``join`` output, may hold at most
-DCX_ELEMENT_LIMIT elements.  Those outputs are sized before they are built.
+or when a brute-force guard trips: every poset read from a file, every cell
+shape of a dcomplex/1 file, every simplex of an imported ssset/1 file, and
+every ``make globe``, ``path``, ``oriental`` or ``join`` output, may hold at
+most DCX_ELEMENT_LIMIT elements.  All but the posets and the certificate
+shapes are sized before they are built.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from . import serialize
 from .dcomplex import (
     DirectedComplex,
     atoms_acyclic,
+    check_fits,
+    check_simplex_fits,
     element_limit,
     enumerate_molecules,
     has_frame_acyclic_molecules,
@@ -64,7 +68,12 @@ def _read_text(path_arg) -> str:
 
 
 def _parse_input(kind: str, parse, path_arg):
-    """``parse`` applied to the text of a file; malformed input exits 2."""
+    """``parse`` applied to the text of a file; malformed input exits 2.
+
+    Parsing may size shapes against DCX_ELEMENT_LIMIT, so the limit is read
+    first: a malformed limit is not reported as malformed input.
+    """
+    element_limit()
     try:
         return parse(_read_text(path_arg))
     except (DcxError, ValueError, KeyError, TypeError) as exc:
@@ -129,26 +138,14 @@ def _cmd_make(args) -> int:
         except ValueError:
             raise CliError(f"make {kind} needs integer {name}")
 
-    def fits(size: int, shown=None) -> None:
-        """Exit 2 before building a target of ``size`` elements over the
-        limit; ``shown`` writes a size too large to compute."""
-        limit = element_limit()
-        if size > limit:
-            raise CliError(
-                f"make {' '.join(args.what)} would build {shown or size} elements,"
-                f" over DCX_ELEMENT_LIMIT={limit}"
-            )
-
+    what = f"make {' '.join(args.what)}"
     if kind in ("globe", "path"):
         n = arg_int(0, "N" if kind == "globe" else "K")
-        fits(2 * n + 1)
+        check_fits(what, 2 * n + 1)
         _emit_poset(globe(n) if kind == "globe" else path(n))
     elif kind == "oriental":
         n = arg_int(0, "N")
-        # 2^(N+1) - 1 elements; the exponent is capped one past the limit's
-        # bit length, where the count is already over it, so a huge N is cheap
-        bits = min(n + 1, element_limit().bit_length() + 1)
-        fits((1 << max(bits, 0)) - 1, f"2^{n + 1} - 1")
+        check_simplex_fits(what, n)
         _emit_poset(oriental(n))
     elif kind == "theta":
         try:
@@ -164,7 +161,7 @@ def _cmd_make(args) -> int:
     elif kind == "join":
         U = _load_molecule(rest[0])
         V = _load_molecule(rest[1])
-        fits(U.size() + V.size() + U.size() * V.size())
+        check_fits(what, U.size() + V.size() + U.size() * V.size())
         _emit_poset(join(U, V))
     else:
         _emit_poset(suspension(_load_molecule(rest[0])))

@@ -60,6 +60,25 @@ def element_limit() -> int:
     return limit
 
 
+def check_fits(what: str, size: int, shown: object = None) -> None:
+    """Raise DcxError when ``what`` would build ``size`` elements, over the
+    DCX_ELEMENT_LIMIT guard; ``shown`` writes a size too large to compute."""
+    limit = element_limit()
+    if size > limit:
+        raise DcxError(
+            f"{what} would build {shown or size} elements, over DCX_ELEMENT_LIMIT={limit}"
+        )
+
+
+def check_simplex_fits(what: str, n: int) -> None:
+    """:func:`check_fits` for the oriented n-simplex, of 2^(n+1) - 1
+    elements, sized before it is built.  The exponent is capped one past
+    the limit's bit length, where the count is already over it, so a huge n
+    is cheap."""
+    bits = min(n + 1, element_limit().bit_length() + 1)
+    check_fits(what, (1 << max(bits, 0)) - 1, f"2^{n + 1} - 1")
+
+
 class Cell:
     """An atom-shaped cell with its attachment to lower cells."""
 
@@ -372,7 +391,7 @@ class SemiSimplicialSet:
             self.faces = []
             return
         head = faces[0]
-        self.n_vertices = head if isinstance(head, int) else (len(head) if head else 0)
+        self.n_vertices = len(head) if isinstance(head, list) else head
         self.faces = [list(map(list, level)) for level in faces[1:]]
         while self.faces and not self.faces[-1]:
             self.faces.pop()
@@ -392,6 +411,14 @@ class SemiSimplicialSet:
         return self.faces[d - 1][s][j]
 
     def validate(self) -> "SemiSimplicialSet":
+        """Check the counts, face indices and simplicial identities.
+
+        The vertex count (or list) and every face index must be an ``int``,
+        not a ``bool``, which JSON ``true`` and ``false`` read as.
+        """
+        n = self.n_vertices
+        if type(n) is not int or n < 0:
+            raise DcxError(f"the vertex count {n!r} is not a non-negative integer")
         for d in range(1, len(self.faces) + 1):
             below = self.count(d - 1)
             for s, row in enumerate(self.faces[d - 1]):
@@ -400,6 +427,8 @@ class SemiSimplicialSet:
                         f"simplex ({d},{s}) must list {d + 1} faces"
                     )
                 for j in row:
+                    if type(j) is not int:
+                        raise DcxError(f"simplex ({d},{s}) has face index {j!r}, not an integer")
                     if not (0 <= j < below):
                         raise IdentityViolationError(
                             f"simplex ({d},{s}) has a dangling face index"
@@ -456,6 +485,7 @@ def import_ssset(S: SemiSimplicialSet) -> DirectedComplex:
     spanned by that subset.
     """
     S.validate()
+    check_simplex_fits(f"a {S.dim}-simplex", S.dim)
     cells: list[list[Cell]] = []
     for d in range(S.dim + 1):
         shape, labels = oriental_with_labels(d)

@@ -19,7 +19,8 @@ from typing import Optional
 from .errors import PreconditionError
 from .molecule import Molecule, candidate_closure_masks, splits_masks, submolecules_masks
 from .molecule import mol_cert as mol_cert  # perfbench's tests read dcx.flow.mol_cert
-from .ogposet import Closed, El, Masks, OgPoset, _bits, _memo, closed_rows, down_sets, find_cycle
+from .ogposet import Closed, El, Masks, OgPoset, _bits, _memoised
+from .ogposet import closed_rows, down_sets, find_cycle
 from .posets import FinPoset
 
 Layering = tuple[Masks, ...]
@@ -100,16 +101,12 @@ def maxflow(U: Molecule, k: int) -> FlowGraph:
 # -- pre-layerings ---------------------------------------------------------
 
 
+@_memoised("prelay")
 def _prelayerings_masks(P: OgPoset, masks: Masks, k: int) -> list[Layering]:
-    memo = _memo(P, "prelay")
-    key = (masks, k)
-    if key in memo:
-        return memo[key]
     out: list[Layering] = [(masks,)]
     for left, right in splits_masks(P, masks, k):
         for rest in _prelayerings_masks(P, right, k):
             out.append((left,) + rest)
-    memo[key] = out
     return out
 
 

@@ -32,7 +32,7 @@ from .ogposet import (
     OgIso,
     OgPoset,
     _bits,
-    _memo,
+    _memoised,
     closed_rows,
     down_sets,
     unique_iso,
@@ -458,21 +458,14 @@ def _path_cert(length: int) -> Cert:
     return ("paste", 0, ARROW_CERT, _path_cert(length - 1))
 
 
+@_memoised("mol")
 def mol_cert(P: OgPoset, masks: Masks) -> Optional[Cert]:
     """Certificate witnessing that a closed subset is a molecule, or None.
 
     A subset that is not an atom is recognised by its first split, at the
     highest level that has one; :func:`splits_masks` checks candidates only
-    up to that split.
+    up to that split.  Kept in the "mol" memo, keyed by ``masks``.
     """
-    memo = _memo(P, "mol")
-    if masks in memo:
-        return memo[masks]
-    memo[masks] = result = _mol_cert_compute(P, masks)
-    return result
-
-
-def _mol_cert_compute(P: OgPoset, masks: Masks) -> Optional[Cert]:
     d = P.masks_dim(masks)
     if d < 0:
         return None
@@ -537,14 +530,27 @@ def is_molecule(P: OgPoset) -> Optional[Cert]:
 
 
 def replay(cert: Cert) -> Molecule:
-    """Rebuild a molecule from its certificate."""
-    if cert[0] == "point":
-        return point()
-    if cert[0] == "atom":
-        return atom(replay(cert[1]), replay(cert[2]))
-    if cert[0] == "paste":
-        return paste(replay(cert[2]), replay(cert[3]), cert[1])
-    raise ValueError(f"unknown certificate head {cert[0]!r}")
+    """Rebuild a molecule from its certificate.
+
+    A certificate is a tree whose subtrees repeat, so each distinct
+    sub-certificate is rebuilt once per call, keyed by its value: equal
+    certificates read from a file are not one object.
+    """
+    built: dict[Cert, Molecule] = {}
+
+    def rebuild(c: Cert) -> Molecule:
+        if c not in built:
+            if c[0] == "point":
+                built[c] = point()
+            elif c[0] == "atom":
+                built[c] = atom(rebuild(c[1]), rebuild(c[2]))
+            elif c[0] == "paste":
+                built[c] = paste(rebuild(c[2]), rebuild(c[3]), c[1])
+            else:
+                raise ValueError(f"unknown certificate head {c[0]!r}")
+        return built[c]
+
+    return rebuild(cert)
 
 
 # -- splits and submolecules ---------------------------------------------------

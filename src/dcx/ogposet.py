@@ -20,6 +20,7 @@ elements (:meth:`OgPoset.el_masks`), read them back
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -55,9 +56,26 @@ def _union(table: list[int], mask: int) -> int:
     return out
 
 
-def _memo(P: "OgPoset", name: str) -> dict:
-    """The memo table ``name`` of P, made empty on first use."""
-    return P._memo.setdefault(name, {})
+def _memoised(name: str):
+    """Keep the results of ``fn(P, *args)`` in the memo table ``name`` of P.
+
+    A result is keyed by the single argument itself, or by the tuple of
+    arguments when there are several; a call that raises stores nothing.
+    Every memoised search of the package goes through here.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memoised(P, *args):
+            table = P._memo.setdefault(name, {})
+            key = args[0] if len(args) == 1 else args
+            if key not in table:
+                table[key] = fn(P, *args)
+            return table[key]
+
+        return memoised
+
+    return decorate
 
 
 class OgPoset:
@@ -66,12 +84,13 @@ class OgPoset:
     ``faces[d][i]`` holds the pair ``(minus, plus)`` of sorted index tuples
     into dimension ``d - 1``; dimension 0 carries no face data.  Indexed by
     position, ``dn_minus``/``dn_plus``/``dn_all`` hold an element's input,
-    output and all faces, ``up_minus``/``up_plus``/``up_all`` its cofaces
-    by side, and ``cl_el`` its closure, each as a subset.  The
-    :class:`Level` table at k (:meth:`level`) is built on the first request
-    at k and kept in the "frames" memo, so a poset and an extracted copy each
-    build their own.  Instances are immutable and cache their canonical form,
-    the canonical records of their boundaries and memoised searches.
+    output and all faces, ``up_all`` its cofaces, and ``cl_el`` its
+    closure, each as a subset; cofaces by side are read off the face
+    tables.  The :class:`Level` table at k (:meth:`level`) is built on the
+    first request at k and kept in the "frames" memo, so a poset and an
+    extracted copy each build their own.  Instances are immutable and cache
+    their canonical form, the canonical records of their boundaries and
+    memoised searches (see :func:`_memoised`).
     ``regular=True`` also refuses an element of positive dimension with an
     empty face side; the flag is not kept.
     """
@@ -85,8 +104,6 @@ class OgPoset:
         "dn_minus",
         "dn_plus",
         "dn_all",
-        "up_minus",
-        "up_plus",
         "up_all",
         "cl_el",
         "_canon",
@@ -148,20 +165,18 @@ class OgPoset:
         n = offsets[-1]
         self.dn_minus = [0] * n
         self.dn_plus = [0] * n
-        self.up_minus = [0] * n
-        self.up_plus = [0] * n
+        self.up_all = [0] * n
         for d in range(1, len(self.counts)):
             base = offsets[d - 1]
             for i, (mn, pl) in enumerate(self.faces[d]):
                 p = offsets[d] + i
                 for j in mn:
                     self.dn_minus[p] |= 1 << base + j
-                    self.up_minus[base + j] |= 1 << p
+                    self.up_all[base + j] |= 1 << p
                 for j in pl:
                     self.dn_plus[p] |= 1 << base + j
-                    self.up_plus[base + j] |= 1 << p
+                    self.up_all[base + j] |= 1 << p
         self.dn_all = [self.dn_minus[p] | self.dn_plus[p] for p in range(n)]
-        self.up_all = [self.up_minus[p] | self.up_plus[p] for p in range(n)]
         # faces precede their cofaces, so each closure is built from finished ones
         self.cl_el = []
         for p in range(n):
@@ -260,12 +275,10 @@ class OgPoset:
         low = self.maximal_masks(masks & t[j + 1]) & t[j]
         return self.closure_masks(low | self.delta_masks(masks, k, alpha))
 
+    @_memoised("frames")
     def level(self, k: int) -> "Level":
         """The :class:`Level` table at k, built on the first request at k."""
-        table = _memo(self, "frames").get(k)
-        if table is None:
-            table = _memo(self, "frames")[k] = Level(self, k)
-        return table
+        return Level(self, k)
 
     def masks_dim(self, masks: Masks) -> int:
         return self._els[masks.bit_length() - 1][0] if masks else -1
@@ -341,6 +354,7 @@ class OgPoset:
     def canonical_key(self) -> bytes:
         return self.canonical()[0]
 
+    @_memoised("bdry")
     def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
         """The canonical record of the alpha-side k-boundary of the poset.
 
@@ -351,14 +365,10 @@ class OgPoset:
         the same element of the one canonical poset that both relabel onto.
         Kept in the "bdry" memo; the extracted poset itself is not kept.
         """
-        memo = _memo(self, "bdry")
-        record = memo.get((k, alpha))
-        if record is None:
-            B, to_ambient = self.extract(self.boundary_masks(self.full_masks(), k, alpha))
-            key, relabel = B.canonical()
-            order = sorted(B._els, key=lambda el: (el[0], relabel[el]))
-            record = memo[(k, alpha)] = (key, tuple(to_ambient[el] for el in order))
-        return record
+        B, to_ambient = self.extract(self.boundary_masks(self.full_masks(), k, alpha))
+        key, relabel = B.canonical()
+        order = sorted(B._els, key=lambda el: (el[0], relabel[el]))
+        return key, tuple(to_ambient[el] for el in order)
 
     def __repr__(self):
         return f"OgPoset(counts={list(self.counts)})"
@@ -573,7 +583,10 @@ def hasse_cycle(P: OgPoset) -> Optional[list[El]]:
     having it as an input, in position order, as :meth:`OgPoset.hasse_edges`
     lists them for each element.
     """
-    rows = [P.up_minus[p] | P.dn_plus[p] for p in range(P.size())]
+    rows = list(P.dn_plus)
+    for q, inputs in enumerate(P.dn_minus):
+        for p in _bits(inputs):
+            rows[p] |= 1 << q
     cycle = find_cycle(rows, P.full_masks())
     return None if cycle is None else [P._els[p] for p in cycle]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .dcomplex import Cell, DirectedComplex, SemiSimplicialSet
+from .dcomplex import Cell, DirectedComplex, SemiSimplicialSet, check_fits, check_simplex_fits
 from .errors import DcxError
 from .flow import FlowGraph
 from .molecule import Molecule, globe, molecule_iso, oriental, replay
@@ -61,13 +61,17 @@ def loads_ogposet(text: str) -> OgPoset:
 
 
 def cert_from_data(data) -> tuple:
+    """A certificate read from JSON; a pasting level must be an ``int``, not
+    a ``bool``, a string or a float."""
     head = data[0]
     if head == "point":
         return ("point",)
     if head == "atom":
         return ("atom", cert_from_data(data[1]), cert_from_data(data[2]))
     if head == "paste":
-        return ("paste", int(data[1]), cert_from_data(data[2]), cert_from_data(data[3]))
+        if type(data[1]) is not int:
+            raise DcxError(f"pasting level {data[1]!r} is not an integer")
+        return ("paste", data[1], cert_from_data(data[2]), cert_from_data(data[3]))
     raise DcxError(f"unknown certificate head {head!r}")
 
 
@@ -75,14 +79,22 @@ def cert_from_data(data) -> tuple:
 
 
 def _shape_from_data(spec) -> Molecule:
+    """The shape of a cell: a spec such as ``"oriental:3"`` or ``"globe:2"``,
+    sized before it is built, or a certificate, checked after its replay,
+    which builds at most one element per node of the certificate."""
     if isinstance(spec, str):
+        what = f"shape {spec!r}"
         kind, _, arg = spec.partition(":")
         if kind == "oriental":
+            check_simplex_fits(what, int(arg))
             return oriental(int(arg))
         if kind == "globe":
+            check_fits(what, 2 * int(arg) + 1)
             return globe(int(arg))
         raise DcxError(f"unknown shape spec {spec!r}")
-    return replay(cert_from_data(spec))
+    U = replay(cert_from_data(spec))
+    check_fits("a certificate shape", U.size())
+    return U
 
 
 def dcomplex_to_data(X: DirectedComplex) -> dict:

@@ -40,7 +40,7 @@ from .errors import BoundaryMismatchError, DcxError, OverlapError, PreconditionE
 from .flow import _prelayerings_masks
 from .homology import HomologyReport, poset_homology
 from .molecule import Molecule
-from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _memo
+from .ogposet import MINUS, PLUS, El, Masks, OgPoset, _bits, _memoised
 from .posets import FinPoset
 
 # trees: ("leaf", region) | ("node", k, children, region), where a region is
@@ -151,37 +151,19 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
     Each image maps to the images of its input and output faces, or to None
     for a point.  By globularity the faces of a leaf's j-boundaries, and of
     its region R when j is the region's dimension, are the (j-1)-boundaries
-    of R.  A leaf's images are computed once per poset, and callers share
-    them; so is each pair of consecutive layers found to meet.  Raises
-    DcxError when two layers give one image different faces.
+    of R.  A leaf's images are computed once per poset (:func:`_leaf_images`),
+    and callers share them; so is the test whether two consecutive layers
+    meet (:func:`_meet`).  Raises DcxError when two layers give one image
+    different faces.
     """
     if tree[0] == "leaf":
-        region = tree[1]
-        memo = _memo(P, "sdleaf")
-        if region in memo:
-            return memo[region]
-        d = P.masks_dim(region)
-        images: dict[Masks, tuple] = {}
-        faces = None
-        for j in range(d):
-            sides = tuple(P.boundary_masks(region, j, alpha) for alpha in (MINUS, PLUS))
-            for bd in sides:
-                if P.masks_dim(bd) != j:
-                    raise DcxError("element-image map is not dimension-preserving")
-                images[bd] = faces
-            faces = sides
-        images[region] = faces
-        memo[region] = leaf = (images, 2 * d + 1)
-        return leaf
+        return _leaf_images(P, tree[1])
     k, children = tree[1], tree[2]
-    met = _memo(P, "sdmeet")
     images, size, left = {}, 2 * k + 1, 0
     for child in children:
         right = tree_region(child)
-        if left and (left, right, k) not in met:
-            if P.boundary_masks(left, k, PLUS) != P.boundary_masks(right, k, MINUS):
-                raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
-            met[left, right, k] = True
+        if left and not _meet(P, left, right, k):
+            raise BoundaryMismatchError(f"layers do not meet along their {k}-boundaries")
         more, n = _images(P, child)
         for m, faces in more.items():
             if images.setdefault(m, faces) != faces:
@@ -191,6 +173,30 @@ def _images(P: OgPoset, tree: Tree) -> tuple[dict[Masks, tuple], int]:
     return images, size
 
 
+@_memoised("sdleaf")
+def _leaf_images(P: OgPoset, region: Masks) -> tuple[dict[Masks, tuple], int]:
+    """The images of the globe that a leaf maps onto ``region``, and its size."""
+    d = P.masks_dim(region)
+    images: dict[Masks, tuple] = {}
+    faces = None
+    for j in range(d):
+        sides = tuple(P.boundary_masks(region, j, alpha) for alpha in (MINUS, PLUS))
+        for bd in sides:
+            if P.masks_dim(bd) != j:
+                raise DcxError("element-image map is not dimension-preserving")
+            images[bd] = faces
+        faces = sides
+    images[region] = faces
+    return images, 2 * d + 1
+
+
+@_memoised("sdmeet")
+def _meet(P: OgPoset, left: Masks, right: Masks, k: int) -> bool:
+    """Whether the layers ``left`` and ``right`` meet along their k-boundaries."""
+    return P.boundary_masks(left, k, PLUS) == P.boundary_masks(right, k, MINUS)
+
+
+@_memoised("sdtrees")
 def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
     """The subdivision trees of a region, node levels in ``levels`` and at
     least ``min_k``; a node's children start one level above it.
@@ -206,10 +212,6 @@ def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
     images of those elements make up a layer.  So both trees have the same
     k and layers, and the same image set over each layer.
     """
-    memo = _memo(P, "sdtrees")
-    key = (masks, levels, min_k)
-    if key in memo:
-        return memo[key]
     out = [("leaf", masks)]
     d = P.masks_dim(masks)
     for k in levels:
@@ -221,7 +223,6 @@ def _trees(P: OgPoset, masks: Masks, levels: tuple[int, ...], min_k: int):
             subtrees = [_trees(P, layer, levels, k + 1) for layer in lay]
             for children in itertools.product(*subtrees):
                 out.append(("node", k, children, masks))
-    memo[key] = out
     return out
 
 
@@ -278,14 +279,12 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
 
 
 def tree_leq(a: Subdivision, b: Subdivision) -> bool:
-    """True iff a factors through b (b refines a): each leaf region of a is
-    the union of b's images inside it, see ``_region_candidates``."""
+    """True iff a factors through b (b refines a): b covers each leaf
+    region of a, read off a's row of ``_region_candidates([a, b])``, where
+    b is bit 1."""
     if a.ambient is not b.ambient:
         raise PreconditionError("subdivisions of different molecules")
-    return all(
-        functools.reduce(operator.or_, (m for m in b.key if m & ~r == 0), 0) == r
-        for r in _leaf_regions(a.tree)
-    )
+    return bool(_region_candidates([a, b])[0] & 2)
 
 
 def _leaf_regions(tree: Tree) -> set[Masks]:

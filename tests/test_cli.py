@@ -417,6 +417,108 @@ def test_ogposet_count_or_index_not_an_integer_exits_2(tmp_path, capsys, text, e
     assert json.loads(out)["error"] == f"invalid ogposet input: {error}"
 
 
+# the ssset/1 and dcomplex/1 readers, like ogposet/1, read no bool, string or
+# float as a count, an index or a pasting level
+BAD_SSSET_NUMBERS = {
+    "negative-count": ("[-3]", "the vertex count -3 is not a non-negative integer"),
+    "bool-count": ("[true]", "the vertex count True is not a non-negative integer"),
+    "string-count": ('["ab"]', "the vertex count 'ab' is not a non-negative integer"),
+    "bool-index": ("[2,[[0,true]]]", "simplex (1,0) has face index True, not an integer"),
+}
+
+
+@pytest.mark.parametrize("faces, error", BAD_SSSET_NUMBERS.values(), ids=BAD_SSSET_NUMBERS.keys())
+def test_ssset_count_or_index_not_an_integer_exits_2(tmp_path, capsys, faces, error):
+    text = f'{{"format":"ssset/1","faces":{faces}}}'
+    code, out = call(capsys, "cx", "import-ssset", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid ssset input: {error}"
+
+
+# (simplex dimension, the level written, what replaces it, how the error shows it)
+BAD_LEVELS = {
+    "bool": (3, 1, "true", "True"),
+    "string": (2, 0, '"0"', "'0'"),
+    "float": (2, 0, "0.9", "0.9"),
+}
+
+
+@pytest.mark.parametrize("n, level, bad, shown", BAD_LEVELS.values(), ids=BAD_LEVELS.keys())
+def test_dcomplex_pasting_level_not_an_integer_exits_2(tmp_path, capsys, n, level, bad, shown):
+    text = serialize.dumps_dcomplex(import_ssset(SemiSimplicialSet.standard_simplex(n)))
+    assert call(capsys, "cx", "verify", write_doc(tmp_path, text))[0] == 0
+    text = text.replace(f'"paste",{level},', f'"paste",{bad},')
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"invalid dcomplex input: pasting level {shown} is not an integer"
+    )
+
+
+SHAPES_OVER_100 = {
+    "oriental:7": "2^8 - 1",
+    "oriental:1000000000": "2^1000000001 - 1",
+    "globe:50": "101",
+}
+
+
+@pytest.mark.parametrize("spec, size", SHAPES_OVER_100.items(), ids=SHAPES_OVER_100.keys())
+def test_shape_spec_over_the_element_limit_exits_2_before_building(
+    tmp_path, capsys, monkeypatch, spec, size
+):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    for name in ("oriental", "globe"):
+        monkeypatch.setattr(serialize, name, refuse_to_build)
+    text = json.dumps({"format": "dcomplex/1", "cells": [[{"shape": spec, "attach": {}}]]})
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"invalid dcomplex input: shape {spec!r} would build {size} elements,"
+        " over DCX_ELEMENT_LIMIT=100"
+    )
+
+
+def test_certificate_shape_over_the_element_limit_exits_2(files, capsys, monkeypatch):
+    # a certificate shape is checked after its replay, which builds at most
+    # one element per node of the certificate: the triangle's 2-cell has 7
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "6")
+    code, out = call(capsys, "cx", "verify", files["triangle"])
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "invalid dcomplex input: a certificate shape would build 7 elements,"
+        " over DCX_ELEMENT_LIMIT=6"
+    )
+
+
+def one_simplex_per_dimension(n: int) -> str:
+    """An ssset/1 document with one simplex in each dimension 0..n, every
+    face index 0."""
+    faces = [1] + [[[0] * (d + 1)] for d in range(1, n + 1)]
+    return json.dumps({"format": "ssset/1", "faces": faces})
+
+
+def test_import_ssset_over_the_element_limit_exits_2_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    monkeypatch.setattr(dcx.dcomplex, "oriental_with_labels", refuse_to_build)
+    doc = write_doc(tmp_path, one_simplex_per_dimension(6))
+    code, out = call(capsys, "cx", "import-ssset", doc)
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "invalid ssset input: a 6-simplex would build 2^7 - 1 elements,"
+        " over DCX_ELEMENT_LIMIT=100"
+    )
+
+
+def test_import_ssset_at_the_element_limit_builds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "100")
+    doc = write_doc(tmp_path, one_simplex_per_dimension(5))
+    code, out = call(capsys, "cx", "import-ssset", doc)
+    assert code == 0
+    assert [len(level) for level in json.loads(out)["cells"]] == [1] * 6
+
+
 # -- one subcommand's parser per query ------------------------------------------------
 
 SUBCOMMAND_NAMES = ["make", "check", "flow", "sd", "cx", "export"]

@@ -11,6 +11,7 @@ it is read as an attribute, so a local variable of the same name does not
 hide it.  A mention in a docstring does not count.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,83 @@ def test_every_definition_is_read():
     assert unused_definitions(defining, reading) == []
 
 
+SETUP = {"__init__", "_build_tables"}
+
+
+def slots(path: Path) -> list[tuple[int, str, str]]:
+    """The ``__slots__`` entries of the classes a module defines, each with
+    its class and the line of the ``__slots__`` statement."""
+    out = []
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                out.extend(
+                    (node.lineno, cls.name, entry.value)
+                    for entry in ast.walk(node.value)
+                    if isinstance(entry, ast.Constant) and isinstance(entry.value, str)
+                )
+    return out
+
+
+def attributes_read_after_setup(path: Path) -> set[str]:
+    """The attributes a module reads outside the bodies of ``__init__`` and
+    ``_build_tables``, which fill the slots."""
+    out = set()
+    stack = [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in SETUP:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_slots(defining: list[Path], reading: list[Path]) -> list[str]:
+    read = set().union(*map(attributes_read_after_setup, reading))
+    return [
+        f"{path.name}:{line}: {cls}.{name}"
+        for path in defining
+        for line, cls, name in slots(path)
+        if name not in read
+    ]
+
+
+def test_scan_finds_an_unread_slot(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Table:\n"
+        "    __slots__ = ('rows', 'cols', 'spare')\n"
+        "    def __init__(self):\n"
+        "        self.rows = [0]\n"
+        "        self.cols = self.rows[:]\n"
+        "        self.spare = self.cols\n"
+        "    def _build_tables(self):\n"
+        "        self.spare[0] |= 1\n"
+        "    def width(self):\n"
+        "        return len(self.cols)\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text("def height(t):\n    return len(t.rows)\n", encoding="utf-8")
+    assert unread_slots([mod], [mod, user]) == ["mod.py:2: Table.spare"]
+    assert unread_slots([mod], [mod]) == ["mod.py:2: Table.rows", "mod.py:2: Table.spare"]
+
+
+def test_every_slot_is_read():
+    """A slot that only ``__init__`` or ``_build_tables`` reads holds a
+    table nothing uses."""
+    defining = sorted(PACKAGE.glob("*.py"))
+    reading = defining + sorted((ROOT / "tests").rglob("*.py"))
+    reading += sorted((ROOT / "perfbench").rglob("*.py"))
+    assert unread_slots(defining, reading) == []
+
+
 # -- the subset layout lives in one module ------------------------------------------
 
 LAYOUT_TABLES = {"_offsets", "_els", "_upto"}
@@ -228,27 +306,38 @@ def test_only_ogposet_reads_union():
     assert readers == ["ogposet.py"]
 
 
-def test_only_ogposet_reads_the_memo():
-    """Memo tables are reached through ``ogposet._memo``, so the cache
-    mechanism lives in one module."""
-    readers = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if "_memo" in reads(path)[1]
+def memo_readers(path: Path) -> list[str]:
+    """The top-level definitions of a module that read the ``_memo``
+    attribute of a poset."""
+    return [
+        f"{path.name}: {node.name}"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if "_memo" in {
+            sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
     ]
-    assert readers == ["ogposet.py"]
+
+
+def test_only_ogposet_reads_the_memo():
+    """Memo tables are reached only through the decorator
+    ``ogposet._memoised``, so the cache mechanism lives in one function,
+    where hits and misses can be counted."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in memo_readers(path)]
+    assert found == ["ogposet.py: _memoised"]
 
 
 MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "bdry"}
 
 
 def memo_names(path: Path) -> set:
-    """The table names a module passes to ``_memo``; a name that is not a
-    string constant shows as None."""
+    """The table names a module gives ``_memoised``, as a decorator or a
+    plain call; a name that is not a string constant shows as None."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and _callee(node) == "_memo":
-            name = node.args[1] if len(node.args) > 1 else None
+        if isinstance(node, ast.Call) and _callee(node) == "_memoised":
+            name = node.args[0] if node.args else None
             out.add(name.value if isinstance(name, ast.Constant) else None)
     return out
 
@@ -256,17 +345,55 @@ def memo_names(path: Path) -> set:
 def test_scan_finds_the_memo_names(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text(
-        "def f(P, key):\n"
-        "    return _memo(P, 'a'), ogposet._memo(P, key), P._memo\n",
+        "@_memoised('a')\n"
+        "def f(P, x):\n"
+        "    return P._memo\n"
+        "@ogposet._memoised(KEY)\n"
+        "def g(P, x, y):\n"
+        "    return x\n"
+        "h = _memoised('b')(len)\n",
         encoding="utf-8",
     )
-    assert memo_names(mod) == {"a", None}
+    assert memo_names(mod) == {"a", "b", None}
+    assert memo_readers(mod) == ["mod.py: f"]
 
 
 def test_the_memo_names_are_fixed():
     """Each memo is one named table per poset, so a new table shows here."""
     found = set().union(*(memo_names(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert found == MEMO_NAMES
+
+
+def _key_shape(key):
+    """The type names of a memo key, a tuple of them for a tuple key."""
+    return tuple(map(_key_shape, key)) if isinstance(key, tuple) else type(key).__name__
+
+
+def test_memo_keys_have_fixed_shapes():
+    """A table is keyed by its search's single argument, or by the tuple of
+    its arguments.  perfbench's probe ``_mol_memo_has`` reads the "mol"
+    memo by the bare subset, so another key shape would make its hit ratio
+    read 0."""
+    U = dcx.path(3)
+    P = U.poset
+    dcx.enumerate_sd(U, [0])
+    dcx.is_molecule(P)
+    P.boundary_canon(0, dcx.ogposet.MINUS)
+    found = {name: {_key_shape(key) for key in table} for name, table in P._memo.items()}
+    assert found == {
+        "mol": {"int"},
+        "frames": {"int"},
+        "bdry": {("int", "str")},
+        "prelay": {("int", "int")},
+        "sdtrees": {("int", ("int",), "int")},
+        "sdleaf": {"int"},
+        "sdmeet": {("int", "int", "int")},
+    }
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing._mol_memo_has((P, P.full_masks()))
+    assert not tracing._mol_memo_has((dcx.path(3).poset, P.full_masks()))
 
 
 # -- line length ------------------------------------------------------------------

@@ -162,6 +162,32 @@ def test_suspension_dim_and_cert():
     assert molecule_iso(replay(s.cert), s) is not None
 
 
+def test_replay_builds_each_distinct_subcertificate_once(monkeypatch):
+    # oriental(5)'s certificate repeats its subtrees; a rebuild per
+    # occurrence costs time exponential in the dimension
+    import dcx.molecule as mm
+
+    U = oriental(5)
+    distinct: set = set()
+    todo = [U.cert]
+    while todo:
+        cert = todo.pop()
+        if cert not in distinct:
+            distinct.add(cert)
+            todo.extend(c for c in cert[1:] if isinstance(c, tuple))
+    calls = {"atom": 0, "paste": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(mm, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mm, name, counted)
+    V = replay(U.cert)
+    assert calls == {name: sum(c[0] == name for c in distinct) for name in calls}
+    assert V.key == U.key
+
+
 def test_join_point_point():
     assert join(point(), point()).counts == (2, 1)
 
