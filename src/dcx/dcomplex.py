@@ -385,14 +385,23 @@ class SemiSimplicialSet:
     """Simplex lists per dimension; simplex faces omit one vertex each."""
 
     def __init__(self, faces: list):
-        # faces[0]: number of vertices; faces[d][i]: list of d+1 face indices
-        if not faces:
-            self.n_vertices = 0
-            self.faces = []
-            return
-        head = faces[0]
+        """``faces[0]`` is the number of vertices (or a list of them) and
+        ``faces[d][s]`` the list of the d + 1 face indices of the simplex
+        (d, s).  Lists of any other shape raise ``DcxError`` naming the
+        dimension, and the simplex when there is one; :meth:`validate`
+        checks the counts, indices and identities."""
+        if not isinstance(faces, (list, tuple)):
+            raise DcxError(f"the face table {faces!r} is not a list")
+        head = faces[0] if faces else 0
         self.n_vertices = len(head) if isinstance(head, list) else head
-        self.faces = [list(map(list, level)) for level in faces[1:]]
+        self.faces = []
+        for d, level in enumerate(faces[1:], 1):
+            if not isinstance(level, (list, tuple)):
+                raise DcxError(f"dimension {d} of the face table is {level!r}, not a list")
+            for s, row in enumerate(level):
+                if not isinstance(row, (list, tuple)):
+                    raise DcxError(f"simplex ({d},{s}) has face entry {row!r}, not an index list")
+            self.faces.append(list(map(list, level)))
         while self.faces and not self.faces[-1]:
             self.faces.pop()
 

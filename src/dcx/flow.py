@@ -247,12 +247,12 @@ def is_frame_acyclic(U: Molecule) -> FrameAcyclicity:
     """Check every submolecule's flow graph at its own frame dimension.
 
     The scan runs first over :func:`~dcx.molecule.candidate_closure_masks`:
-    the closure of U under boundaries and under the membrane fixpoint of
+    the closure of U under boundaries and under the membrane rebuild of
     every split candidate, with no boundary comparison and no recognition.
     It contains every submolecule.  The :func:`~dcx.molecule.splits_masks`
     and :func:`~dcx.molecule._membrane_splits` docstrings prove that every
     k-split of a subset is one of its candidates and that the candidate's
-    fixpoint rebuilds that split.  So by induction along a witness of
+    rebuild is that split.  So by induction along a witness of
     :func:`~dcx.molecule.submolecules_masks`, whose steps are boundaries and
     split sides, the scan reaches each submolecule.  If no member of the
     superset has a flow cycle, no submolecule has one: U is frame-acyclic.

@@ -104,7 +104,7 @@ class Molecule:
 
 
 def point() -> Molecule:
-    return Molecule(OgPoset((1,), [[]], regular=True, _checked=True), POINT_CERT)
+    return Molecule(OgPoset((1,), [[]], _checked=True), POINT_CERT)
 
 
 def arrow() -> Molecule:
@@ -435,12 +435,15 @@ def theta_from_tree(tree) -> Molecule:
 
 
 def is_round_masks(P: OgPoset, masks: Masks) -> bool:
-    d = P.masks_dim(masks)
-    for k in range(d):
-        union = P.boundary_masks(masks, k - 1, MINUS) | P.boundary_masks(masks, k - 1, PLUS)
-        inter = P.boundary_masks(masks, k, MINUS) & P.boundary_masks(masks, k, PLUS)
-        if union != inter:
+    """For each k below the dimension, the union of the two (k-1)-boundaries
+    is the intersection of the two k-boundaries; each boundary is computed
+    once, and both (-1)-boundaries are empty."""
+    union = 0
+    for k in range(P.masks_dim(masks)):
+        minus, plus = P.boundary_masks(masks, k, MINUS), P.boundary_masks(masks, k, PLUS)
+        if union != minus & plus:
             return False
+        union = minus | plus
     return True
 
 
@@ -606,56 +609,66 @@ def _membrane_splits(P: OgPoset, masks: Masks, k: int) -> Iterator[tuple[Masks, 
     A candidate is the set of high elements (maximal, of dimension above k)
     on the left, as a subset; ``cla`` and ``clb`` are the closures of the
     two sides' high elements and ``low`` is the part of ``masks`` of
-    dimension at most k.  Given the assignment, the shared membrane is
-    forced: it grows from the elements outside both closures (plus the
-    closures' intersection) by adding the level-k output frame of A and
-    input frame of B until stable.  The parts of both sides above level k
-    never change during the growth, so the frame tests are stable and the
-    fixpoint reconstructs the unique candidate split.  Whether it is a split
-    is left to the caller: :func:`splits_masks` checks it exactly,
-    :func:`candidate_closure_masks` keeps it as is.
+    dimension at most k.  The sides are ``cla`` and ``clb``, each with one
+    shared membrane: the closure of ``cla & clb``, of the part of ``low``
+    outside both closures, of δ⁺ at k of ``cla`` and of δ⁻ at k of
+    ``clb``.  Whether the pair is a split is left to the caller:
+    :func:`splits_masks` checks it exactly, :func:`candidate_closure_masks`
+    keeps it as is.
 
-    The membrane stays below dimension k + 1.  Two high elements whose
-    closures meet above k are on the same side (the same-side rule of
-    :func:`splits_masks`, kept by every candidate), so ``cla & clb`` lies
-    in dimension at most k, as does ``low``; each growth step is the
-    closure of k-cells.  So the (k+1)-cells of A are those of ``cla``, and
-    the k-cells of A that are input faces of one of them are the union of
-    ``Level.ins`` over A's high elements: the output frame δ⁺ at k of A is
-    ``A & keep_a``, with ``keep_a`` from :meth:`~dcx.ogposet.Level.keep`,
-    and the input frame of B is ``B & keep_b`` likewise.  Both masks are
-    fixed per candidate, so no δ is recomputed during the growth.
+    Every k-split (A, B) of ``masks`` with these high elements on the left
+    is this pair, so every split is the rebuild of one candidate.  Let
+    M = A n B, the output k-boundary of A and the input k-boundary of B, of
+    dimension at most k.  An element of A above dimension k lies under a
+    high element; not under a right one, or it would be in ``clb``, so in
+    B and in M.  So the (k+1)-cells of A are those of ``cla``, and those of
+    B those of ``clb``.
+
+    - The membrane lies in M.  δ⁺ at k of ``cla`` lies in δ⁺ at k of A, and
+      δ⁻ at k of ``clb`` in δ⁻ at k of B.  An element of ``low`` outside
+      both closures lies under a maximal element of A or B of dimension at
+      most k, which generates that side's k-boundary.  And ``cla & clb``
+      lies in A n B.
+    - M lies in the membrane.  M is the closure of δ⁺ at k of A and of the
+      maximal elements of A below dimension k.  Such a generator in ``cla``
+      is a k-cell of δ⁺ at k of ``cla``; one outside both closures is in
+      ``low``.  A k-cell of δ⁺ at k of A in ``clb`` is a k-cell of the
+      input k-boundary of B, so it is in δ⁻ at k of B and of ``clb``.  A
+      maximal element of A below dimension k in ``clb`` is under a right
+      high element, so not maximal in B; it lies under a k-cell of δ⁻ at k
+      of B, in M and so in A, against its maximality in A.
+
+    So adding both sides' frames to the membrane adds nothing: each side's
+    frame at k is its closure's, together with k-cells of the membrane.
 
     The pair needs no test for being proper and covering:
 
     - Cover: an element of ``masks`` above dimension k lies under a maximal
       element of ``masks``, which is high, so it is in ``cla | clb``.  Every
-      other element is in ``low``, and the membrane starts with the part of
-      ``low`` outside both closures.  Each growth step is a closure of cells
-      of the closed ``masks``, so neither side leaves ``masks``.
+      other element is in ``low``, and the membrane holds the part of
+      ``low`` outside both closures.  The membrane is a closure of cells of
+      the closed ``masks``, so neither side leaves ``masks``.
     - Proper: a candidate and its complement in ``high`` are nonempty.  A
       high element on the right is maximal in ``masks``, so it lies neither
       in ``cla`` nor below it, and not in the membrane either, whose
-      elements have dimension at most k.  So the left side misses it, and
-      likewise the right side misses every high element on the left.
+      elements have dimension at most k: two high elements whose closures
+      meet above k are on the same side (the same-side rule of
+      :func:`splits_masks`, kept by every candidate), so ``cla & clb`` lies
+      in dimension at most k, as do ``low`` and the frames.  So the left
+      side misses it, and likewise the right side misses every high element
+      on the left.
     """
     high = P.maximal_masks(masks) & ~P.upto(k)
     if high & (high - 1) == 0:
         return  # no candidate, and no level table to build
-    level = P.level(k)
     low = masks & P.upto(k)
     for left_high in _split_candidates(P, high, k):
-        right_high = high & ~left_high
-        cla, clb = P.closure_masks(left_high), P.closure_masks(right_high)
-        keep_a, keep_b = level.keep(left_high, right_high)
-        membrane = P.closure_masks((cla & clb) | (low & ~(cla | clb)))
-        while True:
-            left, right = cla | membrane, clb | membrane
-            grow = P.closure_masks(left & keep_a | right & keep_b)
-            if grow & ~membrane == 0:
-                break
-            membrane |= grow
-        yield left, right
+        cla, clb = P.closure_masks(left_high), P.closure_masks(high & ~left_high)
+        membrane = P.closure_masks(
+            cla & clb | low & ~(cla | clb)
+            | P.delta_masks(cla, k, PLUS) | P.delta_masks(clb, k, MINUS)
+        )
+        yield cla | membrane, clb | membrane
 
 
 def _split_candidates(P: OgPoset, high: Masks, k: int) -> Iterator[Masks]:

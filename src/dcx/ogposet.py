@@ -8,10 +8,9 @@ one int: bit p is set when the element at position p belongs to it.  The
 closure and boundary calculus is then a few whole-int operations over
 per-position tables of faces, cofaces and single-element closures, cheap
 enough for exhaustive searches.  For each level k, a :class:`Level` table
-holds per position the flow successors, what a split at k must put on the
-same side, and the k-cells that the element's (k+1)-cells consume and
-produce; it is built on the first request at k.
-Split candidates, the membrane fixpoint and flow cycles all read it.
+holds per position the flow successors and what a split at k must put on
+the same side; it is built on the first request at k.  Split candidates
+and flow cycles read it.
 
 Only this module knows the layout.  Other modules build subsets from
 elements (:meth:`OgPoset.el_masks`), read them back
@@ -390,33 +389,21 @@ class Level:
       meet p's above dimension k.  A k-split with p on its left side has
       there every high element of ``need[p]`` (see
       :func:`dcx.molecule.splits_masks`).
-    - ``ins[p]``, ``outs[p]``: the k-cells of p's closure that are input,
-      respectively output, faces of its (k+1)-cells: the k-cells of the
-      closure outside p's output, respectively input, k-frame.  So the
-      frames are not kept: the output k-frame of p is the closure's k-cells
-      outside ``ins[p]``, and the input k-frame those outside ``outs[p]``.
-
-    ``cells`` is the set of elements of dimension k.
     """
 
-    __slots__ = ("cells", "succ", "need", "ins", "outs")
+    __slots__ = ("succ", "need")
 
     def __init__(self, P: OgPoset, k: int):
         n = P.size()
-        lo = hi = n
-        if 0 <= k < len(P.counts):
-            lo, hi = P._offsets[k], P._offsets[k + 1]
-        self.cells = (1 << hi) - (1 << lo)
+        hi = P._offsets[k + 1] if 0 <= k < len(P.counts) else n
         low = [0] * hi
         cl_above = P.cl_el[hi:]
-        minus = [P.delta_masks(c, k, MINUS) for c in cl_above]
-        plus = [P.delta_masks(c, k, PLUS) for c in cl_above]
         # into[c]: the elements whose input k-frame holds the k-cell c
         into = [0] * n
-        for q, frame in enumerate(minus, hi):
-            for c in _bits(frame):
+        for q, cl in enumerate(cl_above, hi):
+            for c in _bits(P.delta_masks(cl, k, MINUS)):
                 into[c] |= 1 << q
-        succ = [_union(into, frame) for frame in plus]
+        succ = [_union(into, P.delta_masks(cl, k, PLUS)) for cl in cl_above]
         # up[r]: the elements above k whose closures hold r, for r above k;
         # cofaces come first, from the top down
         above = P.full_masks() >> hi << hi
@@ -429,16 +416,6 @@ class Level:
                 need[q] |= 1 << p
         self.succ = low + succ
         self.need = need
-        self.ins = low + [cl & self.cells & ~f for cl, f in zip(cl_above, plus)]
-        self.outs = low + [cl & self.cells & ~f for cl, f in zip(cl_above, minus)]
-
-    def keep(self, left: Masks, right: Masks) -> tuple[Masks, Masks]:
-        """The k-cells consumed by no (k+1)-cell of the closures of ``left``,
-        and those produced by no (k+1)-cell of the closures of ``right``."""
-        return (
-            self.cells & ~_union(self.ins, left),
-            self.cells & ~_union(self.outs, right),
-        )
 
 
 class Closed:

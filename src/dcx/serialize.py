@@ -23,9 +23,12 @@ def _el_name(el: El) -> str:
     return f"{el[0]}.{el[1]}"
 
 
-def _parse_el(name: str) -> El:
-    d, i = name.split(".")
-    return (int(d), int(i))
+def _parse_el(name) -> El:
+    """The element named ``"d.i"``, both parts decimal digits."""
+    parts = name.split(".") if isinstance(name, str) else ()
+    if len(parts) != 2 or not all(part.isdecimal() for part in parts):
+        raise DcxError(f'attach entry {name!r} is not an element name "d.i"')
+    return (int(parts[0]), int(parts[1]))
 
 
 # -- ogposet/1 -------------------------------------------------------------
@@ -61,18 +64,24 @@ def loads_ogposet(text: str) -> OgPoset:
 
 
 def cert_from_data(data) -> tuple:
-    """A certificate read from JSON; a pasting level must be an ``int``, not
-    a ``bool``, a string or a float."""
+    """A certificate read from JSON: a list of a head and its entries, none
+    for "point", two for "atom" and three for "paste".  A pasting level
+    must be an ``int``, not a ``bool``, a string or a float."""
+    if not isinstance(data, (list, tuple)) or not data:
+        raise DcxError(f"certificate {data!r} is not a nonempty list")
     head = data[0]
+    entries = {"point": 0, "atom": 2, "paste": 3}.get(head) if isinstance(head, str) else None
+    if entries is None:
+        raise DcxError(f"unknown certificate head {head!r}")
+    if len(data) != 1 + entries:
+        raise DcxError(f"certificate head {head!r} takes {entries} entries, not {len(data) - 1}")
     if head == "point":
         return ("point",)
     if head == "atom":
         return ("atom", cert_from_data(data[1]), cert_from_data(data[2]))
-    if head == "paste":
-        if type(data[1]) is not int:
-            raise DcxError(f"pasting level {data[1]!r} is not an integer")
-        return ("paste", data[1], cert_from_data(data[2]), cert_from_data(data[3]))
-    raise DcxError(f"unknown certificate head {head!r}")
+    if type(data[1]) is not int:
+        raise DcxError(f"pasting level {data[1]!r} is not an integer")
+    return ("paste", data[1], cert_from_data(data[2]), cert_from_data(data[3]))
 
 
 # -- dcomplex/1 -----------------------------------------------------------------
@@ -122,14 +131,14 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
     if not isinstance(data, dict) or data.get("format") != "dcomplex/1":
         raise DcxError("expected a dcomplex/1 document")
     cells: list[list[Cell]] = []
-    for level in data["cells"]:
+    for d, level in enumerate(data["cells"]):
         row = []
-        for entry in level:
+        for i, entry in enumerate(level):
             shape = _shape_from_data(entry["shape"])
-            attach = {
-                _parse_el(k): _parse_el(v) for k, v in entry["attach"].items()
-            }
-            row.append(Cell(shape, attach))
+            attach = entry["attach"]
+            if not isinstance(attach, dict):
+                raise DcxError(f"cell ({d},{i}) has attach {attach!r}, not an object")
+            row.append(Cell(shape, {_parse_el(k): _parse_el(v) for k, v in attach.items()}))
         cells.append(row)
     return DirectedComplex(cells).validate()
 

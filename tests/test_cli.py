@@ -435,6 +435,49 @@ def test_ssset_count_or_index_not_an_integer_exits_2(tmp_path, capsys, faces, er
     assert json.loads(out)["error"] == f"invalid ssset input: {error}"
 
 
+# ssset/1 face tables of the wrong shape are named by dimension and simplex
+MALFORMED_SSSET = {
+    "dimension-not-a-list": ("[2,5]", "dimension 1 of the face table is 5, not a list"),
+    "entry-not-a-list": ("[2,[5]]", "simplex (1,0) has face entry 5, not an index list"),
+    "table-not-a-list": ("5", "the face table 5 is not a list"),
+}
+
+
+@pytest.mark.parametrize("faces, error", MALFORMED_SSSET.values(), ids=MALFORMED_SSSET.keys())
+def test_ssset_malformed_faces_exit_2(tmp_path, capsys, faces, error):
+    text = f'{{"format":"ssset/1","faces":{faces}}}'
+    code, out = call(capsys, "cx", "import-ssset", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid ssset input: {error}"
+
+
+# (the shape of a one-cell dcomplex/1 document, its attachment map, the error)
+MALFORMED_CELLS = {
+    "truncated-paste": (["paste", 0], {}, "certificate head 'paste' takes 3 entries, not 1"),
+    "empty-certificate": ([], {}, "certificate [] is not a nonempty list"),
+    "truncated-atom": (
+        ["atom", ["point"]], {}, "certificate head 'atom' takes 2 entries, not 1"
+    ),
+    "long-point": (["point", 1], {}, "certificate head 'point' takes 0 entries, not 1"),
+    "attach-not-an-object": (["point"], [], "cell (0,0) has attach [], not an object"),
+    "attach-not-a-name": (
+        ["point"], {"0.0": 5}, 'attach entry 5 is not an element name "d.i"'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, attach, error", MALFORMED_CELLS.values(), ids=MALFORMED_CELLS.keys()
+)
+def test_dcomplex_malformed_cell_exits_2(tmp_path, capsys, shape, attach, error):
+    """A malformed shape certificate or attachment map is input of the
+    wrong shape, exit 2 naming the field, not a failed check."""
+    text = json.dumps({"format": "dcomplex/1", "cells": [[{"shape": shape, "attach": attach}]]})
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid dcomplex input: {error}"
+
+
 # (simplex dimension, the level written, what replaces it, how the error shows it)
 BAD_LEVELS = {
     "bool": (3, 1, "true", "True"),

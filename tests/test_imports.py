@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every
-function, method and class it defines is read somewhere.
+"""Every module of the package uses every name it imports, every
+function, method and class it defines is read somewhere, and every local
+name a function assigns is read in that function.
 
 Stdlib ``ast`` scans.  A name bound by an import must be read somewhere in
 the module, in code or in a quoted annotation.  ``__init__.py`` is left
@@ -8,7 +9,8 @@ explicit re-export written ``from m import x as x``.  A definition (dunders
 excepted) must be read as a name, an attribute or an imported name
 somewhere in the package, its tests or perfbench; a method counts only when
 it is read as an attribute, so a local variable of the same name does not
-hide it.  A mention in a docstring does not count.
+hide it.  A mention in a docstring does not count.  A local name that
+starts with ``_`` may go unread.
 """
 import ast
 import importlib.util
@@ -177,6 +179,65 @@ def test_every_definition_is_read():
     reading = defining + sorted((ROOT / "tests").rglob("*.py"))
     reading += sorted((ROOT / "perfbench").rglob("*.py"))
     assert unused_definitions(defining, reading) == []
+
+
+def dead_locals(path: Path) -> list[str]:
+    """Names assigned in a function of a module and read nowhere in it,
+    its nested functions included.  Names starting with ``_`` and names
+    declared ``global`` or ``nonlocal`` are skipped; an augmented
+    assignment reads its target."""
+    out = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        out.update(
+            (line, name)
+            for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        )
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(out)]
+
+
+def test_scan_finds_a_dead_local(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(xs):\n"
+        "    lo = hi = len(xs)\n"
+        "    total = 0\n"
+        "    for i, x in enumerate(xs):\n"
+        "        total += x\n"
+        "    _, spare = divmod(hi, 2)\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = seen = 1\n"
+        "    return g, hi\n"
+        "def h():\n"
+        "    count = 0\n"
+        "    return [count for _ in ()]\n",
+        encoding="utf-8",
+    )
+    assert dead_locals(mod) == [
+        "mod.py:2: lo",
+        "mod.py:4: i",
+        "mod.py:6: spare",
+        "mod.py:9: seen",
+    ]
+
+
+def test_no_dead_locals():
+    """Every name a function of the package assigns is read."""
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in dead_locals(path)]
+    assert found == []
 
 
 SETUP = {"__init__", "_build_tables"}

@@ -32,8 +32,14 @@ from dcx import (
     validate,
 )
 from dcx.dcomplex import SemiSimplicialSet, enumerate_molecules, import_ssset
-from dcx.molecule import boundary_glue, mol_cert, paste_labelled
-from dcx.ogposet import OgIso
+from dcx.molecule import (
+    boundary_glue,
+    is_round_masks,
+    mol_cert,
+    paste_labelled,
+    submolecules_masks,
+)
+from dcx.ogposet import MINUS, PLUS, OgIso
 from dcx.randgen import random_molecules
 
 
@@ -253,6 +259,25 @@ def test_atoms_are_round(corpus):
     for mol in corpus:
         if mol.greatest() is not None:
             assert is_round(mol)
+
+
+def test_roundness_matches_its_definition(corpus):
+    """Each submolecule is round when, for every k below its dimension, the
+    union of its (k-1)-boundaries is the intersection of its k-boundaries;
+    the (-1)-boundaries are empty."""
+    seen = {True: 0, False: 0}
+    for mol in corpus[:30]:
+        P = mol.poset
+        for masks in submolecules_masks(P, P.full_masks()):
+            d = P.masks_dim(masks)
+            # sides[k + 1]: the two k-boundaries
+            sides = [[P.boundary_masks(masks, k, a) for a in (MINUS, PLUS)] for k in range(-1, d)]
+            expected = all(
+                sides[k][0] | sides[k][1] == sides[k + 1][0] & sides[k + 1][1] for k in range(d)
+            )
+            assert is_round_masks(P, masks) == expected, masks
+            seen[expected] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_round_molecules_are_pure(round_corpus):

@@ -603,11 +603,9 @@ def plain_frames(P, k):
 
 def plain_level(P, k):
     """The level-k tables as sets, element by element.  Only the elements
-    above k, at a level 0 <= k, have rows that are not empty: their frames,
-    their flow successors among the elements above k, what a k-split keeps
-    with or before them among the elements above k, and the k-cells of their
-    closures that (k+1)-cells consume and produce, read from the faces of
-    those cells."""
+    above k, at a level 0 <= k, have rows that are not empty: their flow
+    successors among the elements above k, and what a k-split keeps with or
+    before them among the elements above k."""
     els = list(P.elements())
     high = {x for x in els if x[0] > k >= 0}
     frames = {x: f if x in high else (set(), set()) for x, f in plain_frames(P, k).items()}
@@ -617,13 +615,7 @@ def plain_level(P, k):
         x: {y for y in high if x in succ[y] or any(z[0] > k for z in closures[x] & closures[y])}
         for x in els
     }
-
-    def faces_of_cells(x, side):
-        return {f for c in closures[x] if c[0] == k + 1 for f in plain_faces(P, c, side)}
-
-    ins = {x: faces_of_cells(x, "-") if x in high else set() for x in els}
-    outs = {x: faces_of_cells(x, "+") if x in high else set() for x in els}
-    return {"frames": frames, "succ": succ, "need": need, "ins": ins, "outs": outs}
+    return {"succ": succ, "need": need}
 
 
 def plain_connected(P, S):
@@ -673,7 +665,7 @@ def check_against_plain(P, S, levels):
             assert set(P.masks_els(P.delta_masks(m, k, alpha))) == plain_delta(P, S, k, alpha)
         level, plain = P.level(k), levels[k]
         for x, p in zip(P.masks_els(m), _bits(m)):
-            for name in ("succ", "need", "ins", "outs"):
+            for name in ("succ", "need"):
                 assert set(P.masks_els(getattr(level, name)[p])) == plain[name][x], (name, k, x)
     if plain_closure(P, S) != S:
         return

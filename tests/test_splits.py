@@ -18,7 +18,10 @@ one.  That no split memo exists is pinned by the memo-name guard in
 ``_membrane_splits`` yields every rebuild without testing it; its docstring
 proves each one proper and covering.  The rebuild oracle below makes that
 test on every rebuild that recognition, ``submolecules_masks`` and
-``candidate_closure_masks`` ask for.
+``candidate_closure_masks`` ask for.  ``_membrane_splits`` builds each
+rebuild in one closure; the growth oracle at the end grows the membrane by
+both sides' frames, δ recomputed at every step, until stable, and must give
+the same pairs in the same order.
 """
 import dcx.molecule as molecule
 from dcx import globe, oriental, paste
@@ -30,7 +33,7 @@ from dcx.molecule import (
     splits_masks,
     submolecules_masks,
 )
-from dcx.ogposet import OgPoset, _bits
+from dcx.ogposet import MINUS, PLUS, OgPoset, _bits
 
 
 def bipartition_candidates(P, high, k):
@@ -223,3 +226,42 @@ def test_rebuilds_are_proper_and_covering(corpus, monkeypatch):
         submolecules_masks(P, full)
         candidate_closure_masks(P, full)
     assert seen[0] > 400_000
+
+
+# -- one closure rebuilds what growing the membrane until stable does -------------
+
+
+def grown_rebuilds(P, masks, k):
+    """The rebuild of every candidate by growth: the membrane starts as the
+    closure of the closures' intersection and of the low elements outside
+    both, and grows by the output k-frame of the left side and the input
+    k-frame of the right side, recomputed from the sides at every step,
+    until stable."""
+    high = P.maximal_masks(masks) & ~P.upto(k)
+    if high & (high - 1) == 0:
+        return
+    low = masks & P.upto(k)
+    for left_high in _split_candidates(P, high, k):
+        cla, clb = P.closure_masks(left_high), P.closure_masks(high & ~left_high)
+        membrane = P.closure_masks(cla & clb | low & ~(cla | clb))
+        while True:
+            left, right = cla | membrane, clb | membrane
+            grow = P.closure_masks(
+                P.delta_masks(left, k, PLUS) | P.delta_masks(right, k, MINUS)
+            )
+            if grow & ~membrane == 0:
+                break
+            membrane |= grow
+        yield left, right
+
+
+def test_one_closure_rebuilds_the_grown_membrane(corpus):
+    pairs = 0
+    for mol in corpus[:40] + [oriental(n) for n in range(6)]:
+        P = mol.poset
+        for masks in candidate_closure_masks(P, P.full_masks()):
+            for k in range(P.masks_dim(masks)):
+                rebuilt = list(molecule._membrane_splits(P, masks, k))
+                assert rebuilt == list(grown_rebuilds(P, masks, k)), (masks, k)
+                pairs += len(rebuilt)
+    assert pairs > 5_000
