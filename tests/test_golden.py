@@ -5,7 +5,8 @@ subcommand, each with the sha256 of its stdout and its exit code.  An
 argument that starts with ``inputs/`` names a committed file under
 ``tests/golden/``: ogposet/1 molecules, ogposet/1 inputs that are only
 checked (three posets that are not molecules and two Hasse-cyclic atoms),
-ssset/1 simplices and their dcomplex/1 realisations.
+ssset/1 simplices, their dcomplex/1 realisations and two dcomplex/1
+documents that ``cx verify`` rejects.
 ``tests/golden/library.json`` holds one sha256 per section of a library
 digest: canonical keys and relabels, full isomorphism lists against
 relabelled copies, the keys of enumerated pasting diagrams, and, for each
@@ -51,7 +52,9 @@ CORPUS_MAX_ELEMENTS = 14
 # input, and every command on the inputs of SLICE; commands reading no file
 # run too
 TIER1_COMMANDS = (("sd",), ("export", "--dot", "sd"), ("check",))
-SLICE = ("path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2")
+SLICE = (
+    "path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2", "swapped", "misshaped"
+)
 
 
 def _resolve(arg: str) -> str:
@@ -292,6 +295,62 @@ CHECK_ONLY = {
     ],
 }
 
+ARROW = ["atom", ["point"], ["point"]]
+
+# dcomplex/1 inputs on which only ``cx verify`` runs; both exit 2.  In
+# "swapped" the 2-simplex of delta2 attaches its edges 1.0 and 1.1 to each
+# other's cells, so the labelling around (1, 0) does not restrict to the
+# attachment.  In "misshaped" the faces of a 3-simplex are labelled by a
+# 2-cell shaped as a 2-globe, not as a triangle.
+CX_REJECTED = {
+    "swapped": {
+        "format": "dcomplex/1",
+        "cells": [
+            [{"shape": ["point"], "attach": {"0.0": f"0.{i}"}} for i in range(3)],
+            [
+                {"shape": ARROW, "attach": {"0.0": "0.0", "0.1": "0.1", "1.0": "1.0"}},
+                {"shape": ARROW, "attach": {"0.0": "0.0", "0.1": "0.2", "1.0": "1.1"}},
+                {"shape": ARROW, "attach": {"0.0": "0.1", "0.1": "0.2", "1.0": "1.2"}},
+            ],
+            [
+                {
+                    "shape": ["atom", ARROW, ["paste", 0, ARROW, ARROW]],
+                    "attach": {
+                        "0.0": "0.0", "0.1": "0.2", "0.2": "0.1",
+                        "1.0": "1.0", "1.1": "1.1", "1.2": "1.2", "2.0": "2.0",
+                    },
+                }
+            ],
+        ],
+    },
+    "misshaped": {
+        "format": "dcomplex/1",
+        "cells": [
+            [{"shape": ["point"], "attach": {"0.0": "0.0"}}],
+            [{"shape": ARROW, "attach": {"0.0": "0.0", "0.1": "0.0", "1.0": "1.0"}}],
+            [
+                {
+                    "shape": "globe:2",
+                    "attach": {
+                        "0.0": "0.0", "0.1": "0.0", "1.0": "1.0", "1.1": "1.0", "2.0": "2.0",
+                    },
+                }
+            ],
+            [
+                {
+                    "shape": "oriental:3",
+                    "attach": {
+                        **{f"0.{i}": "0.0" for i in range(4)},
+                        **{f"1.{i}": "1.0" for i in range(6)},
+                        **{f"2.{i}": "2.0" for i in range(4)},
+                        "3.0": "3.0",
+                    },
+                }
+            ],
+        ],
+    },
+}
+
 CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
 FLOW_MODES = ("graph", "layerings", "orderings", "theory")
 
@@ -396,6 +455,9 @@ def update() -> int:
     for name, raw in CHECK_ONLY.items():
         (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(validate(raw)), encoding="utf-8")
         commands += [["check", prop, f"inputs/{name}.json"] for prop in CHECK_PROPERTIES]
+    for name, doc in CX_REJECTED.items():
+        (INPUTS / f"{name}.dcomplex.json").write_text(serialize.dumps_json(doc), encoding="utf-8")
+        commands.append(["cx", "verify", f"inputs/{name}.dcomplex.json"])
     entries = []
     for argv in commands:
         text, code = run_command(argv)
