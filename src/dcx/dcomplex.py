@@ -31,7 +31,6 @@ from .ogposet import (
     El,
     OgPoset,
     _labelled_bytes,
-    find_iso,
     is_hasse_acyclic,
     labelled_key,
 )
@@ -159,7 +158,24 @@ def restriction_problem(
     Every element must be labelled by an existing cell of its dimension,
     and the labels on its closure must be the attachment of that cell,
     read through the unique isomorphism of the closure with the cell's
-    shape.
+    shape.  No closure is extracted and no isomorphism is searched for:
+    the canonical record of the closure (:meth:`OgPoset.canon_record`)
+    and that of the whole shape decide it, as in
+    :func:`~dcx.molecule.boundary_glue`.
+
+    - Different keys: the keys are canonical, equal exactly for isomorphic
+      posets, so the closure is not shaped like the cell.
+    - Equal keys: both relabel onto one canonical poset, and the i-th
+      elements of the two canonical orders go to the same element of it,
+      so sending the shape's i-th element to the closure's is an
+      orientation-preserving isomorphism.
+    - It is the only one.  A cell's shape is an atom, a molecule, and
+      molecules are rigid (Hadzihasanovic, *Combinatorics of
+      higher-categorical diagrams*, 2024): it has exactly one isomorphism
+      onto a poset isomorphic to it.
+
+    Each record is memoised on its poset, keyed by the subset, so cells
+    sharing one shape object share its closures' records.
     """
     for el in P.elements():
         cid = labels.get(el)
@@ -171,12 +187,13 @@ def restriction_problem(
             return f"element {el} maps to {cid}, which does not exist"
     for el in P.elements():
         cell = X.cell(labels[el])
-        clq, amb = P.extract(P.cl_el[P.pos(el)])
-        iso = find_iso(cell.shape.poset, clq)
-        if iso is None:
+        S = cell.shape.poset
+        key, els = P.canon_record(P.cl_el[P.pos(el)])
+        want, shape_els = S.canon_record(S.full_masks())
+        if key != want:
             return f"element {el} is not shaped like its cell"
-        for e in cell.shape.poset.elements():
-            if labels[amb[iso[e]]] != cell.attach[e]:
+        for e, image in zip(shape_els, els):
+            if labels[image] != cell.attach[e]:
                 return f"labelling around {el} does not restrict to the attachment"
     return None
 
@@ -226,8 +243,9 @@ class PastingDiagram:
         return self._key
 
     def _boundary_key(self, k: int, alpha: str) -> bytes:
-        """``boundary_diagram(self, k, alpha).key``, from the shape's
-        memoised boundary record, with no extraction and no certificate."""
+        """``boundary_diagram(self, k, alpha).key``, from the canonical
+        record of the shape's boundary, memoised on the shape and read in
+        place, with no extraction and no certificate."""
         key, els = self.shape.poset.boundary_canon(k, alpha)
         return _labelled_bytes(key, [self.labels[el] for el in els])
 

@@ -118,8 +118,10 @@ def boundary_glue(
 
     Returns the isomorphism as a map from elements of Q to elements of P,
     or None when the two boundaries are not isomorphic.  No isomorphism is
-    searched for: the two canonical records of
-    :meth:`~dcx.ogposet.OgPoset.boundary_canon` decide it.
+    searched for and no boundary is extracted: the two canonical records of
+    :meth:`~dcx.ogposet.OgPoset.boundary_canon`, each read in place and
+    memoised on its poset by :meth:`~dcx.ogposet.OgPoset.canon_record`,
+    decide it.
 
     - Different keys: the keys are canonical, equal exactly for isomorphic
       posets, so the boundaries are not isomorphic.

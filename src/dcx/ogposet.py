@@ -55,6 +55,14 @@ def _union(table: list[int], mask: int) -> int:
     return out
 
 
+def _offsets(counts) -> list[int]:
+    """The position of the first element of each dimension, then the size."""
+    out = [0]
+    for c in counts:
+        out.append(out[-1] + c)
+    return out
+
+
 def _memoised(name: str):
     """Keep the results of ``fn(P, *args)`` in the memo table ``name`` of P.
 
@@ -87,9 +95,10 @@ class OgPoset:
     closure, each as a subset; cofaces by side are read off the face
     tables.  The :class:`Level` table at k (:meth:`level`) is built on the
     first request at k and kept in the "frames" memo, so a poset and an
-    extracted copy each build their own.  Instances are immutable and cache
-    their canonical form, the canonical records of their boundaries and
-    memoised searches (see :func:`_memoised`).
+    extracted copy each build their own.  Instances are immutable and keep
+    the canonical records of their closed subsets (:meth:`canon_record`),
+    the whole poset's being its canonical form, in the "canon" memo, with
+    the other memoised searches (see :func:`_memoised`).
     ``regular=True`` also refuses an element of positive dimension with an
     empty face side; the flag is not kept.
     """
@@ -105,7 +114,6 @@ class OgPoset:
         "dn_all",
         "up_all",
         "cl_el",
-        "_canon",
         "_memo",
     )
 
@@ -123,7 +131,6 @@ class OgPoset:
         if not _checked:
             self._validate(regular)
         self._build_tables()
-        self._canon = None
         self._memo = {}
 
     # -- validation ----------------------------------------------------
@@ -151,9 +158,7 @@ class OgPoset:
                     )
 
     def _build_tables(self):
-        offsets = [0]
-        for c in self.counts:
-            offsets.append(offsets[-1] + c)
+        offsets = _offsets(self.counts)
         self._offsets = tuple(offsets)
         # _upto[j]: the elements of dimension below j, for j = 0 .. len(counts) + 1;
         # the repeated last entry lets delta_masks read level k + 2 for every k <= dim,
@@ -301,27 +306,30 @@ class OgPoset:
         ``Q`` back to elements of this poset.  Relative index order is
         preserved within each dimension.
         """
-        nd = self.masks_dim(masks) + 1
-        counts = [0] * nd
-        faces: list[list] = [[] for _ in range(nd)]
-        newidx: dict[El, int] = {}
-        to_ambient = {}
+        els, counts, faces = self._restrict(masks)
+        Q = OgPoset(counts, faces, _checked=True)
+        return Q, dict(zip(Q._els, els))
+
+    def _restrict(self, masks: Masks) -> tuple[list[El], list[int], list[list]]:
+        """A closed subset read in place: its elements in position order,
+        and its counts and face table with each dimension renumbered from 0
+        in that order, as :meth:`extract` builds its poset from them."""
+        els = self.masks_els(masks)
+        counts = [0] * (self.masks_dim(masks) + 1)
+        faces: list[list] = [[] for _ in counts]
+        offs = self._offsets
+        new: dict[int, int] = {}
         # positions run in (dim, index) order, so faces are renumbered first
-        for el in self.masks_els(masks):
-            d, old = el
-            newidx[el] = counts[d]
-            to_ambient[(d, counts[d])] = el
+        for d, i in els:
+            new[offs[d] + i] = counts[d]
             counts[d] += 1
             if d:
-                mn, pl = self.faces[d][old]
+                base = offs[d - 1]
+                mn, pl = self.faces[d][i]
                 faces[d].append(
-                    (
-                        tuple(newidx[(d - 1, j)] for j in mn),
-                        tuple(newidx[(d - 1, j)] for j in pl),
-                    )
+                    (tuple([new[base + j] for j in mn]), tuple([new[base + j] for j in pl]))
                 )
-        Q = OgPoset(counts, faces, _checked=True)
-        return Q, to_ambient
+        return els, counts, faces
 
     # -- oriented Hasse diagram --------------------------------------------
 
@@ -344,30 +352,36 @@ class OgPoset:
 
         Returns ``(key, relabel)`` where ``key`` is a byte string equal for
         isomorphic posets and ``relabel`` maps each element to its canonical
-        index within its dimension.
+        index within its dimension; both are read off the record of the
+        whole poset (:meth:`canon_record`).
         """
-        if self._canon is None:
-            self._canon = _canonical_form(self)
-        return self._canon
+        key, els = self.canon_record(self.full_masks())
+        offs = self._offsets
+        return key, {el: r - offs[el[0]] for r, el in enumerate(els)}
 
     def canonical_key(self) -> bytes:
         return self.canonical()[0]
 
-    @_memoised("bdry")
-    def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
-        """The canonical record of the alpha-side k-boundary of the poset.
+    @_memoised("canon")
+    def canon_record(self, masks: Masks) -> tuple[bytes, tuple[El, ...]]:
+        """The canonical record of a closed subset.
 
-        Returns ``(key, els)``: the canonical key of the boundary, extracted
-        as a standalone poset, and the boundary's elements, as elements of
-        this poset, listed in canonical order (by dimension, then canonical
-        index).  So ``els[i]`` of two boundaries with equal keys are sent to
-        the same element of the one canonical poset that both relabel onto.
-        Kept in the "bdry" memo; the extracted poset itself is not kept.
+        Returns ``(key, els)``: the canonical key of the subset, as
+        :meth:`extract` would build it and :meth:`canonical` would key it,
+        and the subset's elements, as elements of this poset, listed in
+        canonical order (by dimension, then canonical index).  So ``els[i]``
+        of two subsets with equal keys are sent to the same element of the
+        one canonical poset that both relabel onto.  The face table is read
+        in place (:meth:`_restrict`); no poset is built.  Kept in the
+        "canon" memo, keyed by the subset.
         """
-        B, to_ambient = self.extract(self.boundary_masks(self.full_masks(), k, alpha))
-        key, relabel = B.canonical()
-        order = sorted(B._els, key=lambda el: (el[0], relabel[el]))
-        return key, tuple(to_ambient[el] for el in order)
+        els, counts, faces = self._restrict(masks)
+        key, order = _canonical_form(counts, faces)
+        return key, tuple([els[p] for p in order])
+
+    def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
+        """The canonical record of the alpha-side k-boundary of the poset."""
+        return self.canon_record(self.boundary_masks(self.full_masks(), k, alpha))
 
     def __repr__(self):
         return f"OgPoset(counts={list(self.counts)})"
@@ -740,35 +754,37 @@ def _refine(nbrs: list[tuple[list[int], ...]], colors: list) -> list[int]:
         classes = split
 
 
-def _search(posets: list[OgPoset], leaf) -> None:
+def _search(tables: list[tuple], leaf) -> None:
     """Individualisation-refinement over one poset or a pair.
 
-    The posets are laid end to end: colours form one list indexed by
-    position, the first poset's first, refined jointly from each element's
-    dimension and numbers of faces and cofaces by side.  Each position's
-    four neighbour lists are read off the face table, the cofaces in the
-    same pass as the faces.  For a pair, a branch is pruned when some
-    colour class holds different numbers of elements from each poset; one
-    poset has nothing to balance.  When every class holds exactly one
-    element of each poset, ``leaf(colors)`` is called, and the search stops
-    once it returns True.  Otherwise the search branches on the lowest
-    class with more than one element per poset: for one poset each member
-    is individualised in turn, for a pair the smallest member from the
-    first poset is matched with each member from the second.  A stable,
-    balanced, discrete colouring of a pair matches neighbour colours, so it
-    is an isomorphism, and each isomorphism survives exactly one branch.
-    Members are ordered by position, which is ``(dim, index)`` order.
-    Colours keep their order through refinement and individualisation, so
-    a discrete colouring of one poset numbers its positions dimension by
-    dimension.
+    Each poset is given by its face table, a pair ``(counts, faces)`` as
+    :class:`OgPoset` holds them.  The posets are laid end to end: colours
+    form one list indexed by position, the first poset's first, refined
+    jointly from each element's dimension and numbers of faces and cofaces
+    by side.  Each position's four neighbour lists are read off the face
+    table, the cofaces in the same pass as the faces.  For a pair, a branch
+    is pruned when some colour class holds different numbers of elements
+    from each poset; one poset has nothing to balance.  When every class
+    holds exactly one element of each poset, ``leaf(colors)`` is called,
+    and the search stops once it returns True.  Otherwise the search
+    branches on the lowest class with more than one element per poset: for
+    one poset each member is individualised in turn, for a pair the
+    smallest member from the first poset is matched with each member from
+    the second.  A stable, balanced, discrete colouring of a pair matches
+    neighbour colours, so it is an isomorphism, and each isomorphism
+    survives exactly one branch.  Members are ordered by position, which is
+    ``(dim, index)`` order.  Colours keep their order through refinement
+    and individualisation, so a discrete colouring of one poset numbers its
+    positions dimension by dimension.
     """
     nbrs, start = [], []
     base = 0
-    for P in posets:
-        rows = [([], [], [], []) for _ in P._els]
-        for d in range(1, len(P.counts)):
-            lo, hi = P._offsets[d - 1], P._offsets[d]
-            for p, (mn, pl) in enumerate(P.faces[d], hi):
+    for counts, faces in tables:
+        offs = _offsets(counts)
+        rows = [([], [], [], []) for _ in range(offs[-1])]
+        for d in range(1, len(counts)):
+            lo, hi = offs[d - 1], offs[d]
+            for p, (mn, pl) in enumerate(faces[d], hi):
                 row = rows[p]
                 for j in mn:
                     row[0].append(base + lo + j)
@@ -776,11 +792,11 @@ def _search(posets: list[OgPoset], leaf) -> None:
                 for j in pl:
                     row[1].append(base + lo + j)
                     rows[lo + j][3].append(base + p)
-        for (d, _), row in zip(P._els, rows):
-            start.append((d, *map(len, row)))
+        for d in range(len(counts)):
+            start += [(d, *map(len, row)) for row in rows[offs[d] : offs[d + 1]]]
         nbrs += rows
-        base += P.size()
-    n, ways = posets[0].size(), len(posets)
+        base += offs[-1]
+    n, ways = sum(tables[0][0]), len(tables)
 
     def rec(colors) -> bool:
         # colours are ranks, so the classes are listed in colour order
@@ -827,7 +843,7 @@ def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[Og
         found.append(OgIso(P, Q, {el: image[c] for el, c in zip(P._els, colors)}))
         return limit is not None and len(found) >= limit
 
-    _search([P, Q], leaf)
+    _search([(P.counts, P.faces), (Q.counts, Q.faces)], leaf)
     return found
 
 
@@ -862,12 +878,13 @@ def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
 def _labelled_bytes(key: bytes, labels: list) -> bytes:
     """A canonical key followed by labels listed in canonical element order:
     the one byte format of :func:`labelled_key` and of boundary keys built
-    from :meth:`OgPoset.boundary_canon`."""
+    from :meth:`OgPoset.canon_record`."""
     return key + b"|" + repr(tuple(labels)).encode()
 
 
-def _canonical_form(P: OgPoset):
-    """The canonical key and relabel of P (see :meth:`OgPoset.canonical`).
+def _canonical_form(counts: list[int], faces: list) -> tuple[bytes, list[int]]:
+    """The canonical key of a face table and its positions in canonical
+    order (see :meth:`OgPoset.canon_record`).
 
     Every leaf of the search gives a certificate: the counts, then each
     dimension's face pairs listed in the leaf's order of its elements.  The
@@ -875,12 +892,12 @@ def _canonical_form(P: OgPoset):
     explored.  On a poset with automorphisms refinement alone can leave
     classes it cannot split, and the leaf reached by individualising some
     member first depends on how the input was numbered; only the least
-    over all of them is the same for every numbering.  ``relabel`` is the
-    order of the best leaf, which numbers each dimension from 0.
+    over all of them is the same for every numbering.  The order is that
+    of the best leaf, which lists the positions dimension by dimension.
     """
-    if not P.counts:
-        return (b"()", {})
-    offs = P._offsets
+    if not counts:
+        return b"()", []
+    offs = _offsets(counts)
     best: list = [None, None]
 
     def leaf(colors) -> bool:
@@ -888,12 +905,12 @@ def _canonical_form(P: OgPoset):
         at = [0] * len(colors)
         for p, c in enumerate(colors):
             at[c] = p
-        cert = [tuple(P.counts)]
-        for d in range(1, len(P.counts)):
+        cert = [tuple(counts)]
+        for d in range(1, len(counts)):
             lo, hi = offs[d - 1], offs[d]
             rows = []
             for p in at[hi : offs[d + 1]]:
-                mn, pl = P.faces[d][p - hi]
+                mn, pl = faces[d][p - hi]
                 rows.append(
                     (
                         tuple(sorted([colors[lo + j] - lo for j in mn])),
@@ -903,9 +920,8 @@ def _canonical_form(P: OgPoset):
             cert.append(tuple(rows))
         key = repr(tuple(cert)).encode()
         if best[0] is None or key < best[0]:
-            best[:] = key, colors
+            best[:] = key, at
         return False
 
-    _search([P], leaf)
-    key, colors = best
-    return (key, {el: c - offs[el[0]] for el, c in zip(P._els, colors)})
+    _search([(counts, faces)], leaf)
+    return best[0], best[1]

@@ -128,12 +128,28 @@ def dcomplex_to_data(X: DirectedComplex) -> dict:
 
 
 def dcomplex_from_data(data: dict) -> DirectedComplex:
+    """A directed complex read from a dcomplex/1 document: a list of cell
+    levels, each a list of objects with a ``shape`` and an ``attach``.
+    Data of any other shape raises ``DcxError`` naming the field, and the
+    cell when there is one."""
     if not isinstance(data, dict) or data.get("format") != "dcomplex/1":
         raise DcxError("expected a dcomplex/1 document")
+    if "cells" not in data:
+        raise DcxError('the document has no "cells" field')
+    table = data["cells"]
+    if not isinstance(table, list):
+        raise DcxError(f"the cell table {table!r} is not a list")
     cells: list[list[Cell]] = []
-    for d, level in enumerate(data["cells"]):
+    for d, level in enumerate(table):
+        if not isinstance(level, list):
+            raise DcxError(f"dimension {d} of the cell table is {level!r}, not a list")
         row = []
         for i, entry in enumerate(level):
+            if not isinstance(entry, dict):
+                raise DcxError(f"cell ({d},{i}) is {entry!r}, not an object")
+            for field in ("shape", "attach"):
+                if field not in entry:
+                    raise DcxError(f'cell ({d},{i}) has no "{field}" field')
             shape = _shape_from_data(entry["shape"])
             attach = entry["attach"]
             if not isinstance(attach, dict):

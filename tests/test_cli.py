@@ -478,6 +478,26 @@ def test_dcomplex_malformed_cell_exits_2(tmp_path, capsys, shape, attach, error)
     assert json.loads(out)["error"] == f"invalid dcomplex input: {error}"
 
 
+# (the "cells" field of a dcomplex/1 document, or None for none, the error)
+MALFORMED_TABLES = {
+    "no-cells": (None, 'the document has no "cells" field'),
+    "cells-not-a-list": (5, "the cell table 5 is not a list"),
+    "level-not-a-list": ([5], "dimension 0 of the cell table is 5, not a list"),
+    "cell-not-an-object": ([[5]], "cell (0,0) is 5, not an object"),
+    "cell-without-attach": ([[{"shape": ["point"]}]], 'cell (0,0) has no "attach" field'),
+}
+
+
+@pytest.mark.parametrize("cells, error", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES.keys())
+def test_dcomplex_malformed_cell_table_exits_2(tmp_path, capsys, cells, error):
+    """A cell table, level or cell entry of the wrong shape exits 2 naming
+    the field, and the cell when there is one."""
+    doc = {"format": "dcomplex/1"} if cells is None else {"format": "dcomplex/1", "cells": cells}
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, json.dumps(doc)))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid dcomplex input: {error}"
+
+
 # (simplex dimension, the level written, what replaces it, how the error shows it)
 BAD_LEVELS = {
     "bool": (3, 1, "true", "True"),

@@ -1,4 +1,6 @@
 """Directed complexes: file round trips, the attachment checks and pasting."""
+import collections
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ from dcx.errors import (
     LabelMismatchError,
     PreconditionError,
 )
-from dcx.molecule import globe, point
+from dcx.molecule import globe, oriental, point
 from dcx.ogposet import find_iso
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -193,6 +195,111 @@ def test_diagram_labels_restrict_to_attachments():
     labels = dict(edge.labels)
     labels[(0, 0)], labels[(0, 1)] = labels[(0, 1)], labels[(0, 0)]
     assert "does not restrict" in mislabelled(X, edge.shape, labels)
+
+
+def oracle_restriction_problem(X, P, labels):
+    """The attachment check by extraction and an isomorphism search: each
+    closure is extracted as a poset, matched with its cell's shape by
+    ``find_iso``, and its labels are read through that isomorphism."""
+    for el in P.elements():
+        cid = labels.get(el)
+        if cid is None:
+            return f"element {el} has no cell"
+        if cid[0] != el[0]:
+            return f"element {el} maps to a cell of another dimension"
+        if not (0 <= cid[0] < len(X.cells) and 0 <= cid[1] < len(X.cells[cid[0]])):
+            return f"element {el} maps to {cid}, which does not exist"
+    for el in P.elements():
+        cell = X.cell(labels[el])
+        clq, amb = P.extract(P.cl_el[P.pos(el)])
+        iso = find_iso(cell.shape.poset, clq)
+        if iso is None:
+            return f"element {el} is not shaped like its cell"
+        for e in cell.shape.poset.elements():
+            if labels[amb[iso[e]]] != cell.attach[e]:
+                return f"labelling around {el} does not restrict to the attachment"
+    return None
+
+
+def mixed_complex():
+    """One vertex, a loop on it, a 2-globe and a triangle on the loop, and a
+    3-simplex whose faces are all the triangle: two 2-cells of different
+    shapes."""
+    cells = [[], [], [], []]
+    for shape, face in ((point(), None), (globe(1), None), (globe(2), None),
+                        (oriental(2), None), (oriental(3), (2, 1))):
+        low = {0: (0, 0), 1: (1, 0), 2: face}
+        attach = {el: low[el[0]] for el in shape.poset.elements() if el[0] < shape.dim}
+        attach[shape.greatest()] = (shape.dim, len(cells[shape.dim]))
+        cells[shape.dim].append(Cell(shape, attach))
+    return DirectedComplex(cells).validate()
+
+
+def restriction_cases():
+    """(complex, poset, labels): every cell of the complexes of the 0- to
+    5-simplex and every diagram with at most 3 top cells over the
+    4-simplex, each with seeded wrong labellings, and every labelling of a
+    cell of :func:`mixed_complex` changed at one element to a cell of the
+    element's dimension."""
+    rng = random.Random(35)
+    X = simplex_complex(4)
+    found = [(Y, Y.cell(cid).shape.poset, Y.cell(cid).attach)
+             for Y in map(simplex_complex, range(6)) for cid in Y.cell_ids()]
+    found += [(X, diag.shape.poset, diag.labels) for diag in enumerate_molecules(X, 3)]
+    for Y, P, labels in list(found):
+        found += [(Y, P, wrong) for wrong in perturbed(Y, P, labels, rng)]
+    X = mixed_complex()
+    for cid in X.cell_ids():
+        P, labels = X.cell(cid).shape.poset, X.cell(cid).attach
+        for el in P.elements():
+            found += [(X, P, {**labels, el: (el[0], i)}) for i in range(len(X.cells[el[0]]))]
+    return found
+
+
+def perturbed(X, P, labels, rng):
+    """Seeded wrong labellings: two labels of one dimension swapped, and one
+    label replaced by another cell of its dimension and by a cell of
+    another dimension."""
+    els = list(P.elements())
+    by_dim = {}
+    for el in els:
+        by_dim.setdefault(el[0], []).append(el)
+    pairs = [ms for ms in by_dim.values() if len(ms) > 1]
+    if pairs:
+        a, b = rng.sample(rng.choice(pairs), 2)
+        yield {**labels, a: labels[b], b: labels[a]}
+    el = rng.choice(els)
+    yield {**labels, el: (el[0], rng.randrange(len(X.cells[el[0]])))}
+    others = [d for d in range(len(X.cells)) if d != el[0]]
+    if others:
+        d = rng.choice(others)
+        yield {**labels, el: (d, rng.randrange(len(X.cells[d])))}
+
+
+KINDS = ("not shaped", "another dimension", "does not restrict")
+
+
+def test_restriction_check_matches_the_isomorphism_search_oracle():
+    """The check by canonical records gives the oracle's message, or None,
+    on every case of :func:`restriction_cases`."""
+    kinds = collections.Counter()
+    for X, P, labels in restriction_cases():
+        problem = dcomplex.restriction_problem(X, P, labels)
+        assert problem == oracle_restriction_problem(X, P, labels), (P, labels)
+        kinds[problem and next(k for k in KINDS if k in problem)] += 1
+    assert set(kinds) == {None, *KINDS} and sum(kinds.values()) > 800
+
+
+def test_attachment_checks_and_pasting_extract_nothing_and_search_no_isomorphism(monkeypatch):
+    # closures, shapes and boundaries are compared by their canonical
+    # records, read in place
+    def refuse(*args):
+        raise AssertionError("extraction or isomorphism search")
+
+    monkeypatch.setattr(dcx.ogposet.OgPoset, "extract", refuse)
+    monkeypatch.setattr(dcx.ogposet, "isomorphisms", refuse)
+    X = simplex_complex(4)
+    assert len(enumerate_molecules(X, 3)) == 90
 
 
 def test_paste_diagrams_errors():

@@ -389,7 +389,7 @@ def test_only_ogposet_reads_the_memo():
     assert found == ["ogposet.py: _memoised"]
 
 
-MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "bdry"}
+MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "canon"}
 
 
 def memo_names(path: Path) -> set:
@@ -444,7 +444,7 @@ def test_memo_keys_have_fixed_shapes():
     assert found == {
         "mol": {"int"},
         "frames": {"int"},
-        "bdry": {("int", "str")},
+        "canon": {"int"},
         "prelay": {("int", "int")},
         "sdtrees": {("int", ("int",), "int")},
         "sdleaf": {"int"},

@@ -32,7 +32,7 @@ from dcx import (
     validate,
 )
 from dcx import ogposet
-from dcx.ogposet import _bits, closed_rows, down_sets, find_cycle
+from dcx.ogposet import MINUS, PLUS, _bits, closed_rows, down_sets, find_cycle
 from dcx.serialize import loads_ogposet
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -373,6 +373,50 @@ def test_canonical_key_invariant_under_relabelling(corpus):
             assert Q.canonical_key() == mol.key
             iso = find_iso(mol.poset, Q)
             assert iso is not None and iso.verify()
+
+
+def extracted_record(P, masks):
+    """The canonical record of a closed subset by the former route: the
+    subset extracted as a standalone poset, its canonical form, and its
+    elements sorted by canonical index and sent back to P."""
+    Q, to_ambient = P.extract(masks)
+    key, relabel = Q.canonical()
+    order = sorted(Q.elements(), key=lambda el: (el[0], relabel[el]))
+    return key, tuple(to_ambient[el] for el in order)
+
+
+def test_canon_record_is_the_extracted_canonical_form(monkeypatch, corpus):
+    """The record read in place equals extraction followed by the canonical
+    form, key and element order, on every boundary at every (k, alpha),
+    every element closure and the empty subset, each on a fresh copy.  The
+    posets include the 106 built by importing the 4-simplex and by a
+    max_cells=2 query over it."""
+    built = []
+    init = OgPoset.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(OgPoset, "__init__", recording)
+    X = import_ssset(SemiSimplicialSet.standard_simplex(4))
+    assert len(enumerate_molecules(X, 2)) == 79 and len(built) == 106
+    monkeypatch.undo()
+    cyclic = [loads_ogposet((INPUTS / f"{n}.json").read_text()) for n in ("cyclic151", "cyclic206")]
+    posets = [m.poset for m in corpus[:40]] + [oriental(n).poset for n in range(7)]
+    posets += cyclic + built
+    checked = 0
+    for P in posets:
+        fresh = OgPoset(P.counts, P.faces)
+        full = P.full_masks()
+        subsets = {0, full}
+        for k in range(-1, P.dim + 1):
+            subsets |= {P.boundary_masks(full, k, alpha) for alpha in (MINUS, PLUS)}
+        subsets |= set(P.cl_el)
+        for m in sorted(subsets):
+            assert fresh.canon_record(m) == extracted_record(P, m), (P, m)
+            checked += 1
+    assert checked > 2000
 
 
 def test_verify_rejects_keys_and_values_that_are_not_elements():
