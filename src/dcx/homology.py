@@ -170,9 +170,11 @@ def poset_homology(P: FinPoset) -> HomologyReport:
     """Homology evidence for a poset, dismantling first.
 
     Beat-point removal is a deformation retraction, so computing homology
-    on the dismantled core is exact and far cheaper on large posets.  The
-    core's chains go in without the core itself, so that ``homology`` does
-    not dismantle it a second time.
+    on the dismantled core is exact and far cheaper on large posets.
+    Dismantling removes up-beat points from the up-rows first, so a poset
+    with a top, such as the Sd posets of the bench, comes down to one point
+    without its down-rows being built.  The core's chains go in without the
+    core itself, so that ``homology`` does not dismantle it a second time.
     """
     if P.n == 0:
         return HomologyReport(False, [], [], False, empty=True, size=0)

@@ -3,13 +3,16 @@
 Relations are stored as bitmask rows, which keeps beat-point dismantling
 and cover extraction fast on posets with a few hundred elements.  The
 up-set rows are the relation; the down-set rows are their transpose, built
-on first use, since ``bottom``, ``leq`` and ``restrict`` read only the
-up-rows.  ``restrict`` cuts each up-row into the runs of consecutive kept
-indices and shifts each run into place.
+on first use by ``down_mask``, the one reader of the table: ``bottom``,
+``top``, ``leq``, ``covers`` and ``restrict`` read only the up-rows, and
+``dismantle_core`` transposes only what remains after the up-side pass.
+``restrict`` cuts each up-row into the runs of consecutive kept indices
+and shifts each run into place.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, Optional
 
 from .ogposet import _bits
@@ -53,18 +56,19 @@ class FinPoset:
         return self._up.index(full) if full in self._up else None
 
     def top(self) -> Optional[int]:
-        """The element above all others: its down-row is full."""
-        full = (1 << self.n) - 1
-        return self._dn.index(full) if full in self._dn else None
+        """The element above all others: in a finite poset, the one maximal
+        element, whose up-row is itself alone."""
+        maxima = [i for i, row in enumerate(self._up) if row == 1 << i]
+        return maxima[0] if len(maxima) == 1 else None
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i."""
+        """Pairs (i, j) with j covering i: the covers of i are the minimal
+        elements of its strict up-set."""
+        strict = [self.up_mask(i) for i in range(self.n)]
         out = []
-        for i in range(self.n):
-            ups = self.up_mask(i)
-            for j in _bits(ups):
-                if not (ups & self.down_mask(j)):
-                    out.append((i, j))
+        for i, ups in enumerate(strict):
+            above = functools.reduce(operator.or_, (strict[j] for j in _bits(ups)), 0)
+            out += [(i, j) for j in _bits(ups & ~above)]
         return out
 
     def restrict(self, keep: list[int]) -> "FinPoset":
@@ -98,32 +102,28 @@ class FinPoset:
 
     # -- dismantling ---------------------------------------------------------
 
-    def _beat_in(self, i: int, live: int) -> bool:
-        ups = self.up_mask(i) & live
-        for u in _bits(ups):
-            if not (ups & ~self._up[u]):
-                return True
-        dns = self.down_mask(i) & live
-        for u in _bits(dns):
-            if not (dns & ~self._dn[u]):
-                return True
-        return False
-
     def dismantle_core(self) -> "FinPoset":
         """Remove beat points (their strict up-set has a minimum or strict
-        down-set a maximum) until none remain."""
-        live = (1 << self.n) - 1
-        count = self.n
-        changed = True
-        while count > 1 and changed:
-            changed = False
-            for i in list(_bits(live)):
-                if count <= 1:
-                    break
-                if self._beat_in(i, live & ~(1 << i)):
-                    live &= ~(1 << i)
-                    count -= 1
-                    changed = True
+        down-set a maximum) until none remain.
+
+        The core is unique up to isomorphism whatever the order of removal
+        (Stong, *Finite topological spaces*, 1966), so up-beat points go
+        first, read off the up-rows; the down-rows are built only for what
+        is left, and only if that is more than one element.  A down-beat
+        point is an up-beat point of the opposite order, so both sides use
+        one pass, and the sides alternate until neither removes anything.
+        A poset with a top loses every other element to the up side: the
+        maximal elements below the top are up-beat points, over and over.
+        """
+        live = _strip_up_beats(self._up, (1 << self.n) - 1)
+        if live & (live - 1):
+            dn = [0] * self.n
+            for i in _bits(live):
+                for j in _bits(self._up[i] & live):
+                    dn[j] |= 1 << i
+            rows, other = dn, self._up
+            while (left := _strip_up_beats(rows, live)) != live:
+                live, rows, other = left, other, rows
         return self.restrict(list(_bits(live)))
 
     def is_dismantlable(self) -> bool:
@@ -131,3 +131,20 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset(n={self.n})"
+
+
+def _strip_up_beats(rows: list[int], live: int) -> int:
+    """Remove, one at a time, the elements of ``live`` whose strict up-set
+    in ``live`` has a minimum, by the reflexive up-rows ``rows``, until no
+    such element remains; return what is left.  Elements are tried from
+    the smallest up-row, so each is tried after those above it."""
+    order = sorted(_bits(live), key=lambda i: rows[i].bit_count())
+    changed = True
+    while changed:
+        changed = False
+        for i in order:
+            ups = rows[i] & live & ~(1 << i)
+            if live >> i & 1 and any(not ups & ~rows[u] for u in _bits(ups)):
+                live &= ~(1 << i)
+                changed = True
+    return live

@@ -1,8 +1,24 @@
 import itertools
 import random
 
-from dcx import FinPoset, homology, nerve, poset_homology, smith_diagonal
+from dcx import FinPoset, enumerate_sd, homology, nerve, path, poset_homology, smith_diagonal
+from dcx.ogposet import _bits
 from conftest import posets_isomorphic
+from test_subdivision import _differential_inputs
+
+# a minimal triangulation of the real projective plane on six vertices
+RP2_TRIANGLES = [
+    (1, 2, 3),
+    (1, 2, 4),
+    (1, 3, 5),
+    (1, 4, 6),
+    (1, 5, 6),
+    (2, 3, 6),
+    (2, 4, 5),
+    (2, 5, 6),
+    (3, 4, 5),
+    (3, 4, 6),
+]
 
 
 def chain_poset(n):
@@ -91,18 +107,7 @@ def test_projective_plane_torsion():
     # known reduced homology: H0 = 0, H1 = Z/2, H2 = 0
     from dcx.homology import OrderComplex, homology as hom
 
-    triangles = [
-        (1, 2, 3),
-        (1, 2, 4),
-        (1, 3, 5),
-        (1, 4, 6),
-        (1, 5, 6),
-        (2, 3, 6),
-        (2, 4, 5),
-        (2, 5, 6),
-        (3, 4, 5),
-        (3, 4, 6),
-    ]
+    triangles = RP2_TRIANGLES
     verts = sorted({v for t in triangles for v in t})
     vid = {v: i for i, v in enumerate(verts)}
     edges = sorted({tuple(sorted((a, b))) for t in triangles for a in t for b in t if a < b})
@@ -192,3 +197,63 @@ def test_restrict_bottom_top_and_down_sets_match_their_definitions():
             tops = [a for a in range(m) if all((b, a) in rel for b in range(m))]
             assert Q.bottom() == (bottoms[0] if bottoms else None), (n, keep)
             assert Q.top() == (tops[0] if tops else None), (n, keep)
+
+
+def projective_plane_faces():
+    """The face poset of ``RP2_TRIANGLES``: its simplices by inclusion."""
+    faces = sorted(
+        {frozenset(c) for t in RP2_TRIANGLES for r in (1, 2, 3) for c in itertools.combinations(t, r)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    return FinPoset.from_leq(faces, lambda a, b: a <= b)
+
+
+def _two_sided_core(P):
+    """Oracle for dismantling: try each live element in index order for a
+    strict live up-set with a minimum or down-set with a maximum, remove it
+    at once, and sweep again until a sweep removes nothing."""
+
+    def beat(i, live):
+        for rows in (P.up_mask, P.down_mask):
+            near = rows(i) & live
+            if any(not near & ~rows(u) & ~(1 << u) for u in _bits(near)):
+                return True
+        return False
+
+    live = (1 << P.n) - 1
+    changed = True
+    while changed and live & (live - 1):
+        changed = False
+        for i in _bits(live):
+            if live & (live - 1) and beat(i, live & ~(1 << i)):
+                live &= ~(1 << i)
+                changed = True
+    return P.restrict(list(_bits(live)))
+
+
+def test_dismantle_core_matches_two_sided_oracle(corpus, horiz, vert):
+    posets = [four_cycle(), projective_plane_faces()]
+    for mol, S in _differential_inputs(corpus, horiz, vert):
+        sdp = enumerate_sd(mol, S)
+        posets += [sdp.poset, sdp.sd()]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        leq = _random_order(rng, n)
+        posets.append(FinPoset(list(range(n)), [[(i, j) in leq for j in range(n)] for i in range(n)]))
+    cores = set()
+    for P in posets:
+        core, oracle = P.dismantle_core(), _two_sided_core(P)
+        assert posets_isomorphic(core, oracle), (P, core, oracle)
+        assert P.is_dismantlable() == (P.n > 0 and oracle.n == 1), P
+        cores.add(core.n)
+    assert projective_plane_faces().dismantle_core().n == 31
+    assert {0, 1, 4} <= cores and max(cores) > 4
+
+
+def test_dismantling_and_covers_of_an_sd_with_a_top_read_only_up_rows():
+    P = enumerate_sd(path(6), {0}).sd()
+    assert P.dismantle_core().n == 1
+    assert P.top() is not None
+    assert len(P.covers()) == 5 * 2 ** 5 // 2 - 5
+    assert "_dn" not in P.__dict__
