@@ -3,9 +3,9 @@
 Relations are stored as bitmask rows, which keeps beat-point dismantling
 and cover extraction fast on posets with a few hundred elements.  The
 up-set rows are the relation; the down-set rows are their transpose, built
-on first use by ``down_mask``, the one reader of the table: ``bottom``,
-``top``, ``leq``, ``covers`` and ``restrict`` read only the up-rows, and
-``dismantle_core`` transposes only what remains after the up-side pass.
+on first use: ``bottom``, ``top``, ``leq``, ``covers`` and ``restrict``
+read only the up-rows, and ``dismantle_core`` reads the down-rows only if
+its up-side pass leaves more than one element.
 ``restrict`` cuts each up-row into the runs of consecutive kept indices
 and shifts each run into place.
 """
@@ -108,20 +108,16 @@ class FinPoset:
 
         The core is unique up to isomorphism whatever the order of removal
         (Stong, *Finite topological spaces*, 1966), so up-beat points go
-        first, read off the up-rows; the down-rows are built only for what
-        is left, and only if that is more than one element.  A down-beat
-        point is an up-beat point of the opposite order, so both sides use
-        one pass, and the sides alternate until neither removes anything.
-        A poset with a top loses every other element to the up side: the
-        maximal elements below the top are up-beat points, over and over.
+        first, read off the up-rows; the down-rows are read only if more
+        than one element is left.  A down-beat point is an up-beat point of
+        the opposite order, so both sides use one pass, and the sides
+        alternate until neither removes anything.  A poset with a top loses
+        every other element to the up side: the maximal elements below the
+        top are up-beat points, over and over.
         """
         live = _strip_up_beats(self._up, (1 << self.n) - 1)
         if live & (live - 1):
-            dn = [0] * self.n
-            for i in _bits(live):
-                for j in _bits(self._up[i] & live):
-                    dn[j] |= 1 << i
-            rows, other = dn, self._up
+            rows, other = self._dn, self._up
             while (left := _strip_up_beats(rows, live)) != live:
                 live, rows, other = left, other, rows
         return self.restrict(list(_bits(live)))

@@ -298,10 +298,7 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
     images inside r.  As r and the images are closed, that holds iff each
     maximal element e of r lies in such an image, so a's row is an AND over
     r and e of the OR of the element bitsets of the images inside r that
-    contain e.  Those are the images inside r in which e is maximal: an
-    image m ⊆ r that contains e has e maximal too, as a coface of e in m
-    would be one in r.  So the images are indexed by their maximal
-    elements, and each (r, e) reads only the list of e.
+    contain e.
 
     Proof that the kept b are exactly the refinements.  Write C(X) for the
     elements of b's theta whose images lie in a closed X; b covers X when X
@@ -365,17 +362,14 @@ def _region_candidates(elements: list[Subdivision]) -> list[int]:
     for j, s in enumerate(elements):
         for image in s.key:
             holders[image] = holders.get(image, 0) | 1 << j
-    tops: dict[int, list[tuple[Masks, int]]] = {}  # e -> the images e is maximal in
-    for m, held in holders.items():
-        for e in _bits(P.maximal_masks(m)):
-            tops.setdefault(e, []).append((m, held))
     everything = (1 << len(elements)) - 1
     leaves = [_leaf_regions(a.tree) for a in elements]
     covered = {}
     for r in set().union(*leaves):
+        inside = [(m, held) for m, held in holders.items() if m & ~r == 0]
         row = everything
         for e in _bits(P.maximal_masks(r)):
-            row &= functools.reduce(operator.or_, (held for m, held in tops[e] if m & ~r == 0), 0)
+            row &= functools.reduce(operator.or_, (held for m, held in inside if m >> e & 1), 0)
         covered[r] = row
     return [functools.reduce(operator.and_, map(covered.get, need)) for need in leaves]
 

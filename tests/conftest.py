@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dcx import (
@@ -11,6 +13,7 @@ from dcx import (
     point,
     random_molecules,
     suspension,
+    theta_from_tree,
     validate,
 )
 
@@ -147,3 +150,22 @@ def posets_isomorphic(P, Q):
         return False
 
     return rec(0)
+
+
+def _level_sets(mol):
+    levels = range(max(mol.dim, 0))
+    return [set(c) for r in range(len(levels) + 1) for c in itertools.combinations(levels, r)]
+
+
+def differential_inputs(corpus, horiz, vert):
+    """(molecule, level set) pairs for comparing Sd against its oracles."""
+    for k in range(1, 8):
+        yield path(k), {0}
+    for mol in (horiz, vert):
+        for S in ({0}, {1}, {0, 1}):
+            yield mol, S
+    fixed = [theta_from_tree("(((),()),())")]
+    fixed += [globe(k) for k in range(4)] + [oriental(k) for k in range(4)]
+    for mol in fixed + [m for m in corpus if m.size() <= 14]:
+        for S in _level_sets(mol):
+            yield mol, S

@@ -1,10 +1,9 @@
 import itertools
 import random
 
-from dcx import FinPoset, enumerate_sd, homology, nerve, path, poset_homology, smith_diagonal
+from dcx import FinPoset, enumerate_sd, homology, nerve, poset_homology, smith_diagonal
 from dcx.ogposet import _bits
-from conftest import posets_isomorphic
-from test_subdivision import _differential_inputs
+from conftest import differential_inputs, posets_isomorphic
 
 # a minimal triangulation of the real projective plane on six vertices
 RP2_TRIANGLES = [
@@ -233,7 +232,7 @@ def _two_sided_core(P):
 
 def test_dismantle_core_matches_two_sided_oracle(corpus, horiz, vert):
     posets = [four_cycle(), projective_plane_faces()]
-    for mol, S in _differential_inputs(corpus, horiz, vert):
+    for mol, S in differential_inputs(corpus, horiz, vert):
         sdp = enumerate_sd(mol, S)
         posets += [sdp.poset, sdp.sd()]
     rng = random.Random(5)
@@ -250,10 +249,3 @@ def test_dismantle_core_matches_two_sided_oracle(corpus, horiz, vert):
     assert projective_plane_faces().dismantle_core().n == 31
     assert {0, 1, 4} <= cores and max(cores) > 4
 
-
-def test_dismantling_and_covers_of_an_sd_with_a_top_read_only_up_rows():
-    P = enumerate_sd(path(6), {0}).sd()
-    assert P.dismantle_core().n == 1
-    assert P.top() is not None
-    assert len(P.covers()) == 5 * 2 ** 5 // 2 - 5
-    assert "_dn" not in P.__dict__

@@ -26,7 +26,7 @@ from dcx import (
 from dcx.molecule import mol_cert, paste_labelled, splits_masks
 from dcx.ogposet import MINUS, PLUS, _bits, labelled_key
 from dcx.subdivision import _images, _subtrees, _trees, realize, tree_region
-from conftest import composition_refines, compositions, posets_isomorphic
+from conftest import composition_refines, compositions, differential_inputs, posets_isomorphic
 
 
 def composition_of(sub):
@@ -45,6 +45,9 @@ def test_sd_sizes_are_composition_counts():
         assert len(sdp.poset.covers()) == (k - 1) * 2 ** (k - 1) // 2
         assert sdp.poset.bottom() == sdp.bottom
         assert sdp.poset.top() is not None
+        # with a top, the up-side pass alone dismantles it: no down-rows
+        assert sdp.poset.dismantle_core().n == 1
+        assert "_dn" not in sdp.poset.__dict__
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -62,24 +65,6 @@ def test_sd_of_path_matches_compositions(k):
             assert sdp.poset.leq(i, j) == comp_poset.leq(
                 index[images[i]], index[images[j]]
             )
-
-
-def _level_sets(mol):
-    levels = range(max(mol.dim, 0))
-    return [set(c) for r in range(len(levels) + 1) for c in itertools.combinations(levels, r)]
-
-
-def _differential_inputs(corpus, horiz, vert):
-    for k in range(1, 8):
-        yield path(k), {0}
-    for mol in (horiz, vert):
-        for S in ({0}, {1}, {0, 1}):
-            yield mol, S
-    fixed = [theta_from_tree("(((),()),())")]
-    fixed += [globe(k) for k in range(4)] + [oriental(k) for k in range(4)]
-    for mol in fixed + [m for m in corpus if m.size() <= 14]:
-        for S in _level_sets(mol):
-            yield mol, S
 
 
 def _factors_through(a, b):
@@ -133,7 +118,7 @@ def _covers_leaves(a, b):
 
 
 def test_refinement_order_matches_all_pairs_oracle(corpus, horiz, vert):
-    for mol, S in _differential_inputs(corpus, horiz, vert):
+    for mol, S in differential_inputs(corpus, horiz, vert):
         sdp = enumerate_sd(mol, S)
         els = sdp.elements
         oracle = FinPoset.from_leq(range(sdp.size), lambda i, j: _factors_through(els[i], els[j]))
@@ -153,7 +138,7 @@ def test_region_filter_is_exact_across_level_sets(corpus, horiz, vert):
     import dcx.subdivision as sdm
 
     pools: dict[bytes, tuple] = {}
-    for mol, S in _differential_inputs(corpus, horiz, vert):
+    for mol, S in differential_inputs(corpus, horiz, vert):
         mol, pool = pools.setdefault(mol.key, (mol, {}))
         for s in enumerate_sd(mol, S).elements:
             pool.setdefault(s.key, s)
@@ -198,7 +183,7 @@ def test_realize_matches_pasting_oracle(corpus, horiz, vert):
     # input, that key groups the trees as the canonical key does, and no two
     # trees share it, so enumerate_sd keeps every tree.
     count = 0
-    for mol, S in _differential_inputs(corpus, horiz, vert):
+    for mol, S in differential_inputs(corpus, horiz, vert):
         P = mol.poset
         by_key, by_canonical = {}, {}
         for n, tree in enumerate(_trees(P, P.full_masks(), tuple(sorted(S)), -1)):
@@ -265,7 +250,7 @@ def test_sd_builds_no_theta(horiz, vert, monkeypatch):
 
 
 def test_counts_and_big_cell_are_read_off_key_and_tree(corpus, horiz, vert):
-    for mol, S in _differential_inputs(corpus, horiz, vert):
+    for mol, S in differential_inputs(corpus, horiz, vert):
         for sub in enumerate_sd(mol, S).elements:
             T = sub.theta
             assert sub.counts == T.counts, (mol.counts, S, sub.tree)
