@@ -5,8 +5,10 @@ subcommand, each with the sha256 of its stdout and its exit code.  An
 argument that starts with ``inputs/`` names a committed file under
 ``tests/golden/``: ogposet/1 molecules, ogposet/1 inputs that are only
 checked (three posets that are not molecules and two Hasse-cyclic atoms),
-ssset/1 simplices, their dcomplex/1 realisations and two dcomplex/1
-documents that ``cx verify`` rejects.
+ssset/1 simplices, their dcomplex/1 realisations, two dcomplex/1
+documents that ``cx verify`` rejects, and five ogposet/1 molecules on which
+only ``sd --levels S --report`` runs, at a level set S where their
+subdivision posets do not dismantle.
 ``tests/golden/library.json`` holds one sha256 per section of a library
 digest: canonical keys and relabels, full isomorphism lists against
 relabelled copies, the keys of enumerated pasting diagrams, and, for each
@@ -211,8 +213,8 @@ def _input_digest() -> dict[str, str]:
     names = ("submolecules", "certificates", "splits", "prelayerings", "enumerate_sd")
     lines: dict[str, list[str]] = {name: [] for name in names}
     for path in sorted(INPUTS.glob("*.json")):
-        if "." in path.stem or path.stem in CHECK_ONLY:
-            continue  # an ssset/1 or dcomplex/1 input, or one only checked
+        if "." in path.stem or path.stem in CHECK_ONLY or path.stem in SD_WITNESSES:
+            continue  # an ssset/1 or dcomplex/1 input, or one only checked or reported
         P = loads_ogposet(path.read_text(encoding="utf-8"))
         mol = Molecule(P, is_molecule(P))
 
@@ -351,6 +353,21 @@ CX_REJECTED = {
     },
 }
 
+# ogposet/1 inputs on which only ``sd --levels S --report`` runs: molecules of
+# ``_corpus(max_elements=22)`` by index, each with a level set S at which its
+# Sd poset does not dismantle to one point, so the report reads the Smith
+# normal form of the nerve's boundary matrices.  At these level sets 11 gives
+# a disconnected Sd, 73 one with a 1-cycle, 41 one with a 2-cycle, 95 one of
+# 100 elements with a 3-cycle, and 85 an acyclic Sd of 27 elements that is
+# not dismantlable.
+SD_WITNESSES = {
+    "witness11": (11, "1"),
+    "witness73": (73, "1"),
+    "witness41": (41, "1,2"),
+    "witness95": (95, "1,2"),
+    "witness85": (85, "1,2"),
+}
+
 CHECK_PROPERTIES = ("molecule", "round", "atom", "hasse-acyclic", "frame-acyclic")
 FLOW_MODES = ("graph", "layerings", "orderings", "theory")
 
@@ -425,11 +442,11 @@ def _complex_commands(name: str):
     yield ["cx", "frame-acyclic", "--budget", "2", dump]
 
 
-def _corpus():
+def _corpus(**options):
     from conftest import CORPUS_SEED, CORPUS_SIZE
     from dcx import random_molecules
 
-    return random_molecules(CORPUS_SIZE, seed=CORPUS_SEED)
+    return random_molecules(CORPUS_SIZE, seed=CORPUS_SEED, **options)
 
 
 def update() -> int:
@@ -440,6 +457,7 @@ def update() -> int:
     for old in INPUTS.glob("*.json"):
         old.unlink()
     corpus = _corpus()
+    witnesses = _corpus(max_elements=22)
     commands = []
     for name, mol in _molecules(corpus):
         (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(mol.poset), encoding="utf-8")
@@ -458,6 +476,10 @@ def update() -> int:
     for name, doc in CX_REJECTED.items():
         (INPUTS / f"{name}.dcomplex.json").write_text(serialize.dumps_json(doc), encoding="utf-8")
         commands.append(["cx", "verify", f"inputs/{name}.dcomplex.json"])
+    for name, (index, levels) in SD_WITNESSES.items():
+        poset = witnesses[index].poset
+        (INPUTS / f"{name}.json").write_text(serialize.dumps_ogposet(poset), encoding="utf-8")
+        commands.append(["sd", "--levels", levels, "--report", f"inputs/{name}.json"])
     entries = []
     for argv in commands:
         text, code = run_command(argv)
