@@ -2,10 +2,16 @@
 
 All arithmetic is exact (Python integers).  The order complex of a poset
 has one j-simplex per chain of j + 1 elements; homology is computed from
-integral boundary matrices, with torsion read off the Smith diagonal.
+integral boundary matrices, with ranks and torsion read off their
+invariant factors.  :func:`smith_diagonal` finds these by one elimination
+over sparse rows that always pivots on an entry of least magnitude, so
+boundary matrices of a thousand rows take milliseconds and entries stay
+small.  :func:`poset_homology` dismantles a poset first, so a poset whose
+core is one point builds no boundary matrix at all.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,62 +67,73 @@ def nerve(P: FinPoset) -> OrderComplex:
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Invariant factors of an integer matrix (exact, arbitrary precision)."""
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # pick the nonzero entry of smallest magnitude as pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            reduced = True
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        reduced = False
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = False
-            if reduced:
-                break
-        diag.append(abs(A[t][t]))
-        t += 1
-    # normalise to a divisibility chain (preserves equivalence class)
-    import math
+    """Invariant factors of an integer matrix (exact, arbitrary precision).
 
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                if diag[b] % diag[a]:
-                    g = math.gcd(diag[a], diag[b])
-                    diag[a], diag[b] = g, diag[a] * diag[b] // g
-                    changed = True
-    return diag
+    Returns the nonzero diagonal of the Smith normal form, one entry per
+    unit of rank, in a divisibility chain: the units first, then the
+    entries above 1, each dividing the next.  The chain is unique, so any
+    unimodular reduction to a diagonal gives it.
+
+    The matrix is kept sparse: each row holds its nonzero entries, and
+    each column the set of rows with an entry in it.  Each step pivots on
+    an entry of least magnitude, the first unit found or else the minimum,
+    and subtracts multiples of the pivot row from the other rows of the
+    pivot column.  Once the pivot is alone in its column, it reduces the
+    other entries of its row modulo the pivot; these are column operations
+    that touch only that row.  A pivot alone in its row and its column is a
+    diagonal entry, and its row and column are retired.
+
+    Every step is unimodular, so the diagonal has the invariant factors of
+    the input.  The loop ends: a step either retires a row and a column, or
+    leaves a nonzero remainder smaller than its pivot, which was an entry
+    of least magnitude, and so strictly lowers the least magnitude, a
+    positive integer.  So retirements come at most that many steps apart,
+    and there are no more of them than rows.  Choosing the least entry
+    again, rather than swapping a remainder into the pivot's place, also
+    keeps the entries small (Dumas, Saunders and Villard, *On efficient
+    sparse integer matrix Smith normal form computations*, 2001).
+    """
+    A = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(rows) if any(row)}
+    cols: dict[int, set[int]] = {}
+    for r, row in A.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    diag: list[int] = []
+    while A:
+        units = ((r, c) for r, row in A.items() for c, v in row.items() if v in (1, -1))
+        i, j = next(units, None) or min(
+            ((r, c) for r, row in A.items() for c in row), key=lambda rc: abs(A[rc[0]][rc[1]])
+        )
+        pivot_row, p = A[i], A[i][j]
+        for r in cols[j] - {i}:
+            row, q = A[r], A[r][j] // p
+            for c, v in pivot_row.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    row[c] = w
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if not row:
+                del A[r]
+        if len(cols[j]) > 1:
+            continue
+        for c in [c for c in pivot_row if c != j]:
+            pivot_row[c] %= p
+            if not pivot_row[c]:
+                del pivot_row[c]
+                cols[c].discard(i)
+        if len(pivot_row) == 1:
+            del A[i], cols[j]
+            diag.append(abs(p))
+    chain: list[int] = []
+    for d in [d for d in diag if d > 1]:
+        for t, c in enumerate(chain):
+            g = math.gcd(c, d)
+            chain[t], d = g, c * d // g
+        chain.append(d)
+    return [1] * (len(diag) - len(chain)) + chain
 
 
 def _boundary_matrix(K: OrderComplex, j: int) -> list[list[int]]:

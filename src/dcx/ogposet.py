@@ -360,7 +360,9 @@ class OgPoset:
         return key, {el: r - offs[el[0]] for r, el in enumerate(els)}
 
     def canonical_key(self) -> bytes:
-        return self.canonical()[0]
+        """The key of :meth:`canonical`, read off the record of the whole
+        poset without building the relabel map."""
+        return self.canon_record(self.full_masks())[0]
 
     @_memoised("canon")
     def canon_record(self, masks: Masks) -> tuple[bytes, tuple[El, ...]]:
@@ -866,13 +868,13 @@ def unique_iso(P: OgPoset, Q: OgPoset) -> Optional[OgIso]:
 def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
     """Canonical key of a poset with one label per element.
 
-    The canonical key of P, then the labels listed in canonical element
-    order; equal for two labelled posets related by a label-preserving
-    isomorphism when P is rigid.
+    The canonical key of P, then the label of every element listed in the
+    canonical order of the record of the whole poset
+    (:meth:`OgPoset.canon_record`); equal for two labelled posets related
+    by a label-preserving isomorphism when P is rigid.
     """
-    key, relabel = P.canonical()
-    order = sorted(labels, key=lambda el: (el[0], relabel[el]))
-    return _labelled_bytes(key, [labels[el] for el in order])
+    key, els = P.canon_record(P.full_masks())
+    return _labelled_bytes(key, [labels[el] for el in els])
 
 
 def _labelled_bytes(key: bytes, labels: list) -> bytes:

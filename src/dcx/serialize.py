@@ -11,7 +11,7 @@ import json
 from .dcomplex import Cell, DirectedComplex, SemiSimplicialSet, check_fits, check_simplex_fits
 from .errors import DcxError
 from .flow import FlowGraph
-from .molecule import Molecule, globe, molecule_iso, oriental, replay
+from .molecule import Molecule, globe, oriental, replay
 from .ogposet import El, OgPoset, validate
 
 
@@ -108,15 +108,27 @@ def _shape_from_data(spec) -> Molecule:
 
 def dcomplex_to_data(X: DirectedComplex) -> dict:
     """A shape is written as its certificate, so each attachment map is
-    written for the molecule that replaying the certificate builds."""
+    written for the molecule that replaying the certificate builds.
+
+    Each distinct certificate is replayed once per call.  A shape and its
+    replay are isomorphic molecules, so they have equal canonical keys and
+    both relabel onto one canonical poset; molecules are rigid, so zipping
+    their canonical orders (:meth:`OgPoset.canon_record`) gives the one
+    isomorphism between them, as in :func:`~dcx.dcomplex.restriction_problem`.
+    """
+    replayed: dict = {}  # certificate -> its replay's elements in canonical order
     cells = []
     for level in X.cells:
         row = []
         for cell in level:
-            iso = molecule_iso(cell.shape, replay(cell.shape.cert))
+            cert, P = cell.shape.cert, cell.shape.poset
+            if cert not in replayed:
+                R = replay(cert).poset
+                replayed[cert] = R.canon_record(R.full_masks())[1]
+            iso = dict(zip(P.canon_record(P.full_masks())[1], replayed[cert]))
             row.append(
                 {
-                    "shape": cell.shape.cert,
+                    "shape": cert,
                     "attach": {
                         _el_name(iso[el]): _el_name(cid)
                         for el, cid in sorted(cell.attach.items())

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 from dcx import FinPoset, enumerate_sd, homology, nerve, poset_homology, smith_diagonal
+from dcx.homology import OrderComplex, _boundary_matrix
 from dcx.ogposet import _bits
 from conftest import differential_inputs, posets_isomorphic
 
@@ -45,6 +47,159 @@ def test_smith_diagonal_basics():
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
     assert smith_diagonal([[0, 0], [0, 0]]) == []
     assert smith_diagonal([[6]]) == [6]
+
+
+def dense_smith_oracle(rows: list[list[int]]) -> list[int]:
+    """Invariant factors of an integer matrix (exact, arbitrary precision)."""
+    A = [list(r) for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    diag: list[int] = []
+    t = 0
+    while t < min(m, n):
+        # pick the nonzero entry of smallest magnitude as pivot
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v and (best is None or abs(v) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        for row in A:
+            row[t], row[bj] = row[bj], row[t]
+        while True:
+            reduced = True
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    for j in range(t, n):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        reduced = False
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    for i in range(t, m):
+                        A[i][j] -= q * A[i][t]
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        reduced = False
+            if reduced:
+                break
+        diag.append(abs(A[t][t]))
+        t += 1
+    # normalise to a divisibility chain (preserves equivalence class)
+    import math
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                if diag[b] % diag[a]:
+                    g = math.gcd(diag[a], diag[b])
+                    diag[a], diag[b] = g, diag[a] * diag[b] // g
+                    changed = True
+    return diag
+
+
+def _determinant(M: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by Bareiss' fraction-free
+    elimination: every division is exact."""
+    M = [list(row) for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def determinantal_oracle(rows: list[list[int]]) -> list[int]:
+    """Invariant factors as ratios of determinantal divisors: D_k is the gcd
+    of all k x k minors, the rank r is the largest k with D_k nonzero, and
+    the k-th invariant factor is D_k / D_(k-1) for k = 1..r."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        D = 0
+        for I in itertools.combinations(range(m), k):
+            for J in itertools.combinations(range(n), k):
+                D = math.gcd(D, _determinant([[rows[i][j] for j in J] for i in I]))
+        if not D:
+            break
+        divisors.append(D)
+    return [b // a for a, b in zip(divisors, divisors[1:])]
+
+
+# the dense loop does not finish on this matrix in a minute: its entries
+# reach hundreds of bits by the third pivot
+DENSE_STALL = [
+    [-9, -3, 0, -22, -11, -10],
+    [-11, 26, -16, 21, 16, 19],
+    [4, 0, -4, -22, 29, 0],
+    [2, 19, 13, -10, -27, 18],
+    [12, -7, 17, -8, 17, 25],
+]
+
+
+def _boundary_matrices(K):
+    return [_boundary_matrix(K, j) for j in range(1, len(K.simplices))]
+
+
+def test_smith_diagonal_matches_the_dense_loop_on_boundary_matrices(corpus, horiz, vert):
+    """Every boundary matrix of the nerves built in this module, and of the
+    Sd posets of ``differential_inputs`` with at most 200 chains; only
+    Sd(path(6)) and Sd(path(7)) at {0} have more, 1,081 and 9,365, and the
+    dense loop takes over a second on them."""
+    posets = [chain_poset(4), antichain(3), four_cycle(), projective_plane_faces()]
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        leq = _random_order(rng, n)
+        posets.append(FinPoset(list(range(n)), [[(i, j) in leq for j in range(n)] for i in range(n)]))
+    complexes = [nerve(P) for P in posets] + [rp2_complex()]
+    for mol, S in differential_inputs(corpus, horiz, vert):
+        K = nerve(enumerate_sd(mol, S).sd())
+        if sum(map(len, K.simplices)) <= 200:
+            complexes.append(K)
+    ranks = set()
+    for K in complexes:
+        for M in _boundary_matrices(K):
+            diag = smith_diagonal(M)
+            assert diag == dense_smith_oracle(M), M
+            ranks.add(len(diag))
+    assert max(ranks) > 20
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    rng = random.Random(17)
+    matrices = [DENSE_STALL, [[4, 0, 0], [0, 6, 0], [0, 0, 10]], [[0, 0, 0]]]
+    for density in (0.2, 0.5, 1.0):
+        for _ in range(40):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+            matrices.append(rows)
+    chains = set()
+    for rows in matrices:
+        diag = smith_diagonal(rows)
+        assert diag == determinantal_oracle(rows), rows
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:])), rows
+        chains.add(tuple(d > 1 for d in diag))
+    assert smith_diagonal(DENSE_STALL) == [1, 1, 1, 1, 1]
+    assert smith_diagonal([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
+    assert any(any(c) for c in chains) and () in chains
 
 
 def test_nerve_of_antichain():
@@ -101,23 +256,25 @@ def test_empty_poset_reports_empty():
     assert rep.empty
 
 
-def test_projective_plane_torsion():
-    # minimal triangulation of the real projective plane: six vertices,
-    # known reduced homology: H0 = 0, H1 = Z/2, H2 = 0
-    from dcx.homology import OrderComplex, homology as hom
-
+def rp2_complex():
+    """The simplicial complex of ``RP2_TRIANGLES``, on vertices 0..5."""
     triangles = RP2_TRIANGLES
     verts = sorted({v for t in triangles for v in t})
     vid = {v: i for i, v in enumerate(verts)}
     edges = sorted({tuple(sorted((a, b))) for t in triangles for a in t for b in t if a < b})
-    K = OrderComplex(
+    return OrderComplex(
         [
             [(vid[v],) for v in verts],
             [tuple(vid[v] for v in e) for e in edges],
             [tuple(vid[v] for v in t) for t in triangles],
         ]
     )
-    rep = hom(K)
+
+
+def test_projective_plane_torsion():
+    # minimal triangulation of the real projective plane: six vertices,
+    # known reduced homology: H0 = 0, H1 = Z/2, H2 = 0
+    rep = homology(rp2_complex())
     assert rep.connected
     assert rep.reduced_betti == [0, 0, 0]
     assert rep.torsion[1] == [2]

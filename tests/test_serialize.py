@@ -1,7 +1,8 @@
-"""File formats: byte-stable round trips of ogposet/1 and ssset/1."""
+"""File formats: byte-stable round trips of ogposet/1 and ssset/1, and the
+dcomplex/1 writer against an isomorphism-search oracle."""
 import pytest
 
-from dcx import OgPoset, oriental, serialize, validate
+from dcx import OgPoset, import_ssset, molecule_iso, oriental, replay, serialize, validate
 from dcx.dcomplex import SemiSimplicialSet
 from dcx.errors import DcxError, IdentityViolationError
 
@@ -35,3 +36,40 @@ def test_bad_documents_rejected():
         serialize.loads_ssset('{"format": "ogposet/1", "faces": [1]}')
     with pytest.raises(IdentityViolationError):
         serialize.loads_ssset('{"format": "ssset/1", "faces": [2, [[0, 1]], [[0, 0, 0]]]}')
+
+
+def dcomplex_oracle_data(X):
+    """The dcomplex/1 data of X, each attachment map read through the
+    isomorphism search between the cell's shape and a fresh replay of its
+    certificate."""
+    cells = []
+    for level in X.cells:
+        row = []
+        for cell in level:
+            iso = molecule_iso(cell.shape, replay(cell.shape.cert))
+            attach = {
+                serialize._el_name(iso[el]): serialize._el_name(cid)
+                for el, cid in sorted(cell.attach.items())
+            }
+            row.append({"shape": cell.shape.cert, "attach": attach})
+        cells.append(row)
+    return {"format": "dcomplex/1", "cells": cells}
+
+
+def test_dcomplex_writer_matches_the_isomorphism_search():
+    complexes = [import_ssset(SemiSimplicialSet.standard_simplex(n)) for n in range(6)]
+    complexes.append(serialize.loads_dcomplex(serialize.dumps_dcomplex(complexes[4])))
+    for X in complexes:
+        assert serialize.dcomplex_to_data(X) == dcomplex_oracle_data(X)
+
+
+def test_dcomplex_writer_replays_each_certificate_once(monkeypatch):
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return replay(cert)
+
+    monkeypatch.setattr(serialize, "replay", counted)
+    serialize.dumps_dcomplex(import_ssset(SemiSimplicialSet.standard_simplex(4)))
+    assert len(calls) == len(set(calls)) == 5
