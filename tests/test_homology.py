@@ -144,7 +144,7 @@ def determinantal_oracle(rows: list[list[int]]) -> list[int]:
 
 
 # the dense loop does not finish on this matrix in a minute: its entries
-# reach hundreds of bits by the third pivot
+# have hundreds of bits once three pivots are done
 DENSE_STALL = [
     [-9, -3, 0, -22, -11, -10],
     [-11, 26, -16, 21, 16, 19],
@@ -152,10 +152,6 @@ DENSE_STALL = [
     [2, 19, 13, -10, -27, 18],
     [12, -7, 17, -8, 17, 25],
 ]
-
-
-def _boundary_matrices(K):
-    return [_boundary_matrix(K, j) for j in range(1, len(K.simplices))]
 
 
 def test_smith_diagonal_matches_the_dense_loop_on_boundary_matrices(corpus, horiz, vert):
@@ -176,7 +172,7 @@ def test_smith_diagonal_matches_the_dense_loop_on_boundary_matrices(corpus, hori
             complexes.append(K)
     ranks = set()
     for K in complexes:
-        for M in _boundary_matrices(K):
+        for M in (_boundary_matrix(K, j) for j in range(1, len(K.simplices))):
             diag = smith_diagonal(M)
             assert diag == dense_smith_oracle(M), M
             ranks.add(len(diag))
