@@ -11,7 +11,6 @@ from .errors import (
     BudgetError,
     DanglingIndexError,
     DcxError,
-    EmptyFaceSetError,
     IdentityViolationError,
     IncompatibleAttachmentError,
     LabelMismatchError,

@@ -5,10 +5,10 @@ subdivision posets, and work with directed complexes.  Exit codes: 0 when
 the requested property holds (or the command succeeded), 1 when a checked
 property fails (a JSON counterexample goes to stdout), 2 on invalid input
 or when a brute-force guard trips: every poset read from a file, every cell
-shape of a dcomplex/1 file, every simplex of an imported ssset/1 file, and
-every ``make globe``, ``path``, ``oriental`` or ``join`` output, may hold at
-most DCX_ELEMENT_LIMIT elements.  All but the posets and the certificate
-shapes are sized before they are built.
+shape of a dcomplex/1 file, every imported ssset/1 file and each of its
+simplices, and every ``make globe``, ``path``, ``oriental`` or ``join``
+output, may hold at most DCX_ELEMENT_LIMIT elements.  All but the
+certificate shapes are sized before they are built.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .dcomplex import (
     has_frame_acyclic_molecules,
     import_ssset,
 )
-from .errors import DcxError
+from .errors import BudgetError, DcxError
 from .flow import (
     check_layering_theory,
     is_frame_acyclic,
@@ -71,22 +71,21 @@ def _parse_input(kind: str, parse, path_arg):
     """``parse`` applied to the text of a file; malformed input exits 2.
 
     Parsing may size shapes against DCX_ELEMENT_LIMIT, so the limit is read
-    first: a malformed limit is not reported as malformed input.
+    first: a malformed limit is not reported as malformed input.  A file
+    that lists more elements than the limit is not malformed either, so its
+    BudgetError is reported as it is.
     """
     element_limit()
     try:
         return parse(_read_text(path_arg))
+    except BudgetError:
+        raise
     except (DcxError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"invalid {kind} input: {exc}") from exc
 
 
 def _load_poset(path_arg) -> OgPoset:
-    """The ogposet of a file; one over DCX_ELEMENT_LIMIT exits 2."""
-    P = _parse_input("ogposet", serialize.loads_ogposet, path_arg)
-    limit = element_limit()
-    if P.size() > limit:
-        raise CliError(f"input has {P.size()} elements, over DCX_ELEMENT_LIMIT={limit}")
-    return P
+    return _parse_input("ogposet", serialize.loads_ogposet, path_arg)
 
 
 def _load_molecule(path_arg) -> Molecule:

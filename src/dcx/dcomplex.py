@@ -156,12 +156,12 @@ def restriction_problem(
     attachments, or None when it does.
 
     Every element must be labelled by an existing cell of its dimension,
-    and the labels on its closure must be the attachment of that cell,
-    read through the unique isomorphism of the closure with the cell's
-    shape.  No closure is extracted and no isomorphism is searched for:
-    the canonical record of the closure (:meth:`OgPoset.canon_record`)
-    and that of the whole shape decide it, as in
-    :func:`~dcx.molecule.boundary_glue`.
+    nothing else may be labelled, and the labels on an element's closure
+    must be the attachment of that cell, read through the unique
+    isomorphism of the closure with the cell's shape.  No closure is
+    extracted and no isomorphism is searched for: the canonical record of
+    the closure (:meth:`OgPoset.canon_record`) and that of the whole shape
+    decide it, as in :func:`~dcx.molecule.boundary_glue`.
 
     - Different keys: the keys are canonical, equal exactly for isomorphic
       posets, so the closure is not shaped like the cell.
@@ -185,6 +185,9 @@ def restriction_problem(
             return f"element {el} maps to a cell of another dimension"
         if not (0 <= cid[0] < len(X.cells) and 0 <= cid[1] < len(X.cells[cid[0]])):
             return f"element {el} maps to {cid}, which does not exist"
+    if len(labels) > P.size():
+        stray = min(set(labels).difference(P.elements()))
+        return f"{stray} has a label but is not an element of the shape"
     for el in P.elements():
         cell = X.cell(labels[el])
         S = cell.shape.poset
@@ -291,15 +294,13 @@ def paste_diagrams(f: PastingDiagram, g: PastingDiagram, k: int) -> PastingDiagr
     return PastingDiagram(f.complex, shape, labels)
 
 
-def enumerate_molecules(
-    X: DirectedComplex, max_cells: int, max_elements: Optional[int] = None
-) -> list[PastingDiagram]:
+def enumerate_molecules(X: DirectedComplex, max_cells: int) -> list[PastingDiagram]:
     """All pasting diagrams with at most ``max_cells`` top-dimensional labels.
 
     The pool is seeded with the single cells and closed under pasting,
-    deduplicated by the canonical key of (shape, labels).  ``max_elements``
-    (default: the DCX_ELEMENT_LIMIT guard) bounds diagram size so that the
-    closure terminates on complexes with cycles.  The result is sorted by key.
+    deduplicated by the canonical key of (shape, labels).  The
+    DCX_ELEMENT_LIMIT guard bounds diagram size so that the closure
+    terminates on complexes with cycles.  The result is sorted by key.
 
     The closure is semi-naive: pool diagrams are processed once each, in the
     order they entered the pool, and each is pasted only with diagrams
@@ -320,8 +321,7 @@ def enumerate_molecules(
     """
     if max_cells < 1:
         raise PreconditionError(f"max_cells must be at least 1, got {max_cells}")
-    if max_elements is None:
-        max_elements = element_limit()
+    max_elements = element_limit()
     pool: dict[bytes, PastingDiagram] = {}
     order: list[PastingDiagram] = []
 

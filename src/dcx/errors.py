@@ -13,10 +13,6 @@ class DanglingIndexError(DcxError):
     """A face list references an index outside the previous dimension."""
 
 
-class EmptyFaceSetError(DcxError):
-    """A positive-dimensional element has an empty face side (regular mode)."""
-
-
 class AmbiguityError(DcxError):
     """Two distinct isomorphisms were found between certified molecules."""
 
@@ -54,4 +50,5 @@ class PreconditionError(DcxError):
 
 
 class BudgetError(DcxError):
-    """A brute-force search exceeded the configured element limit."""
+    """An input file, or a brute-force search, exceeds the configured
+    element limit."""

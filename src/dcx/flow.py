@@ -76,10 +76,10 @@ class FlowGraph:
         order = tuple(sorted(self.vertices))
         return order, closed_rows(self._rows(order, True), (1 << len(order)) - 1)
 
-    def topological_sorts(self, cap: Optional[int] = None) -> list[tuple[El, ...]]:
-        """The topological sorts in lexicographic order, at most ``cap``."""
+    def topological_sorts(self) -> list[tuple[El, ...]]:
+        """The topological sorts in lexicographic order."""
         order, need = self._need()
-        chains = _chains(need, (1 << len(order)) - 1, _minimal_blocks, cap)
+        chains = _chains(need, (1 << len(order)) - 1, _minimal_blocks)
         return [tuple(order[b.bit_length() - 1] for b in chain) for chain in chains]
 
 

@@ -104,7 +104,7 @@ class Molecule:
 
 
 def point() -> Molecule:
-    return Molecule(OgPoset((1,), [[]], _checked=True), POINT_CERT)
+    return Molecule(OgPoset((1,), [[]]), POINT_CERT)
 
 
 def arrow() -> Molecule:
@@ -150,6 +150,12 @@ def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
     Elements of P keep their indices; the unglued elements of Q follow them
     in each dimension, in order.  Returns ``(counts, faces, map_p, map_q)``
     with the face data as lists, so that callers can add elements on top.
+
+    When ``glue`` is injective and keeps dimensions, ``map_q`` is injective,
+    since the unglued elements take indices past P's.  So each unglued
+    element of Q keeps disjoint, non-repeating sides of the same sizes, and
+    P's elements keep theirs: the table is valid, and regular when P and Q
+    are.
     """
     nd = max(len(P.counts), len(Q.counts))
     counts = list(P.counts) + [0] * (nd - len(P.counts))
@@ -180,6 +186,8 @@ def paste_posets(P: OgPoset, Q: OgPoset, k: int):
 
     Returns ``(W, map_p, map_q)``; raises BoundaryMismatchError when the
     output k-boundary of P is not isomorphic to the input k-boundary of Q.
+    The glue is a bijection of that boundary of Q onto that of P, so W's
+    table is valid, and regular when P and Q are (see :func:`pushout`).
     """
     if k < 0:
         raise BoundaryMismatchError("pasting level must be >= 0")
@@ -190,7 +198,7 @@ def paste_posets(P: OgPoset, Q: OgPoset, k: int):
             f"input {k}-boundary of the right factor"
         )
     counts, faces, map_p, map_q = pushout(P, Q, glue)
-    return OgPoset(counts, faces, regular=True), map_p, map_q
+    return OgPoset(counts, faces), map_p, map_q
 
 
 def paste_labelled(P: OgPoset, left: dict, Q: OgPoset, right: dict, k: int):
@@ -217,7 +225,16 @@ def paste(U: Molecule, V: Molecule, k: int) -> Molecule:
 
 
 def atom(U: Molecule, V: Molecule) -> Molecule:
-    """The unique (k+1)-atom with input boundary U and output boundary V."""
+    """The unique (k+1)-atom with input boundary U and output boundary V.
+
+    The glue is injective.  By globularity each boundary isomorphism sends
+    V's (k-2)-boundaries onto U's, where the two agree, and by roundness
+    an element of U outside them lies in one (k-1)-boundary only.  So the
+    pushout is valid and regular (see :func:`pushout`).  The new top has
+    U's k-cells as inputs and V's k-cells as outputs.  The glue stops at
+    dimension k - 1, so V's k-cells follow U's in W: the two sides are
+    disjoint, nonempty and repeat nothing.
+    """
     if not is_round(U):
         raise NotRoundError("input molecule is not round")
     if not is_round(V):
@@ -238,7 +255,7 @@ def atom(U: Molecule, V: Molecule) -> Molecule:
     top_plus = tuple(sorted(map_v[(k, i)][1] for i in range(V.poset.counts[k])))
     counts.append(1)
     faces.append([(top_minus, top_plus)])
-    W = OgPoset(counts, faces, regular=True)
+    W = OgPoset(counts, faces)
     return Molecule(W, ("atom", U.cert, V.cert))
 
 
@@ -249,14 +266,15 @@ def _check_size(what: str, n: int) -> None:
 
 def globe(k: int) -> Molecule:
     """The k-globe: two elements in each dimension below k and one in
-    dimension k, each with inputs (0,) and outputs (1,) one dimension down."""
+    dimension k, each with inputs (0,) and outputs (1,) one dimension down,
+    a valid and regular table."""
     _check_size("globe", k)
     counts = [2] * k + [1]
     faces = [[]] + [[((0,), (1,))] * c for c in counts[1:]]
     cert = POINT_CERT
     for _ in range(k):
         cert = ("atom", cert, cert)
-    return Molecule(OgPoset(counts, faces, regular=True), cert)
+    return Molecule(OgPoset(counts, faces), cert)
 
 
 def path(k: int) -> Molecule:
@@ -269,15 +287,13 @@ def path(k: int) -> Molecule:
 
 
 def suspension(U: Molecule) -> Molecule:
-    """Suspension: two new poles, every element shifted one dimension up."""
-    nd = len(U.poset.counts) + 1
-    counts = [2] + list(U.poset.counts)
-    faces = [[] for _ in range(nd)]
-    if nd > 1:
-        faces[1] = [((0,), (1,)) for _ in range(U.poset.counts[0])]
-    for d in range(1, len(U.poset.counts)):
-        faces[d + 1] = list(U.poset.faces[d])
-    W = OgPoset(counts, faces, regular=True)
+    """Suspension: two new poles, every element shifted one dimension up.
+
+    Each vertex becomes an arrow with input pole (0,) and output pole (1,),
+    and every other element keeps its sides, whose indices now name the
+    shifted elements one dimension down.  So the table is valid, and
+    regular when U's is, as a molecule's is.
+    """
 
     def sus_cert(c: Cert) -> Cert:
         if c[0] == "point":
@@ -286,7 +302,10 @@ def suspension(U: Molecule) -> Molecule:
             return ("atom", sus_cert(c[1]), sus_cert(c[2]))
         return ("paste", c[1] + 1, sus_cert(c[2]), sus_cert(c[3]))
 
-    return Molecule(W, sus_cert(U.cert))
+    cert = sus_cert(U.cert)
+    P = U.poset
+    faces = [[], [((0,), (1,))] * P.counts[0], *P.faces[1:]]
+    return Molecule(OgPoset([2, *P.counts], faces), cert)
 
 
 def join_with_maps(U: Molecule, V: Molecule):
@@ -303,6 +322,15 @@ def join_with_maps(U: Molecule, V: Molecule):
     place of its (empty) face set, on the output side only.
 
     Returns ``(W, map_u, map_v, map_pair)``.
+
+    The table is valid and regular.  U and V are copied with their sides.
+    A pair's x-part reads the two disjoint sides of x and its y-part the
+    two disjoint sides of y, as a' flips with a; the pairs (x', y) and
+    (x, y') are distinct elements, and a pure element stands on one side
+    only.  Each side is nonempty: a part of positive dimension reads a
+    nonempty side of a molecule's element, and when x is a point the
+    output side holds V's y and the input side reads y's output side, or
+    holds U's x.
     """
     nd = U.poset.dim + V.poset.dim + 2
     counts = [0] * nd
@@ -357,7 +385,7 @@ def join_with_maps(U: Molecule, V: Molecule):
                     map_pair[(x, y)] = add(
                         a + b + 1, pair_faces(x, y, MINUS), pair_faces(x, y, PLUS)
                     )
-    W = OgPoset(counts, faces, regular=True)
+    W = OgPoset(counts, faces)
     return Molecule(W), map_u, map_v, map_pair
 
 

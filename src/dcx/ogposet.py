@@ -16,6 +16,13 @@ Only this module knows the layout.  Other modules build subsets from
 elements (:meth:`OgPoset.el_masks`), read them back
 (:meth:`OgPoset.masks_els`) and cut them by dimension
 (:meth:`OgPoset.upto`); they never compute a position themselves.
+
+Constructors build and readers check.  :class:`OgPoset` builds from a face
+table without checking it.  :func:`validate` is the one function that
+checks a raw face table, before anything is built, and every file is read
+through it.  The library's own constructions (pastings, atoms, globes,
+suspensions, joins, extracts, the point and Sd thetas) build valid face
+tables by construction, and each docstring says why.
 """
 from __future__ import annotations
 
@@ -26,7 +33,6 @@ from .errors import (
     AmbiguityError,
     DanglingIndexError,
     DcxError,
-    EmptyFaceSetError,
     OverlapError,
     PreconditionError,
 )
@@ -86,7 +92,7 @@ def _memoised(name: str):
 
 
 class OgPoset:
-    """A validated oriented graded poset.
+    """An oriented graded poset, built from a face table that is not checked.
 
     ``faces[d][i]`` holds the pair ``(minus, plus)`` of sorted index tuples
     into dimension ``d - 1``; dimension 0 carries no face data.  Indexed by
@@ -99,8 +105,11 @@ class OgPoset:
     the canonical records of their closed subsets (:meth:`canon_record`),
     the whole poset's being its canonical form, in the "canon" memo, with
     the other memoised searches (see :func:`_memoised`).
-    ``regular=True`` also refuses an element of positive dimension with an
-    empty face side; the flag is not kept.
+
+    The face table must be valid: every index names an element one
+    dimension down, and an element's two sides are disjoint and repeat no
+    index.  Raw data is checked by :func:`validate`, which builds through
+    here.
     """
 
     __slots__ = (
@@ -117,7 +126,7 @@ class OgPoset:
         "_memo",
     )
 
-    def __init__(self, counts, faces, *, regular=False, _checked=False):
+    def __init__(self, counts, faces):
         counts = tuple(counts)
         while counts and counts[-1] == 0:
             counts = counts[:-1]
@@ -128,37 +137,8 @@ class OgPoset:
             else ()
             for d in range(len(counts))
         )
-        if not _checked:
-            self._validate(regular)
-        self._build_tables()
         self._memo = {}
-
-    # -- validation ----------------------------------------------------
-
-    def _validate(self, regular: bool):
-        for d in range(1, len(self.counts)):
-            below = self.counts[d - 1]
-            if len(self.faces[d]) != self.counts[d]:
-                raise DanglingIndexError(f"face table at dimension {d} has wrong length")
-            for i, (mn, pl) in enumerate(self.faces[d]):
-                for j in mn + pl:
-                    if not (0 <= j < below):
-                        raise DanglingIndexError(
-                            f"element ({d},{i}) references ({d - 1},{j}) which does not exist"
-                        )
-                if set(mn) & set(pl):
-                    raise OverlapError(
-                        f"element ({d},{i}) has overlapping input and output faces"
-                    )
-                if len(set(mn)) != len(mn) or len(set(pl)) != len(pl):
-                    raise DanglingIndexError(f"element ({d},{i}) repeats a face index")
-                if regular and (not mn or not pl):
-                    raise EmptyFaceSetError(
-                        f"element ({d},{i}) has an empty face side"
-                    )
-
-    def _build_tables(self):
-        offsets = _offsets(self.counts)
+        offsets = _offsets(counts)
         self._offsets = tuple(offsets)
         # _upto[j]: the elements of dimension below j, for j = 0 .. len(counts) + 1;
         # the repeated last entry lets delta_masks read level k + 2 for every k <= dim,
@@ -304,10 +284,13 @@ class OgPoset:
 
         Returns ``(Q, to_ambient)`` where ``to_ambient`` maps elements of
         ``Q`` back to elements of this poset.  Relative index order is
-        preserved within each dimension.
+        preserved within each dimension.  A closed subset holds the faces of
+        its elements and the renumbering is injective, so each element keeps
+        its two sides, renumbered: the table is valid, and regular when this
+        poset is.
         """
         els, counts, faces = self._restrict(masks)
-        Q = OgPoset(counts, faces, _checked=True)
+        Q = OgPoset(counts, faces)
         return Q, dict(zip(Q._els, els))
 
     def _restrict(self, masks: Masks) -> tuple[list[El], list[int], list[list]]:
@@ -499,8 +482,8 @@ class Closed:
 # -- public operations ------------------------------------------------------
 
 
-def validate(raw, *, regular=False) -> OgPoset:
-    """Validate raw face data.
+def validate(raw) -> OgPoset:
+    """Check raw face data and build its poset.
 
     ``raw`` is a list indexed by dimension: entry 0 is an integer count (or a
     list with one entry per 0-element), and entry ``d >= 1`` is a list of
@@ -509,11 +492,16 @@ def validate(raw, *, regular=False) -> OgPoset:
     (not a ``bool``, which JSON ``true`` and ``false`` read as) and a count
     must not be negative.  Data of any other shape raises ``DcxError``
     naming the dimension, and the index of the element when there is one.
+    An index that names no element one dimension down raises
+    DanglingIndexError, and so does a side that repeats an index; sides
+    that share an index raise OverlapError.  Every check is made on the raw
+    table, before the poset is built: this is the one reader of face
+    tables, and :class:`OgPoset` builds without checking.
     """
     if not isinstance(raw, (list, tuple)):
         raise DcxError(f"the face table {raw!r} is not a list")
     if not raw:
-        return OgPoset((), [], regular=regular)
+        return OgPoset((), [])
     head = raw[0]
     if isinstance(head, list):
         head = len(head)
@@ -524,14 +512,15 @@ def validate(raw, *, regular=False) -> OgPoset:
     for d in range(1, len(raw)):
         if not isinstance(raw[d], (list, tuple)):
             raise DcxError(f"dimension {d} of the face table is {raw[d]!r}, not a list")
-        level = [_face_entry(entry, d, i) for i, entry in enumerate(raw[d])]
+        level = [_face_entry(entry, d, i, counts[-1]) for i, entry in enumerate(raw[d])]
         counts.append(len(level))
         faces.append(level)
-    return OgPoset(counts, faces, regular=regular)
+    return OgPoset(counts, faces)
 
 
-def _face_entry(entry, d: int, i: int) -> tuple[tuple, tuple]:
-    """The ``(minus, plus)`` index tuples of the raw face entry of (d, i)."""
+def _face_entry(entry, d: int, i: int, below: int) -> tuple[tuple, tuple]:
+    """The checked ``(minus, plus)`` index tuples of the raw face entry of
+    (d, i), whose indices name the ``below`` elements of dimension d - 1."""
     if isinstance(entry, dict):
         sides = (entry.get("-", ()), entry.get("+", ()))
     elif isinstance(entry, (list, tuple)) and len(entry) == 2:
@@ -544,6 +533,14 @@ def _face_entry(entry, d: int, i: int) -> tuple[tuple, tuple]:
     for j in mn + pl:
         if type(j) is not int:
             raise DcxError(f"element ({d},{i}) has face index {j!r}, not an integer")
+        if not 0 <= j < below:
+            raise DanglingIndexError(
+                f"element ({d},{i}) references ({d - 1},{j}) which does not exist"
+            )
+    if set(mn) & set(pl):
+        raise OverlapError(f"element ({d},{i}) has overlapping input and output faces")
+    if len(set(mn)) != len(mn) or len(set(pl)) != len(pl):
+        raise DanglingIndexError(f"element ({d},{i}) repeats a face index")
     return mn, pl
 
 

@@ -2,14 +2,23 @@
 
 JSON documents are written canonically: sorted keys, compact separators,
 one trailing newline.  Parsing followed by dumping is therefore
-byte-stable after one normalisation pass.
+byte-stable after one normalisation pass.  An ogposet/1 or ssset/1 document
+that lists more elements than DCX_ELEMENT_LIMIT is refused before anything
+is built (:func:`_check_listed`).
 """
 from __future__ import annotations
 
 import json
 
-from .dcomplex import Cell, DirectedComplex, SemiSimplicialSet, check_fits, check_simplex_fits
-from .errors import DcxError
+from .dcomplex import (
+    Cell,
+    DirectedComplex,
+    SemiSimplicialSet,
+    check_fits,
+    check_simplex_fits,
+    element_limit,
+)
+from .errors import BudgetError, DcxError
 from .flow import FlowGraph
 from .molecule import Molecule, globe, oriental, replay
 from .ogposet import El, OgPoset, validate
@@ -31,6 +40,22 @@ def _parse_el(name) -> El:
     return (int(parts[0]), int(parts[1]))
 
 
+def _check_listed(faces) -> None:
+    """Raise BudgetError when a raw face table of an ogposet/1 or ssset/1
+    document lists more elements than DCX_ELEMENT_LIMIT: its count in
+    dimension 0, or the length of that list, and the length of each later
+    dimension's list.  Entries of any other shape count 0, and the reader
+    refuses them after this check."""
+    if not isinstance(faces, list) or not faces:
+        return
+    head = len(faces[0]) if isinstance(faces[0], list) else faces[0]
+    size = sum(len(level) for level in faces[1:] if isinstance(level, list))
+    size += head if type(head) is int and head > 0 else 0
+    limit = element_limit()
+    if size > limit:
+        raise BudgetError(f"input has {size} elements, over DCX_ELEMENT_LIMIT={limit}")
+
+
 # -- ogposet/1 -------------------------------------------------------------
 
 
@@ -49,6 +74,7 @@ def ogposet_to_data(P: OgPoset) -> dict:
 def ogposet_from_data(data: dict) -> OgPoset:
     if not isinstance(data, dict) or data.get("format") != "ogposet/1":
         raise DcxError("expected an ogposet/1 document")
+    _check_listed(data["faces"])
     return validate(data["faces"])
 
 
@@ -143,7 +169,8 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
     """A directed complex read from a dcomplex/1 document: a list of cell
     levels, each a list of objects with a ``shape`` and an ``attach``.
     Data of any other shape raises ``DcxError`` naming the field, and the
-    cell when there is one."""
+    cell when there is one, and so does an attach that names one element
+    twice, as ``"0.0"`` and ``"00.0"`` do."""
     if not isinstance(data, dict) or data.get("format") != "dcomplex/1":
         raise DcxError("expected a dcomplex/1 document")
     if "cells" not in data:
@@ -166,7 +193,10 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
             attach = entry["attach"]
             if not isinstance(attach, dict):
                 raise DcxError(f"cell ({d},{i}) has attach {attach!r}, not an object")
-            row.append(Cell(shape, {_parse_el(k): _parse_el(v) for k, v in attach.items()}))
+            labels = {_parse_el(k): _parse_el(v) for k, v in attach.items()}
+            if len(labels) != len(attach):
+                raise DcxError(f"cell ({d},{i}) has an attach that names one element twice")
+            row.append(Cell(shape, labels))
         cells.append(row)
     return DirectedComplex(cells).validate()
 
@@ -192,6 +222,7 @@ def ssset_to_data(S: SemiSimplicialSet) -> dict:
 def ssset_from_data(data: dict) -> SemiSimplicialSet:
     if not isinstance(data, dict) or data.get("format") != "ssset/1":
         raise DcxError("expected an ssset/1 document")
+    _check_listed(data["faces"])
     return SemiSimplicialSet(data["faces"]).validate()
 
 

@@ -94,7 +94,7 @@ class Subdivision:
                 if d:
                     lo, hi = images[m]
                     faces[d].append(((index[lo],), (index[hi],)))
-            self._theta = OgPoset(counts, faces, _checked=True)
+            self._theta = OgPoset(counts, faces)
         return self._theta
 
     @property

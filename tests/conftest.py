@@ -94,6 +94,26 @@ def parallel_pair():
     return validate([2, [([0], [1]), ([0], [1])]])
 
 
+def assert_regular(P):
+    """Every element of positive dimension of P has nonempty input and
+    output sides."""
+    empty = [
+        (d, i)
+        for d in range(1, len(P.counts))
+        for i, (mn, pl) in enumerate(P.faces[d])
+        if not mn or not pl
+    ]
+    assert not empty, empty
+
+
+def checked_poset(counts, faces):
+    """The poset of a face table given as counts and faces (``faces[0]``
+    unread), built by ``validate`` and checked regular."""
+    P = validate([counts[0], *faces[1:]])
+    assert_regular(P)
+    return P
+
+
 def compositions(k):
     """All compositions of k, as tuples of positive integers."""
     if k == 0:

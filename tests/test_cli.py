@@ -309,6 +309,42 @@ def test_every_poset_input_is_guarded(tmp_path, capsys, monkeypatch):
         assert (code, json.loads(out)) == (2, error), argv
 
 
+LISTED_DOCS = {
+    "ogposet points": (["check", "hasse-acyclic"], {"format": "ogposet/1", "faces": [6]}),
+    "ogposet arrows": (
+        ["check", "molecule"],
+        {"format": "ogposet/1", "faces": [[{}] * 4, [[[0], [1]], [[2], [3]]]]},
+    ),
+    "ssset vertices": (["cx", "import-ssset"], {"format": "ssset/1", "faces": [6]}),
+    "ssset triangle": (
+        ["cx", "import-ssset"],
+        {"format": "ssset/1", "faces": [3, [[1, 0], [2, 0], [2, 1]]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LISTED_DOCS)
+def test_inputs_are_sized_before_anything_is_built(tmp_path, capsys, monkeypatch, case):
+    argv, doc = LISTED_DOCS[case]
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "5")
+    monkeypatch.setattr(OgPoset, "__init__", refuse_to_build)
+    monkeypatch.setattr(dcx.dcomplex.Cell, "__init__", refuse_to_build)
+    code, out = call(capsys, *argv, write_doc(tmp_path, json.dumps(doc)))
+    assert (code, json.loads(out)) == (
+        2, {"error": "input has 6 elements, over DCX_ELEMENT_LIMIT=5"}
+    )
+
+
+def test_inputs_at_the_element_limit_are_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "5")
+    for argv, doc in (
+        (["check", "hasse-acyclic"], {"format": "ogposet/1", "faces": [5]}),
+        (["cx", "import-ssset"], {"format": "ssset/1", "faces": [5]}),
+    ):
+        code, _ = call(capsys, *argv, write_doc(tmp_path, json.dumps(doc)))
+        assert code == 0, argv
+
+
 def test_export_options_before_or_after_file(files, capsys):
     for opts in (["--dot", "hasse"], ["--dot", "flow", "--k", "0"], ["--dot", "sd", "--levels", "0"]):
         before = call(capsys, "export", *opts, files["horiz"])

@@ -137,6 +137,25 @@ def test_every_element_attaches_to_an_existing_cell_of_its_dimension():
         assert "does not exist" in message
 
 
+def test_only_elements_are_labelled():
+    X = simplex_complex(1)
+    for stray, target in [((7, 3), (0, 0)), ((0, 5), (0, 1))]:
+        assert incompatible(edited(X, (1, 0), {stray: target})) == (
+            f"cell (1, 0): {stray} has a label but is not an element of the shape"
+        )
+    edge = PastingDiagram.single(X, (1, 0))
+    labels = {**edge.labels, (0, 2): (0, 1)}
+    assert "(0, 2) has a label but is not an element" in mislabelled(X, edge.shape, labels)
+
+
+def test_an_attach_names_each_element_once():
+    doc = serialize.dcomplex_to_data(simplex_complex(1))
+    doc["cells"][1][0]["attach"]["00.0"] = "0.0"
+    with pytest.raises(dcx.DcxError) as info:
+        serialize.dcomplex_from_data(doc)
+    assert str(info.value) == "cell (1,0) has an attach that names one element twice"
+
+
 def test_faces_shaped_like_their_cells():
     # a 3-globe whose 2-dimensional faces land on the triangle
     X = simplex_complex(2)
@@ -429,20 +448,22 @@ CLOSURE_INPUTS = {
 
 
 @pytest.mark.parametrize("case", CLOSURE_INPUTS)
-def test_enumerate_molecules_matches_all_pairs_oracle(case):
+def test_enumerate_molecules_matches_all_pairs_oracle(case, monkeypatch):
     make, max_cells, max_elements = CLOSURE_INPUTS[case]
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", str(max_elements))
     X = make()
-    got = enumerate_molecules(X, max_cells, max_elements)
+    got = enumerate_molecules(X, max_cells)
     expected = all_pairs_closure(X, max_cells, max_elements)
     assert [representation(d) for d in got] == [representation(d) for d in expected]
 
 
 @pytest.mark.parametrize("case", ["simplex1-3", "simplex2-3", "simplex3-3", "one_loop-4"])
-def test_boundary_keys_decide_pasting(case):
+def test_boundary_keys_decide_pasting(case, monkeypatch):
     """Below the smaller dimension, boundary keys agree exactly when the
     pasting succeeds; at or above it, a pasting gives back an operand."""
     make, max_cells, max_elements = CLOSURE_INPUTS[case]
-    pool = enumerate_molecules(make(), max_cells, max_elements)
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", str(max_elements))
+    pool = enumerate_molecules(make(), max_cells)
     for f in pool:
         for k in range(f.dim):
             for side in "-+":
@@ -491,7 +512,8 @@ def test_index_pastes_only_matching_pairs_once_per_level(monkeypatch):
     tried = [(frozenset((f, g)), k) for f, g, k in attempts]
     assert len(set(tried)) == len(tried)
     # with cycles both orders of a pair can paste, each once
-    attempts = recorded_pastes(monkeypatch, two_loops(), 3, 20)
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "20")
+    attempts = recorded_pastes(monkeypatch, two_loops(), 3)
     assert len(set(attempts)) == len(attempts)
     assert len({(frozenset((f, g)), k) for f, g, k in attempts}) < len(attempts)
 
@@ -499,11 +521,12 @@ def test_index_pastes_only_matching_pairs_once_per_level(monkeypatch):
 # -- helpers and the frame-acyclicity verdict ----------------------------------------------
 
 
-def test_loops_are_not_regular_nor_locally_injective():
+def test_loops_are_not_regular_nor_locally_injective(monkeypatch):
     assert simplex_complex(3).is_regular()
     X = one_loop()
     assert not X.is_regular()
-    pool = enumerate_molecules(X, 2, 10)
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", "10")
+    pool = enumerate_molecules(X, 2)
     assert [d.is_locally_injective() for d in pool] == [True, False, False]
 
 

@@ -55,7 +55,8 @@ CORPUS_MAX_ELEMENTS = 14
 # run too
 TIER1_COMMANDS = (("sd",), ("export", "--dot", "sd"), ("check",))
 SLICE = (
-    "path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2", "swapped", "misshaped"
+    "path2", "globe2", "oriental2", "theta", "horiz", "corpus03", "delta2", "swapped", "misshaped",
+    "stray",
 )
 
 
@@ -299,11 +300,12 @@ CHECK_ONLY = {
 
 ARROW = ["atom", ["point"], ["point"]]
 
-# dcomplex/1 inputs on which only ``cx verify`` runs; both exit 2.  In
+# dcomplex/1 inputs on which only ``cx verify`` runs; all exit 2.  In
 # "swapped" the 2-simplex of delta2 attaches its edges 1.0 and 1.1 to each
 # other's cells, so the labelling around (1, 0) does not restrict to the
 # attachment.  In "misshaped" the faces of a 3-simplex are labelled by a
-# 2-cell shaped as a 2-globe, not as a triangle.
+# 2-cell shaped as a 2-globe, not as a triangle.  In "stray" the arrow of
+# delta1 also attaches 7.3, which is not an element of its shape.
 CX_REJECTED = {
     "swapped": {
         "format": "dcomplex/1",
@@ -349,6 +351,13 @@ CX_REJECTED = {
                     },
                 }
             ],
+        ],
+    },
+    "stray": {
+        "format": "dcomplex/1",
+        "cells": [
+            [{"shape": ["point"], "attach": {"0.0": f"0.{i}"}} for i in range(2)],
+            [{"shape": ARROW, "attach": {"0.0": "0.0", "0.1": "0.1", "1.0": "1.0", "7.3": "0.0"}}],
         ],
     },
 }

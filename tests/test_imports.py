@@ -457,6 +457,52 @@ def test_memo_keys_have_fixed_shapes():
     assert not tracing._mol_memo_has((dcx.path(3).poset, P.full_masks()))
 
 
+# -- OgPoset takes a face table and nothing else -------------------------------------
+
+
+def ogposet_calls(path: Path) -> list[tuple[int, bool]]:
+    """The lines of a module's ``OgPoset(...)`` calls, each with whether it
+    passes exactly two positional arguments, neither of them starred, and no
+    keyword."""
+    return sorted(
+        (
+            node.lineno,
+            len(node.args) == 2
+            and not node.keywords
+            and not any(isinstance(arg, ast.Starred) for arg in node.args),
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _callee(node) == "OgPoset"
+    )
+
+
+def test_scan_finds_the_ogposet_calls(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "P = OgPoset(counts, faces)\n"
+        "Q = ogposet.OgPoset(counts, faces, strict=True)\n"
+        "R = OgPoset(counts, faces, trusted=True)\n"
+        "S = OgPoset(*table)\n"
+        "T = OgPoset(counts, faces, True)\n"
+        "U = OgPoset(counts)\n"
+        "V = OgPoset(counts=counts, faces=faces)\n",
+        encoding="utf-8",
+    )
+    assert ogposet_calls(mod) == [(1, True)] + [(line, False) for line in range(2, 8)]
+
+
+def test_ogposet_calls_pass_only_a_face_table():
+    """``OgPoset`` builds from counts and faces and takes no option: raw
+    tables are checked by ``validate``, and constructions need no check."""
+    calls = [
+        (path.name, line, ok)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, ok in ogposet_calls(path)
+    ]
+    assert [call for call in calls if not call[2]] == []
+    assert len(calls) >= 8
+
+
 # -- line length ------------------------------------------------------------------
 
 MAX_LINE = 100

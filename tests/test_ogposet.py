@@ -9,7 +9,6 @@ from dcx import (
     AmbiguityError,
     Closed,
     DanglingIndexError,
-    EmptyFaceSetError,
     OgIso,
     OgPoset,
     OverlapError,
@@ -59,10 +58,7 @@ def test_validate_dangling_rejected():
         validate([1, [([0], [3])]])
 
 
-def test_validate_empty_face_side_in_regular_mode():
-    with pytest.raises(EmptyFaceSetError):
-        validate([1, [([0], [])]], regular=True)
-    # fine outside regular mode
+def test_validate_accepts_an_empty_face_side():
     validate([1, [([0], [])]])
 
 

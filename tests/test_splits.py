@@ -57,7 +57,7 @@ def bipartition_candidates(P, high, k):
 
 def fresh(P):
     """A copy of P with empty memos."""
-    return OgPoset(P.counts, P.faces, _checked=True)
+    return OgPoset(P.counts, P.faces)
 
 
 def split_table(P):

@@ -8,7 +8,6 @@ from dcx import (
     BoundaryMismatchError,
     DcxError,
     FinPoset,
-    OgPoset,
     OverlapError,
     PreconditionError,
     contractibility_report,
@@ -22,11 +21,18 @@ from dcx import (
     sd_report_json,
     theta_from_tree,
     tree_leq,
+    validate,
 )
 from dcx.molecule import mol_cert, paste_labelled, splits_masks
 from dcx.ogposet import MINUS, PLUS, _bits, labelled_key
 from dcx.subdivision import _images, _subtrees, _trees, realize, tree_region
-from conftest import composition_refines, compositions, differential_inputs, posets_isomorphic
+from conftest import (
+    checked_poset,
+    composition_refines,
+    compositions,
+    differential_inputs,
+    posets_isomorphic,
+)
 
 
 def composition_of(sub):
@@ -259,7 +265,8 @@ def test_counts_and_big_cell_are_read_off_key_and_tree(corpus, horiz, vert):
 
 
 def _eager_realize(P, tree):
-    """The theta built and validated at once, as a plain OgPoset."""
+    """The theta built at once, as a plain OgPoset checked by ``validate``
+    and for regularity."""
     images, size = _images(P, tree)
     if len(images) != size:
         raise DcxError("element-image map is not injective")
@@ -273,7 +280,7 @@ def _eager_realize(P, tree):
         if d:
             lo, hi = images[m]
             faces[d].append(((index[lo],), (index[hi],)))
-    return OgPoset(counts, faces, regular=True), tuple(key)
+    return checked_poset(counts, faces), tuple(key)
 
 
 def _lazy_realize(P, tree):
@@ -305,7 +312,7 @@ def test_realize_raises_where_the_eager_theta_does():
                 below = rng.sample(range(counts[d - 1]), rng.randint(2, counts[d - 1]))
                 cut = rng.randint(1, len(below) - 1)
                 faces[d].append((below[:cut], below[cut:]))
-        P = OgPoset(counts, faces, regular=True)
+        P = checked_poset(counts, faces)
         closed = [functools.reduce(int.__or__, rng.sample(P.cl_el, 2)) for _ in range(8)]
 
         def tree(depth):
@@ -338,7 +345,7 @@ def test_realize_reports_overlapping_faces(monkeypatch):
     with pytest.raises(OverlapError):
         realize(P, ("leaf", P.full_masks()))
     with pytest.raises(OverlapError):
-        OgPoset([1, 1], [[], [((0,), (0,))]], regular=True)
+        validate([1, [((0,), (0,))]])
 
 
 def test_realize_rejects_layers_in_the_wrong_order():
