@@ -318,40 +318,72 @@ def enumerate_molecules(X: DirectedComplex, max_cells: int) -> list[PastingDiagr
     key match can never add a wrong diagram either.  Levels k at or above the
     smaller dimension are skipped: there the k-boundary of the lower operand
     is all of it, so the pasting is the other operand again, already pooled.
+
+    A pasting inherits its boundary keys at levels up to k from its
+    operands; only the levels above k are read from its shape
+    (:func:`_closure`).  A pair whose pasting would have more than
+    ``max_cells`` top cells is skipped before it is pasted: at k below both
+    dimensions no top cell is glued, so the pasting has the top cells of
+    each operand of the larger dimension, and the pool would refuse it.
+    """
+    return sorted((diag for diag, _ in _closure(X, max_cells)), key=lambda d: d.key)
+
+
+def _closure(
+    X: DirectedComplex, max_cells: int
+) -> list[tuple[PastingDiagram, list[tuple[bytes, bytes]]]]:
+    """The pool of :func:`enumerate_molecules` in the order it was admitted,
+    each diagram with its boundary keys: the labelled keys of its input and
+    output k-boundaries, one pair for each level k below its dimension.
+
+    A pasting ``f #_k g`` of molecules U and V, with k below both
+    dimensions, inherits the keys at levels up to k.  For j < k the
+    j-boundaries of U #_k V are the images of those of U; its input
+    k-boundary is the image of U's, and its output k-boundary that of V's.
+    The pushout inclusions carry the labels, and boundaries of molecules are
+    molecules, hence rigid, so labelled keys are invariant under them.  A
+    diagram's keys are completed when it is processed, before any of its
+    pairs is formed, so both operands of a pasting have all of theirs.
     """
     if max_cells < 1:
         raise PreconditionError(f"max_cells must be at least 1, got {max_cells}")
     max_elements = element_limit()
-    pool: dict[bytes, PastingDiagram] = {}
-    order: list[PastingDiagram] = []
+    seen: set[bytes] = set()
+    order: list[tuple[PastingDiagram, list[tuple[bytes, bytes]]]] = []
 
-    def admit(diag: PastingDiagram) -> None:
+    def admit(diag: PastingDiagram, bounds: list[tuple[bytes, bytes]]) -> None:
         if diag.top_cell_count() > max_cells or diag.shape.size() > max_elements:
             return
-        if diag.key not in pool:
-            pool[diag.key] = diag
-            order.append(diag)
+        if diag.key not in seen:
+            seen.add(diag.key)
+            order.append((diag, bounds))
 
     for cid in X.cell_ids():
-        admit(PastingDiagram.single(X, cid))
-    index: dict[tuple[int, str, bytes], list[PastingDiagram]] = {}
-    for new in order:  # grows as pastings are admitted
-        for k in range(new.dim):
-            source = new._boundary_key(k, MINUS)
-            target = new._boundary_key(k, PLUS)
+        admit(PastingDiagram.single(X, cid), [])
+    index: dict[tuple[int, str, bytes], list] = {}
+    for entry in order:  # grows as pastings are admitted
+        new, bounds = entry
+        bounds += [
+            (new._boundary_key(k, MINUS), new._boundary_key(k, PLUS))
+            for k in range(len(bounds), new.dim)
+        ]
+        for k, (source, target) in enumerate(bounds):
             # copied before new joins the buckets, so a self-pasting is tried once
             before = list(index.get((k, PLUS, source), ()))
-            index.setdefault((k, MINUS, source), []).append(new)
-            index.setdefault((k, PLUS, target), []).append(new)
-            pairs = [(new, other) for other in index.get((k, MINUS, target), ())]
-            pairs += [(other, new) for other in before]
-            for left, right in pairs:
+            index.setdefault((k, MINUS, source), []).append(entry)
+            index.setdefault((k, PLUS, target), []).append(entry)
+            pairs = [(entry, other) for other in index.get((k, MINUS, target), ())]
+            pairs += [(other, entry) for other in before]
+            for (left, lbounds), (right, rbounds) in pairs:
+                top = max(left.dim, right.dim)
+                if sum(d.top_cell_count() for d in (left, right) if d.dim == top) > max_cells:
+                    continue
                 try:
                     pasted = paste_diagrams(left, right, k)
                 except (BoundaryMismatchError, LabelMismatchError):
                     continue
-                admit(pasted)
-    return sorted(order, key=lambda d: d.key)
+                admit(pasted, lbounds[:k] + [(lbounds[k][0], rbounds[k][1])])
+    return order
 
 
 @dataclass
@@ -510,6 +542,26 @@ def import_ssset(S: SemiSimplicialSet) -> DirectedComplex:
     Each n-simplex becomes a cell shaped as the oriented n-simplex; the
     element labelled by a vertex subset attaches to the iterated face
     spanned by that subset.
+
+    The complex is built, not checked: once ``S.validate()`` has passed, it
+    is valid by construction, and :meth:`DirectedComplex.validate` would
+    only repeat the argument below with one canonical search per closure in
+    each shape.
+
+    - Every d-cell has the shape ``oriental_with_labels(d)``, shared by all
+      of them, and its greatest element, labelled by all d + 1 vertices,
+      attaches to the cell itself.
+    - The element labelled T attaches to ``S.subsimplex(d, s, T)``, of
+      dimension |T| - 1, the element's own; ``S.validate()`` proved that
+      every face index it follows names a simplex.
+    - The closure of T is the oriented (|T| - 1)-simplex, labelled by the
+      subsets of T; the order-preserving bijection of T with the vertices
+      0..|T| - 1 is an isomorphism onto that cell's shape, and the only one,
+      since orientals are rigid molecules.
+    - Through it the labels agree with the attachment: for U a set of
+      positions in T and T∘U the vertices of T at those positions,
+      ``subsimplex(d, s, T∘U) = subsimplex(|T| - 1, subsimplex(d, s, T), U)``
+      by the simplicial identities that ``S.validate()`` checked.
     """
     S.validate()
     check_simplex_fits(f"a {S.dim}-simplex", S.dim)
@@ -518,4 +570,4 @@ def import_ssset(S: SemiSimplicialSet) -> DirectedComplex:
         shape, labels = oriental_with_labels(d)
         maps = [{el: S.subsimplex(d, s, T) for T, el in labels.items()} for s in range(S.count(d))]
         cells.append([Cell(shape, m) for m in maps])
-    return DirectedComplex(cells).validate()
+    return DirectedComplex(cells)

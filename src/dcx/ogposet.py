@@ -486,12 +486,13 @@ def validate(raw) -> OgPoset:
     """Check raw face data and build its poset.
 
     ``raw`` is a list indexed by dimension: entry 0 is an integer count (or a
-    list with one entry per 0-element), and entry ``d >= 1`` is a list of
-    ``(minus, plus)`` pairs (or ``{"-": [...], "+": [...]}`` mappings) of
-    indices into dimension ``d - 1``.  A count or index must be an ``int``
-    (not a ``bool``, which JSON ``true`` and ``false`` read as) and a count
-    must not be negative.  Data of any other shape raises ``DcxError``
-    naming the dimension, and the index of the element when there is one.
+    list with one entry per 0-element, each with two empty sides, such as
+    ``{}``), and entry ``d >= 1`` is a list of ``(minus, plus)`` pairs (or
+    ``{"-": [...], "+": [...]}`` mappings) of indices into dimension
+    ``d - 1``.  A count or index must be an ``int`` (not a ``bool``, which
+    JSON ``true`` and ``false`` read as) and a count must not be negative.
+    Data of any other shape raises ``DcxError`` naming the dimension, and
+    the index of the element when there is one.
     An index that names no element one dimension down raises
     DanglingIndexError, and so does a side that repeats an index; sides
     that share an index raise OverlapError.  Every check is made on the raw
@@ -504,6 +505,9 @@ def validate(raw) -> OgPoset:
         return OgPoset((), [])
     head = raw[0]
     if isinstance(head, list):
+        for i, entry in enumerate(head):
+            if entry != {}:  # the form every writer uses, read without a call
+                _face_entry(entry, 0, i, 0)
         head = len(head)
     elif type(head) is not int or head < 0:
         raise DcxError(f"the 0-element count {head!r} is not a non-negative integer")
@@ -530,6 +534,10 @@ def _face_entry(entry, d: int, i: int, below: int) -> tuple[tuple, tuple]:
     if sides is None or not all(isinstance(side, (list, tuple)) for side in sides):
         raise DcxError(f"element ({d},{i}) has face entry {entry!r}, not two index lists")
     mn, pl = map(tuple, sides)
+    if d == 0 and (mn or pl):
+        raise DcxError(
+            f"element (0,{i}) has face entry {entry!r}, but 0-elements have no faces"
+        )
     for j in mn + pl:
         if type(j) is not int:
             raise DcxError(f"element ({d},{i}) has face index {j!r}, not an integer")

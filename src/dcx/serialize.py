@@ -40,12 +40,15 @@ def _parse_el(name) -> El:
     return (int(parts[0]), int(parts[1]))
 
 
-def _check_listed(faces) -> None:
-    """Raise BudgetError when a raw face table of an ogposet/1 or ssset/1
-    document lists more elements than DCX_ELEMENT_LIMIT: its count in
-    dimension 0, or the length of that list, and the length of each later
-    dimension's list.  Entries of any other shape count 0, and the reader
-    refuses them after this check."""
+def _check_listed(data: dict) -> None:
+    """Raise DcxError when an ogposet/1 or ssset/1 document has no
+    ``faces`` field, and BudgetError when its raw face table lists more
+    elements than DCX_ELEMENT_LIMIT: its count in dimension 0, or the length
+    of that list, and the length of each later dimension's list.  Entries of
+    any other shape count 0, and the reader refuses them after this check."""
+    if "faces" not in data:
+        raise DcxError('the document has no "faces" field')
+    faces = data["faces"]
     if not isinstance(faces, list) or not faces:
         return
     head = len(faces[0]) if isinstance(faces[0], list) else faces[0]
@@ -74,7 +77,7 @@ def ogposet_to_data(P: OgPoset) -> dict:
 def ogposet_from_data(data: dict) -> OgPoset:
     if not isinstance(data, dict) or data.get("format") != "ogposet/1":
         raise DcxError("expected an ogposet/1 document")
-    _check_listed(data["faces"])
+    _check_listed(data)
     return validate(data["faces"])
 
 
@@ -222,7 +225,7 @@ def ssset_to_data(S: SemiSimplicialSet) -> dict:
 def ssset_from_data(data: dict) -> SemiSimplicialSet:
     if not isinstance(data, dict) or data.get("format") != "ssset/1":
         raise DcxError("expected an ssset/1 document")
-    _check_listed(data["faces"])
+    _check_listed(data)
     return SemiSimplicialSet(data["faces"]).validate()
 
 

@@ -435,6 +435,15 @@ MALFORMED_FACES = {
         '{"format":"ogposet/1","faces":5}',
         "the face table 5 is not a list",
     ),
+    # a 0-element's entry is read too: it has two empty sides
+    "0-element-with-faces": (
+        '{"format":"ogposet/1","faces":[[{"-":[0],"+":[1]}]]}',
+        "element (0,0) has face entry {'-': [0], '+': [1]}, but 0-elements have no faces",
+    ),
+    "0-element-not-a-pair": (
+        '{"format":"ogposet/1","faces":[[-1]]}',
+        "element (0,0) has face entry -1, not two index lists",
+    ),
 }
 
 
@@ -444,6 +453,15 @@ def test_ogposet_malformed_faces_exit_2(tmp_path, capsys, text, error):
     code, out = call(capsys, "check", "molecule", write_doc(tmp_path, text))
     assert code == 2
     assert json.loads(out)["error"] == f"invalid ogposet input: {error}"
+
+
+@pytest.mark.parametrize(
+    "argv, kind", [(["check", "molecule"], "ogposet"), (["cx", "import-ssset"], "ssset")]
+)
+def test_document_without_faces_exits_2_naming_the_field(tmp_path, capsys, argv, kind):
+    code, out = call(capsys, *argv, write_doc(tmp_path, json.dumps({"format": f"{kind}/1"})))
+    assert code == 2
+    assert json.loads(out)["error"] == f'invalid {kind} input: the document has no "faces" field'
 
 
 @pytest.mark.parametrize("text, error", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())

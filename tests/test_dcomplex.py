@@ -174,6 +174,63 @@ def test_attachments_commute_with_faces():
     assert "does not restrict to the attachment" in incompatible(swapped)
 
 
+# -- importing semi-simplicial sets -------------------------------------------------------
+
+
+def random_ssset(rng):
+    """A random valid semi-simplicial set of dimension at most 3 on at most
+    3 vertices.  Each simplex takes its faces one at a time, each chosen
+    among those that keep the simplicial identities with the faces before
+    it, so loops and simplices sharing faces are common; a simplex with no
+    such choice left is dropped."""
+    table = [rng.randint(1, 3)]
+    for d in range(1, rng.randint(1, 3) + 1):
+        below = table[0] if d == 1 else len(table[d - 1])
+        level = []
+        for _ in range(rng.randint(1, 4)):
+            row = []
+            for j in range(d + 1):
+                face = table[d - 1]  # face[t][i]: the i-th face of the (d-1)-simplex t
+                fits = [
+                    t for t in range(below)
+                    if d == 1 or all(face[t][i] == face[row[i]][j - 1] for i in range(j))
+                ]
+                if not fits:
+                    break
+                row.append(rng.choice(fits))
+            if len(row) == d + 1:
+                level.append(row)
+        if not level:
+            break
+        table.append(level)
+    return SemiSimplicialSet(table).validate()
+
+
+def import_inputs():
+    """The standard 0- to 5-simplices, the golden ssset/1 inputs and 300
+    seeded random semi-simplicial sets."""
+    found = [SemiSimplicialSet.standard_simplex(n) for n in range(6)]
+    found += [serialize.loads_ssset(p.read_text(encoding="utf-8"))
+              for p in sorted(GOLDEN_INPUTS.glob("*.ssset.json"))]
+    rng = random.Random(41)
+    return found + [random_ssset(rng) for _ in range(300)]
+
+
+def test_imported_complexes_are_valid():
+    """import_ssset builds without checking; the check, which runs
+    restriction_problem on every cell, and the isomorphism search oracle
+    pass on every cell of what it builds."""
+    irregular = 0
+    for S in import_inputs():
+        X = import_ssset(S).validate()
+        assert [len(level) for level in X.cells] == [S.count(d) for d in range(S.dim + 1)]
+        for cid in X.cell_ids():
+            cell = X.cell(cid)
+            assert oracle_restriction_problem(X, cell.shape.poset, cell.attach) is None
+        irregular += not X.is_regular()
+    assert irregular > 100
+
+
 # -- pasting diagrams -------------------------------------------------------------------
 
 
@@ -228,6 +285,9 @@ def oracle_restriction_problem(X, P, labels):
             return f"element {el} maps to a cell of another dimension"
         if not (0 <= cid[0] < len(X.cells) and 0 <= cid[1] < len(X.cells[cid[0]])):
             return f"element {el} maps to {cid}, which does not exist"
+    stray = set(labels).difference(P.elements())
+    if stray:
+        return f"{min(stray)} has a label but is not an element of the shape"
     for el in P.elements():
         cell = X.cell(labels[el])
         clq, amb = P.extract(P.cl_el[P.pos(el)])
@@ -259,7 +319,7 @@ def restriction_cases():
     5-simplex and every diagram with at most 3 top cells over the
     4-simplex, each with seeded wrong labellings, and every labelling of a
     cell of :func:`mixed_complex` changed at one element to a cell of the
-    element's dimension."""
+    element's dimension, or given a label on a key that is no element."""
     rng = random.Random(35)
     X = simplex_complex(4)
     found = [(Y, Y.cell(cid).shape.poset, Y.cell(cid).attach)
@@ -272,6 +332,8 @@ def restriction_cases():
         P, labels = X.cell(cid).shape.poset, X.cell(cid).attach
         for el in P.elements():
             found += [(X, P, {**labels, el: (el[0], i)}) for i in range(len(X.cells[el[0]]))]
+        for stray in ((0, P.counts[0]), (P.dim + 1, 0)):
+            found.append((X, P, {**labels, stray: (0, 0)}))
     return found
 
 
@@ -295,7 +357,7 @@ def perturbed(X, P, labels, rng):
         yield {**labels, el: (d, rng.randrange(len(X.cells[d])))}
 
 
-KINDS = ("not shaped", "another dimension", "does not restrict")
+KINDS = ("not shaped", "another dimension", "does not restrict", "not an element")
 
 
 def test_restriction_check_matches_the_isomorphism_search_oracle():
@@ -516,6 +578,65 @@ def test_index_pastes_only_matching_pairs_once_per_level(monkeypatch):
     attempts = recorded_pastes(monkeypatch, two_loops(), 3)
     assert len(set(attempts)) == len(attempts)
     assert len({(frozenset((f, g)), k) for f, g, k in attempts}) < len(attempts)
+
+
+def fresh_keys_closure(X, max_cells):
+    """The semi-naive closure with every boundary key read from the
+    diagram's shape and every matching pair pasted, whatever its top-cell
+    count: the pool before pastings inherited keys and over-cap pairs were
+    skipped."""
+    max_elements = dcomplex.element_limit()
+    pool, order = {}, []
+
+    def admit(diag):
+        if diag.top_cell_count() <= max_cells and diag.shape.size() <= max_elements:
+            if diag.key not in pool:
+                pool[diag.key] = diag
+                order.append(diag)
+
+    for cid in X.cell_ids():
+        admit(PastingDiagram.single(X, cid))
+    index = {}
+    for new in order:
+        for k in range(new.dim):
+            source, target = new._boundary_key(k, "-"), new._boundary_key(k, "+")
+            before = list(index.get((k, "+", source), ()))
+            index.setdefault((k, "-", source), []).append(new)
+            index.setdefault((k, "+", target), []).append(new)
+            pairs = [(new, other) for other in index.get((k, "-", target), ())]
+            for left, right in pairs + [(other, new) for other in before]:
+                try:
+                    admit(paste_diagrams(left, right, k))
+                except (BoundaryMismatchError, LabelMismatchError):
+                    pass
+    return sorted(order, key=lambda d: d.key)
+
+
+# (complex, max_cells, DCX_ELEMENT_LIMIT): the simplices to the 4-simplex,
+# and the complex with loops, where the limit bounds the closure
+POOL_INPUTS = {
+    **{f"simplex{n}-{mc}": (simplex_complex, n, mc, 2000) for n in range(5) for mc in (1, 2, 3)},
+    **{f"mixed-{mc}": (lambda _: mixed_complex(), None, mc, 12) for mc in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", POOL_INPUTS)
+def test_inherited_boundary_keys_are_the_keys_read_afresh(case, monkeypatch):
+    """Every diagram of the pool carries, for each level below its
+    dimension, the keys its shape gives, and the pool is the one found with
+    every key read afresh and no pair skipped before pasting."""
+    make, arg, max_cells, limit = POOL_INPUTS[case]
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", str(limit))
+    X = make(arg)
+    pool = dcomplex._closure(X, max_cells)
+    for diag, bounds in pool:
+        fresh = [(diag._boundary_key(k, "-"), diag._boundary_key(k, "+")) for k in range(diag.dim)]
+        assert bounds == fresh, diag
+    assert len(pool) > X.n_cells() or max_cells == 1 or X.dim < 2
+    got = enumerate_molecules(X, max_cells)
+    assert [d.key for d in got] == sorted(diag.key for diag, _ in pool)
+    expected = fresh_keys_closure(X, max_cells)
+    assert [representation(d) for d in got] == [representation(d) for d in expected]
 
 
 # -- helpers and the frame-acyclicity verdict ----------------------------------------------

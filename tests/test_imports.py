@@ -240,7 +240,7 @@ def test_no_dead_locals():
     assert found == []
 
 
-SETUP = {"__init__", "_build_tables"}
+SETUP = {"__init__"}
 
 
 def slots(path: Path) -> list[tuple[int, str, str]]:
@@ -263,8 +263,8 @@ def slots(path: Path) -> list[tuple[int, str, str]]:
 
 
 def attributes_read_after_setup(path: Path) -> set[str]:
-    """The attributes a module reads outside the bodies of ``__init__`` and
-    ``_build_tables``, which fill the slots."""
+    """The attributes a module reads outside the bodies of ``__init__``,
+    which fill the slots."""
     out = set()
     stack = [ast.parse(path.read_text(encoding="utf-8"))]
     while stack:
@@ -296,7 +296,6 @@ def test_scan_finds_an_unread_slot(tmp_path):
         "        self.rows = [0]\n"
         "        self.cols = self.rows[:]\n"
         "        self.spare = self.cols\n"
-        "    def _build_tables(self):\n"
         "        self.spare[0] |= 1\n"
         "    def width(self):\n"
         "        return len(self.cols)\n",
@@ -309,8 +308,7 @@ def test_scan_finds_an_unread_slot(tmp_path):
 
 
 def test_every_slot_is_read():
-    """A slot that only ``__init__`` or ``_build_tables`` reads holds a
-    table nothing uses."""
+    """A slot that only ``__init__`` reads holds a table nothing uses."""
     defining = sorted(PACKAGE.glob("*.py"))
     reading = defining + sorted((ROOT / "tests").rglob("*.py"))
     reading += sorted((ROOT / "perfbench").rglob("*.py"))

@@ -9,6 +9,7 @@ from dcx import (
     AmbiguityError,
     Closed,
     DanglingIndexError,
+    DcxError,
     OgIso,
     OgPoset,
     OverlapError,
@@ -60,6 +61,14 @@ def test_validate_dangling_rejected():
 
 def test_validate_accepts_an_empty_face_side():
     validate([1, [([0], [])]])
+
+
+def test_validate_reads_0_element_entries():
+    """A 0-element's entry has two empty sides, however it is written."""
+    assert validate([[{}, {"-": []}, ([], []), [[], []]]]).counts == (4,)
+    for entry in ({"-": [0], "+": [1]}, ([], [0]), -1, [[]]):
+        with pytest.raises(DcxError, match=r"element \(0,0\) has face entry"):
+            validate([[entry], [([0], [])]])
 
 
 def test_closure_of_edge_is_whole_arrow():
@@ -385,8 +394,8 @@ def test_canon_record_is_the_extracted_canonical_form(monkeypatch, corpus):
     """The record read in place equals extraction followed by the canonical
     form, key and element order, on every boundary at every (k, alpha),
     every element closure and the empty subset, each on a fresh copy.  The
-    posets include the 106 built by importing the 4-simplex and by a
-    max_cells=2 query over it."""
+    posets include the 162 built by importing the 4-simplex and by the
+    max_cells=2 and max_cells=3 queries over it."""
     built = []
     init = OgPoset.__init__
 
@@ -396,7 +405,8 @@ def test_canon_record_is_the_extracted_canonical_form(monkeypatch, corpus):
 
     monkeypatch.setattr(OgPoset, "__init__", recording)
     X = import_ssset(SemiSimplicialSet.standard_simplex(4))
-    assert len(enumerate_molecules(X, 2)) == 79 and len(built) == 106
+    assert len(enumerate_molecules(X, 2)) == 79 and len(enumerate_molecules(X, 3)) == 90
+    assert len(built) == 162
     monkeypatch.undo()
     cyclic = [loads_ogposet((INPUTS / f"{n}.json").read_text()) for n in ("cyclic151", "cyclic206")]
     posets = [m.poset for m in corpus[:40]] + [oriental(n).poset for n in range(7)]
