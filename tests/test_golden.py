@@ -10,9 +10,9 @@ documents that ``cx verify`` rejects, and five ogposet/1 molecules on which
 only ``sd --levels S --report`` runs, at a level set S where their
 subdivision posets do not dismantle.
 ``tests/golden/library.json`` holds one sha256 per section of a library
-digest: canonical keys and relabels, full isomorphism lists against
-relabelled copies, the keys of enumerated pasting diagrams, and, for each
-committed ogposet/1 molecule, its submolecules with witnesses, their
+digest: canonical keys and relabels, full isomorphism sets (each listed
+sorted) against relabelled copies, the keys of enumerated pasting
+diagrams, and, for each committed ogposet/1 molecule, its submolecules with witnesses, their
 certificates and their splits at every k, its pre-layerings at every k,
 and its subdivision posets at every level set.  The subdivision section
 does not depend on the order in which ``enumerate_sd`` lists elements: each
@@ -188,7 +188,7 @@ def library_digest(corpus) -> dict[str, str]:
         canon.append(repr((key, sorted(relabel.items()))))
         Q = _relabelled(P, rng)
         qkey, qrelabel = Q.canonical()
-        found = [sorted(iso.mapping.items()) for iso in isomorphisms(P, Q)]
+        found = sorted(sorted(iso.mapping.items()) for iso in isomorphisms(P, Q))
         isos.append(repr((qkey == key, sorted(qrelabel.items()), found)))
     diagrams = []
     for n, max_cells in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
