@@ -802,7 +802,9 @@ def factors_through_atom(U: Molecule, V: Closed) -> bool:
 def molecule_iso(U: Molecule, V: Molecule) -> Optional[OgIso]:
     """The unique isomorphism between two molecules, or None.
 
-    Raises AmbiguityError if two distinct isomorphisms exist, which would
-    signal an invalid certificate or a library bug.
+    Read off the canonical forms of the two posets, their keys and
+    canonical orders (:func:`~dcx.ogposet.isomorphisms`).  Raises
+    AmbiguityError if two distinct isomorphisms exist, which would signal an
+    invalid certificate or a library bug.
     """
     return unique_iso(U.poset, V.poset)

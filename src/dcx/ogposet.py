@@ -361,7 +361,7 @@ class OgPoset:
         "canon" memo, keyed by the subset.
         """
         els, counts, faces = self._restrict(masks)
-        key, order = _canonical_form(counts, faces)
+        key, order, _ = _canonical_form(counts, faces)
         return key, tuple([els[p] for p in order])
 
     def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
@@ -488,9 +488,10 @@ def validate(raw) -> OgPoset:
     ``raw`` is a list indexed by dimension: entry 0 is an integer count (or a
     list with one entry per 0-element, each with two empty sides, such as
     ``{}``), and entry ``d >= 1`` is a list of ``(minus, plus)`` pairs (or
-    ``{"-": [...], "+": [...]}`` mappings) of indices into dimension
-    ``d - 1``.  A count or index must be an ``int`` (not a ``bool``, which
-    JSON ``true`` and ``false`` read as) and a count must not be negative.
+    ``{"-": [...], "+": [...]}`` mappings, with no other key) of indices
+    into dimension ``d - 1``.  A count or index must be an ``int`` (not a
+    ``bool``, which JSON ``true`` and ``false`` read as) and a count must
+    not be negative.
     Data of any other shape raises ``DcxError`` naming the dimension, and
     the index of the element when there is one.
     An index that names no element one dimension down raises
@@ -526,6 +527,9 @@ def _face_entry(entry, d: int, i: int, below: int) -> tuple[tuple, tuple]:
     """The checked ``(minus, plus)`` index tuples of the raw face entry of
     (d, i), whose indices name the ``below`` elements of dimension d - 1."""
     if isinstance(entry, dict):
+        stray = [key for key in entry if key not in ("-", "+")]
+        if stray:
+            raise DcxError(f"element ({d},{i}) has face entry key {stray[0]!r}, not '-' or '+'")
         sides = (entry.get("-", ()), entry.get("+", ()))
     elif isinstance(entry, (list, tuple)) and len(entry) == 2:
         sides = entry
@@ -761,97 +765,37 @@ def _refine(nbrs: list[tuple[list[int], ...]], colors: list) -> list[int]:
         classes = split
 
 
-def _search(tables: list[tuple], leaf) -> None:
-    """Individualisation-refinement over one poset or a pair.
-
-    Each poset is given by its face table, a pair ``(counts, faces)`` as
-    :class:`OgPoset` holds them.  The posets are laid end to end: colours
-    form one list indexed by position, the first poset's first, refined
-    jointly from each element's dimension and numbers of faces and cofaces
-    by side.  Each position's four neighbour lists are read off the face
-    table, the cofaces in the same pass as the faces.  For a pair, a branch
-    is pruned when some colour class holds different numbers of elements
-    from each poset; one poset has nothing to balance.  When every class
-    holds exactly one element of each poset, ``leaf(colors)`` is called,
-    and the search stops once it returns True.  Otherwise the search
-    branches on the lowest class with more than one element per poset: for
-    one poset each member is individualised in turn, for a pair the
-    smallest member from the first poset is matched with each member from
-    the second.  A stable, balanced, discrete colouring of a pair matches
-    neighbour colours, so it is an isomorphism, and each isomorphism
-    survives exactly one branch.  Members are ordered by position, which is
-    ``(dim, index)`` order.  Colours keep their order through refinement
-    and individualisation, so a discrete colouring of one poset numbers its
-    positions dimension by dimension.
-    """
-    nbrs, start = [], []
-    base = 0
-    for counts, faces in tables:
-        offs = _offsets(counts)
-        rows = [([], [], [], []) for _ in range(offs[-1])]
-        for d in range(1, len(counts)):
-            lo, hi = offs[d - 1], offs[d]
-            for p, (mn, pl) in enumerate(faces[d], hi):
-                row = rows[p]
-                for j in mn:
-                    row[0].append(base + lo + j)
-                    rows[lo + j][2].append(base + p)
-                for j in pl:
-                    row[1].append(base + lo + j)
-                    rows[lo + j][3].append(base + p)
-        for d in range(len(counts)):
-            start += [(d, *map(len, row)) for row in rows[offs[d] : offs[d + 1]]]
-        nbrs += rows
-        base += offs[-1]
-    n, ways = sum(tables[0][0]), len(tables)
-
-    def rec(colors) -> bool:
-        # colours are ranks, so the classes are listed in colour order
-        classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-        for q, c in enumerate(colors):
-            classes[c].append(q)
-        # one poset puts all of each class below n, so only a pair can be unbalanced
-        if ways > 1 and any(ways * sum(q < n for q in ms) != len(ms) for ms in classes):
-            return False
-        target = next((ms for ms in classes if len(ms) > ways), None)
-        if target is None:
-            return leaf(colors)
-        first = [q for q in target if q < n]
-        if ways == 1:
-            branches = [[x] for x in first]
-        else:
-            branches = [[first[0], y] for y in target if y >= n]
-        for picked in branches:
-            nxt = [2 * c for c in colors]
-            for q in picked:
-                nxt[q] -= 1
-            if rec(_refine(nbrs, nxt)):
-                return True
-        return False
-
-    rec(_refine(nbrs, start))
-
-
 def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[OgIso]:
     """All orientation-preserving isomorphisms P -> Q (up to ``limit``).
 
-    ``limit`` 0 gives ``[]`` without a search; a negative one raises
-    PreconditionError.
+    Read off the two canonical forms (:func:`_canonical_form`): none when
+    the keys differ, and otherwise the map sending P's canonical order onto
+    Q's, composed with each automorphism of P.  That map comes first, then
+    its composites with the automorphisms in the order a breadth-first walk
+    from the identity along the generators reaches them, until ``limit``
+    are listed.  ``limit`` 0 gives ``[]`` without a search; a negative one
+    raises PreconditionError.
     """
     if limit is not None and limit < 0:
         raise PreconditionError(f"limit must be at least 0, got {limit}")
     if P.counts != Q.counts or limit == 0:
         return []
-    found: list[OgIso] = []
-    n = P.size()
-
-    def leaf(colors) -> bool:
-        image = dict(zip(colors[n:], Q._els))
-        found.append(OgIso(P, Q, {el: image[c] for el, c in zip(P._els, colors)}))
-        return limit is not None and len(found) >= limit
-
-    _search([(P.counts, P.faces), (Q.counts, Q.faces)], leaf)
-    return found
+    key, order, gens = _canonical_form(P.counts, P.faces)
+    qkey, qorder, _ = _canonical_form(Q.counts, Q.faces)
+    if key != qkey:
+        return []
+    image = {p: Q._els[q] for p, q in zip(order, qorder)}
+    autos = [tuple(range(len(order)))]
+    seen = set(autos)
+    for auto in autos:  # grows as the walk reaches new automorphisms
+        if limit and len(autos) >= limit:
+            break
+        for g in gens:
+            nxt = tuple([g[p] for p in auto])
+            if nxt not in seen:
+                seen.add(nxt)
+                autos.append(nxt)
+    return [OgIso(P, Q, {el: image[a[p]] for p, el in enumerate(P._els)}) for a in autos[:limit]]
 
 
 def find_iso(P: OgPoset, Q: OgPoset) -> Optional[OgIso]:
@@ -889,25 +833,85 @@ def _labelled_bytes(key: bytes, labels: list) -> bytes:
     return key + b"|" + repr(tuple(labels)).encode()
 
 
-def _canonical_form(counts: list[int], faces: list) -> tuple[bytes, list[int]]:
-    """The canonical key of a face table and its positions in canonical
-    order (see :meth:`OgPoset.canon_record`).
+def _canonical_form(counts: list[int], faces: list) -> tuple[bytes, list[int], list[list[int]]]:
+    """The canonical key of a face table, its positions in canonical order
+    (see :meth:`OgPoset.canon_record`), and generators of its automorphism
+    group, each a list sending every position to its image.
 
-    Every leaf of the search gives a certificate: the counts, then each
-    dimension's face pairs listed in the leaf's order of its elements.  The
-    key is the least certificate over all leaves, so every branch is
-    explored.  On a poset with automorphisms refinement alone can leave
-    classes it cannot split, and the leaf reached by individualising some
-    member first depends on how the input was numbered; only the least
-    over all of them is the same for every numbering.  The order is that
-    of the best leaf, which lists the positions dimension by dimension.
+    Individualisation-refinement.  Colours start from each position's
+    dimension and numbers of faces and cofaces by side, and are refined
+    until stable (:func:`_refine`) along each position's four neighbour
+    lists, read off the face table with the cofaces in the same pass as the
+    faces.  While
+    some class has more than one member, the search branches on the lowest
+    such class: each member in turn, in position order, is individualised
+    and the colouring refined again.  Colours keep their order through
+    refinement and individualisation, so a discrete colouring, a leaf,
+    numbers the positions dimension by dimension, and a member individualised
+    on the way keeps its colour in every leaf below.  A leaf's certificate
+    is the counts, then each dimension's face pairs listed in the leaf's
+    order.  The key is the least certificate, and the order is that of the
+    first leaf in search order to reach it: refinement commutes with
+    renumbering, so the least certificate is the same for every numbering,
+    while the leaf reached by individualising some member first is not.
+
+    Two leaves with one certificate differ by an automorphism, the map from
+    one leaf's order onto the other's.  The first leaf and the best leaf are
+    kept, and each later leaf whose certificate equals one of theirs adds
+    that map to the generators.  The search is pruned twice over (McKay,
+    *Practical graph isomorphism*, Congr. Numer. 30, 1981; McKay and
+    Piperno, *Practical graph isomorphism, II*, J. Symbolic Comput. 60,
+    2014):
+
+    - at a branching node, a member is skipped when the generators that fix
+      the node's individualised path map it, in some number of steps, onto
+      a member already tried;
+    - a leaf equal to the first leaf sends the search back to the last node
+      its path shares with the first leaf's path.
+
+    Pruning keeps the key and the order.  An automorphism g fixing a
+    node's path fixes its colouring, so it maps the subtree below member y
+    onto the subtree below g(y), leaf by leaf with equal certificates.  A
+    skipped member is such a g(y) with y tried before it.  A leaf equal to
+    the first leaf is g(first leaf) for the g it adds, which fixes the
+    shared path and sends the first path's next member onto its own; so its
+    whole branch at the shared node is the image of the first path's, which
+    came before it.  Every certificate of a skipped subtree is thus met
+    earlier in search order, so the first leaf to reach the least
+    certificate is never skipped.
+
+    The generators generate the automorphism group.  Let v_1, ..., v_m be
+    the members individualised along the first leaf's path, and G_k the
+    automorphisms fixing v_1, ..., v_k.  G_m is trivial, since it fixes a
+    discrete colouring.  Suppose that once the search leaves the first
+    path's node at depth k + 1, the generators fixing v_1, ..., v_{k+1}
+    generate G_{k+1}.  At depth k, take the members y != v_{k+1} of the
+    G_k-orbit of v_{k+1}.  A tried y has below it an image of the first
+    leaf, and the search finds one such leaf: within any subtree, the first
+    branch that holds one is not skipped, as it would then be the image of
+    an earlier branch that holds one too.  So a tried y adds a generator
+    fixing v_1, ..., v_k and sending v_{k+1} to y.  A skipped y is the image
+    of a tried member under generators fixing v_1, ..., v_k.  So the group
+    H_k that these generators generate moves v_{k+1} onto its whole G_k-orbit,
+    and its stabiliser of v_{k+1} contains G_{k+1}.  By orbit-stabiliser,
+    H_k = G_k, and at k = 0 that is the whole group.
     """
     if not counts:
-        return b"()", []
+        return b"()", [], []
     offs = _offsets(counts)
-    best: list = [None, None]
+    nbrs = [([], [], [], []) for _ in range(offs[-1])]
+    for d in range(1, len(counts)):
+        lo, hi = offs[d - 1], offs[d]
+        for p, pair in enumerate(faces[d], hi):
+            for side, js in enumerate(pair):
+                for j in js:
+                    nbrs[p][side].append(lo + j)
+                    nbrs[lo + j][2 + side].append(p)
+    start = [(d, *map(len, row)) for d in range(len(counts)) for row in nbrs[offs[d] : offs[d + 1]]]
+    kept: list = []  # the first leaf's path, then (key, order, colours) of the first and best leaf
+    gens: list[list[int]] = []
 
-    def leaf(colors) -> bool:
+    def leaf(colors, path) -> int:
         # a discrete colouring numbers each dimension's positions consecutively
         at = [0] * len(colors)
         for p, c in enumerate(colors):
@@ -915,20 +919,53 @@ def _canonical_form(counts: list[int], faces: list) -> tuple[bytes, list[int]]:
         cert = [tuple(counts)]
         for d in range(1, len(counts)):
             lo, hi = offs[d - 1], offs[d]
+            r = [c - lo for c in colors[lo:hi]]  # the leaf's numbering of dimension d - 1
             rows = []
             for p in at[hi : offs[d + 1]]:
                 mn, pl = faces[d][p - hi]
-                rows.append(
-                    (
-                        tuple(sorted([colors[lo + j] - lo for j in mn])),
-                        tuple(sorted([colors[lo + j] - lo for j in pl])),
-                    )
-                )
+                rows.append((tuple(sorted([r[j] for j in mn])), tuple(sorted([r[j] for j in pl]))))
             cert.append(tuple(rows))
         key = repr(tuple(cert)).encode()
-        if best[0] is None or key < best[0]:
-            best[:] = key, at
-        return False
+        if not kept:
+            kept[:] = path, (key, at, colors), (key, at, colors)
+            return len(path)
+        first_path, first, best = kept
+        for known in (first, best):
+            if key == known[0]:
+                gens.append([at[c] for c in known[2]])
+                if known is first:
+                    return next(k for k, (x, y) in enumerate(zip(path, first_path)) if x != y)
+                return len(path)
+        if key < best[0]:
+            kept[2] = key, at, colors
+        return len(path)
 
-    _search([(counts, faces)], leaf)
-    return best[0], best[1]
+    def rec(colors, path) -> int:
+        # returns the depth of the node the search goes back to
+        # colours are ranks, so the classes are listed in colour order
+        classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+        for q, c in enumerate(colors):
+            classes[c].append(q)
+        target = next((ms for ms in classes if len(ms) > 1), None)
+        if target is None:
+            return leaf(colors, path)
+        tried, done = [], set()  # done: the orbits of the tried members
+        for x in target:
+            if x in done:
+                continue
+            tried.append(x)
+            nxt = [2 * c for c in colors]
+            nxt[x] -= 1
+            back = rec(_refine(nbrs, nxt), path + [x])
+            if back < len(path):
+                return back
+            fixing = [g for g in gens if all(g[v] == v for v in path)]
+            done, reached = set(tried), list(tried)
+            for q in reached:  # grows as the orbits do
+                step = {g[q] for g in fixing} - done
+                done |= step
+                reached += step
+        return len(path)
+
+    rec(_refine(nbrs, start), [])
+    return kept[2][0], kept[2][1], gens

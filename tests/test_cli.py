@@ -440,6 +440,19 @@ MALFORMED_FACES = {
         '{"format":"ogposet/1","faces":[[{"-":[0],"+":[1]}]]}',
         "element (0,0) has face entry {'-': [0], '+': [1]}, but 0-elements have no faces",
     ),
+    # a mapping entry has no key but the two sides
+    "stray-key": (
+        '{"format":"ogposet/1","faces":[2,[{"-":[0],"+":[1],"junk":1}]]}',
+        "element (1,0) has face entry key 'junk', not '-' or '+'",
+    ),
+    "misspelt-side": (
+        '{"format":"ogposet/1","faces":[2,[{"-":[0],"+ ":[1]}]]}',
+        "element (1,0) has face entry key '+ ', not '-' or '+'",
+    ),
+    "0-element-stray-key": (
+        '{"format":"ogposet/1","faces":[[{},{"x":1}]]}',
+        "element (0,1) has face entry key 'x', not '-' or '+'",
+    ),
     "0-element-not-a-pair": (
         '{"format":"ogposet/1","faces":[[-1]]}',
         "element (0,0) has face entry -1, not two index lists",

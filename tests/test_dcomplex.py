@@ -30,7 +30,7 @@ from dcx.errors import (
     PreconditionError,
 )
 from dcx.molecule import globe, oriental, point
-from dcx.ogposet import find_iso
+from conftest import oracle_find_iso
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -276,7 +276,7 @@ def test_diagram_labels_restrict_to_attachments():
 def oracle_restriction_problem(X, P, labels):
     """The attachment check by extraction and an isomorphism search: each
     closure is extracted as a poset, matched with its cell's shape by
-    ``find_iso``, and its labels are read through that isomorphism."""
+    ``oracle_find_iso``, and its labels are read through that isomorphism."""
     for el in P.elements():
         cid = labels.get(el)
         if cid is None:
@@ -291,7 +291,7 @@ def oracle_restriction_problem(X, P, labels):
     for el in P.elements():
         cell = X.cell(labels[el])
         clq, amb = P.extract(P.cl_el[P.pos(el)])
-        iso = find_iso(cell.shape.poset, clq)
+        iso = oracle_find_iso(cell.shape.poset, clq)
         if iso is None:
             return f"element {el} is not shaped like its cell"
         for e in cell.shape.poset.elements():
@@ -437,7 +437,7 @@ def test_paste_diagrams_matches_labelled_boundaries():
             for k in range(3):
                 bf = boundary_diagram(f, k, "+")
                 bg = boundary_diagram(g, k, "-")
-                iso = find_iso(bf.shape.poset, bg.shape.poset)
+                iso = oracle_find_iso(bf.shape.poset, bg.shape.poset)
                 if iso is None:
                     expected = "shape"
                 elif any(bf.labels[el] != bg.labels[iso[el]] for el in bf.labels):

@@ -501,6 +501,54 @@ def test_ogposet_calls_pass_only_a_face_table():
     assert len(calls) >= 8
 
 
+# -- one individualisation-refinement search ----------------------------------------
+
+
+def refine_readers(path: Path) -> list[str]:
+    """The top-level statements of a module that read ``_refine``, as a name,
+    an attribute or an imported name: definitions by name, other statements
+    by line."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if any(
+            (isinstance(n, ast.Name) and n.id == "_refine" and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Attribute) and n.attr == "_refine")
+            or (isinstance(n, ast.alias) and n.name == "_refine")
+            for n in ast.walk(node)
+        ):
+            out.append(getattr(node, "name", f"line {node.lineno}"))
+    return out
+
+
+def test_scan_finds_the_refine_readers(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .ogposet import _refine\n"
+        "def _refine(nbrs, colors):\n"
+        "    return colors\n"
+        "def search(nbrs):\n"
+        "    return _refine(nbrs, [])\n"
+        "class Search:\n"
+        "    def run(self):\n"
+        "        return ogposet._refine\n"
+        "refine = _refine\n"
+        "def shadow():\n"
+        "    _refine = 1\n"
+        "    return '_refine'\n",
+        encoding="utf-8",
+    )
+    assert refine_readers(mod) == ["line 1", "search", "Search", "line 9"]
+
+
+def test_only_canonical_form_refines():
+    """``_canonical_form`` is the one individualisation-refinement search:
+    no other definition of the package reads ``_refine``."""
+    found = [
+        (path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in refine_readers(path)
+    ]
+    assert found == [("ogposet.py", "_canonical_form")]
+
+
 # -- line length ------------------------------------------------------------------
 
 MAX_LINE = 100

@@ -34,6 +34,8 @@ from dcx import (
 from dcx import ogposet
 from dcx.ogposet import MINUS, PLUS, _bits, closed_rows, down_sets, find_cycle
 from dcx.serialize import loads_ogposet
+from conftest import oracle_canonical_form, oracle_isomorphisms
+from test_golden import _symmetric_posets
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -69,6 +71,22 @@ def test_validate_reads_0_element_entries():
     for entry in ({"-": [0], "+": [1]}, ([], [0]), -1, [[]]):
         with pytest.raises(DcxError, match=r"element \(0,0\) has face entry"):
             validate([[entry], [([0], [])]])
+
+
+def test_validate_refuses_a_face_entry_key_other_than_the_two_sides():
+    """A mapping entry has the keys "-" and "+" and no other, so a stray key
+    or a misspelt side is refused, naming the element and the key."""
+    assert validate([[{}, {}], [{"-": [0], "+": [1]}, {"+": [0]}]]).counts == (2, 2)
+    cases = [
+        ([[{}, {}], [{"-": [0], "+": [1], "junk": 1}]], "(1,0)", "'junk'"),
+        ([[{}, {}], [([0], [1]), {"-": [0], "+ ": [1]}]], "(1,1)", "'+ '"),
+        ([[{}, {"x": 1}]], "(0,1)", "'x'"),
+        ([[{}], [{0: [0]}]], "(1,0)", "0"),
+    ]
+    for raw, el, key in cases:
+        with pytest.raises(DcxError) as info:
+            validate(raw)
+        assert str(info.value) == f"element {el} has face entry key {key}, not '-' or '+'"
 
 
 def test_closure_of_edge_is_whole_arrow():
@@ -442,10 +460,10 @@ def test_isomorphisms_limit_zero_searches_nothing_and_negative_is_refused(monkey
     P = globe(2).poset
     assert len(isomorphisms(P, P, limit=1)) == 1
 
-    def no_search(posets, leaf):
+    def no_search(counts, faces):
         raise AssertionError("searched with limit 0")
 
-    monkeypatch.setattr(ogposet, "_search", no_search)
+    monkeypatch.setattr(ogposet, "_canonical_form", no_search)
     assert isomorphisms(P, P, limit=0) == []
     for limit in (-1, -3):
         with pytest.raises(PreconditionError):
@@ -512,8 +530,89 @@ def test_refinement_matches_the_oracle(monkeypatch, corpus, random_pairs):
 
     for run in (corpus_keys, pair_isos, simplex_molecules, symmetric):
         assert made(run) > 0
-    # the pair of 40 points, the largest colouring, was refined too
-    assert max(calls) == 80
+    # the 40 points, the largest colouring, were refined too; no pair is
+    assert max(calls) == 40
+
+
+# -- the canonical search against the searches it replaced ---------------------
+
+
+def antichains_and_arrows(top):
+    """Isolated points and parallel arrows between two points, 1 to ``top`` of
+    each."""
+    for n in range(1, top + 1):
+        yield validate([n])
+        yield validate([2, [([0], [1])] * n])
+
+
+def test_isomorphisms_match_the_pair_search(random_pairs, corpus):
+    """``isomorphisms`` reads its answers off two canonical forms; the joint
+    search of the pair, which it replaced, is the oracle.  The two list the
+    isomorphisms in different orders, so sets are compared."""
+    rng = random.Random(43)
+    posets = [m.poset for m in corpus] + list(_symmetric_posets())
+    posets += antichains_and_arrows(6)
+    pairs = [(P, Q) for P, Q, _ in random_pairs] + [(P, relabelled(P, rng)) for P in posets]
+    ambiguous = most = 0
+    for P, Q in pairs:
+        expected = {frozenset(iso.mapping.items()) for iso in oracle_isomorphisms(P, Q)}
+        most = max(most, len(expected))
+        got = [frozenset(iso.mapping.items()) for iso in isomorphisms(P, Q)]
+        assert len(set(got)) == len(got) and set(got) == expected, (P, Q)
+        for limit in (1, 2, 3):
+            some = [frozenset(iso.mapping.items()) for iso in isomorphisms(P, Q, limit=limit)]
+            assert len(set(some)) == len(some) == min(limit, len(expected))
+            assert set(some) <= expected
+        if len(expected) > 1:
+            ambiguous += 1
+            with pytest.raises(AmbiguityError):
+                unique_iso(P, Q)
+        else:
+            assert (unique_iso(P, Q) is None) == (not expected)
+    assert ambiguous > 100 and most == 720
+
+
+def test_canonical_form_matches_the_all_leaves_search(corpus):
+    """Pruning by automorphisms keeps the key and the order of the search
+    that explores every leaf, byte for byte, and each generator it returns
+    is an automorphism.  The posets are the corpus, the boundaries and
+    element closures of its first 40 molecules, extracted, the symmetric
+    posets of the library digest, and isolated points and parallel arrows
+    up to 7."""
+    posets = [m.poset for m in corpus] + list(_symmetric_posets())
+    posets += antichains_and_arrows(7)
+    for mol in corpus[:40]:
+        P, full = mol.poset, mol.poset.full_masks()
+        subsets = set(P.cl_el)
+        for k in range(-1, P.dim + 1):
+            subsets |= {P.boundary_masks(full, k, alpha) for alpha in (MINUS, PLUS)}
+        posets += [P.extract(m)[0] for m in sorted(subsets)]
+    generators = 0
+    for P in posets:
+        key, order, gens = ogposet._canonical_form(P.counts, P.faces)
+        assert (key, order) == oracle_canonical_form(P.counts, P.faces), P
+        for g in gens:
+            assert OgIso(P, P, {el: P._els[g[p]] for p, el in enumerate(P._els)}).verify()
+        generators += len(gens)
+    assert len(posets) > 900 and generators > 100
+
+
+def test_canonical_search_is_pruned_by_its_automorphisms(monkeypatch):
+    """The search that explores every leaf refines 69,281 times for the
+    key of 8 isolated points and 8,660 times for 7 parallel arrows; pruned
+    by the automorphisms it finds, the search refines a few dozen times."""
+    refine = ogposet._refine
+    calls = []
+
+    def counted(nbrs, colors):
+        calls.append(len(colors))
+        return refine(nbrs, colors)
+
+    monkeypatch.setattr(ogposet, "_refine", counted)
+    for P in (validate([8]), validate([2, [([0], [1])] * 7])):
+        calls.clear()
+        P.canonical_key()
+        assert 0 < len(calls) <= 100, (P, len(calls))
 
 
 # -- down-sets of a closed relation ---------------------------------------

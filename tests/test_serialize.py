@@ -2,9 +2,10 @@
 dcomplex/1 writer against an isomorphism-search oracle."""
 import pytest
 
-from dcx import OgPoset, import_ssset, molecule_iso, oriental, replay, serialize, validate
+from dcx import OgPoset, import_ssset, oriental, replay, serialize, validate
 from dcx.dcomplex import SemiSimplicialSet
 from dcx.errors import DcxError, IdentityViolationError
+from conftest import oracle_isomorphisms
 
 
 def test_ogposet_round_trip_is_byte_stable(corpus, sphere_boundary):
@@ -41,12 +42,13 @@ def test_bad_documents_rejected():
 def dcomplex_oracle_data(X):
     """The dcomplex/1 data of X, each attachment map read through the
     isomorphism search between the cell's shape and a fresh replay of its
-    certificate."""
+    certificate: the joint search of the pair in ``conftest``, which finds
+    exactly one, as a molecule has no other automorphism."""
     cells = []
     for level in X.cells:
         row = []
         for cell in level:
-            iso = molecule_iso(cell.shape, replay(cell.shape.cert))
+            (iso,) = oracle_isomorphisms(cell.shape.poset, replay(cell.shape.cert).poset, limit=2)
             attach = {
                 serialize._el_name(iso[el]): serialize._el_name(cid)
                 for el, cid in sorted(cell.attach.items())
