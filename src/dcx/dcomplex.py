@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import (
-    BoundaryMismatchError,
     DcxError,
     IncompatibleAttachmentError,
     IdentityViolationError,
@@ -30,9 +29,9 @@ from .ogposet import (
     PLUS,
     El,
     OgPoset,
-    _labelled_bytes,
     is_hasse_acyclic,
     labelled_key,
+    record_iso,
 )
 
 CellId = tuple[int, int]
@@ -158,21 +157,10 @@ def restriction_problem(
     Every element must be labelled by an existing cell of its dimension,
     nothing else may be labelled, and the labels on an element's closure
     must be the attachment of that cell, read through the unique
-    isomorphism of the closure with the cell's shape.  No closure is
-    extracted and no isomorphism is searched for: the canonical record of
-    the closure (:meth:`OgPoset.canon_record`) and that of the whole shape
-    decide it, as in :func:`~dcx.molecule.boundary_glue`.
-
-    - Different keys: the keys are canonical, equal exactly for isomorphic
-      posets, so the closure is not shaped like the cell.
-    - Equal keys: both relabel onto one canonical poset, and the i-th
-      elements of the two canonical orders go to the same element of it,
-      so sending the shape's i-th element to the closure's is an
-      orientation-preserving isomorphism.
-    - It is the only one.  A cell's shape is an atom, a molecule, and
-      molecules are rigid (Hadzihasanovic, *Combinatorics of
-      higher-categorical diagrams*, 2024): it has exactly one isomorphism
-      onto a poset isomorphic to it.
+    isomorphism of the shape with the closure.  No closure is extracted and
+    no isomorphism is searched for: :func:`~dcx.ogposet.record_iso` reads
+    it off the two canonical records.  A cell's shape is an atom, a
+    molecule, so the map is the one isomorphism.
 
     Each record is memoised on its poset, keyed by the subset, so cells
     sharing one shape object share its closures' records.
@@ -191,11 +179,10 @@ def restriction_problem(
     for el in P.elements():
         cell = X.cell(labels[el])
         S = cell.shape.poset
-        key, els = P.canon_record(P.cl_el[P.pos(el)])
-        want, shape_els = S.canon_record(S.full_masks())
-        if key != want:
+        iso = record_iso(S, S.full_masks(), P, P.cl_el[P.pos(el)])
+        if iso is None:
             return f"element {el} is not shaped like its cell"
-        for e, image in zip(shape_els, els):
+        for e, image in iso.items():
             if labels[image] != cell.attach[e]:
                 return f"labelling around {el} does not restrict to the attachment"
     return None
@@ -242,15 +229,16 @@ class PastingDiagram:
     @property
     def key(self) -> bytes:
         if self._key is None:
-            self._key = labelled_key(self.shape.poset, self.labels)
+            P = self.shape.poset
+            self._key = labelled_key(P, P.full_masks(), self.labels)
         return self._key
 
     def _boundary_key(self, k: int, alpha: str) -> bytes:
         """``boundary_diagram(self, k, alpha).key``, from the canonical
         record of the shape's boundary, memoised on the shape and read in
         place, with no extraction and no certificate."""
-        key, els = self.shape.poset.boundary_canon(k, alpha)
-        return _labelled_bytes(key, [self.labels[el] for el in els])
+        P = self.shape.poset
+        return labelled_key(P, P.boundary_masks(P.full_masks(), k, alpha), self.labels)
 
     def validate(self) -> "PastingDiagram":
         problem = restriction_problem(self.complex, self.shape.poset, self.labels)
@@ -311,11 +299,12 @@ def enumerate_molecules(X: DirectedComplex, max_cells: int) -> list[PastingDiagr
     diagram's k-boundary on that side: ``f #_k g`` is tried only when the
     output key of f equals the input key of g.
 
-    Boundaries of molecules are molecules, hence rigid, so their labelled
-    keys are equal exactly when the labelled boundaries are isomorphic, which
-    is when ``paste_diagrams`` succeeds: a key mismatch never drops a valid
-    pasting.  ``paste_diagrams`` still checks the glue and the labels, so a
-    key match can never add a wrong diagram either.  Levels k at or above the
+    Two labelled keys are equal exactly when the canonical keys are and the
+    glue that :func:`~dcx.ogposet.record_iso` reads off them carries labels
+    onto equal labels (:func:`~dcx.ogposet.labelled_key`), which is when
+    ``paste_diagrams`` succeeds: a key mismatch never drops a valid pasting,
+    and a key match always pastes, so the closure pastes unguarded and a
+    failure there raises as the bug it would be.  Levels k at or above the
     smaller dimension are skipped: there the k-boundary of the lower operand
     is all of it, so the pasting is the other operand again, already pooled.
 
@@ -340,10 +329,12 @@ def _closure(
     dimensions, inherits the keys at levels up to k.  For j < k the
     j-boundaries of U #_k V are the images of those of U; its input
     k-boundary is the image of U's, and its output k-boundary that of V's.
-    The pushout inclusions carry the labels, and boundaries of molecules are
-    molecules, hence rigid, so labelled keys are invariant under them.  A
-    diagram's keys are completed when it is processed, before any of its
-    pairs is formed, so both operands of a pasting have all of theirs.
+    The pushout inclusion of such a boundary is an isomorphism onto its
+    image that carries the labels.  Both are molecules, so it is the map of
+    :func:`~dcx.ogposet.record_iso`, which keeps canonical indices, and the
+    labelled key is kept with them.  A diagram's keys are completed when it
+    is processed, before any of its pairs is formed, so both operands of a
+    pasting have all of theirs.
     """
     if max_cells < 1:
         raise PreconditionError(f"max_cells must be at least 1, got {max_cells}")
@@ -378,10 +369,7 @@ def _closure(
                 top = max(left.dim, right.dim)
                 if sum(d.top_cell_count() for d in (left, right) if d.dim == top) > max_cells:
                     continue
-                try:
-                    pasted = paste_diagrams(left, right, k)
-                except (BoundaryMismatchError, LabelMismatchError):
-                    continue
+                pasted = paste_diagrams(left, right, k)
                 admit(pasted, lbounds[:k] + [(lbounds[k][0], rbounds[k][1])])
     return order
 

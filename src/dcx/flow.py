@@ -260,17 +260,28 @@ def is_frame_acyclic(U: Molecule) -> FrameAcyclicity:
     A member with a cycle need not be a submolecule, so then the exact loop
     over :func:`~dcx.molecule.submolecules_masks` runs as it always has: a
     negative answer, its offending submolecule and its cycle are the first
-    that the exact order meets.  Such an input pays for both scans.
+    that the exact order meets.  Such an input pays for both scans.  The
+    answer is decided once per poset (:func:`_frame_cycle`).
     """
     P = U.poset
-    full = P.full_masks()
-    if all(_flow_cycle(P, masks) is None for masks in candidate_closure_masks(P, full)):
+    found = _frame_cycle(P, P.full_masks())
+    if found is None:
         return FrameAcyclicity(True)
+    return FrameAcyclicity(False, Closed(P, found[0]), list(found[1]))
+
+
+@_memoised("acyclic")
+def _frame_cycle(P: OgPoset, full: Masks) -> Optional[tuple[Masks, tuple[El, ...]]]:
+    """The scans of :func:`is_frame_acyclic` on the whole poset ``full``:
+    None, or the offending submolecule and its cycle, as plain data, so the
+    "acyclic" memo does not hold the poset it lives on."""
+    if all(_flow_cycle(P, masks) is None for masks in candidate_closure_masks(P, full)):
+        return None
     for masks in submolecules_masks(P, full):
         cycle = _flow_cycle(P, masks)
         if cycle is not None:
-            return FrameAcyclicity(False, Closed(P, masks), cycle)
-    return FrameAcyclicity(True)
+            return masks, tuple(cycle)
+    return None
 
 
 def _flow_cycle(P: OgPoset, masks: Masks) -> Optional[list[El]]:

@@ -35,6 +35,7 @@ from .ogposet import (
     _memoised,
     closed_rows,
     down_sets,
+    record_iso,
     unique_iso,
 )
 
@@ -117,31 +118,12 @@ def boundary_glue(
     """Match the ``q_side`` k-boundary of Q with the ``p_side`` k-boundary of P.
 
     Returns the isomorphism as a map from elements of Q to elements of P,
-    or None when the two boundaries are not isomorphic.  No isomorphism is
-    searched for and no boundary is extracted: the two canonical records of
-    :meth:`~dcx.ogposet.OgPoset.boundary_canon`, each read in place and
-    memoised on its poset by :meth:`~dcx.ogposet.OgPoset.canon_record`,
-    decide it.
-
-    - Different keys: the keys are canonical, equal exactly for isomorphic
-      posets, so the boundaries are not isomorphic.
-    - Equal keys: a key spells out the face data of the boundary relabelled
-      by its canonical relabelling, a bijection in each dimension.  Both
-      boundaries therefore relabel onto one canonical poset C, and the
-      i-th elements of the two canonical orders go to the same element of
-      C.  Sending ``q_els[i]`` to ``p_els[i]`` is the relabelling of Q's
-      boundary onto C followed by the inverse relabelling of P's, a
-      composite of two orientation-preserving isomorphisms.
-    - It is the glue that an isomorphism search would give.  The boundary
-      of a molecule is a molecule, and molecules are rigid (Hadzihasanovic,
-      *Combinatorics of higher-categorical diagrams*, 2024): two isomorphic
-      boundaries have exactly one isomorphism between them.
+    or None when the two boundaries are not isomorphic, read off their
+    canonical records by :func:`~dcx.ogposet.record_iso`.  The boundary of
+    a molecule is a molecule, so the map is the one isomorphism.
     """
-    p_key, p_els = P.boundary_canon(k, p_side)
-    q_key, q_els = Q.boundary_canon(k, q_side)
-    if p_key != q_key:
-        return None
-    return dict(zip(q_els, p_els))
+    q_bd = Q.boundary_masks(Q.full_masks(), k, q_side)
+    return record_iso(Q, q_bd, P, P.boundary_masks(P.full_masks(), k, p_side))
 
 
 def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
@@ -802,8 +784,8 @@ def factors_through_atom(U: Molecule, V: Closed) -> bool:
 def molecule_iso(U: Molecule, V: Molecule) -> Optional[OgIso]:
     """The unique isomorphism between two molecules, or None.
 
-    Read off the canonical forms of the two posets, their keys and
-    canonical orders (:func:`~dcx.ogposet.isomorphisms`).  Raises
+    Read off the canonical records of the two posets
+    (:func:`~dcx.ogposet.isomorphisms`).  Raises
     AmbiguityError if two distinct isomorphisms exist, which would signal an
     invalid certificate or a library bug.
     """

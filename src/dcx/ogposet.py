@@ -338,7 +338,7 @@ class OgPoset:
         index within its dimension; both are read off the record of the
         whole poset (:meth:`canon_record`).
         """
-        key, els = self.canon_record(self.full_masks())
+        key, els, _ = self.canon_record(self.full_masks())
         offs = self._offsets
         return key, {el: r - offs[el[0]] for r, el in enumerate(els)}
 
@@ -348,25 +348,27 @@ class OgPoset:
         return self.canon_record(self.full_masks())[0]
 
     @_memoised("canon")
-    def canon_record(self, masks: Masks) -> tuple[bytes, tuple[El, ...]]:
-        """The canonical record of a closed subset.
+    def canon_record(self, masks: Masks) -> tuple[bytes, tuple[El, ...], tuple]:
+        """The canonical record of a closed subset, the one caller of
+        :func:`_canonical_form`.
 
-        Returns ``(key, els)``: the canonical key of the subset, as
-        :meth:`extract` would build it and :meth:`canonical` would key it,
-        and the subset's elements, as elements of this poset, listed in
-        canonical order (by dimension, then canonical index).  So ``els[i]``
-        of two subsets with equal keys are sent to the same element of the
-        one canonical poset that both relabel onto.  The face table is read
-        in place (:meth:`_restrict`); no poset is built.  Kept in the
-        "canon" memo, keyed by the subset.
+        Returns ``(key, els, autos)``: the canonical key of the subset, as
+        :meth:`extract` would build it and :meth:`canonical` would key it;
+        the subset's elements, as elements of this poset, listed in
+        canonical order (by dimension, then canonical index); and generators
+        of the subset's automorphism group, each a tuple sending every
+        canonical index to its image, empty when the search found none, as
+        on a molecule.  So ``els[i]`` of two subsets with equal keys are
+        sent to the same element of the one canonical poset that both
+        relabel onto (see :func:`record_iso`).  The face table is read in
+        place (:meth:`_restrict`); no poset is built.  Kept in the "canon"
+        memo, keyed by the subset.
         """
         els, counts, faces = self._restrict(masks)
-        key, order, _ = _canonical_form(counts, faces)
-        return key, tuple([els[p] for p in order])
-
-    def boundary_canon(self, k: int, alpha: str) -> tuple[bytes, tuple[El, ...]]:
-        """The canonical record of the alpha-side k-boundary of the poset."""
-        return self.canon_record(self.boundary_masks(self.full_masks(), k, alpha))
+        key, order, gens = _canonical_form(counts, faces)
+        at = {p: i for i, p in enumerate(order)} if gens else {}
+        autos = tuple([tuple([at[g[p]] for p in order]) for g in gens])
+        return key, tuple([els[p] for p in order]), autos
 
     def __repr__(self):
         return f"OgPoset(counts={list(self.counts)})"
@@ -765,37 +767,69 @@ def _refine(nbrs: list[tuple[list[int], ...]], colors: list) -> list[int]:
         classes = split
 
 
+def record_iso(P: OgPoset, pm: Masks, Q: OgPoset, qm: Masks) -> Optional[dict[El, El]]:
+    """An isomorphism of the closed subset ``pm`` of P onto the closed
+    subset ``qm`` of Q, as a map of elements, or None when there is none.
+
+    No isomorphism is searched for and no subset is extracted: the two
+    canonical records (:meth:`OgPoset.canon_record`), each read in place and
+    memoised on its poset, decide it.
+
+    - Different keys: the keys are canonical, equal exactly for isomorphic
+      posets, so the subsets are not isomorphic.
+    - Equal keys: a key spells out the face data of the subset relabelled
+      by its canonical relabelling, a bijection in each dimension.  Both
+      subsets therefore relabel onto one canonical poset C, and the i-th
+      elements of the two canonical orders go to the same element of C.
+      Sending P's i-th element to Q's is the relabelling of P's subset onto
+      C followed by the inverse relabelling of Q's, a composite of two
+      orientation-preserving isomorphisms.
+    - Every other isomorphism is this one composed with an automorphism of
+      P's subset (:func:`isomorphisms`).  Molecules are rigid
+      (Hadzihasanovic, *Combinatorics of higher-categorical diagrams*,
+      2024): a molecule, such as a boundary of a molecule or the closure
+      of one of its elements, has no automorphism but the identity.  On a
+      molecule the map is therefore the one isomorphism, the one any
+      isomorphism search would give.
+    """
+    key, p_els, _ = P.canon_record(pm)
+    q_key, q_els, _ = Q.canon_record(qm)
+    return dict(zip(p_els, q_els)) if key == q_key else None
+
+
 def isomorphisms(P: OgPoset, Q: OgPoset, limit: Optional[int] = None) -> list[OgIso]:
     """All orientation-preserving isomorphisms P -> Q (up to ``limit``).
 
-    Read off the two canonical forms (:func:`_canonical_form`): none when
-    the keys differ, and otherwise the map sending P's canonical order onto
-    Q's, composed with each automorphism of P.  That map comes first, then
-    its composites with the automorphisms in the order a breadth-first walk
-    from the identity along the generators reaches them, until ``limit``
-    are listed.  ``limit`` 0 gives ``[]`` without a search; a negative one
-    raises PreconditionError.
+    Read off the records of the two posets: none when :func:`record_iso`
+    finds none, and otherwise its map composed with each automorphism of P.
+    That map comes first, then its composites with the automorphisms in the
+    order a breadth-first walk from the identity along the generators of
+    P's record reaches them, until ``limit`` are listed.  The generators
+    permute canonical indices: they are those of the canonical search on
+    positions conjugated by the canonical order, so the walk is that search's
+    walk conjugated too, and lists the isomorphisms in the same order.
+    ``limit`` 0 gives ``[]`` without a search; a negative one raises
+    PreconditionError.
     """
     if limit is not None and limit < 0:
         raise PreconditionError(f"limit must be at least 0, got {limit}")
     if P.counts != Q.counts or limit == 0:
         return []
-    key, order, gens = _canonical_form(P.counts, P.faces)
-    qkey, qorder, _ = _canonical_form(Q.counts, Q.faces)
-    if key != qkey:
+    base = record_iso(P, P.full_masks(), Q, Q.full_masks())
+    if base is None:
         return []
-    image = {p: Q._els[q] for p, q in zip(order, qorder)}
-    autos = [tuple(range(len(order)))]
+    _, els, gens = P.canon_record(P.full_masks())
+    autos = [tuple(range(len(els)))]
     seen = set(autos)
     for auto in autos:  # grows as the walk reaches new automorphisms
         if limit and len(autos) >= limit:
             break
         for g in gens:
-            nxt = tuple([g[p] for p in auto])
+            nxt = tuple([g[i] for i in auto])
             if nxt not in seen:
                 seen.add(nxt)
                 autos.append(nxt)
-    return [OgIso(P, Q, {el: image[a[p]] for p, el in enumerate(P._els)}) for a in autos[:limit]]
+    return [OgIso(P, Q, {el: base[els[a[i]]] for i, el in enumerate(els)}) for a in autos[:limit]]
 
 
 def find_iso(P: OgPoset, Q: OgPoset) -> Optional[OgIso]:
@@ -814,23 +848,19 @@ def unique_iso(P: OgPoset, Q: OgPoset) -> Optional[OgIso]:
     return isos[0]
 
 
-def labelled_key(P: OgPoset, labels: dict[El, object]) -> bytes:
-    """Canonical key of a poset with one label per element.
+def labelled_key(P: OgPoset, masks: Masks, labels: dict[El, object]) -> bytes:
+    """Canonical key of a closed subset of P with one label per element.
 
-    The canonical key of P, then the label of every element listed in the
-    canonical order of the record of the whole poset
-    (:meth:`OgPoset.canon_record`); equal for two labelled posets related
-    by a label-preserving isomorphism when P is rigid.
+    The canonical key of the subset (:meth:`OgPoset.canon_record`), a
+    ``|``, which no canonical key holds, and the labels of the subset's
+    elements listed in canonical order.  So two labelled keys are equal
+    exactly when the canonical keys are and the labels agree at each
+    canonical index, that is, when the map of :func:`record_iso` carries
+    the labels of one subset onto those of the other; for rigid subsets,
+    exactly when a label-preserving isomorphism exists.
     """
-    key, els = P.canon_record(P.full_masks())
-    return _labelled_bytes(key, [labels[el] for el in els])
-
-
-def _labelled_bytes(key: bytes, labels: list) -> bytes:
-    """A canonical key followed by labels listed in canonical element order:
-    the one byte format of :func:`labelled_key` and of boundary keys built
-    from :meth:`OgPoset.canon_record`."""
-    return key + b"|" + repr(tuple(labels)).encode()
+    key, els, _ = P.canon_record(masks)
+    return key + b"|" + repr(tuple([labels[el] for el in els])).encode()
 
 
 def _canonical_form(counts: list[int], faces: list) -> tuple[bytes, list[int], list[list[int]]]:

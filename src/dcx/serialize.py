@@ -21,7 +21,7 @@ from .dcomplex import (
 from .errors import BudgetError, DcxError
 from .flow import FlowGraph
 from .molecule import Molecule, globe, oriental, replay
-from .ogposet import El, OgPoset, validate
+from .ogposet import El, OgPoset, record_iso, validate
 
 
 def dumps_json(obj) -> str:
@@ -140,21 +140,19 @@ def dcomplex_to_data(X: DirectedComplex) -> dict:
     written for the molecule that replaying the certificate builds.
 
     Each distinct certificate is replayed once per call.  A shape and its
-    replay are isomorphic molecules, so they have equal canonical keys and
-    both relabel onto one canonical poset; molecules are rigid, so zipping
-    their canonical orders (:meth:`OgPoset.canon_record`) gives the one
-    isomorphism between them, as in :func:`~dcx.dcomplex.restriction_problem`.
+    replay are isomorphic molecules, so :func:`~dcx.ogposet.record_iso`
+    reads the one isomorphism between them off their canonical records.
     """
-    replayed: dict = {}  # certificate -> its replay's elements in canonical order
+    replayed: dict = {}  # certificate -> the poset its replay builds
     cells = []
     for level in X.cells:
         row = []
         for cell in level:
             cert, P = cell.shape.cert, cell.shape.poset
             if cert not in replayed:
-                R = replay(cert).poset
-                replayed[cert] = R.canon_record(R.full_masks())[1]
-            iso = dict(zip(P.canon_record(P.full_masks())[1], replayed[cert]))
+                replayed[cert] = replay(cert).poset
+            R = replayed[cert]
+            iso = record_iso(P, P.full_masks(), R, R.full_masks())
             row.append(
                 {
                     "shape": cert,

@@ -257,7 +257,9 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     its own subdivision, realised and keyed by its image set
     (``Subdivision.key``).  Elements are listed in key order, the big cell
     is the initial element, and each element's up-set is its row of
-    ``_region_candidates``, which is the refinement order itself.
+    ``_region_candidates``, which is the refinement order itself.  The big
+    cell is the minimum: its only leaf region is U, which every
+    subdivision's images cover, so its row is full.
     """
     P = U.poset
     if S is None:
@@ -269,10 +271,7 @@ def enumerate_sd(U: Molecule, S=None) -> SdPoset:
     elements = sorted((realize(P, tree) for tree in trees), key=lambda s: s.key)
     fin = FinPoset(list(range(len(elements))), up_masks=_region_candidates(elements))
     bottom = next(i for i, s in enumerate(elements) if s.tree[0] == "leaf")
-    sd = SdPoset(U, levels, elements, fin, bottom)
-    if fin.bottom() != bottom:
-        raise DcxError("big cell is not the minimum of the subdivision poset")
-    return sd
+    return SdPoset(U, levels, elements, fin, bottom)
 
 
 # -- refinement order -----------------------------------------------------------

@@ -580,6 +580,20 @@ def test_index_pastes_only_matching_pairs_once_per_level(monkeypatch):
     assert len({(frozenset((f, g)), k) for f, g, k in attempts}) < len(attempts)
 
 
+@pytest.mark.parametrize("error", [BoundaryMismatchError, LabelMismatchError])
+def test_a_failed_pasting_in_the_closure_raises(error, monkeypatch):
+    """The index pairs diagrams only when their labelled boundary keys
+    agree, and such pairs always paste, so the closure does not catch a
+    failed pasting: it raises instead of dropping the diagram."""
+
+    def failing(f, g, k):
+        raise error("refused")
+
+    monkeypatch.setattr(dcomplex, "paste_diagrams", failing)
+    with pytest.raises(error):
+        enumerate_molecules(simplex_complex(2), 2)
+
+
 def fresh_keys_closure(X, max_cells):
     """The semi-naive closure with every boundary key read from the
     diagram's shape and every matching pair pasted, whatever its top-cell

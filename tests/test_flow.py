@@ -456,7 +456,7 @@ def test_cycle_off_the_submolecules_is_not_reported(corpus, monkeypatch):
             )
             report_cycles_on(m, {points})
             del fallbacks[:]
-            res = is_frame_acyclic(mol)
+            res = is_frame_acyclic(Molecule(OgPoset(P.counts, P.faces), mol.cert))
         assert res.ok and res.offending is None and res.cycle is None
         assert fallbacks == [P.full_masks()]
         cases += 1
@@ -474,13 +474,31 @@ def test_cycle_on_a_submolecule_matches_the_exact_loop(corpus, monkeypatch):
             with monkeypatch.context() as m:
                 report_cycles_on(m, targets)
                 want = exact_frame_acyclicity(mol)
-                got = is_frame_acyclic(mol)
+                got = is_frame_acyclic(Molecule(OgPoset(P.counts, P.faces), mol.cert))
             assert got.ok == want.ok
             if not want.ok:
                 assert got.offending.masks == want.offending.masks
                 assert got.cycle == want.cycle
                 cases += 1
     assert cases >= 40
+
+
+def test_layering_theory_scans_each_molecule_once(monkeypatch):
+    """``check_layering_theory`` asks for frame-acyclicity at every k, and
+    the answer is memoised on the poset, so the superset scan runs once."""
+    real = flow.candidate_closure_masks
+    scans = []
+
+    def counted(P, masks):
+        scans.append(masks)
+        return real(P, masks)
+
+    monkeypatch.setattr(flow, "candidate_closure_masks", counted)
+    U = oriental(3)
+    mol = Molecule(OgPoset(U.poset.counts, U.poset.faces), U.cert)
+    for k in range(max(frame_dim(mol), 0), mol.dim):
+        assert check_layering_theory(mol, k)["iso"], k
+    assert scans == [mol.poset.full_masks()]
 
 
 def test_scan_leaves_recognition_exact(small_corpus, monkeypatch):

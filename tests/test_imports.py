@@ -387,7 +387,7 @@ def test_only_ogposet_reads_the_memo():
     assert found == ["ogposet.py: _memoised"]
 
 
-MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "canon"}
+MEMO_NAMES = {"mol", "prelay", "sdtrees", "sdleaf", "sdmeet", "frames", "canon", "acyclic"}
 
 
 def memo_names(path: Path) -> set:
@@ -437,10 +437,12 @@ def test_memo_keys_have_fixed_shapes():
     P = U.poset
     dcx.enumerate_sd(U, [0])
     dcx.is_molecule(P)
-    P.boundary_canon(0, dcx.ogposet.MINUS)
+    P.canon_record(P.boundary_masks(P.full_masks(), 0, dcx.ogposet.MINUS))
+    dcx.is_frame_acyclic(U)
     found = {name: {_key_shape(key) for key in table} for name, table in P._memo.items()}
     assert found == {
         "mol": {"int"},
+        "acyclic": {"int"},
         "frames": {"int"},
         "canon": {"int"},
         "prelay": {("int", "int")},
@@ -547,6 +549,91 @@ def test_only_canonical_form_refines():
         (path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in refine_readers(path)
     ]
     assert found == [("ogposet.py", "_canonical_form")]
+
+
+def search_readers(path: Path) -> list[str]:
+    """The places of a module that read ``_canonical_form``, as a name, an
+    attribute or an imported name: the innermost enclosing class or
+    function by dotted name, or the line of a read outside any."""
+    out: list[str] = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if (
+            (isinstance(node, ast.Name) and node.id == "_canonical_form" and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "_canonical_form")
+            or (isinstance(node, ast.alias) and node.name == "_canonical_form")
+        ):
+            out.append(".".join(scope) or f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return list(dict.fromkeys(out))
+
+
+def test_scan_finds_the_search_readers(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .ogposet import _canonical_form\n"
+        "def _canonical_form(counts, faces):\n"
+        "    return counts\n"
+        "class OgPoset:\n"
+        "    def canon_record(self, masks):\n"
+        "        return _canonical_form(masks, [])\n"
+        "    def other(self):\n"
+        "        return ogposet._canonical_form\n"
+        "search = _canonical_form\n"
+        "def shadow():\n"
+        "    _canonical_form = 1\n"
+        "    return '_canonical_form'\n",
+        encoding="utf-8",
+    )
+    assert search_readers(mod) == ["line 1", "OgPoset.canon_record", "OgPoset.other", "line 9"]
+
+
+def test_only_canon_record_searches():
+    """``OgPoset.canon_record`` is the one caller of ``_canonical_form``, so
+    every canonical search is memoised on its poset and every isomorphism is
+    read off two records."""
+    found = [
+        (path.name, name) for path in sorted(PACKAGE.glob("*.py")) for name in search_readers(path)
+    ]
+    assert found == [("ogposet.py", "OgPoset.canon_record")]
+
+
+# -- the code line counter ------------------------------------------------------------
+
+
+def test_line_counter_counts_code_lines_only(tmp_path, capsys):
+    """Docstrings, comments and blank lines do not count; every line of a
+    multi-line call and of a multi-line string that is not a docstring
+    does."""
+    from src_lines import code_lines, main
+
+    source = (
+        '"""Module\n'
+        'docstring."""\n'
+        "# a comment\n"
+        "\n"
+        "X = call(\n"
+        "    1,  # a trailing comment\n"
+        "    2,\n"
+        ")\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        '        text = """not\n'
+        '        a docstring"""\n'
+        "        return text\n"
+    )
+    assert code_lines(source) == 9
+    (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+    assert main(["src_lines.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["9", "mod.py", "9", "total"]
 
 
 # -- line length ------------------------------------------------------------------

@@ -197,8 +197,8 @@ def test_realize_matches_pasting_oracle(corpus, horiz, vert):
             sub = realize(P, tree)
             theta, img = _pasted_realisation(P, tree)
             assert len(set(img.values())) == theta.size(), (mol.counts, S, tree)
-            canonical = labelled_key(sub.theta, sub.img)
-            assert labelled_key(theta, img) == canonical, (mol.counts, S, tree)
+            canonical = labelled_key(sub.theta, sub.theta.full_masks(), sub.img)
+            assert labelled_key(theta, theta.full_masks(), img) == canonical, (mol.counts, S, tree)
             assert set(img.values()) == set(sub.key), (mol.counts, S, tree)
             by_key.setdefault(sub.key, []).append(n)
             by_canonical.setdefault(canonical, []).append(n)
