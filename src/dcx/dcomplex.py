@@ -23,7 +23,7 @@ from .errors import (
     ShapeNotAtomError,
 )
 from .flow import is_frame_acyclic
-from .molecule import Molecule, mol_cert, oriental_with_labels, paste_labelled
+from .molecule import Molecule, _check_size, mol_cert, oriental_with_labels, paste_labelled
 from .ogposet import (
     MINUS,
     PLUS,
@@ -163,7 +163,9 @@ def restriction_problem(
     molecule, so the map is the one isomorphism.
 
     Each record is memoised on its poset, keyed by the subset, so cells
-    sharing one shape object share its closures' records.
+    sharing one shape object share its closures' records: those of
+    :func:`import_ssset` share one shape per dimension, and those read from
+    dcomplex/1 one per shape spec.
     """
     for el in P.elements():
         cid = labels.get(el)
@@ -314,6 +316,10 @@ def enumerate_molecules(X: DirectedComplex, max_cells: int) -> list[PastingDiagr
     ``max_cells`` top cells is skipped before it is pasted: at k below both
     dimensions no top cell is glued, so the pasting has the top cells of
     each operand of the larger dimension, and the pool would refuse it.
+
+    Diagrams with equal face tables share one shape poset, so each
+    canonical record, boundary and frame-acyclicity verdict is found once
+    per shape, not once per diagram (:func:`_closure`).
     """
     return sorted((diag for diag, _ in _closure(X, max_cells)), key=lambda d: d.key)
 
@@ -335,16 +341,30 @@ def _closure(
     labelled key is kept with them.  A diagram's keys are completed when it
     is processed, before any of its pairs is formed, so both operands of a
     pasting have all of theirs.
+
+    Diagrams of one shape share one poset: on admission a diagram's shape
+    is replaced by the first poset admitted with the same face table, and
+    keeps its own certificate.  Equal tables name the same elements with
+    the same faces, so the labels are a labelling of the shared poset, and
+    every record memoised on a poset (canonical records, boundaries, glues,
+    frame-acyclicity) depends only on its immutable table and the subset
+    asked about.  Keys, labels and outputs are therefore those of the
+    diagram's own poset, and each record is computed once per shape.
     """
     if max_cells < 1:
         raise PreconditionError(f"max_cells must be at least 1, got {max_cells}")
     max_elements = element_limit()
     seen: set[bytes] = set()
     order: list[tuple[PastingDiagram, list[tuple[bytes, bytes]]]] = []
+    shapes: dict[tuple, OgPoset] = {}  # (counts, faces) -> the first poset admitted with them
 
     def admit(diag: PastingDiagram, bounds: list[tuple[bytes, bytes]]) -> None:
         if diag.top_cell_count() > max_cells or diag.shape.size() > max_elements:
             return
+        P = diag.shape.poset
+        shared = shapes.setdefault((P.counts, P.faces), P)
+        if shared is not P:
+            diag.shape = Molecule(shared, diag.shape.cert)
         if diag.key not in seen:
             seen.add(diag.key)
             order.append((diag, bounds))
@@ -506,6 +526,7 @@ class SemiSimplicialSet:
         """The semi-simplicial set of all nonempty subsets of {0..n}."""
         import itertools
 
+        _check_size("standard_simplex", n)
         by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
         for r in range(1, n + 2):
             for combo in itertools.combinations(range(n + 1), r):

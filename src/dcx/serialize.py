@@ -118,8 +118,9 @@ def cert_from_data(data) -> tuple:
 
 def _shape_from_data(spec) -> Molecule:
     """The shape of a cell: a spec such as ``"oriental:3"`` or ``"globe:2"``,
-    sized before it is built, or a certificate, checked after its replay,
-    which builds at most one element per node of the certificate."""
+    sized before it is built, or a certificate read by
+    :func:`cert_from_data`, checked after its replay, which builds at most
+    one element per node of the certificate."""
     if isinstance(spec, str):
         what = f"shape {spec!r}"
         kind, _, arg = spec.partition(":")
@@ -130,7 +131,7 @@ def _shape_from_data(spec) -> Molecule:
             check_fits(what, 2 * int(arg) + 1)
             return globe(int(arg))
         raise DcxError(f"unknown shape spec {spec!r}")
-    U = replay(cert_from_data(spec))
+    U = replay(spec)
     check_fits("a certificate shape", U.size())
     return U
 
@@ -171,7 +172,12 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
     levels, each a list of objects with a ``shape`` and an ``attach``.
     Data of any other shape raises ``DcxError`` naming the field, and the
     cell when there is one, and so does an attach that names one element
-    twice, as ``"0.0"`` and ``"00.0"`` do."""
+    twice, as ``"0.0"`` and ``"00.0"`` do.
+
+    Cells with equal shapes share one: each spec string, and each
+    certificate by its :func:`cert_from_data` value, as the writer keys its
+    replays, is built once per call.  A string never equals a certificate,
+    so a spec is never read as one."""
     if not isinstance(data, dict) or data.get("format") != "dcomplex/1":
         raise DcxError("expected a dcomplex/1 document")
     if "cells" not in data:
@@ -180,6 +186,7 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
     if not isinstance(table, list):
         raise DcxError(f"the cell table {table!r} is not a list")
     cells: list[list[Cell]] = []
+    shapes: dict = {}  # spec string or certificate -> the shape built for it
     for d, level in enumerate(table):
         if not isinstance(level, list):
             raise DcxError(f"dimension {d} of the cell table is {level!r}, not a list")
@@ -190,7 +197,11 @@ def dcomplex_from_data(data: dict) -> DirectedComplex:
             for field in ("shape", "attach"):
                 if field not in entry:
                     raise DcxError(f'cell ({d},{i}) has no "{field}" field')
-            shape = _shape_from_data(entry["shape"])
+            spec = entry["shape"]
+            spec = spec if isinstance(spec, str) else cert_from_data(spec)
+            if spec not in shapes:
+                shapes[spec] = _shape_from_data(spec)
+            shape = shapes[spec]
             attach = entry["attach"]
             if not isinstance(attach, dict):
                 raise DcxError(f"cell ({d},{i}) has attach {attach!r}, not an object")

@@ -608,6 +608,49 @@ def test_shape_spec_over_the_element_limit_exits_2_before_building(
     )
 
 
+def test_cells_read_from_an_imported_document_share_one_shape_per_dimension(
+    tmp_path, capsys, monkeypatch
+):
+    doc = write_doc(tmp_path, serialize.dumps_ssset(SemiSimplicialSet.standard_simplex(3)))
+    code, out = call(capsys, "cx", "import-ssset", doc)
+    assert code == 0
+    replays = []
+
+    def counted(cert):
+        replays.append(cert)
+        return dcx.replay(cert)
+
+    monkeypatch.setattr(serialize, "replay", counted)
+    X = serialize.loads_dcomplex(out)
+    assert [len(level) for level in X.cells] == [4, 6, 4, 1]
+    for level in X.cells:
+        assert all(cell.shape is level[0].shape for cell in level)
+    assert len(replays) == len(set(replays)) == 4
+    assert serialize.dumps_dcomplex(X) == out
+
+
+POINT_CELLS = {
+    "certificates": (["point"], ["point"], None),
+    "specs": ("oriental:0", "globe:0", None),
+    "string-after-certificate": (["point"], '["point"]', '["point"]'),
+    "string-before-certificate": ('["point"]', ["point"], '["point"]'),
+}
+
+
+@pytest.mark.parametrize("first, second, unknown", POINT_CELLS.values(), ids=POINT_CELLS.keys())
+def test_a_spec_string_is_never_read_as_a_certificate(tmp_path, capsys, first, second, unknown):
+    """Two point cells, each shaped by a spec or a certificate: a string
+    that spells a certificate is an unknown spec, whatever was read before."""
+    cells = [[{"shape": first, "attach": {"0.0": "0.0"}}, {"shape": second, "attach": {"0.0": "0.1"}}]]
+    text = json.dumps({"format": "dcomplex/1", "cells": cells})
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    if unknown is None:
+        assert code == 0, out
+    else:
+        assert code == 2
+        assert json.loads(out)["error"] == f"invalid dcomplex input: unknown shape spec {unknown!r}"
+
+
 def test_certificate_shape_over_the_element_limit_exits_2(files, capsys, monkeypatch):
     # a certificate shape is checked after its replay, which builds at most
     # one element per node of the certificate: the triangle's 2-cell has 7

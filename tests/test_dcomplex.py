@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dcx
-from dcx import dcomplex, molecule, serialize
+from dcx import dcomplex, flow, molecule, ogposet, serialize
 from dcx.dcomplex import (
     Cell,
     DirectedComplex,
@@ -229,6 +229,12 @@ def test_imported_complexes_are_valid():
             assert oracle_restriction_problem(X, cell.shape.poset, cell.attach) is None
         irregular += not X.is_regular()
     assert irregular > 100
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_standard_simplex_of_a_negative_size_raises(n):
+    with pytest.raises(PreconditionError, match=f"standard_simplex needs a size >= 0, got {n}"):
+        SemiSimplicialSet.standard_simplex(n)
 
 
 # -- pasting diagrams -------------------------------------------------------------------
@@ -653,6 +659,54 @@ def test_inherited_boundary_keys_are_the_keys_read_afresh(case, monkeypatch):
     assert [representation(d) for d in got] == [representation(d) for d in expected]
 
 
+# (complex, max_cells, DCX_ELEMENT_LIMIT, distinct face tables in the pool)
+SHARING_INPUTS = {
+    "simplex3-3": (lambda: simplex_complex(3), 3, 2000, 10),
+    "simplex4-3": (lambda: simplex_complex(4), 3, 2000, 35),
+    "mixed-3": (mixed_complex, 3, 12, 54),
+    "two_loops-3": (two_loops, 3, 20, 4),
+}
+
+
+@pytest.mark.parametrize("case", SHARING_INPUTS)
+def test_pool_diagrams_of_one_face_table_share_one_poset(case, monkeypatch):
+    """Diagrams with equal face tables share one shape poset, and each keeps
+    the certificate of its own pasting, which replays to its shape."""
+    make, max_cells, limit, shapes = SHARING_INPUTS[case]
+    monkeypatch.setenv("DCX_ELEMENT_LIMIT", str(limit))
+    X = make()
+    pool = [diag for diag, _ in dcomplex._closure(X, max_cells)]
+    by_table = {}
+    for diag in pool:
+        P = diag.shape.poset
+        by_table.setdefault((P.counts, P.faces), []).append(diag)
+        assert molecule.replay(diag.shape.cert).key == diag.shape.key, diag
+    for diags in by_table.values():
+        assert all(d.shape.poset is diags[0].shape.poset for d in diags)
+    assert len({id(d.shape.poset) for d in pool}) == len(by_table) == shapes
+    got = [d.shape.cert for d in sorted(pool, key=lambda d: d.key)]
+    assert got == [d.shape.cert for d in fresh_keys_closure(X, max_cells)]
+
+
+@pytest.mark.parametrize("max_cells, searches", [(2, 92), (3, 108)])
+def test_closure_searches_each_shape_once(max_cells, searches, monkeypatch):
+    """The canonical searches of a pool over the 4-simplex: one per distinct
+    (face table, subset), not one per diagram (138 and 179 searches when
+    each pasting kept its own poset)."""
+    calls = []
+    search = ogposet._canonical_form
+
+    def counted(counts, faces):
+        calls.append((counts, faces))
+        return search(counts, faces)
+
+    X = simplex_complex(4)
+    monkeypatch.setattr(ogposet, "_canonical_form", counted)
+    pool = enumerate_molecules(X, max_cells)
+    assert len(pool) == {2: 79, 3: 90}[max_cells]
+    assert len(calls) <= searches
+
+
 # -- helpers and the frame-acyclicity verdict ----------------------------------------------
 
 
@@ -702,6 +756,25 @@ def test_frame_acyclic_verdicts(monkeypatch):
         "verdict": "counterexample",
         "counterexample_shape": list(verdict.diagram.shape.counts),
     }
+
+
+def test_budget_check_decides_each_shape_once(monkeypatch):
+    """With the proofs out of the way, the verdict scans every diagram of
+    the budget, deciding frame-acyclicity once per distinct face table."""
+    X = simplex_complex(4)
+    tables = {(d.shape.counts, d.shape.poset.faces) for d in enumerate_molecules(X, 3)}
+    scans = []
+    closure = flow.candidate_closure_masks
+
+    def counted(P, masks):
+        scans.append(P.faces)
+        return closure(P, masks)
+
+    monkeypatch.setattr(dcomplex, "atoms_acyclic", lambda X: False)
+    monkeypatch.setattr(flow, "candidate_closure_masks", counted)
+    verdict = has_frame_acyclic_molecules(simplex_complex(4), 3)
+    assert verdict.kind == Verdict.CHECKED_UP_TO_BUDGET and verdict.budget == 3
+    assert len(scans) == len(tables) < 90
 
 
 def generated_complex(P):
