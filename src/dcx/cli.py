@@ -3,12 +3,16 @@
 Subcommands build shapes, check properties, explore layerings and
 subdivision posets, and work with directed complexes.  Exit codes: 0 when
 the requested property holds (or the command succeeded), 1 when a checked
-property fails (a JSON counterexample goes to stdout), 2 on invalid input
-or when a brute-force guard trips: every poset read from a file, every cell
-shape of a dcomplex/1 file, every imported ssset/1 file and each of its
-simplices, and every ``make globe``, ``path``, ``oriental`` or ``join``
-output, may hold at most DCX_ELEMENT_LIMIT elements.  All but the
+property fails (a JSON counterexample goes to stdout), and 2 on a usage
+error, on invalid input, or on an input or a ``make globe``, ``path``,
+``oriental`` or ``join`` output over DCX_ELEMENT_LIMIT elements.  The limit
+bounds every poset read from a file, every cell shape of a dcomplex/1 file,
+and every imported ssset/1 file and each of its simplices.  All but the
 certificate shapes are sized before they are built.
+
+Each subcommand with modes names them once, in a table of ``(mode,
+handler)`` rows: its parser reads its choices from the table, and its
+``_cmd_*`` function looks the handler up there.
 """
 from __future__ import annotations
 
@@ -52,9 +56,7 @@ from .subdivision import enumerate_sd, sd_report_json
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """A refused command line: exit 2 with its message."""
 
 
 def _read_text(path_arg) -> str:
@@ -100,160 +102,186 @@ def _emit(doc) -> None:
     sys.stdout.write(serialize.dumps_json(doc))
 
 
-def _emit_poset(mol: Molecule) -> None:
-    sys.stdout.write(serialize.dumps_ogposet(mol.poset))
+def _modes(table) -> tuple:
+    """The modes of a ``(mode, handler)`` table, in its order: the argparse
+    choices of its subcommand."""
+    return tuple(mode for mode, _ in table)
 
 
-# -- subcommands --------------------------------------------------------------
+# -- make: each _make_* function takes the target and its arguments, ``args.what``
 
 
-# (target, number of arguments, what a wrong number of arguments is told)
+def _arg_int(what, pos, name) -> int:
+    try:
+        return int(what[pos])
+    except ValueError:
+        raise CliError(f"make {what[0]} needs integer {name}")
+
+
+def _command(what) -> str:
+    return f"make {' '.join(what)}"
+
+
+def _make_globe(what) -> Molecule:
+    n = _arg_int(what, 1, "N")
+    check_fits(_command(what), 2 * n + 1)
+    return globe(n)
+
+
+def _make_path(what) -> Molecule:
+    n = _arg_int(what, 1, "K")
+    check_fits(_command(what), 2 * n + 1)
+    return path(n)
+
+
+def _make_oriental(what) -> Molecule:
+    n = _arg_int(what, 1, "N")
+    check_simplex_fits(_command(what), n)
+    return oriental(n)
+
+
+def _make_theta(what) -> Molecule:
+    try:
+        return theta_from_tree(what[1])
+    except ValueError as exc:
+        raise CliError(f"bad tree: {exc}")
+
+
+def _make_paste(what) -> Molecule:
+    U, V = map(_load_molecule, what[1:3])
+    return paste(U, V, _arg_int(what, 3, "K"))
+
+
+def _make_atom(what) -> Molecule:
+    return atom(*map(_load_molecule, what[1:]))
+
+
+def _make_join(what) -> Molecule:
+    U, V = map(_load_molecule, what[1:])
+    check_fits(_command(what), U.size() + V.size() + U.size() * V.size())
+    return join(U, V)
+
+
+def _make_suspend(what) -> Molecule:
+    return suspension(_load_molecule(what[1]))
+
+
+# (target, number of arguments, what a wrong number of arguments is told, build)
 _MAKE_TARGETS = (
-    ("globe", 1, "integer N"),
-    ("path", 1, "integer K"),
-    ("oriental", 1, "integer N"),
-    ("theta", 1, "a tree such as ((),())"),
-    ("paste", 3, "A B K"),
-    ("atom", 2, "A B"),
-    ("join", 2, "A B"),
-    ("suspend", 1, "A"),
+    ("globe", 1, "integer N", _make_globe),
+    ("path", 1, "integer K", _make_path),
+    ("oriental", 1, "integer N", _make_oriental),
+    ("theta", 1, "a tree such as ((),())", _make_theta),
+    ("paste", 3, "A B K", _make_paste),
+    ("atom", 2, "A B", _make_atom),
+    ("join", 2, "A B", _make_join),
+    ("suspend", 1, "A", _make_suspend),
 )
 
 
 def _cmd_make(args) -> int:
-    kind = args.what[0]
-    rest = args.what[1:]
-    for target, arity, usage in _MAKE_TARGETS:
+    kind, *rest = args.what
+    for target, arity, usage, build in _MAKE_TARGETS:
         if target == kind:
             break
     else:
         raise CliError(f"unknown make target {kind!r}")
     if len(rest) != arity:
         raise CliError(f"make {kind} needs {usage}")
-
-    def arg_int(pos, name):
-        try:
-            return int(rest[pos])
-        except ValueError:
-            raise CliError(f"make {kind} needs integer {name}")
-
-    what = f"make {' '.join(args.what)}"
-    if kind in ("globe", "path"):
-        n = arg_int(0, "N" if kind == "globe" else "K")
-        check_fits(what, 2 * n + 1)
-        _emit_poset(globe(n) if kind == "globe" else path(n))
-    elif kind == "oriental":
-        n = arg_int(0, "N")
-        check_simplex_fits(what, n)
-        _emit_poset(oriental(n))
-    elif kind == "theta":
-        try:
-            _emit_poset(theta_from_tree(rest[0]))
-        except ValueError as exc:
-            raise CliError(f"bad tree: {exc}")
-    elif kind == "paste":
-        U = _load_molecule(rest[0])
-        V = _load_molecule(rest[1])
-        _emit_poset(paste(U, V, arg_int(2, "K")))
-    elif kind == "atom":
-        _emit_poset(atom(_load_molecule(rest[0]), _load_molecule(rest[1])))
-    elif kind == "join":
-        U = _load_molecule(rest[0])
-        V = _load_molecule(rest[1])
-        check_fits(what, U.size() + V.size() + U.size() * V.size())
-        _emit_poset(join(U, V))
-    else:
-        _emit_poset(suspension(_load_molecule(rest[0])))
+    sys.stdout.write(serialize.dumps_ogposet(build(args.what).poset))
     return 0
 
 
+# -- check: each property's handler returns (holds, the verdict's other fields)
+
+
+def _verdict(holds, reason) -> tuple[bool, dict]:
+    return holds, {} if holds else {"reason": reason}
+
+
+def _check_molecule(args):
+    cert = is_molecule(_load_poset(args.file))
+    if cert is None:
+        return False, {"reason": "no valid construction found"}
+    return True, {"certificate": cert}
+
+
+def _check_round(args):
+    return _verdict(is_round(_load_molecule(args.file)), "boundary collapse condition fails")
+
+
+def _check_atom(args):
+    return _verdict(_load_molecule(args.file).greatest() is not None, "no greatest element")
+
+
+def _check_hasse_acyclic(args):
+    return _verdict(is_hasse_acyclic(_load_poset(args.file)), "oriented Hasse diagram has a cycle")
+
+
+def _check_frame_acyclic(args):
+    res = is_frame_acyclic(_load_molecule(args.file))
+    if res:
+        return True, {}
+    return False, {
+        "offending_submolecule": [list(e) for e in res.offending.elements()],
+        "cycle": [list(e) for e in res.cycle],
+    }
+
+
+_CHECKS = (
+    ("molecule", _check_molecule),
+    ("round", _check_round),
+    ("atom", _check_atom),
+    ("hasse-acyclic", _check_hasse_acyclic),
+    ("frame-acyclic", _check_frame_acyclic),
+)
+
+
 def _cmd_check(args) -> int:
-    prop = args.property
-    if prop == "hasse-acyclic":
-        P = _load_poset(args.file)
-        if is_hasse_acyclic(P):
-            _emit({"holds": True, "property": prop})
-            return 0
-        _emit({"holds": False, "property": prop, "reason": "oriented Hasse diagram has a cycle"})
-        return 1
-    if prop == "molecule":
-        P = _load_poset(args.file)
-        cert = is_molecule(P)
-        if cert is None:
-            _emit({"holds": False, "property": prop, "reason": "no valid construction found"})
-            return 1
-        _emit({"holds": True, "property": prop, "certificate": cert})
-        return 0
-    mol = _load_molecule(args.file)
-    if prop == "round":
-        ok, reason = is_round(mol), "boundary collapse condition fails"
-    elif prop == "atom":
-        ok, reason = mol.greatest() is not None, "no greatest element"
-    else:  # frame-acyclic, the last choice the parser allows
-        res = is_frame_acyclic(mol)
-        ok = bool(res)
-        if not ok:
-            _emit(
-                {
-                    "holds": False,
-                    "property": prop,
-                    "offending_submolecule": [list(e) for e in res.offending.elements()],
-                    "cycle": [list(e) for e in res.cycle],
-                }
-            )
-            return 1
-        reason = ""
-    if ok:
-        _emit({"holds": True, "property": prop})
-        return 0
-    _emit({"holds": False, "property": prop, "reason": reason})
-    return 1
+    holds, extra = dict(_CHECKS)[args.property](args)
+    _emit({"holds": holds, "property": args.property, **extra})
+    return 0 if holds else 1
+
+
+# -- flow: each mode's handler returns its JSON document ----------------------
+
+
+def _flow_graph(mol, k) -> dict:
+    fg = maxflow(mol, k)
+    edges = sorted([list(a), list(b)] for a, b in fg.edges)
+    return {"k": k, "vertices": [list(v) for v in fg.vertices], "edges": edges}
+
+
+def _flow_layerings(mol, k) -> dict:
+    lays = layerings(mol, k)
+    listed = [[[list(e) for e in layer.elements()] for layer in lay] for lay in lays]
+    return {"k": k, "count": len(lays), "layerings": listed}
+
+
+def _flow_orderings(mol, k) -> dict:
+    ords = orderings(mol, k)
+    listed = [[sorted(map(list, b)) for b in o] for o in ords]
+    return {"k": k, "count": len(ords), "orderings": listed}
+
+
+_FLOWS = (
+    ("graph", _flow_graph),
+    ("layerings", _flow_layerings),
+    ("orderings", _flow_orderings),
+    ("theory", check_layering_theory),
+)
 
 
 def _cmd_flow(args) -> int:
     if args.output == "dot" and args.mode != "graph":
         raise CliError("--output dot is only available for flow graph")
     mol = _load_molecule(args.file)
-    k = args.k
-    if args.mode == "graph":
-        fg = maxflow(mol, k)
-        if args.output == "dot":
-            sys.stdout.write(serialize.dot_flow(fg))
-        else:
-            _emit(
-                {
-                    "k": k,
-                    "vertices": [list(v) for v in fg.vertices],
-                    "edges": sorted([list(a), list(b)] for a, b in fg.edges),
-                }
-            )
+    if args.output == "dot":
+        sys.stdout.write(serialize.dot_flow(maxflow(mol, args.k)))
         return 0
-    if args.mode == "layerings":
-        lays = layerings(mol, k)
-        _emit(
-            {
-                "k": k,
-                "count": len(lays),
-                "layerings": [
-                    [[list(e) for e in layer.elements()] for layer in lay]
-                    for lay in lays
-                ],
-            }
-        )
-        return 0
-    if args.mode == "orderings":
-        ords = orderings(mol, k)
-        _emit(
-            {
-                "k": k,
-                "count": len(ords),
-                "orderings": [[sorted(map(list, b)) for b in o] for o in ords],
-            }
-        )
-        return 0
-    report = check_layering_theory(mol, k)  # theory, the last choice
-    _emit(report)
-    return 0 if report["iso"] else 1
+    doc = dict(_FLOWS)[args.mode](mol, args.k)
+    _emit(doc)
+    return 0 if doc.get("iso", True) else 1  # only a theory report has "iso"
 
 
 def _parse_levels(text):
@@ -290,63 +318,76 @@ def _load_complex(path_arg) -> DirectedComplex:
     return _parse_input("dcomplex", serialize.loads_dcomplex, path_arg)
 
 
-def _cmd_cx(args) -> int:
-    mode = args.mode
-    if mode == "import-ssset":
-        X = _parse_input(
-            "ssset", lambda text: import_ssset(serialize.loads_ssset(text)), args.file
-        )
-        sys.stdout.write(serialize.dumps_dcomplex(X))
-        return 0
-    if mode == "verify":
-        X = _load_complex(args.file)
-        _emit(
-            {
-                "valid": True,
-                "regular": X.is_regular(),
-                "acyclic_atoms": atoms_acyclic(X),
-                "cells": [len(level) for level in X.cells],
-            }
-        )
-        return 0
-    if mode == "molecules":
-        X = _load_complex(args.file)
-        diags = enumerate_molecules(X, args.max_cells)
-        _emit(
-            {
-                "max_cells": args.max_cells,
-                "count": len(diags),
-                "diagrams": [
-                    {
-                        "shape_counts": list(d.shape.counts),
-                        "labels": {
-                            f"{el[0]}.{el[1]}": f"{cid[0]}.{cid[1]}"
-                            for el, cid in sorted(d.labels.items())
-                        },
-                    }
-                    for d in diags
-                ],
-            }
-        )
-        return 0
-    X = _load_complex(args.file)  # frame-acyclic, the last choice
-    verdict = has_frame_acyclic_molecules(X, args.budget)
+# -- cx: one handler per mode, each writing its own output -------------------
+
+
+def _cx_import_ssset(args) -> int:
+    X = _parse_input("ssset", lambda text: import_ssset(serialize.loads_ssset(text)), args.file)
+    sys.stdout.write(serialize.dumps_dcomplex(X))
+    return 0
+
+
+def _cx_verify(args) -> int:
+    X = _load_complex(args.file)
+    regular, acyclic = X.is_regular(), atoms_acyclic(X)
+    cells = [len(level) for level in X.cells]
+    _emit({"valid": True, "regular": regular, "acyclic_atoms": acyclic, "cells": cells})
+    return 0
+
+
+def _cx_molecules(args) -> int:
+    diags = enumerate_molecules(_load_complex(args.file), args.max_cells)
+    name = serialize._el_name
+    listed = [
+        {
+            "shape_counts": list(d.shape.counts),
+            "labels": {name(el): name(cid) for el, cid in sorted(d.labels.items())},
+        }
+        for d in diags
+    ]
+    _emit({"max_cells": args.max_cells, "count": len(diags), "diagrams": listed})
+    return 0
+
+
+def _cx_frame_acyclic(args) -> int:
+    verdict = has_frame_acyclic_molecules(_load_complex(args.file), args.budget)
     _emit(verdict.to_json())
     return 1 if verdict.kind == verdict.COUNTEREXAMPLE else 0
 
 
+_CX_MODES = (
+    ("import-ssset", _cx_import_ssset),
+    ("verify", _cx_verify),
+    ("molecules", _cx_molecules),
+    ("frame-acyclic", _cx_frame_acyclic),
+)
+
+
+def _cmd_cx(args) -> int:
+    return dict(_CX_MODES)[args.mode](args)
+
+
+# -- export: each handler returns its DOT text --------------------------------
+
+
+def _export_hasse(args) -> str:
+    return serialize.dot_hasse(_load_poset(args.file))
+
+
+def _export_flow(args) -> str:
+    return serialize.dot_flow(maxflow(_load_molecule(args.file), args.k))
+
+
+def _export_sd(args) -> str:
+    mol = _load_molecule(args.file)
+    return serialize.dot_sd(enumerate_sd(mol, _parse_levels(args.levels)))
+
+
+_EXPORTS = (("hasse", _export_hasse), ("flow", _export_flow), ("sd", _export_sd))
+
+
 def _cmd_export(args) -> int:
-    if args.what == "hasse":
-        P = _load_poset(args.file)
-        sys.stdout.write(serialize.dot_hasse(P))
-        return 0
-    if args.what == "flow":
-        mol = _load_molecule(args.file)
-        sys.stdout.write(serialize.dot_flow(maxflow(mol, args.k)))
-        return 0
-    mol = _load_molecule(args.file)  # sd, the last choice
-    levels = _parse_levels(args.levels)
-    sys.stdout.write(serialize.dot_sd(enumerate_sd(mol, levels)))
+    sys.stdout.write(dict(_EXPORTS)[args.what](args))
     return 0
 
 
@@ -379,18 +420,16 @@ def _args_make(p) -> None:
 
 
 def _args_check(p) -> None:
-    p.add_argument(
-        "property", choices=["molecule", "round", "atom", "hasse-acyclic", "frame-acyclic"]
-    )
+    p.add_argument("property", choices=_modes(_CHECKS))
     p.add_argument("file", nargs="?", help="ogposet/1 file (default stdin)")
     p.set_defaults(func=_cmd_check)
 
 
 def _args_flow(p) -> None:
-    p.add_argument("mode", choices=["graph", "layerings", "orderings", "theory"])
+    p.add_argument("mode", choices=_modes(_FLOWS))
     p.add_argument("file", nargs="?")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--output", choices=["json", "dot"], default="json")
+    p.add_argument("--output", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_flow)
 
 
@@ -402,9 +441,7 @@ def _args_sd(p) -> None:
 
 
 def _args_cx(p) -> None:
-    p.add_argument(
-        "mode", choices=["import-ssset", "verify", "molecules", "frame-acyclic"]
-    )
+    p.add_argument("mode", choices=_modes(_CX_MODES))
     p.add_argument("file", nargs="?")
     p.add_argument("--max-cells", type=int, default=3)
     p.add_argument("--budget", type=int, default=4)
@@ -412,7 +449,7 @@ def _args_cx(p) -> None:
 
 
 def _args_export(p) -> None:
-    p.add_argument("--dot", dest="what", choices=["hasse", "flow", "sd"], required=True)
+    p.add_argument("--dot", dest="what", choices=_modes(_EXPORTS), required=True)
     p.add_argument("file", nargs="?")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--levels")
@@ -472,10 +509,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        _emit({"error": str(exc)})
-        return exc.code
-    except DcxError as exc:
+    except (CliError, DcxError) as exc:
         _emit({"error": str(exc)})
         return 2
     except RecursionError as exc:

@@ -118,19 +118,21 @@ def cert_from_data(data) -> tuple:
 
 def _shape_from_data(spec) -> Molecule:
     """The shape of a cell: a spec such as ``"oriental:3"`` or ``"globe:2"``,
-    sized before it is built, or a certificate read by
-    :func:`cert_from_data`, checked after its replay, which builds at most
-    one element per node of the certificate."""
+    its size written in ASCII digits, sized before it is built, or a
+    certificate read by :func:`cert_from_data`, checked after its replay,
+    which builds at most one element per node of the certificate."""
     if isinstance(spec, str):
         what = f"shape {spec!r}"
         kind, _, arg = spec.partition(":")
+        if kind not in ("oriental", "globe"):
+            raise DcxError(f"unknown shape spec {spec!r}")
+        if not (arg.isascii() and arg.isdigit()):
+            raise DcxError(f"shape spec {spec!r} needs a non-negative integer after ':'")
         if kind == "oriental":
             check_simplex_fits(what, int(arg))
             return oriental(int(arg))
-        if kind == "globe":
-            check_fits(what, 2 * int(arg) + 1)
-            return globe(int(arg))
-        raise DcxError(f"unknown shape spec {spec!r}")
+        check_fits(what, 2 * int(arg) + 1)
+        return globe(int(arg))
     U = replay(spec)
     check_fits("a certificate shape", U.size())
     return U

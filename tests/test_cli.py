@@ -208,7 +208,7 @@ MAKE_ARGUMENTS = {
 def test_make_rejects_an_extra_argument(target, files, capsys):
     """Every make target takes a fixed number of arguments, and one more
     exits 2 with the target's usage."""
-    usages = {name: usage for name, _, usage in cli._MAKE_TARGETS}
+    usages = {name: usage for name, _, usage, _ in cli._MAKE_TARGETS}
     assert set(MAKE_ARGUMENTS) == set(usages)
     args = MAKE_ARGUMENTS[target](files)
     assert call(capsys, "make", target, *args)[0] == 0
@@ -608,6 +608,39 @@ def test_shape_spec_over_the_element_limit_exits_2_before_building(
     )
 
 
+# specs whose text after the colon is not a size in ASCII digits
+SPECS_WITHOUT_A_SIZE = [
+    "oriental:x",
+    "oriental:",
+    "oriental",
+    "globe:1.5",
+    "oriental:-1",
+    "oriental: 2",
+    "oriental:+1",
+    "oriental:1_0",
+    "globe:\u0663",
+    "globe:\u00b2",
+]
+
+
+@pytest.mark.parametrize("spec", SPECS_WITHOUT_A_SIZE)
+def test_shape_spec_without_a_digit_size_exits_2_naming_the_spec(tmp_path, capsys, spec):
+    text = json.dumps({"format": "dcomplex/1", "cells": [[{"shape": spec, "attach": {}}]]})
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"invalid dcomplex input: shape spec {spec!r} needs a non-negative integer after ':'"
+    )
+
+
+@pytest.mark.parametrize("spec", ["cube:2", "Globe:1", "globe 1", ""])
+def test_shape_spec_of_an_unknown_kind_exits_2(tmp_path, capsys, spec):
+    text = json.dumps({"format": "dcomplex/1", "cells": [[{"shape": spec, "attach": {}}]]})
+    code, out = call(capsys, "cx", "verify", write_doc(tmp_path, text))
+    assert code == 2
+    assert json.loads(out)["error"] == f"invalid dcomplex input: unknown shape spec {spec!r}"
+
+
 def test_cells_read_from_an_imported_document_share_one_shape_per_dimension(
     tmp_path, capsys, monkeypatch
 ):
@@ -731,6 +764,85 @@ USAGE_CASES = [
 ]
 
 
+def error_out(message) -> str:
+    return serialize.dumps_json({"error": message})
+
+
+# one command line per reader; PATH is replaced by the file read
+READERS = {
+    "ogposet": ["check", "molecule", "PATH"],
+    "molecule": ["make", "paste", "PATH", "PATH", "0"],
+    "dcomplex": ["cx", "verify", "PATH"],
+    "ssset": ["cx", "import-ssset", "PATH"],
+}
+
+
+def with_path(argv, path_arg):
+    return [str(path_arg) if arg == "PATH" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
+def test_an_unreadable_path_is_not_reported_as_invalid_input(tmp_path, capsys, argv):
+    with pytest.raises(OSError) as exc:
+        open(tmp_path, encoding="utf-8")
+    code, out = call(capsys, *with_path(argv, tmp_path))
+    assert (code, out) == (2, error_out(f"cannot read {tmp_path}: {exc.value}"))
+
+
+@pytest.mark.parametrize("kind", ["ogposet", "dcomplex", "ssset"])
+def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, kind):
+    data = b'{"format": "x", "faces": "\xe9"}'
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    (tmp_path / "latin1.json").write_bytes(data)
+    code, out = call(capsys, *with_path(READERS[kind], tmp_path / "latin1.json"))
+    assert str(exc.value).startswith("'utf-8' codec can't decode")
+    assert (code, out) == (2, error_out(f"invalid {kind} input: {exc.value}"))
+
+
+def test_an_unknown_make_target_exits_2(capsys):
+    assert call(capsys, "make", "cube", "2") == (2, error_out("unknown make target 'cube'"))
+
+
+@pytest.mark.parametrize("mode", ["layerings", "orderings", "theory"])
+def test_dot_output_is_only_for_the_flow_graph(files, capsys, mode):
+    code, out = call(capsys, "flow", mode, files["horiz"], "--k", "0", "--output", "dot")
+    assert (code, out) == (2, error_out("--output dot is only available for flow graph"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "round"],
+        ["check", "atom"],
+        ["check", "frame-acyclic"],
+        ["flow", "graph", "--k", "0"],
+        ["sd"],
+        ["export", "--dot", "flow"],
+        ["make", "suspend"],
+    ],
+    ids=" ".join,
+)
+def test_a_query_of_a_molecule_refuses_a_poset_that_is_not_one(files, capsys, argv):
+    code, out = call(capsys, *argv, files["sphere"])
+    assert (code, out) == (2, error_out("input poset is not a molecule"))
+
+
+def test_make_help_names_every_target_with_its_arity(capsys):
+    """The help string is the only spelling of the targets besides
+    ``_MAKE_TARGETS``: it names each target once, in a piece ``TARGET ARG
+    ...`` with one word per argument."""
+    parser = cli._SubcommandParser(prog="dcx make")
+    cli._args_make(parser)
+    (what,) = [action for action in parser._actions if action.dest == "what"]
+    pieces = [piece.split() for piece in what.help.split(" | ")]
+    named = {piece[0]: len(piece) - 1 for piece in pieces}
+    assert len(named) == len(pieces)
+    assert named == {target: arity for target, arity, _, _ in cli._MAKE_TARGETS}
+    assert run(["make", "--help"]) == 0
+    assert what.help in " ".join(capsys.readouterr().out.split())
+
+
 def full_parse(argv):
     return cli.build_parser().parse_args(argv)
 
@@ -794,8 +906,9 @@ def uncovered_choices(subcommands, argvs):
 
 
 def test_every_choice_has_a_golden_entry():
-    """So a mode without a golden command cannot ship: the subcommands end
-    on their last mode with no fall-through for an unknown one."""
+    """So a mode without a golden command cannot ship: every mode that a
+    subcommand's table lists, and so its parser offers, is run by at least
+    one golden command."""
     argvs = golden_argvs()
     assert uncovered_choices(cli._SUBCOMMANDS, argvs) == []
     choices = {
