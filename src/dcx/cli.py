@@ -480,31 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv) -> argparse.Namespace:
-    """The arguments of ``argv``, parsed by the parser of its subcommand
-    alone when that parser takes every argument, else by the full parser."""
-    for name, _, add in _SUBCOMMANDS:
-        if argv and argv[0] == name:
-            parser = _SubcommandParser(prog=f"dcx {name}")
-            add(parser)
-            args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                return args
-            break
-    return build_parser().parse_args(argv)
+_PARSER = build_parser()
 
 
 def run(argv) -> int:
     """Run one command line and return its exit code.
 
-    When ``argv[0]`` names a subcommand, only that subcommand's parser is
-    built.  The full parser of ``build_parser`` parses ``argv`` instead when
-    there is no subcommand name (no arguments, ``--help`` or an unknown
-    name) or when arguments are left over, so help, usage lines and errors
-    read exactly as when the full parser parses every command line.
+    Every command line is parsed by ``_PARSER``, built once at import.
+    Intermixed parsing changes that parser's actions while it runs, so two
+    threads must not call ``run`` at once.
     """
     try:
-        args = _parse(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

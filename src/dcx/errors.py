@@ -50,5 +50,5 @@ class PreconditionError(DcxError):
 
 
 class BudgetError(DcxError):
-    """An input file, or a brute-force search, exceeds the configured
-    element limit."""
+    """An ogposet/1 or ssset/1 document lists more elements than
+    DCX_ELEMENT_LIMIT, before it is read (``serialize._check_listed``)."""

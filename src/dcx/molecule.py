@@ -130,8 +130,8 @@ def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
     """Glue Q onto P, identifying each key of ``glue`` with its value.
 
     Elements of P keep their indices; the unglued elements of Q follow them
-    in each dimension, in order.  Returns ``(counts, faces, map_p, map_q)``
-    with the face data as lists, so that callers can add elements on top.
+    in each dimension, in order.  Returns ``(counts, faces, map_q)`` with the
+    face data as lists, so that callers can add elements on top.
 
     When ``glue`` is injective and keeps dimensions, ``map_q`` is injective,
     since the unglued elements take indices past P's.  So each unglued
@@ -141,7 +141,6 @@ def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
     """
     nd = max(len(P.counts), len(Q.counts))
     counts = list(P.counts) + [0] * (nd - len(P.counts))
-    map_p = {el: el for el in P.elements()}
     map_q: dict[El, El] = {}
     for el in Q.elements():
         if el in glue:
@@ -160,14 +159,15 @@ def pushout(P: OgPoset, Q: OgPoset, glue: dict[El, El]):
                     tuple(sorted(map_q[(d - 1, j)][1] for j in pl)),
                 )
             )
-    return counts, faces, map_p, map_q
+    return counts, faces, map_q
 
 
 def paste_posets(P: OgPoset, Q: OgPoset, k: int):
     """Pushout of two posets along the unique iso of their k-boundaries.
 
-    Returns ``(W, map_p, map_q)``; raises BoundaryMismatchError when the
-    output k-boundary of P is not isomorphic to the input k-boundary of Q.
+    Returns ``(W, map_q)``: P keeps its indices in W.  Raises
+    BoundaryMismatchError when the output k-boundary of P is not
+    isomorphic to the input k-boundary of Q.
     The glue is a bijection of that boundary of Q onto that of P, so W's
     table is valid, and regular when P and Q are (see :func:`pushout`).
     """
@@ -179,8 +179,8 @@ def paste_posets(P: OgPoset, Q: OgPoset, k: int):
             f"output {k}-boundary of the left factor does not match the "
             f"input {k}-boundary of the right factor"
         )
-    counts, faces, map_p, map_q = pushout(P, Q, glue)
-    return OgPoset(counts, faces), map_p, map_q
+    counts, faces, map_q = pushout(P, Q, glue)
+    return OgPoset(counts, faces), map_q
 
 
 def paste_labelled(P: OgPoset, left: dict, Q: OgPoset, right: dict, k: int):
@@ -192,8 +192,8 @@ def paste_labelled(P: OgPoset, left: dict, Q: OgPoset, right: dict, k: int):
     output k-boundary of P does not match the input k-boundary of Q, and
     LabelMismatchError when two glued elements carry different labels.
     """
-    W, map_p, map_q = paste_posets(P, Q, k)
-    labels = {map_p[el]: label for el, label in left.items()}
+    W, map_q = paste_posets(P, Q, k)
+    labels = dict(left)
     for el, label in right.items():
         if labels.setdefault(map_q[el], label) != label:
             raise LabelMismatchError("boundary labels do not match")
@@ -202,7 +202,7 @@ def paste_labelled(P: OgPoset, left: dict, Q: OgPoset, right: dict, k: int):
 
 def paste(U: Molecule, V: Molecule, k: int) -> Molecule:
     """The pasting of U and V along their k-boundary."""
-    W, _, _ = paste_posets(U.poset, V.poset, k)
+    W, _ = paste_posets(U.poset, V.poset, k)
     return Molecule(W, ("paste", k, U.cert, V.cert))
 
 
@@ -232,7 +232,7 @@ def atom(U: Molecule, V: Molecule) -> Molecule:
         for src, dst in part.items():
             if glue.setdefault(src, dst) != dst:
                 raise NotParallelError("boundary isomorphisms disagree on the sphere")
-    counts, faces, _, map_v = pushout(U.poset, V.poset, glue)
+    counts, faces, map_v = pushout(U.poset, V.poset, glue)
     top_minus = tuple(range(U.poset.counts[k]))
     top_plus = tuple(sorted(map_v[(k, i)][1] for i in range(V.poset.counts[k])))
     counts.append(1)

@@ -33,9 +33,9 @@ def _el_name(el: El) -> str:
 
 
 def _parse_el(name) -> El:
-    """The element named ``"d.i"``, both parts decimal digits."""
+    """The element named ``"d.i"``, both parts ASCII digits."""
     parts = name.split(".") if isinstance(name, str) else ()
-    if len(parts) != 2 or not all(part.isdecimal() for part in parts):
+    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise DcxError(f'attach entry {name!r} is not an element name "d.i"')
     return (int(parts[0]), int(parts[1]))
 

@@ -119,6 +119,26 @@ def checked_poset(counts, faces):
     return P
 
 
+def is_oriented_thin(P) -> bool:
+    """Oriented thinness, read from ``P.faces`` alone: for each element x of
+    dimension at least 2 and each z two dimensions below it, exactly two
+    elements y lie between them, and the products of the signs (input -1,
+    output +1) along the two chains z < y < x are opposite.  A necessary
+    condition for a molecule, whose face poset is that of a regular CW
+    ball; recognition does not use it."""
+    for d in range(2, len(P.faces)):
+        for x_sides in P.faces[d]:
+            chains: dict[int, list[int]] = {}
+            for y_sign, ys in zip((-1, 1), x_sides):
+                for y in ys:
+                    for z_sign, zs in zip((-1, 1), P.faces[d - 1][y]):
+                        for z in zs:
+                            chains.setdefault(z, []).append(y_sign * z_sign)
+            if any(sorted(signs) != [-1, 1] for signs in chains.values()):
+                return False
+    return True
+
+
 def compositions(k):
     """All compositions of k, as tuples of positive integers."""
     if k == 0:

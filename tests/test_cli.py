@@ -1,4 +1,5 @@
 """The command line: exit codes 0/1/2 and argument order."""
+import argparse
 import contextlib
 import io
 import json
@@ -530,6 +531,17 @@ MALFORMED_CELLS = {
     "attach-not-a-name": (
         ["point"], {"0.0": 5}, 'attach entry 5 is not an element name "d.i"'
     ),
+    # decimal digits outside ASCII: Arabic-Indic and fullwidth zeros
+    "attach-key-not-ascii": (
+        ["point"],
+        {"\u0660.\u0660": "0.0"},
+        'attach entry \'\u0660.\u0660\' is not an element name "d.i"',
+    ),
+    "attach-value-not-ascii": (
+        ["point"],
+        {"0.0": "\uff10.\uff10"},
+        'attach entry \'\uff10.\uff10\' is not an element name "d.i"',
+    ),
 }
 
 
@@ -725,7 +737,7 @@ def test_import_ssset_at_the_element_limit_builds(tmp_path, capsys, monkeypatch)
     assert [len(level) for level in json.loads(out)["cells"]] == [1] * 6
 
 
-# -- one subcommand's parser per query ------------------------------------------------
+# -- one parser for every query -------------------------------------------------------
 
 SUBCOMMAND_NAMES = ["make", "check", "flow", "sd", "cx", "export"]
 
@@ -843,23 +855,16 @@ def test_make_help_names_every_target_with_its_arity(capsys):
     assert what.help in " ".join(capsys.readouterr().out.split())
 
 
-def full_parse(argv):
-    return cli.build_parser().parse_args(argv)
-
-
-def no_full_parser():
-    raise AssertionError("the full parser was built")
-
-
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
 def test_run_matches_the_full_parser(files, capsys, monkeypatch, argv):
-    """The full parser is the oracle: exit code, stdout and stderr agree."""
+    """A freshly built parser is the oracle: two runs on the shared parser
+    give its exit code, stdout and stderr."""
     argv = [files["horiz"] if arg == "FILE" else arg for arg in argv]
-    code = run(argv)
-    fast = (code, *capsys.readouterr())
-    monkeypatch.setattr(cli, "_parse", full_parse)
-    assert (run(argv), *capsys.readouterr()) == fast
-    assert code == (0 if "--help" in argv else 2)
+    shared = [(run(argv), *capsys.readouterr()) for _ in range(2)]
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    fresh = (run(argv), *capsys.readouterr())
+    assert shared == [fresh, fresh]
+    assert fresh[0] == (0 if "--help" in argv else 2)
 
 
 def golden_argvs():
@@ -867,13 +872,38 @@ def golden_argvs():
     return [entry["argv"] for entry in json.loads(manifest.read_text(encoding="utf-8"))]
 
 
-def test_golden_argv_parse_as_with_the_full_parser(monkeypatch):
-    full = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", no_full_parser)
-    for argv in golden_argvs():
-        want = vars(full.parse_args(argv))
-        del want["command"]
-        assert vars(cli._parse(argv)) == want, argv
+def test_run_builds_no_parser(monkeypatch):
+    """Every golden command line is parsed by the parser built at import."""
+    from test_golden import run_command
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with contextlib.redirect_stderr(io.StringIO()):
+        for argv in golden_argvs():
+            run_command(argv)
+    assert built == []
+
+
+def test_a_parse_leaves_no_state_for_the_next(files, capsys):
+    """Options and defaults of one command line do not carry over to the
+    next, and a refused one leaves intermixed parsing on: the file after
+    ``--k`` is read only by an intermixed parse."""
+    horiz = files["horiz"]
+    graph = ["flow", "graph", "--k", "1", horiz]
+    assert call(capsys, *graph)[0] == 0
+    assert run(["flow", "graph", horiz]) == 2
+    assert "the following arguments are required: --k" in capsys.readouterr().err
+    assert call(capsys, *graph)[0] == 0
+    code, out = call(capsys, "sd", "--report", horiz)
+    assert code == 0 and "theta_counts" not in json.loads(out)
+    code, out = call(capsys, "sd", horiz)
+    assert code == 0 and set(json.loads(out)) == {"levels", "size", "sd_size", "theta_counts"}
 
 
 def subcommand_parser(name, add):
@@ -948,18 +978,3 @@ def test_top_level_help_and_usage_errors(capsys):
 def test_each_subcommand_exits_2_on_a_usage_error(capsys, name):
     assert run([name, "--no-such-option"]) == 2
     assert capsys.readouterr().err.startswith("usage: dcx")
-
-
-def test_a_query_builds_only_its_own_parser(files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_parser", no_full_parser)
-    horiz = files["horiz"]
-    for argv in (
-        ["check", "molecule", horiz],
-        ["check", "frame-acyclic", horiz],
-        ["flow", "graph", "--k", "0", horiz],
-        ["sd", "--levels", "0", horiz],
-        ["make", "globe", "2"],
-        ["cx", "verify", files["triangle"]],
-        ["export", "--dot", "hasse", horiz],
-    ):
-        assert call(capsys, *argv)[0] == 0, argv

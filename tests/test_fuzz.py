@@ -17,7 +17,8 @@ first molecules of the test corpus, is changed in one way at a time (see
 other side, dropped or added, or two elements relabelled as each other.
 The tables stay well formed.  Every table that recognition accepts must be
 rebuilt by its certificate, up to isomorphism: the replay has the table's
-canonical key.
+canonical key.  It must also be oriented thin (``conftest.is_oriented_thin``),
+a property of molecules that recognition does not read.
 
 Tier-1 runs the slice ``TIER1``.  The whole sweep ``FULL`` runs as a
 script, which prints one summary line:
@@ -243,9 +244,10 @@ def table_near_misses(faces, limit: int, rng):
 
 
 def semantic_sweep(sweep: Sweep, corpus) -> tuple[int, int, list]:
-    """(tables read, tables recognised, tables whose certificate does not
-    replay to their canonical key), over the golden ogposet/1 inputs and
-    the first molecules of ``corpus``."""
+    """(tables read, tables recognised, recognised tables whose certificate
+    does not replay to their canonical key or that are not oriented thin),
+    over the golden ogposet/1 inputs and the first molecules of ``corpus``."""
+    from conftest import is_oriented_thin
     from dcx import DcxError, is_molecule, replay, serialize
 
     docs = {src.name: read_input(src) for src in sorted(INPUTS.glob("*.json"))}
@@ -268,7 +270,9 @@ def semantic_sweep(sweep: Sweep, corpus) -> tuple[int, int, list]:
                 continue
             recognised += 1
             if replay(cert).poset.canonical_key() != P.canonical_key():
-                bad.append((name, faces))
+                bad.append((name, "replay", faces))
+            if not is_oriented_thin(P):
+                bad.append((name, "not thin", faces))
     return read, recognised, bad
 
 
@@ -292,6 +296,7 @@ def test_every_reader_refuses_mutants_by_name(monkeypatch):
 
 
 def test_recognised_near_miss_tables_replay_to_their_key(corpus):
+    """Every recognised near-miss table replays to its key and is oriented thin."""
     read, recognised, bad = semantic_sweep(TIER1, corpus)
     assert read > 500 and recognised > 100
     assert bad == []
@@ -307,11 +312,13 @@ def main() -> None:
     corpus = random_molecules(CORPUS_SIZE, seed=CORPUS_SEED)
     read, recognised, bad_tables = semantic_sweep(FULL, corpus)
     exits = dict(sorted(report.exits.items(), key=str))
-    for entry in report.bad:
+    for entry in report.bad + bad_tables:
         print("bad:", *entry)
+    faults = Counter(reason for _, reason, _ in bad_tables)
     print(
         f"fuzz: {sum(exits.values())} runs, exits {exits}, {len(report.bad)} bad messages;"
-        f" {read} near-miss tables, {recognised} recognised, {len(bad_tables)} bad certificates;"
+        f" {read} near-miss tables, {recognised} recognised,"
+        f" {faults['replay']} bad certificates, {faults['not thin']} not thin;"
         f" {time.process_time() - start:.1f} s CPU"
     )
     sys.exit(1 if report.bad or bad_tables else 0)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,8 @@ from dcx.molecule import (
 )
 from dcx.ogposet import MINUS, PLUS, OgIso
 from dcx.randgen import random_molecules
-from conftest import oracle_find_iso, oracle_isomorphisms
+from dcx.serialize import loads_ogposet
+from conftest import is_oriented_thin, oracle_find_iso, oracle_isomorphisms
 
 
 def test_point_and_globes():
@@ -488,3 +490,37 @@ def test_one_dimensional_recognition_matches_an_isomorphism_search(corpus):
             seen += 1
             recognised += cert is not None
     assert recognised and seen > recognised
+
+
+# -- oriented thinness: an oracle for recognition that shares no code with it --
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def golden_ogposets() -> dict:
+    """The ogposet/1 inputs of the golden tests, by file stem."""
+    return {
+        src.stem: loads_ogposet(src.read_text(encoding="utf-8"))
+        for src in sorted(GOLDEN_INPUTS.glob("*.json"))
+        if "." not in src.stem
+    }
+
+
+def test_molecules_are_oriented_thin():
+    """Every molecule of the ``check`` bench corpus, every small oriental,
+    globe and path, and every golden input that recognition accepts."""
+    mols = random_molecules(200, 20260809, max_elements=22)
+    mols += [oriental(n) for n in range(7)] + [globe(k) for k in range(5)]
+    mols += [path(k) for k in range(6)]
+    golden = golden_ogposets()
+    posets = [m.poset for m in mols] + [P for P in golden.values() if is_molecule(P)]
+    assert len(mols) == 218 and len(posets) > len(mols)
+    assert [n for n, P in enumerate(posets) if not is_oriented_thin(P)] == []
+    assert not is_oriented_thin(golden["apart"])
+
+
+def test_thinness_reads_the_orientation():
+    """A 2-globe with one side reversed has a thin underlying poset, but
+    the two chains from each vertex to the 2-cell have the same sign."""
+    assert is_oriented_thin(globe(2).poset)
+    assert not is_oriented_thin(validate([2, [([0], [1]), ([1], [0])], [([0], [1])]]))
