@@ -872,10 +872,9 @@ def golden_argvs():
     return [entry["argv"] for entry in json.loads(manifest.read_text(encoding="utf-8"))]
 
 
-def test_run_builds_no_parser(monkeypatch):
-    """Every golden command line is parsed by the parser built at import."""
-    from test_golden import run_command
-
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ``prog`` of every ArgumentParser constructed from here on."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -884,10 +883,49 @@ def test_run_builds_no_parser(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def no_full_parser():
+    raise AssertionError("the full parser was built")
+
+
+def test_run_builds_no_parser(parsers_built):
+    """Every golden command line is parsed by the parser built at import."""
+    from test_golden import run_command
+
     with contextlib.redirect_stderr(io.StringIO()):
         for argv in golden_argvs():
             run_command(argv)
-    assert built == []
+    assert parsers_built == []
+
+
+def test_golden_argv_parse_as_with_the_full_parser():
+    """The shared parser, after every golden command line before it, parses
+    each one as a freshly built full parser does, twice in a row."""
+    full = cli.build_parser()
+    for argv in golden_argvs():
+        want = vars(full.parse_args(argv))
+        assert vars(cli._PARSER.parse_args(argv)) == want, argv
+        assert vars(cli._PARSER.parse_args(argv)) == want, argv
+
+
+def test_a_query_builds_only_its_own_parser(files, capsys, monkeypatch, parsers_built):
+    """A query of each subcommand runs on the parser built at import: it
+    neither calls ``build_parser`` nor constructs any other parser."""
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    horiz = files["horiz"]
+    for argv in (
+        ["check", "molecule", horiz],
+        ["check", "frame-acyclic", horiz],
+        ["flow", "graph", "--k", "0", horiz],
+        ["sd", "--levels", "0", horiz],
+        ["make", "globe", "2"],
+        ["cx", "verify", files["triangle"]],
+        ["export", "--dot", "hasse", horiz],
+    ):
+        assert call(capsys, *argv)[0] == 0, argv
+    assert parsers_built == []
 
 
 def test_a_parse_leaves_no_state_for_the_next(files, capsys):
