@@ -273,13 +273,12 @@ _FLOWS = (
 
 
 def _cmd_flow(args) -> int:
-    if args.output == "dot" and args.mode != "graph":
-        raise CliError("--output dot is only available for flow graph")
-    mol = _load_molecule(args.file)
     if args.output == "dot":
-        sys.stdout.write(serialize.dot_flow(maxflow(mol, args.k)))
+        if args.mode != "graph":
+            raise CliError("--output dot is only available for flow graph")
+        sys.stdout.write(_export_flow(args))
         return 0
-    doc = dict(_FLOWS)[args.mode](mol, args.k)
+    doc = dict(_FLOWS)[args.mode](_load_molecule(args.file), args.k)
     _emit(doc)
     return 0 if doc.get("iso", True) else 1  # only a theory report has "iso"
 

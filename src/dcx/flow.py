@@ -6,10 +6,14 @@ above k.  The maximal k-flow graph links maximal elements whose output and
 input k-frames meet, and pre-orderings are the linearly ordered partitions
 of its vertices compatible with the edges: each block is a down-set of what
 the earlier blocks leave, drawn from :func:`~dcx.ogposet.down_sets`, and
-orderings are the case with one vertex per block.  Frame-acyclicity asks every
-submolecule's flow graph, taken at that submolecule's own frame dimension,
-to be acyclic; it is decided on a superset of the submolecules that needs no
-recognition, and only a cycle found there sends it to the exact submolecules.
+orderings are the case with one vertex per block.  Their comparison with
+the pre-layerings (:func:`check_layering_theory`) is decided by covers: it
+maps each pre-layering to an ordered partition and matches one-split
+refinements on both sides, with no list of orderings or pre-orderings.
+Frame-acyclicity asks every submolecule's flow graph, taken at that
+submolecule's own frame dimension, to be acyclic; it is decided on a
+superset of the submolecules that needs no recognition, and only a cycle
+found there sends it to the exact submolecules.
 """
 from __future__ import annotations
 
@@ -163,22 +167,18 @@ def layerings(U: Molecule, k: int) -> list[tuple[Closed, ...]]:
 # -- pre-orderings -----------------------------------------------------------
 
 
-def _chains(
-    need: list[int], within: int, first, cap: Optional[int] = None
-) -> list[tuple[int, ...]]:
+def _chains(need: list[int], within: int, first) -> list[tuple[int, ...]]:
     """Ordered partitions of ``within`` into blocks, as bitmasks.
 
     Each block is a nonempty set drawn by ``first(need, rest)`` from what
     the earlier blocks leave; that rest is convex whenever ``within`` is.
     ``first`` is :func:`down_sets` for pre-orderings and
     :func:`_minimal_blocks` for orderings.  Partitions come in increasing
-    order of their blocks, at most ``cap`` of them.
+    order of their blocks.
     """
     out: list[tuple[int, ...]] = []
 
     def rec(rest: int, acc: tuple):
-        if cap is not None and len(out) >= cap:
-            return
         if not rest:
             out.append(acc)
             return
@@ -338,31 +338,47 @@ def _partition_covers(partition: tuple[int, ...], need: list[int]) -> set[tuple[
 def check_layering_theory(U: Molecule, k: int) -> dict:
     """Verify the layering/ordering comparison at level k.
 
-    Requires U frame-acyclic and frame_dim(U) <= k <= dim U - 1.  Checks:
+    Requires U frame-acyclic and frame_dim(U) <= k <= dim U - 1.  Claims:
     (a) a k-layering exists; (b) layerings biject with orderings; (c) the
     induced map on pre-layerings is an isomorphism of posets onto the
-    pre-orderings.  (d) Every pre-ordering is refined by an ordering: this
-    cannot fail once (b) has passed, so it is not checked.
+    pre-orderings; (d) every pre-ordering is refined by an ordering.
 
-    - (b) makes ``ords`` the complete list of orderings: it is capped at
-      ``len(lays) + 1`` and equals ``set(mapped)``, which has ``len(lays)``
-      members, so the cap was not reached.
-    - ``ords`` is then nonempty, so the flow graph has no cycle apart from
-      self-loops: two vertices on a cycle never become minimal, so no
-      ordering could place them.
+    Everything is read off the pre-layerings and the map f
+    (:func:`_layer_blocks`) to ordered partitions of the n flow vertices.
+    Three things are checked: some pre-layering has n layers; no two
+    pre-layerings share an image; and for each pre-layering x, f maps the
+    one-split refinements of x (:func:`_prelayering_covers`) onto those of
+    f(x) (:func:`_partition_covers`).  Orderings and pre-orderings are
+    counted as the distinct images with n blocks and all of them; once the
+    checks pass, the proof below makes these the true counts.
+
+    f is onto the pre-orderings:
+
+    - f sends the trivial pre-layering to the trivial pre-ordering.
+    - Every pre-layering is reached from the trivial one by one-splits: a
+      split of the whole, then a pre-layering of its right side.  A
+      one-split of a pre-ordering is again a pre-ordering: a proper down-set
+      D of a block B, then B∖D.  So, by the cover check, f lands in the
+      pre-orderings.
+    - Point 3 below reaches every pre-ordering from the trivial one by
+      one-splits, and the cover check returns each of them as an image.
+
+    So f is a bijection onto the pre-orderings that keeps the number of
+    blocks, and (b) is f restricted to n blocks.  (d) then cannot fail, so
+    it is not checked:
+
+    - The orderings are nonempty, by (a) and (b), so the flow graph has no
+      cycle apart from self-loops: two vertices on a cycle never become
+      minimal, so no ordering could place them.
     - Each block of a pre-ordering is a down-set of what the earlier blocks
       leave, and the graph restricted to it has no cycle either.  So a
       topological sort of each block, concatenated, is a topological sort of
       the whole: every predecessor of a vertex lies in an earlier block or
-      earlier in its own.  That sort is in ``ords``, and it refines the
+      earlier in its own.  That sort is an ordering, and it refines the
       pre-ordering by grouping.
 
-    For (c) it checks that the map f (:func:`_layer_blocks`) is a bijection
-    and that, for each pre-layering x, f maps the one-split refinements of
-    x (:func:`_prelayering_covers`) onto those of f(x)
-    (:func:`_partition_covers`).  That makes f an isomorphism for the order
-    :func:`_refines`; the proof is the one for a bijection of finite posets
-    that preserves and reflects covers:
+    For (c), f is a bijection of finite posets that preserves and reflects
+    covers, which makes it an isomorphism for the order :func:`_refines`:
 
     1. Refinement is grouping.  Each layer of a pre-layering holds an
        element that no other layer holds: the two sides of a split meet in
@@ -391,8 +407,9 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
        checked reflection makes each step a one-split of pre-layerings,
        which refines by point 1; by transitivity x refines y.
 
-    The full comparison of the two refinement matrices is therefore
-    implied, and it is kept only as an oracle in the tests.
+    The enumeration of the orderings and pre-orderings, and the full
+    comparison of the two refinement matrices, are therefore implied; they
+    are kept only as oracles in the tests.
     """
     r = frame_dim(U)
     if not (r <= k <= U.dim - 1):
@@ -402,40 +419,26 @@ def check_layering_theory(U: Molecule, k: int) -> dict:
 
     P = U.poset
     order, need = maxflow(U, k)._need()
-    full = (1 << len(order)) - 1
+    prelays = _sorted_prelayerings(P, k)
+    image_of = {lay: _layer_blocks(P, order, lay) for lay in prelays}
+    images = set(image_of.values())
     report: dict = {"k": k, "iso": True, "counterexample": None}
+    report["layerings"] = sum(len(lay) == len(order) for lay in prelays)
+    report["orderings"] = sum(len(image) == len(order) for image in images)
+    report["pre_layerings"], report["pre_orderings"] = len(prelays), len(images)
 
     def fail(reason):
         report["iso"] = False
         report["counterexample"] = reason
         return report
 
-    prelays = _sorted_prelayerings(P, k)
-    lays = [lay for lay in prelays if len(lay) == len(order)]
-    ords = _chains(need, full, _minimal_blocks, cap=len(lays) + 1)
-    report["layerings"] = len(lays)
-    report["orderings"] = len(ords)
-    if not lays:
+    if not report["layerings"]:
         return fail("no layering exists")
-    mapped = [_layer_blocks(P, order, lay) for lay in lays]
-    if len(set(mapped)) != len(mapped) or set(mapped) != set(ords):
-        return fail("layerings do not biject with orderings")
-
-    preords = _chains(need, full, down_sets, cap=len(prelays) + 1)
-    report["pre_layerings"] = len(prelays)
-    report["pre_orderings"] = len(preords)
-    images = [_layer_blocks(P, order, lay) for lay in prelays]
-    if len(set(images)) != len(prelays) or set(images) != set(preords):
+    if len(images) != len(prelays):
         return fail("pre-layerings do not biject with pre-orderings")
-    image_of = dict(zip(prelays, images))
     for lay in prelays:
-        lhs = {image_of[c] for c in _prelayering_covers(P, lay, k)}
-        rhs = _partition_covers(image_of[lay], need)
-        if lhs != rhs:
-            return fail(
-                {
-                    "pre_layering": [sorted(P.masks_els(m)) for m in lay],
-                    "reason": "covers not preserved and reflected",
-                }
-            )
+        covers = {image_of[c] for c in _prelayering_covers(P, lay, k)}
+        if covers != _partition_covers(image_of[lay], need):
+            laid = [sorted(P.masks_els(m)) for m in lay]
+            return fail({"pre_layering": laid, "reason": "covers not preserved and reflected"})
     return report

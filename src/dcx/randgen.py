@@ -28,24 +28,17 @@ def random_molecules(
     steps = 0
     while len(out) < count and steps < max_steps:
         steps += 1
-        made = None
-        if rng.random() < 0.7:
-            U = rng.choice(pool)
-            V = rng.choice(pool)
+        pasting = rng.random() < 0.7
+        U = rng.choice(pool)
+        V = rng.choice(pool)
+        if pasting:
             k = rng.randrange(0, min(U.dim, V.dim) + 1) if min(U.dim, V.dim) >= 0 else 0
-            try:
-                made = paste(U, V, k)
-            except DcxError:
-                continue
-        else:
-            U = rng.choice(pool)
-            V = rng.choice(pool)
-            if U.dim != V.dim or U.dim >= max_dim:
-                continue
-            try:
-                made = atom(U, V)
-            except DcxError:
-                continue
+        elif U.dim != V.dim or U.dim >= max_dim:
+            continue
+        try:
+            made = paste(U, V, k) if pasting else atom(U, V)
+        except DcxError:
+            continue
         if made.size() > max_elements or made.dim > max_dim:
             continue
         if made.key not in out:

@@ -80,6 +80,18 @@ def test_flow_exit_codes(files, capsys):
     assert call(capsys, "flow", "graph", "--k", "0", files["sphere"])[0] == 2
 
 
+def test_flow_theory_exits_1_with_a_failing_report(files, capsys, monkeypatch):
+    """A theory report whose check fails is written as it is, and the
+    command exits 1."""
+    from test_flow import drop_first_cover
+
+    drop_first_cover(monkeypatch)
+    report = dcx.check_layering_theory(path(2), 0)
+    assert not report["iso"]
+    code, out = call(capsys, "flow", "theory", files["path2"], "--k", "0")
+    assert code == 1 and out == serialize.dumps_json(report)
+
+
 def test_sd_options_before_or_after_file(files, capsys):
     before = call(capsys, "sd", "--levels", "0", files["horiz"])
     after = call(capsys, "sd", files["horiz"], "--levels", "0")

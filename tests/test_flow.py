@@ -183,7 +183,7 @@ def unrefined_preorderings(need, full, partitions):
     ords = set(_chains(need, full, _minimal_blocks))
     out = []
     for partition in partitions:
-        sorts = [_chains(need, block, _minimal_blocks, cap=1) for block in partition]
+        sorts = [_chains(need, block, _minimal_blocks)[:1] for block in partition]
         if not all(sorts):
             out.append(partition)
             continue
@@ -352,18 +352,16 @@ def test_cyclic_flow_graph_keeps_the_cycle_in_one_block():
     ]
 
 
-def test_cap_is_an_upper_bound():
-    # four unrelated vertices: 24 orderings and 75 pre-orderings
+def test_chains_of_four_unrelated_vertices():
+    # 24 orderings, each a topological sort, and 75 pre-orderings
     fg = FlowGraph(tuple((1, i) for i in range(4)), frozenset())
     order, need = fg._need()
     full = (1 << len(order)) - 1
-    sorts = fg.topological_sorts()
     chains = _chains(need, full, _minimal_blocks)
     parts = _chains(need, full, down_sets)
-    assert (len(sorts), len(chains), len(parts)) == (24, 24, 75)
-    for cap in (0, 1, 2, 23, 24, 25, 100):
-        assert _chains(need, full, _minimal_blocks, cap) == chains[:cap]
-        assert _chains(need, full, down_sets, cap) == parts[:cap]
+    assert (len(chains), len(parts), len(set(parts))) == (24, 75, 75)
+    assert fg.topological_sorts() == [tuple(order[b.bit_length() - 1] for b in c) for c in chains]
+    assert chains == sorted(chains) and parts == sorted(parts)
 
 
 def test_refinement_matrices_agree(corpus):
@@ -385,6 +383,88 @@ def test_refinement_matrices_agree(corpus):
                     assert flow._refines(fine, coarse) == flow._refines(fine_image, coarse_image)
                     pairs += 1
     assert pairs > 1000
+
+
+
+def test_theory_counts_match_the_enumerations(corpus):
+    # the enumeration of orderings and pre-orderings that the cover check
+    # makes unneeded, kept as its oracle: the images of the pre-layerings
+    # are every pre-ordering, and the reported counts are the true ones
+    cases = 0
+    for mol in corpus[:40] + [oriental(n) for n in range(2, 6)]:
+        P = mol.poset
+        for k in range(max(frame_dim(mol), 0), mol.dim):
+            rep = check_layering_theory(mol, k)
+            assert rep["iso"], (mol.counts, k)
+            order, need = maxflow(mol, k)._need()
+            full = (1 << len(order)) - 1
+            images = {flow._layer_blocks(P, order, lay) for lay in flow._sorted_prelayerings(P, k)}
+            assert images == set(_chains(need, full, down_sets)), (mol.counts, k)
+            assert rep["orderings"] == len(orderings(mol, k))
+            assert rep["pre_orderings"] == pre_orderings(mol, k).n
+            cases += 1
+    assert cases == 96
+
+
+def test_theory_check_enumerates_no_chains(corpus, monkeypatch):
+    """``check_layering_theory`` decides from the pre-layerings and their
+    covers alone: it never lists orderings or pre-orderings."""
+    calls = []
+    real = flow._chains
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_chains", counted)
+    for mol in corpus[:40]:
+        for k in range(max(frame_dim(mol), 0), mol.dim):
+            assert check_layering_theory(mol, k)["iso"], (mol.counts, k)
+    assert calls == []
+
+
+def drop_first_cover(monkeypatch):
+    """Patch ``_partition_covers`` to leave out the least one-split of each
+    pre-ordering, so that no cover check can pass."""
+    real = flow._partition_covers
+
+    def dropped(partition, need):
+        return set(sorted(real(partition, need))[1:])
+
+    monkeypatch.setattr(flow, "_partition_covers", dropped)
+
+
+def test_theory_fails_without_a_layering(monkeypatch):
+    real = flow._sorted_prelayerings
+
+    def fewer_layers(P, k):
+        # path(3) at 0 has three flow vertices
+        return [lay for lay in real(P, k) if len(lay) < 3]
+
+    monkeypatch.setattr(flow, "_sorted_prelayerings", fewer_layers)
+    rep = check_layering_theory(path(3), 0)
+    assert not rep["iso"] and rep["counterexample"] == "no layering exists"
+    assert rep["layerings"] == 0
+
+
+def test_theory_fails_when_two_prelayerings_share_an_image(horiz, monkeypatch):
+    real = flow._layer_blocks
+    # horiz at 1: the two layerings map to (x, y) and (y, x); sorting the
+    # blocks sends both to one image
+    monkeypatch.setattr(flow, "_layer_blocks", lambda *args: tuple(sorted(real(*args))))
+    rep = check_layering_theory(horiz, 1)
+    assert not rep["iso"]
+    assert rep["counterexample"] == "pre-layerings do not biject with pre-orderings"
+
+
+def test_theory_fails_when_a_cover_is_dropped(monkeypatch):
+    drop_first_cover(monkeypatch)
+    rep = check_layering_theory(path(3), 0)
+    assert not rep["iso"]
+    assert rep["counterexample"] == {
+        "pre_layering": [[(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]],
+        "reason": "covers not preserved and reflected",
+    }
 
 
 # -- the superset scan and its exact fallback -----------------------------------

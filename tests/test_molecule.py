@@ -6,6 +6,7 @@ import pytest
 
 from dcx import (
     BoundaryMismatchError,
+    FinPoset,
     LabelMismatchError,
     NotParallelError,
     NotRoundError,
@@ -25,6 +26,7 @@ from dcx import (
     paste,
     path,
     point,
+    poset_homology,
     replay,
     splits,
     submolecules,
@@ -40,7 +42,7 @@ from dcx.molecule import (
     paste_labelled,
     submolecules_masks,
 )
-from dcx.ogposet import MINUS, PLUS, OgIso
+from dcx.ogposet import MINUS, PLUS, OgIso, _bits
 from dcx.randgen import random_molecules
 from dcx.serialize import loads_ogposet
 from conftest import is_oriented_thin, oracle_find_iso, oracle_isomorphisms
@@ -524,3 +526,63 @@ def test_thinness_reads_the_orientation():
     the two chains from each vertex to the 2-cell have the same sign."""
     assert is_oriented_thin(globe(2).poset)
     assert not is_oriented_thin(validate([2, [([0], [1]), ([1], [0])], [([0], [1])]]))
+
+
+# -- homology balls: the face poset of a regular CW ball, read by homology ----
+
+
+def closure_order(P) -> FinPoset:
+    """The face poset of P over its positions: p lies below q iff p lies in
+    the closure of q."""
+    up = [0] * P.size()
+    for q, closure in enumerate(P.cl_el):
+        for p in _bits(closure):
+            up[p] |= 1 << q
+    return FinPoset(list(P.elements()), up_masks=up)
+
+
+def reduced_homology(F: FinPoset):
+    """The nonzero reduced Betti numbers and torsion of a poset by degree,
+    or None for the empty poset."""
+    report = poset_homology(F)
+    if report.empty:
+        return None
+    pairs = enumerate(zip(report.reduced_betti, report.torsion))
+    return {j: (betti, torsion) for j, (betti, torsion) in pairs if betti or torsion}
+
+
+def ball_failures(P) -> list:
+    """The elements of P of dimension d whose strict down-set does not have
+    the reduced homology of S^(d-1), the empty set for d = 0, then "not
+    acyclic" if the whole face poset is not acyclic.  Both hold for the
+    face poset of a regular CW ball; recognition shares no code with them."""
+    order = closure_order(P)
+    out = []
+    for p, (d, i) in enumerate(P.elements()):
+        below = order.restrict(list(_bits(P.cl_el[p] & ~(1 << p))))
+        if reduced_homology(below) != (None if d == 0 else {d - 1: (1, [])}):
+            out.append((d, i))
+    if not poset_homology(order).is_acyclic():
+        out.append("not acyclic")
+    return out
+
+
+def test_molecules_are_homology_balls():
+    """The ``check`` bench corpus, every small oriental, globe and path,
+    and every golden input that recognition accepts."""
+    mols = random_molecules(200, 20260809, max_elements=22)
+    mols += [oriental(n) for n in range(6)] + [globe(k) for k in range(5)]
+    mols += [path(k) for k in range(6)]
+    golden = [P for P in golden_ogposets().values() if is_molecule(P)]
+    posets = [m.poset for m in mols] + golden
+    assert len(mols) == 217 and len(golden) == 37
+    assert [n for n, P in enumerate(posets) if ball_failures(P)] == []
+
+
+def test_ball_checks_reject_the_golden_non_molecules():
+    """``apart``'s 2-cell has a boundary that is no homology circle, and
+    the face posets of ``opposite`` and ``points`` are not acyclic."""
+    golden = golden_ogposets()
+    assert ball_failures(golden["apart"]) == [(2, 0)]
+    assert ball_failures(golden["opposite"]) == ["not acyclic"]
+    assert ball_failures(golden["points"]) == ["not acyclic"]

@@ -1,4 +1,6 @@
 """Random molecule fixtures: distinct, bounded, sorted and seeded."""
+import hashlib
+
 import pytest
 
 from dcx import DcxError, is_molecule, random_molecules
@@ -28,3 +30,12 @@ def test_the_seed_decides_the_corpus():
 def test_a_starving_step_budget_raises(max_steps):
     with pytest.raises(DcxError, match=f"only generated [0-9]+ molecules in {max_steps} steps"):
         random_molecules(50, seed=0, max_steps=max_steps)
+
+
+def test_the_check_bench_corpus_is_pinned():
+    """The corpus of the ``check`` bench workload, by a digest of its keys
+    and certificates: a change to what a step draws, or in which order,
+    shows here."""
+    mols = random_molecules(200, 20260809, max_elements=22)
+    blob = b"".join(m.key for m in mols) + repr([m.cert for m in mols]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "2bb3e1be8c5369e6"
